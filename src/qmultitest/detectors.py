@@ -94,16 +94,15 @@ def check_detector(det: Detector) -> list[str]:
             problems.append(f"element {k} has shape {element.shape}")
             continue
         try:
-            values = linalg.eigvalsh(element)
+            lowest = linalg.psd_violation(element, TOL_ELEMENT_PSD)
         except Exception as exc:  # non-Hermitian element
             problems.append(f"element {k}: {exc}")
             continue
-        if values.size and float(values[0]) < -TOL_ELEMENT_PSD:
-            problems.append(
-                f"element {k} has negative eigenvalue {values[0]:.3e}"
-            )
+        if lowest is not None:
+            problems.append(f"element {k} has negative eigenvalue {lowest:.3e}")
         total += element
-    defect = float(np.max(np.abs(total - np.eye(det.dim))))
+    total.reshape(-1)[:: det.dim + 1] -= 1.0  # total - I, in place
+    defect = float(np.max(np.abs(total)))
     if defect > TOL_SUM_IDENTITY:
         problems.append(f"elements sum to identity only within {defect:.3e}")
     return problems
@@ -117,7 +116,9 @@ def validate_detector(det: Detector) -> Detector:
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    out = a + a.conj().T
+    out /= 2.0
+    return out
 
 
 def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
@@ -132,8 +133,11 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
     w, v = linalg.eigh(rho1.matrix - rho2.matrix)
     keep = (w > linalg.eig_floor(w)).astype(np.float64)
     first = _hermitize((v * keep) @ v.conj().T)
-    second = np.eye(rho1.dim) - first
-    return validate_detector(Detector(rho1.dim, (first, second)))
+    del w, v
+    # Detector keeps frozen copies; drop ours before the checks run.
+    detector = Detector(rho1.dim, (first, np.eye(rho1.dim) - first))
+    del first
+    return validate_detector(detector)
 
 
 def wedge(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
@@ -213,9 +217,9 @@ def compose_with_binary(
     for k, p in enumerate(partial_list):
         if p.shape != (dim, dim):
             raise DimensionMismatch(f"partial {k} has shape {p.shape}")
-        values = np.linalg.eigvalsh(_hermitize(p))
-        if values.size and float(values[0]) < -TOL_ELEMENT_PSD:
-            raise PSDViolation(f"partial {k} has eigenvalue {values[0]:.3e}")
+        lowest = linalg.psd_violation(_hermitize(p), TOL_ELEMENT_PSD)
+        if lowest is not None:
+            raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
 
     partial_sum = _hermitize(sum(partial_list))
     w, v = linalg.eigh(partial_sum)
@@ -228,6 +232,7 @@ def compose_with_binary(
         raise PartialsEqualIdentity("partial elements exhaust the identity")
     residual = _hermitize((v * residual_values) @ v.conj().T)
     sqrt_residual = _hermitize((v * np.sqrt(residual_values)) @ v.conj().T)
+    del w, v
 
     def _conjugate(element: np.ndarray) -> np.ndarray:
         # For a projection P, (P sqQ)^dag (P sqQ) = sqQ P sqQ; the Gram
@@ -237,12 +242,18 @@ def compose_with_binary(
             return _hermitize(half.conj().T @ half)
         return _hermitize(sqrt_residual @ element @ sqrt_residual)
 
-    first = _conjugate(binary.elements[0])
-    second = _conjugate(binary.elements[1])
-    detector = validate_detector(
-        Detector(dim, (first, second, *partial_list))
+    detector = Detector(
+        dim,
+        (
+            _conjugate(binary.elements[0]),
+            _conjugate(binary.elements[1]),
+            *partial_list,
+        ),
     )
-
+    validate_detector(detector)
+    # Read the binary parts back from the detector's frozen copies rather
+    # than keeping a second pair alive.
+    first, second = detector.elements[:2]
     pair_sum_defect = float(np.max(np.abs((first + second) - residual)))
     if pair_sum_defect > TOL_SUM_IDENTITY:
         raise ArithmeticError(
@@ -250,10 +261,12 @@ def compose_with_binary(
         )
     sqrt_defect = np.eye(dim) - sqrt_residual
     # (1 - (1-x)^(1/2))^2 <= x for x in [0, 1], as operators.
-    gap = np.linalg.eigvalsh(_hermitize(partial_sum - sqrt_defect @ sqrt_defect))
-    if float(gap[0]) < -1e-9:
+    gap = linalg.psd_violation(
+        _hermitize(partial_sum - sqrt_defect @ sqrt_defect), 1e-9
+    )
+    if gap is not None:
         raise ArithmeticError(
-            f"squared defect exceeds the partial sum by {-gap[0]:.3e}"
+            f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
     wedge_trace = term_wedge = term_partials = term_rest = None

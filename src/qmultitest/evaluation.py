@@ -31,7 +31,7 @@ from .detectors import (
     compose_with_binary,
     holevo_helstrom,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionCapExceeded, DimensionMismatch
 from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble, tensor_power
 
 BOUND_SLACK = 1e-9

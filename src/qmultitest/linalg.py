@@ -10,6 +10,8 @@ Conventions fixed here and relied on elsewhere:
 * Eigenvalues at or below ``eig_floor(A) = 1e-12 * max |eigenvalue|`` are
   treated as exact zeros by ``matrix_power`` and ``support_projection``.
 * ``matrix_power(A, 0)`` is the support projection of ``A`` (``0**0 := 0``).
+* PSD threshold tests go through ``psd_violation``, which accepts with a
+  shifted Cholesky factorization and rejects only on ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,37 @@ def eig_floor(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
     return EIG_FLOOR_REL * float(np.max(np.abs(values)))
+
+
+def psd_violation(a, tol: float = TOL_PSD) -> float | None:
+    """Lowest eigenvalue of a Hermitian matrix when it is below ``-tol``,
+    else ``None``.
+
+    Acceptance is certified by a Cholesky factorization of
+    ``A + (tol/2) I``: it succeeds only when ``lambda_min(A) > -tol/2``
+    up to the factorization's rounding, of order ``D * eps * max A_ii``,
+    which is far below ``tol/2`` for POVM elements and states at the
+    dimension cap.  When the factorization breaks down (or meets a
+    non-finite entry), ``eigvalsh`` decides with the exact predicate
+    ``lambda_min < -tol``, so every rejection reports the eigenvalue a
+    full decomposition gives.  The input is left unmodified.
+    """
+    m = check_hermitian(a)
+    if not m.size:
+        return None
+    shifted = m.copy()
+    shifted.reshape(-1)[:: m.shape[0] + 1] += tol / 2.0
+    try:
+        # A non-finite entry can pass the factorization; it shows on the
+        # factor's diagonal.
+        certified = bool(np.isfinite(np.linalg.cholesky(shifted).diagonal()).all())
+    except np.linalg.LinAlgError:
+        certified = False
+    if certified:
+        return None
+    del shifted
+    lowest = float(np.linalg.eigvalsh(m)[0])
+    return lowest if lowest < -tol else None
 
 
 def _check_psd(values: np.ndarray, tol: float = TOL_PSD) -> None:

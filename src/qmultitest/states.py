@@ -40,12 +40,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.check_hermitian(self.matrix)
-        values = np.linalg.eigvalsh(m)
-        if values.size and float(values[0]) < -linalg.TOL_PSD:
-            raise PSDViolation(
-                f"state has negative eigenvalue {values[0]:.3e}"
-            )
+        m = linalg.as_matrix(self.matrix)
+        lowest = linalg.psd_violation(m)  # also checks Hermiticity
+        if lowest is not None:
+            raise PSDViolation(f"state has negative eigenvalue {lowest:.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise TraceViolation(f"state trace is {tr!r}, expected 1")

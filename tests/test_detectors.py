@@ -22,6 +22,7 @@ from qmultitest import (
 from qmultitest import linalg
 from qmultitest.errors import (
     DimensionCapExceeded,
+    DimensionMismatch,
     PartialsEqualIdentity,
     PartialsExceedIdentity,
     PSDViolation,
@@ -348,3 +349,50 @@ class TestDetectorChecks:
             lhs = np.trace(tensor_power(rho, 2).matrix @ np.kron(a, b))
             rhs = np.trace(rho.matrix @ a) * np.trace(rho.matrix @ b)
             assert abs(lhs - rhs) <= 1e-12
+
+
+class TestPsdFastPath:
+    """POVM checks certify positivity by Cholesky; ``eigvalsh`` at the full
+    dimension would mean the fast path silently fell back."""
+
+    @pytest.fixture
+    def kernel_sizes(self, monkeypatch):
+        sizes = {"eigvalsh": [], "cholesky": []}
+        for name in sizes:
+            real = getattr(np.linalg, name)
+
+            def counting(a, *args, _real=real, _name=name, **kwargs):
+                sizes[_name].append(np.shape(a)[-1])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return sizes
+
+    def test_helstrom_checks_skip_full_size_eigvalsh(self, kernel_sizes):
+        rho1 = tensor_power(random_density(2, 2, 11), 8)
+        rho2 = tensor_power(random_density(2, 2, 12), 8)
+        holevo_helstrom(rho1, rho2)
+        assert kernel_sizes["eigvalsh"].count(256) == 0
+        assert kernel_sizes["cholesky"].count(256) == 2
+
+    def test_split_checks_skip_full_size_eigvalsh(self, kernel_sizes):
+        ens = Ensemble(tuple(random_density(2, 2, 20 + k) for k in range(3)))
+        build_split_detector(ens, 6)
+        assert kernel_sizes["eigvalsh"].count(64) == 0
+        # Binary test (2), partial (1), composed detector (3), squared defect (1).
+        assert kernel_sizes["cholesky"].count(64) == 7
+
+    def test_planted_negative_element_keeps_its_message(self):
+        d = 256
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        spectrum = np.linspace(0.0, 1.0, d)
+        spectrum[0] = -3e-7
+        first = (q * spectrum) @ q.conj().T
+        first = (first + first.conj().T) / 2.0
+        det = Detector(d, (first, np.eye(d) - first))
+        with pytest.raises(PSDViolation) as info:
+            validate_detector(det)
+        assert str(info.value) == (
+            "invalid POVM: element 0 has negative eigenvalue -3.000e-07"
+        )

@@ -23,7 +23,7 @@ from qmultitest import (
 )
 from qmultitest import linalg
 from qmultitest.detectors import Detector
-from qmultitest.errors import DimensionMismatch
+from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
 
@@ -230,6 +230,11 @@ class TestExponentEstimate:
 
 
 class TestRunExperiment:
+    def test_copy_count_past_the_cap_raises_cap_error(self):
+        ens = Ensemble((random_density(2, 2, 111), random_density(2, 2, 112)))
+        with pytest.raises(DimensionCapExceeded, match="n = 13 needs dim 8192"):
+            run_experiment(ens, [13])
+
     def test_binary_table_matches_decay_check(self):
         rho1, rho2 = random_density(2, 2, 111), random_density(2, 2, 112)
         ens = Ensemble((rho1, rho2))

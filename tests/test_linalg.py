@@ -210,3 +210,76 @@ def test_trace_product_matches_full_product(np_rng):
     assert linalg.trace_product(a, b) == pytest.approx(
         complex(np.trace(a @ b)), abs=1e-12
     )
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestPsdViolation:
+    """Differential tests of the Cholesky-certified PSD threshold against
+    ``eigvalsh``, the dense oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 128),
+        lowest_in_tol=st.sampled_from(
+            [-2.0, -(1 + 1e-3), -(1 - 1e-3), -0.75, -0.5, 0.0, 1.0]
+        ),
+        tol=st.sampled_from([linalg.TOL_PSD, 1e-9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_spectrum_matches_eigvalsh(self, d, lowest_in_tol, tol, seed):
+        rng = np.random.default_rng(seed)
+        lowest = lowest_in_tol * tol
+        spectrum = np.concatenate([[lowest], lowest + rng.uniform(0.0, 1.0, d - 1)])
+        u = _unitary(rng, d)
+        m = (u * spectrum) @ u.conj().T
+        m = (m + m.conj().T) / 2.0
+        m.setflags(write=False)
+        before = m.copy()
+
+        got = linalg.psd_violation(m, tol)
+
+        oracle = float(np.linalg.eigvalsh(m)[0])
+        if abs(lowest + tol) > 1e-12:
+            assert (got is not None) == (oracle < -tol)
+        if got is not None:
+            assert got == oracle
+        np.testing.assert_array_equal(m, before)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 128])
+    def test_projectors_of_every_rank(self, d):
+        u = _unitary(np.random.default_rng(d), d)
+        for rank in range(d + 1):
+            p = u[:, :rank] @ u[:, :rank].conj().T
+            assert linalg.psd_violation(p) is None
+            assert np.linalg.eigvalsh(p)[0] >= -linalg.TOL_PSD
+            if rank:
+                assert linalg.psd_violation(-p) == float(np.linalg.eigvalsh(-p)[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+    def test_rejects_non_hermitian(self, d, seed):
+        rng = np.random.default_rng(seed)
+        m = random_psd(rng, d)
+        m[0, d - 1] += 1.0
+        before = m.copy()
+        with pytest.raises(HermiticityViolation):
+            linalg.psd_violation(m)
+        np.testing.assert_array_equal(m, before)
+
+    def test_non_finite_entries_are_decided_by_eigvalsh(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        m = np.eye(4, dtype=np.complex128)
+        m[2, 1] = m[1, 2] = np.nan
+        assert linalg.psd_violation(m) is None  # eigvalsh's own verdict
+        assert len(calls) == 1
