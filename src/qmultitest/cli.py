@@ -7,16 +7,18 @@ Commands::
     qmultitest verify [--trials --seed]       randomized invariant suites
     qmultitest gen <kind> [--r --d --seed]    scenario generation
 
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 resource cap.
-Reports are byte-stable for a fixed scenario and configuration: floats are
-written as their shortest round-trip decimals and files land atomically
-(temp file + rename).
+Exit codes: 0 success, 1 validation failure, 2 parse error, 3 resource cap
+(dimension cap exceeded or out of memory).  Reports are byte-stable for a
+fixed scenario and configuration: floats are written as their shortest
+round-trip decimals, non-finite values as ``null`` (JSON reports are strict
+RFC 8259), and files land atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -55,6 +57,31 @@ def _csv_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
+
+
+def _finite_or_null(value):
+    """Replace every non-finite float in a report with ``None``.
+
+    An infinite exponent (orthogonal supports) or a NaN margin has no RFC
+    8259 encoding, so reports carry ``null`` there; ``f_min: 0`` already
+    marks the orthogonal pairs.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _report_json(doc: dict) -> str:
+    return (
+        json.dumps(
+            _finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False
+        )
+        + "\n"
+    )
 
 
 def _emit(text: str, out_path) -> None:
@@ -104,8 +131,7 @@ def _chernoff_report(scenario: Scenario) -> dict:
 
 def cmd_chernoff(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = _chernoff_report(scenario)
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_report_json(_chernoff_report(scenario)), args.out)
     return 0
 
 
@@ -177,7 +203,7 @@ def table_to_json(table: ExperimentTable) -> str:
             and table.series.fitted_slope > table.least_favorable[0] + 1e-6
         ),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _report_json(doc)
 
 
 def cmd_run(args) -> int:
@@ -308,7 +334,8 @@ def cmd_gen(args) -> int:
         scenario_from_dict(doc)
     else:
         raise ValueError(f"unknown scenario kind {args.kind!r}")
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -372,6 +399,10 @@ def main(argv=None) -> int:
         return 2
     except DimensionCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, CalibrationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)

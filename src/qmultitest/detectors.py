@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ TOL_ELEMENT_PSD = 1e-10
 TOL_SUM_IDENTITY = 1e-9
 
 SubStrategy = Literal["pgm", "recursive"]
+# A hypothesis state, or a zero-argument callable that builds it on demand.
+StateSource = DensityMatrix | Callable[[], DensityMatrix]
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,21 @@ class CompositionTrace:
 
     ``residual`` is identity minus the partial sum, ``sqrt_defect`` is
     identity minus its square root, and ``reject_1``/``reject_2`` are the
-    complements of the binary test's two projections.  The scalar fields
-    (filled when the states are supplied) are the three terms of the
-    error-decomposition bound: twice the binary overlap trace, twice the
-    pair's leakage into the partials, and the partial elements' own
-    misses.
+    complements of the binary test's two projections.  These five ``D x D``
+    operators are kept only when the caller asks for them
+    (``keep_operators=True``, the default of :func:`compose_with_binary`);
+    otherwise they are ``None`` and each is freed at its last use, which
+    is what the split detector does.  The scalar fields (filled when the
+    states are supplied) are the three terms of the error-decomposition
+    bound: twice the binary overlap trace, twice the pair's leakage into
+    the partials, and the partial elements' own misses.
     """
 
-    residual: np.ndarray
-    sqrt_defect: np.ndarray
-    partial_sum: np.ndarray
-    reject_1: np.ndarray
-    reject_2: np.ndarray
+    residual: np.ndarray | None = None
+    sqrt_defect: np.ndarray | None = None
+    partial_sum: np.ndarray | None = None
+    reject_1: np.ndarray | None = None
+    reject_2: np.ndarray | None = None
     wedge_trace: float | None = None
     term_wedge: float | None = None
     term_partials: float | None = None
@@ -130,12 +135,20 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    w, v = linalg.eigh(rho1.matrix - rho2.matrix)
+    dim = rho1.dim
+    delta = rho1.matrix - rho2.matrix
+    # Callers pass n-copy temporaries: dropping them here frees them
+    # before the decomposition.
+    del rho1, rho2
+    w, v = linalg.eigh(delta)
+    del delta
     keep = (w > linalg.eig_floor(w)).astype(np.float64)
-    first = _hermitize((v * keep) @ v.conj().T)
+    projector = (v * keep) @ v.conj().T
     del w, v
+    first = _hermitize(projector)
+    del projector
     # Detector keeps frozen copies; drop ours before the checks run.
-    detector = Detector(rho1.dim, (first, np.eye(rho1.dim) - first))
+    detector = Detector(dim, (first, np.eye(dim) - first))
     del first
     return validate_detector(detector)
 
@@ -195,10 +208,15 @@ def pgm(states: Sequence[DensityMatrix]) -> Detector:
     return validate_detector(Detector(dim, tuple(elements)))
 
 
+def _state_matrix(source: StateSource) -> np.ndarray:
+    return (source() if callable(source) else source).matrix
+
+
 def compose_with_binary(
     partials: Sequence[np.ndarray],
     binary: Detector,
-    states: tuple[DensityMatrix, DensityMatrix, Sequence[DensityMatrix]] | None = None,
+    states: tuple[StateSource, StateSource, Sequence[StateSource]] | None = None,
+    keep_operators: bool = True,
 ) -> tuple[Detector, CompositionTrace]:
     """Complete partial elements to a full POVM using a binary test.
 
@@ -206,7 +224,11 @@ def compose_with_binary(
     identity; the leftover weight ``residual = I - sum`` is handed to the
     binary test by conjugating its two projections with
     ``residual^(1/2)``.  When the hypotheses' states are supplied, the
-    trace additionally records the three terms of the error bound.
+    trace additionally records the three terms of the error bound; a
+    state may be given as a zero-argument callable that builds it, so it
+    exists only while its trace term is taken.  With
+    ``keep_operators=False`` the trace's five operators stay ``None`` and
+    each intermediate is freed at its last use.
     """
     if len(binary.elements) != 2:
         raise ValueError("binary detector must have exactly 2 elements")
@@ -234,6 +256,10 @@ def compose_with_binary(
     sqrt_residual = _hermitize((v * np.sqrt(residual_values)) @ v.conj().T)
     del w, v
 
+    # Past its last use an operator is dropped, or handed to the trace
+    # when the caller asked for the operators.
+    kept: dict[str, np.ndarray] = {}
+
     def _conjugate(element: np.ndarray) -> np.ndarray:
         # For a projection P, (P sqQ)^dag (P sqQ) = sqQ P sqQ; the Gram
         # form stays positive to machine precision, so prefer it.
@@ -255,48 +281,57 @@ def compose_with_binary(
     # than keeping a second pair alive.
     first, second = detector.elements[:2]
     pair_sum_defect = float(np.max(np.abs((first + second) - residual)))
+    if keep_operators:
+        kept["residual"] = residual
+    del residual
     if pair_sum_defect > TOL_SUM_IDENTITY:
         raise ArithmeticError(
             f"binary elements miss the residual by {pair_sum_defect:.3e}"
         )
     sqrt_defect = np.eye(dim) - sqrt_residual
+    del sqrt_residual
     # (1 - (1-x)^(1/2))^2 <= x for x in [0, 1], as operators.
     gap = linalg.psd_violation(
         _hermitize(partial_sum - sqrt_defect @ sqrt_defect), 1e-9
     )
+    if keep_operators:
+        kept["sqrt_defect"] = sqrt_defect
+    del sqrt_defect
     if gap is not None:
         raise ArithmeticError(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
     wedge_trace = term_wedge = term_partials = term_rest = None
-    reject_1 = np.eye(dim) - binary.elements[0]
-    reject_2 = np.eye(dim) - binary.elements[1]
     if states is not None:
-        rho1, rho2, rest = states
+        first_state, second_state, rest = states
         if len(rest) != len(partial_list):
             raise ValueError("one state per partial element is required")
-        wedge_trace = linalg.real_scalar(
-            linalg.trace_product(rho1.matrix, reject_1)
-            + linalg.trace_product(rho2.matrix, reject_2)
-        )
+        # The states are built only now, and each complement I - E_k is
+        # dropped as soon as its trace is taken.
+        rho1 = _state_matrix(first_state)
+        wedge_1 = linalg.trace_product(rho1, np.eye(dim) - binary.elements[0])
+        rho2 = _state_matrix(second_state)
+        wedge_2 = linalg.trace_product(rho2, np.eye(dim) - binary.elements[1])
+        wedge_trace = linalg.real_scalar(wedge_1 + wedge_2)
         term_wedge = 2.0 * wedge_trace
         term_partials = 2.0 * linalg.real_scalar(
-            linalg.trace_product(rho1.matrix + rho2.matrix, partial_sum)
+            linalg.trace_product(rho1 + rho2, partial_sum)
         )
+        del rho1, rho2
         term_rest = sum(
             linalg.real_scalar(
-                1.0 - linalg.trace_product(state.matrix, element)
+                1.0 - linalg.trace_product(_state_matrix(state), element)
             )
             for state, element in zip(rest, partial_list)
         )
+    if keep_operators:
+        kept["partial_sum"] = partial_sum
+        kept["reject_1"] = np.eye(dim) - binary.elements[0]
+        kept["reject_2"] = np.eye(dim) - binary.elements[1]
 
     trace = CompositionTrace(
-        residual=residual,
-        sqrt_defect=sqrt_defect,
-        partial_sum=partial_sum,
-        reject_1=reject_1,
-        reject_2=reject_2,
+        **kept,
         wedge_trace=wedge_trace,
         term_wedge=term_wedge,
         term_partials=term_partials,
@@ -397,12 +432,20 @@ def build_split_detector(
         np.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
         for k in range(len(tail))
     ]
-    first_n = tensor_power(first, n, dim_cap)
-    second_n = tensor_power(second, n, dim_cap)
-    binary = holevo_helstrom(first_n, second_n)
-    tail_n = [tensor_power(s, n, dim_cap) for s in tail]
+    binary = holevo_helstrom(
+        tensor_power(first, n, dim_cap), tensor_power(second, n, dim_cap)
+    )
+
+    def _power(state: DensityMatrix) -> Callable[[], DensityMatrix]:
+        return lambda: tensor_power(state, n, dim_cap)
+
+    # The n-copy states are rebuilt for the bound's trace terms instead of
+    # being held across the Helstrom decomposition and the POVM checks.
     detector, trace = compose_with_binary(
-        partials, binary, states=(first_n, second_n, tail_n)
+        partials,
+        binary,
+        states=(_power(first), _power(second), [_power(s) for s in tail]),
+        keep_operators=False,
     )
     return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 

@@ -221,6 +221,66 @@ class TestComposeWithBinary:
             compose_with_binary([np.eye(2) * 0.1], triple)
 
 
+class TestComposeOperatorKeyword:
+    """``keep_operators=False`` frees the trace's operators but changes no
+    element and no bound term."""
+
+    @staticmethod
+    def terms(trace):
+        return (
+            trace.wedge_trace,
+            trace.term_wedge,
+            trace.term_partials,
+            trace.term_rest,
+        )
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_dropping_operators_keeps_elements_and_terms(self, r):
+        states = [random_density(2, 2, 8100 + 10 * r + k) for k in range(r)]
+        partials = random_feasible_partials(2, r - 2, 8200 + r)
+        binary = holevo_helstrom(states[0], states[1])
+        kept_det, kept = compose_with_binary(
+            partials, binary, states=(states[0], states[1], states[2:])
+        )
+        # The lean call takes its states as builders, as the split does.
+        builders = [lambda state=state: state for state in states]
+        lean_det, lean = compose_with_binary(
+            partials,
+            binary,
+            states=(builders[0], builders[1], builders[2:]),
+            keep_operators=False,
+        )
+        assert [e.tobytes() for e in lean_det.elements] == [
+            e.tobytes() for e in kept_det.elements
+        ]
+        assert self.terms(lean) == self.terms(kept)
+        assert None not in self.terms(kept)
+        operators = ("residual", "sqrt_defect", "partial_sum", "reject_1", "reject_2")
+        for name in operators:
+            assert getattr(kept, name).shape == (2, 2)
+            assert getattr(lean, name) is None
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_split_terms_match_explicit_states(self, n):
+        ens = Ensemble(tuple(random_density(2, 2, 8400 + k) for k in range(3)))
+        det, trace, split = build_split_detector(ens, n)
+        first, second, tail = ens.states[0], ens.states[1], ens.states[2]
+        sub_1 = pgm([tensor_power(s, split.n1) for s in (first, tail)])
+        sub_2 = pgm([tensor_power(s, split.n2) for s in (second, tail)])
+        partials = [np.kron(sub_1.elements[1], sub_2.elements[1])]
+        first_n, second_n = tensor_power(first, n), tensor_power(second, n)
+        ref_det, ref = compose_with_binary(
+            partials,
+            holevo_helstrom(first_n, second_n),
+            states=(first_n, second_n, [tensor_power(tail, n)]),
+        )
+        assert [e.tobytes() for e in det.elements] == [
+            e.tobytes() for e in ref_det.elements
+        ]
+        assert self.terms(trace) == self.terms(ref)
+        assert trace.residual is None and trace.reject_1 is None
+
+
 def orthogonal_triple():
     return Ensemble(tuple(pure_state(v) for v in np.eye(3)))
 

@@ -19,6 +19,15 @@ def write_doc(path, doc):
     return str(path)
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: ``NaN`` and ``Infinity`` are rejected."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in report")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def two_state_doc():
     return {
         "version": 1,
@@ -167,6 +176,18 @@ class TestChernoffCommand:
         assert report["condition"]["holds"] is True
         assert report["condition"]["margin"] > 0
 
+    def test_orthogonal_report_is_strict_json(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "o.json", orthogonal_triple_doc())
+        assert cli.main(["chernoff", path]) == 0
+        report = strict_json(capsys.readouterr().out)
+        for pair in report["pairs"]:
+            assert pair["exponent"] is None and pair["f_min"] == 0.0
+        assert report["least_favorable"]["exponent"] is None
+        condition = report["condition"]
+        assert condition["holds"] is True
+        for key in ("pair_distance", "others_min", "threshold", "margin"):
+            assert condition[key] is None
+
     def test_report_bytes_stable_on_reload(self, tmp_path, capsys):
         src = write_doc(tmp_path / "s.json", two_state_doc())
         first_out = tmp_path / "r1.json"
@@ -227,6 +248,29 @@ class TestRunCommand:
         assert doc["fitted_slope"] is not None
         assert doc["fitted_slope"] >= doc["pair_exponent"] - 1e-9
         assert "slope_exceeds_bottleneck" in doc
+
+    def test_orthogonal_json_table_is_strict_json(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "o.json", orthogonal_triple_doc())
+        argv = ["run", path, "--n-min", "2", "--n-max", "3", "--format", "json"]
+        assert cli.main(argv) == 0
+        doc = strict_json(capsys.readouterr().out)
+        for key in ("pair_exponent", "others_min", "reference_level"):
+            assert doc[key] is None
+        assert doc["least_favorable"]["exponent"] is None
+        assert doc["condition"]["margin"] is None
+        assert all(pair["exponent"] is None for pair in doc["pairwise"])
+        assert [row["binary_bound"] for row in doc["rows"]] == [0.0, 0.0]
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        path = write_doc(tmp_path / "s.json", two_state_doc())
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 256. MiB")
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert cli.main(["run", path, "--n-max", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 256. MiB\n"
 
     def test_lemma_and_overall_flags_for_triple(self, tmp_path, capsys):
         doc = {
