@@ -9,11 +9,10 @@ attainability condition, and exact error/bound evaluation.
 from .chernoff import (
     ChernoffResult,
     ConditionReport,
+    PairwiseTable,
     attainability_condition,
     chernoff_curve,
     chernoff_distance,
-    least_favorable_pair,
-    min_distance_excluding,
     pairwise_distances,
 )
 from .detectors import (
@@ -25,7 +24,6 @@ from .detectors import (
     compose_with_binary,
     holevo_helstrom,
     pgm,
-    recursive_detector,
     validate_detector,
     wedge,
 )
@@ -71,6 +69,7 @@ __all__ = [
     "ExponentSeries",
     "LemmaReport",
     "OverallReport",
+    "PairwiseTable",
     "SplitReport",
     "attainability_condition",
     "binary_chernoff_upper_check",
@@ -84,16 +83,13 @@ __all__ = [
     "error_sum",
     "exponent_estimate",
     "holevo_helstrom",
-    "least_favorable_pair",
     "lemma_bound_check",
-    "min_distance_excluding",
     "mix",
     "overall_bound_check",
     "pairwise_distances",
     "pgm",
     "pure_state",
     "random_density",
-    "recursive_detector",
     "run_experiment",
     "tensor_power",
     "validate_detector",

@@ -56,6 +56,11 @@ class ConditionReport:
     holds: bool
     margin: float
 
+    @property
+    def threshold(self) -> float:
+        """The right side of the condition, ``others_min / 6``."""
+        return self.others_min / CONDITION_DIVISOR
+
 
 class _PairCurve:
     """Overlap curve with the eigendecompositions done once.
@@ -153,34 +158,6 @@ def pairwise_distances(
     return out
 
 
-def least_favorable_pair(ensemble: Ensemble) -> tuple[float, tuple[int, int]]:
-    """Minimum pairwise exponent and the (0-based) pair attaining it.
-
-    Ties break toward the lexicographically smallest pair.
-    """
-    best_pair: tuple[int, int] | None = None
-    best = math.inf
-    for (i, j), result in sorted(pairwise_distances(ensemble).items()):
-        if best_pair is None or result.exponent < best:
-            best, best_pair = result.exponent, (i, j)
-    assert best_pair is not None
-    return best, best_pair
-
-
-def min_distance_excluding(ensemble: Ensemble, i: int, j: int) -> float:
-    """Minimum pairwise exponent over all pairs other than ``(i, j)``."""
-    if ensemble.r < 3:
-        raise UndefinedQuantity("no other pairs exist for r = 2")
-    if not (0 <= i < j < ensemble.r):
-        raise ValueError(f"invalid pair ({i}, {j}) for r = {ensemble.r}")
-    values = [
-        result.exponent
-        for pair, result in pairwise_distances(ensemble).items()
-        if pair != (i, j)
-    ]
-    return min(values)
-
-
 def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, float]:
     """Non-strict test ``pair_distance <= others_min / 6`` with its margin."""
     threshold = others_min / CONDITION_DIVISOR
@@ -190,28 +167,56 @@ def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, flo
     return holds, threshold - pair_distance
 
 
-def attainability_condition(ensemble: Ensemble) -> ConditionReport:
-    """Evaluate the closeness condition at the least favorable pair.
+class PairwiseTable:
+    """Every pairwise Chernoff result of an ensemble, computed once.
 
-    The condition holds when the closest pair of the ensemble is at most
-    one sixth as far apart (in Chernoff distance) as every other pair;
-    under it the minimum pairwise exponent is achievable by an explicit
-    detector sequence.
+    ``least`` is the closest pair, ties broken toward the lexicographically
+    smallest; the ensemble's minimum exponent and the attainability
+    condition are both read off this one table.
     """
-    if ensemble.r < 3:
-        raise UndefinedQuantity("condition needs r >= 3")
-    distances = pairwise_distances(ensemble)
-    best_pair = min(sorted(distances), key=lambda p: distances[p].exponent)
-    overall_min = distances[best_pair].exponent
-    others_min = min(
-        result.exponent for pair, result in distances.items() if pair != best_pair
-    )
-    holds, margin = condition_margin(overall_min, others_min)
-    return ConditionReport(
-        pair=best_pair,
-        pair_distance=overall_min,
-        others_min=others_min,
-        overall_min=overall_min,
-        holds=holds,
-        margin=margin,
-    )
+
+    def __init__(self, ensemble: Ensemble):
+        self.r = ensemble.r
+        distances = self.distances = pairwise_distances(ensemble)
+        self.least = min(sorted(distances), key=lambda p: distances[p].exponent)
+
+    def others_min(self, pair: tuple[int, int]) -> float:
+        """Minimum pairwise exponent over all pairs other than ``pair``."""
+        if self.r < 3:
+            raise UndefinedQuantity("no other pairs exist for r = 2")
+        i, j = pair
+        if not (0 <= i < j < self.r):
+            raise ValueError(f"invalid pair ({i}, {j}) for r = {self.r}")
+        return min(
+            result.exponent
+            for other, result in self.distances.items()
+            if other != (i, j)
+        )
+
+    def condition(self) -> ConditionReport:
+        """Evaluate the closeness condition at the least favorable pair.
+
+        The condition holds when the closest pair of the ensemble is at
+        most one sixth as far apart (in Chernoff distance) as every other
+        pair; under it the minimum pairwise exponent is achievable by an
+        explicit detector sequence.
+        """
+        if self.r < 3:
+            raise UndefinedQuantity("condition needs r >= 3")
+        overall_min = self.distances[self.least].exponent
+        others_min = self.others_min(self.least)
+        holds, margin = condition_margin(overall_min, others_min)
+        return ConditionReport(
+            pair=self.least,
+            pair_distance=overall_min,
+            others_min=others_min,
+            overall_min=overall_min,
+            holds=holds,
+            margin=margin,
+        )
+
+
+def attainability_condition(ensemble: Ensemble) -> ConditionReport:
+    """The attainability condition of an ensemble (see
+    :meth:`PairwiseTable.condition`)."""
+    return PairwiseTable(ensemble).condition()

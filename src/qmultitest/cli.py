@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .chernoff import attainability_condition, chernoff_distance, pairwise_distances
+from .chernoff import PairwiseTable, attainability_condition, chernoff_distance
 from .errors import (
     CalibrationFailed,
     DimensionCapExceeded,
@@ -93,7 +93,7 @@ def _emit(text: str, out_path) -> None:
 
 def _chernoff_report(scenario: Scenario) -> dict:
     ensemble = scenario.ensemble
-    distances = pairwise_distances(ensemble)
+    table = PairwiseTable(ensemble)
     pairs = [
         {
             "i": i,
@@ -102,27 +102,26 @@ def _chernoff_report(scenario: Scenario) -> dict:
             "s_opt": result.s_opt,
             "f_min": result.f_min,
         }
-        for (i, j), result in sorted(distances.items())
+        for (i, j), result in sorted(table.distances.items())
     ]
-    least = min(sorted(distances), key=lambda p: distances[p].exponent)
     report = {
         "dim": ensemble.dim,
         "r": ensemble.r,
         "labels": list(scenario.labels) if scenario.labels else None,
         "pairs": pairs,
         "least_favorable": {
-            "pair": list(least),
-            "exponent": distances[least].exponent,
+            "pair": list(table.least),
+            "exponent": table.distances[table.least].exponent,
         },
         "condition": None,
     }
     if ensemble.r >= 3:
-        cond = attainability_condition(ensemble)
+        cond = table.condition()
         report["condition"] = {
             "pair": list(cond.pair),
             "pair_distance": cond.pair_distance,
             "others_min": cond.others_min,
-            "threshold": cond.others_min / 6.0,
+            "threshold": cond.threshold,
             "margin": cond.margin,
             "holds": cond.holds,
         }
@@ -212,11 +211,6 @@ def cmd_run(args) -> int:
         raise ValueError(
             f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}"
         )
-    dim = scenario.ensemble.dim
-    if dim ** args.n_max > args.dim_cap:
-        raise DimensionCapExceeded(
-            f"n = {args.n_max} needs dim {dim ** args.n_max} > cap {args.dim_cap}"
-        )
     table = run_experiment(
         scenario.ensemble,
         range(args.n_min, args.n_max + 1),
@@ -269,8 +263,7 @@ def _gen_condition_satisfying(r: int, d: int, seed: int) -> dict:
         if not distinct:
             break
         report = attainability_condition(Ensemble(tuple(all_states)))
-        threshold = report.others_min / 6.0
-        if report.holds and report.margin >= MARGIN_FRACTION * threshold:
+        if report.holds and report.margin >= MARGIN_FRACTION * report.threshold:
             specs = [
                 {"type": "random", "rank": d, "seed": seed},
                 {

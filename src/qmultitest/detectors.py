@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from functools import partial
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -212,6 +213,20 @@ def _state_matrix(source: StateSource) -> np.ndarray:
     return (source() if callable(source) else source).matrix
 
 
+def misses(
+    states: Sequence[StateSource], elements: Sequence[np.ndarray]
+) -> Iterator[float]:
+    """Each hypothesis's miss ``1 - tr[rho_k E_k]``, in order.
+
+    A state given as a builder is built only for its own term, so at most
+    one of them is alive at a time.
+    """
+    for state, element in zip(states, elements):
+        yield linalg.real_scalar(
+            1.0 - linalg.trace_product(_state_matrix(state), element)
+        )
+
+
 def compose_with_binary(
     partials: Sequence[np.ndarray],
     binary: Detector,
@@ -319,12 +334,7 @@ def compose_with_binary(
             linalg.trace_product(rho1 + rho2, partial_sum)
         )
         del rho1, rho2
-        term_rest = sum(
-            linalg.real_scalar(
-                1.0 - linalg.trace_product(_state_matrix(state), element)
-            )
-            for state, element in zip(rest, partial_list)
-        )
+        term_rest = sum(misses(rest, partial_list))
     if keep_operators:
         kept["partial_sum"] = partial_sum
         kept["reject_1"] = np.eye(dim) - binary.elements[0]
@@ -346,16 +356,11 @@ def can_split(n: int, w1: float) -> bool:
     return n >= 2 and n1 >= 1 and n - n1 >= 1
 
 
-def _detector_sum_error(
-    states: Sequence[DensityMatrix], copies: int, det: Detector, dim_cap: int
-) -> float:
-    total = 0.0
-    for state, element in zip(states, det.elements):
-        power = tensor_power(state, copies, dim_cap)
-        total += linalg.real_scalar(
-            1.0 - linalg.trace_product(power.matrix, element)
-        )
-    return total
+def power_builders(
+    states: Sequence[DensityMatrix], copies: int, dim_cap: int
+) -> list[Callable[[], DensityMatrix]]:
+    """Builders of each state's ``copies``-fold tensor power."""
+    return [partial(tensor_power, s, copies, dim_cap) for s in states]
 
 
 def _sub_detector(
@@ -371,21 +376,19 @@ def _sub_detector(
     and falls back to the square-root measurement once the copy budget can
     no longer be split.
     """
-    if strategy == "pgm":
-        return pgm([tensor_power(s, copies, dim_cap) for s in states])
-    if strategy == "recursive":
-        if len(states) == 2:
-            return holevo_helstrom(
-                tensor_power(states[0], copies, dim_cap),
-                tensor_power(states[1], copies, dim_cap),
-            )
-        if can_split(copies, w1):
-            detector, _, _ = build_split_detector(
-                Ensemble(tuple(states)), copies, w1, "recursive", dim_cap
-            )
-            return detector
-        return pgm([tensor_power(s, copies, dim_cap) for s in states])
-    raise ValueError(f"unknown sub-detector strategy {strategy!r}")
+    if strategy not in ("pgm", "recursive"):
+        raise ValueError(f"unknown sub-detector strategy {strategy!r}")
+    if strategy == "recursive" and len(states) == 2:
+        return holevo_helstrom(
+            tensor_power(states[0], copies, dim_cap),
+            tensor_power(states[1], copies, dim_cap),
+        )
+    if strategy == "recursive" and can_split(copies, w1):
+        detector, _, _ = build_split_detector(
+            Ensemble(tuple(states)), copies, w1, "recursive", dim_cap
+        )
+        return detector
+    return pgm([tensor_power(s, copies, dim_cap) for s in states])
 
 
 def build_split_detector(
@@ -425,8 +428,8 @@ def build_split_detector(
     side_2 = [second, *tail]
     sub_1 = _sub_detector(side_1, n1, w1, sub, dim_cap)
     sub_2 = _sub_detector(side_2, n2, w1, sub, dim_cap)
-    sub_error_1 = _detector_sum_error(side_1, n1, sub_1, dim_cap)
-    sub_error_2 = _detector_sum_error(side_2, n2, sub_2, dim_cap)
+    sub_error_1 = sum(misses(power_builders(side_1, n1, dim_cap), sub_1.elements))
+    sub_error_2 = sum(misses(power_builders(side_2, n2, dim_cap), sub_2.elements))
 
     partials = [
         np.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
@@ -436,36 +439,11 @@ def build_split_detector(
         tensor_power(first, n, dim_cap), tensor_power(second, n, dim_cap)
     )
 
-    def _power(state: DensityMatrix) -> Callable[[], DensityMatrix]:
-        return lambda: tensor_power(state, n, dim_cap)
-
     # The n-copy states are rebuilt for the bound's trace terms instead of
     # being held across the Helstrom decomposition and the POVM checks.
+    first_n, second_n, *tail_n = power_builders(ensemble.states, n, dim_cap)
     detector, trace = compose_with_binary(
-        partials,
-        binary,
-        states=(_power(first), _power(second), [_power(s) for s in tail]),
-        keep_operators=False,
+        partials, binary, states=(first_n, second_n, tail_n), keep_operators=False
     )
     return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 
-
-def recursive_detector(
-    ensemble: Ensemble,
-    n: int,
-    w1: float = 0.5,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> Detector:
-    """Apply the split construction recursively down to binary tests.
-
-    Two states: the optimal binary test on the ``n``-copy pair.  More
-    states: one split level whose sub-detectors are themselves recursive
-    (square-root measurement once a sub-budget drops below two copies).
-    """
-    if ensemble.r == 2:
-        return holevo_helstrom(
-            tensor_power(ensemble.states[0], n, dim_cap),
-            tensor_power(ensemble.states[1], n, dim_cap),
-        )
-    detector, _, _ = build_split_detector(ensemble, n, w1, "recursive", dim_cap)
-    return detector

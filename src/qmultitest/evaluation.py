@@ -17,19 +17,22 @@ import numpy as np
 
 from . import linalg
 from .chernoff import (
+    CONDITION_DIVISOR,
     ChernoffResult,
     ConditionReport,
+    PairwiseTable,
     chernoff_distance,
-    condition_margin,
-    pairwise_distances,
 )
 from .detectors import (
+    CompositionTrace,
     Detector,
     SplitReport,
     SubStrategy,
     build_split_detector,
     compose_with_binary,
     holevo_helstrom,
+    misses,
+    power_builders,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
 from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble, tensor_power
@@ -152,11 +155,8 @@ def error_sum(
             f"{len(detector.elements)} elements for {ensemble.r} hypotheses"
         )
     per_state = []
-    for state, element in zip(ensemble.states, detector.elements):
-        power = tensor_power(state, n, dim_cap)
-        miss = linalg.real_scalar(
-            1.0 - linalg.trace_product(power.matrix, element)
-        )
+    powers = power_builders(ensemble.states, n, dim_cap)
+    for miss in misses(powers, detector.elements):
         if not -1e-10 <= miss <= 1.0 + 1e-10:
             raise ArithmeticError(f"error probability {miss!r} out of range")
         per_state.append(miss)
@@ -168,6 +168,18 @@ def error_sum(
         err_avg=err_sm / ensemble.r,
         succ_sm=ensemble.r - err_sm,
     )
+
+
+def _lemma_rhs(trace: CompositionTrace) -> float:
+    """Twice the binary overlap trace, plus twice the pair's weight on the
+    partial elements, plus the tail hypotheses' own misses."""
+    return trace.term_wedge + trace.term_partials + trace.term_rest
+
+
+def _overall_rhs(trace: CompositionTrace, split: SplitReport) -> float:
+    """Twice the binary overlap trace plus four times the sub-detectors'
+    summed errors."""
+    return 2.0 * trace.wedge_trace + 4.0 * (split.sub_error_1 + split.sub_error_2)
 
 
 def lemma_bound_check(
@@ -187,17 +199,8 @@ def lemma_bound_check(
     detector, trace = compose_with_binary(
         partials, binary, states=(rho1, rho2, rest)
     )
-    all_states = [rho1, rho2, *rest]
-    lhs = float(
-        sum(
-            linalg.real_scalar(
-                1.0 - linalg.trace_product(state.matrix, element)
-            )
-            for state, element in zip(all_states, detector.elements)
-        )
-    )
-    assert trace.term_wedge is not None
-    rhs = trace.term_wedge + trace.term_partials + trace.term_rest
+    lhs = float(sum(misses([rho1, rho2, *rest], detector.elements)))
+    rhs = _lemma_rhs(trace)
     return LemmaReport(
         lhs=lhs,
         rhs=rhs,
@@ -218,8 +221,7 @@ def overall_bound_check(
     """Check the multi-copy bound on a freshly built split detector."""
     detector, trace, split = build_split_detector(ensemble, n, w1, sub, dim_cap)
     report = error_sum(ensemble, n, detector, dim_cap)
-    assert trace.wedge_trace is not None
-    rhs = 2.0 * trace.wedge_trace + 4.0 * (split.sub_error_1 + split.sub_error_2)
+    rhs = _overall_rhs(trace, split)
     return OverallReport(
         lhs=report.err_sm,
         rhs=rhs,
@@ -268,6 +270,12 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.sum(xc * (ya - ya.mean())) / np.sum(xc * xc))
 
 
+def _rate_row(n: int, err: float) -> ExponentRow:
+    """An ``(n, err_sm)`` row with its per-copy rate ``-log(err_sm) / n``;
+    an exactly-zero row has none."""
+    return ExponentRow(n, float(err), -math.log(err) / n if err > 0.0 else None)
+
+
 def exponent_estimate(
     rows: Sequence[tuple[int, float]], k_fit: int
 ) -> ExponentSeries:
@@ -281,21 +289,17 @@ def exponent_estimate(
     ns = [int(n) for n, _ in rows]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("rows must be ordered by strictly ascending n")
-    out_rows = []
-    positive: list[tuple[int, float]] = []
-    for n, err in rows:
-        if err > 0.0:
-            out_rows.append(ExponentRow(n, float(err), -math.log(err) / n))
-            positive.append((n, float(err)))
-        else:
-            out_rows.append(ExponentRow(n, float(err), None))
+    out_rows = tuple(_rate_row(n, err) for n, err in rows)
+    positive = [row for row in out_rows if row.rate is not None]
     if not positive:
-        return ExponentSeries(tuple(out_rows), None, k_fit, True)
+        return ExponentSeries(out_rows, None, k_fit, True)
     if len(positive) < 2:
         raise ValueError("need at least 2 rows with positive error to fit")
     window = positive[-k_fit:]
-    slope = _ls_slope([n for n, _ in window], [-math.log(e) for _, e in window])
-    return ExponentSeries(tuple(out_rows), slope, k_fit, False)
+    slope = _ls_slope(
+        [row.n for row in window], [-math.log(row.err_sm) for row in window]
+    )
+    return ExponentSeries(out_rows, slope, k_fit, False)
 
 
 def run_experiment(
@@ -321,33 +325,20 @@ def run_experiment(
             raise DimensionCapExceeded(
                 f"n = {n} needs dim {ensemble.dim ** n} > cap {dim_cap}"
             )
-    distances = pairwise_distances(ensemble)
+    table = PairwiseTable(ensemble)
+    distances = table.distances
     pair_result = distances[(0, 1)]
-    least = min(sorted(distances), key=lambda p: distances[p].exponent)
-    least_favorable = (distances[least].exponent, least)
     if ensemble.r >= 3:
-        others_min = min(
-            res.exponent for pair, res in distances.items() if pair != (0, 1)
-        )
-        reference = min(pair_result.exponent, others_min / 6.0)
-        cond_others = min(
-            res.exponent for pair, res in distances.items() if pair != least
-        )
-        holds, margin = condition_margin(distances[least].exponent, cond_others)
-        condition = ConditionReport(
-            pair=least,
-            pair_distance=distances[least].exponent,
-            others_min=cond_others,
-            overall_min=distances[least].exponent,
-            holds=holds,
-            margin=margin,
-        )
+        others_min = table.others_min((0, 1))
+        reference = min(pair_result.exponent, others_min / CONDITION_DIVISOR)
+        condition = table.condition()
     else:
         others_min = None
         reference = pair_result.exponent
         condition = None
 
     rows = []
+    rate_rows = []
     for n in ns:
         bound = math.exp(-n * pair_result.exponent)
         if ensemble.r == 2:
@@ -364,21 +355,19 @@ def run_experiment(
             )
             report = error_sum(ensemble, n, detector, dim_cap)
             n1, n2 = split.n1, split.n2
-            assert trace.term_wedge is not None
-            lemma_rhs = trace.term_wedge + trace.term_partials + trace.term_rest
+            lemma_rhs = _lemma_rhs(trace)
             lemma_holds = report.err_sm <= lemma_rhs + BOUND_SLACK
-            overall_rhs = 2.0 * trace.wedge_trace + 4.0 * (
-                split.sub_error_1 + split.sub_error_2
-            )
+            overall_rhs = _overall_rhs(trace, split)
             overall_holds = report.err_sm <= overall_rhs + BOUND_SLACK
-        rate = -math.log(report.err_sm) / n if report.err_sm > 0.0 else None
+        rate_row = _rate_row(n, report.err_sm)
+        rate_rows.append(rate_row)
         rows.append(
             ExperimentRow(
                 n=n,
                 n1=n1,
                 n2=n2,
                 report=report,
-                rate=rate,
+                rate=rate_row.rate,
                 binary_bound=bound,
                 lemma_rhs=lemma_rhs,
                 lemma_holds=lemma_holds,
@@ -387,27 +376,15 @@ def run_experiment(
             )
         )
 
-    err_rows = [(row.n, row.report.err_sm) for row in rows]
-    positive = sum(1 for _, e in err_rows if e > 0.0)
-    if positive == 0:
-        series = ExponentSeries(
-            tuple(ExponentRow(n, e, None) for n, e in err_rows),
-            None,
-            k_fit,
-            True,
+    # Too few positive rows, or too few rows, leave the slope undefined
+    # instead of failing the table.
+    positive = sum(1 for row in rate_rows if row.rate is not None)
+    if positive >= 2 and k_fit <= len(rate_rows):
+        series = exponent_estimate(
+            [(row.n, row.err_sm) for row in rate_rows], k_fit
         )
-    elif positive >= 2 and k_fit <= len(err_rows):
-        series = exponent_estimate(err_rows, k_fit)
     else:
-        series = ExponentSeries(
-            tuple(
-                ExponentRow(n, e, -math.log(e) / n if e > 0.0 else None)
-                for n, e in err_rows
-            ),
-            None,
-            k_fit,
-            False,
-        )
+        series = ExponentSeries(tuple(rate_rows), None, k_fit, positive == 0)
 
     return ExperimentTable(
         dim=ensemble.dim,
@@ -419,7 +396,7 @@ def run_experiment(
         pair_s_opt=pair_result.s_opt,
         others_min=others_min,
         reference_level=reference,
-        least_favorable=least_favorable,
+        least_favorable=(distances[table.least].exponent, table.least),
         condition=condition,
         pairwise=tuple(
             (i, j, distances[(i, j)]) for (i, j) in sorted(distances)

@@ -1,9 +1,9 @@
 """Dense Hermitian matrix kernel.
 
 Everything downstream (states, detectors, exponent estimates) is built on
-the spectral calculus in this module: eigendecomposition, positive parts,
-supports, fractional powers and square roots of positive semidefinite
-matrices, and trace utilities.
+the spectral calculus in this module: eigendecomposition, supports,
+fractional powers and square roots of positive semidefinite matrices, and
+trace utilities.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -140,12 +140,6 @@ def matrix_power(a, s: float) -> np.ndarray:
     return _reconstruct(v, powered)
 
 
-def positive_part(a) -> np.ndarray:
-    """Zero out the negative eigenvalues of a Hermitian matrix."""
-    w, v = eigh(a)
-    return _reconstruct(v, np.maximum(w, 0.0))
-
-
 def support_projection(a) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix."""
     w, v = eigh(a)
@@ -159,11 +153,6 @@ def sqrt_psd(a) -> np.ndarray:
     w, v = eigh(a)
     _check_psd(w)
     return _reconstruct(v, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (dimensions multiply)."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def trace_norm(a) -> float:

@@ -16,3 +16,19 @@ def random_psd(rng, d, rank=None):
     rank = d if rank is None else rank
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     return g @ g.conj().T
+
+
+@pytest.fixture
+def chernoff_calls(monkeypatch):
+    """List that grows by one per ``chernoff_distance`` call."""
+    from qmultitest import chernoff
+
+    calls = []
+    original = chernoff.chernoff_distance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chernoff, "chernoff_distance", counted)
+    return calls

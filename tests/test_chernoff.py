@@ -9,15 +9,15 @@ from qmultitest import (
     chernoff_distance,
     classical_state,
     density_from_matrix,
-    least_favorable_pair,
-    min_distance_excluding,
     mix,
     pairwise_distances,
     pure_state,
     random_density,
+    ChernoffResult,
     Ensemble,
+    PairwiseTable,
 )
-from qmultitest import linalg
+from qmultitest import chernoff, linalg
 from qmultitest.chernoff import condition_margin
 from qmultitest.errors import DimensionMismatch, UndefinedQuantity
 
@@ -169,10 +169,16 @@ class TestChernoffDistance:
                     assert midpoint <= (values[a] + values[b]) / 2 + 1e-9
 
 
+def least_favorable(ens):
+    """Minimum pairwise exponent and the pair attaining it."""
+    table = PairwiseTable(ens)
+    return table.distances[table.least].exponent, table.least
+
+
 class TestEnsembleQuantities:
     def test_two_states(self):
         ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
-        value, pair = least_favorable_pair(ens)
+        value, pair = least_favorable(ens)
         assert pair == (0, 1)
         assert value == pytest.approx(
             chernoff_distance(ens.states[0], ens.states[1]).exponent
@@ -181,7 +187,7 @@ class TestEnsembleQuantities:
     def test_three_diagonal_states_match_scalar_oracle(self):
         ps = [[0.9, 0.1], [0.6, 0.4], [0.2, 0.8]]
         ens = Ensemble(tuple(classical_state(p) for p in ps))
-        value, pair = least_favorable_pair(ens)
+        value, pair = least_favorable(ens)
         oracle = {
             (i, j): classical_grid_exponent(ps[i], ps[j])
             for i in range(3)
@@ -196,7 +202,7 @@ class TestEnsembleQuantities:
         sigma = random_density(2, 2, 52)
         far = pure_state([0.0, 1.0])
         ens = Ensemble((rho, mix(rho, sigma, 0.05), far))
-        value, pair = least_favorable_pair(ens)
+        value, pair = least_favorable(ens)
         assert pair == (0, 1)
         distances = pairwise_distances(ens)
         assert value <= distances[(0, 2)].exponent
@@ -204,38 +210,57 @@ class TestEnsembleQuantities:
 
     def test_minimum_over_all_pairs(self):
         ens = Ensemble(tuple(random_density(2, 2, 60 + k) for k in range(4)))
-        value, _ = least_favorable_pair(ens)
+        value, _ = least_favorable(ens)
         for result in pairwise_distances(ens).values():
             assert value <= result.exponent + 1e-12
 
     def test_excluding_pair_r3(self):
         ens = Ensemble(tuple(random_density(2, 2, 70 + k) for k in range(3)))
         distances = pairwise_distances(ens)
-        got = min_distance_excluding(ens, 0, 1)
+        got = PairwiseTable(ens).others_min((0, 1))
         assert got == pytest.approx(
             min(distances[(0, 2)].exponent, distances[(1, 2)].exponent)
         )
 
     def test_excluding_pair_r4_enumeration(self):
         ens = Ensemble(tuple(random_density(2, 2, 80 + k) for k in range(4)))
+        table = PairwiseTable(ens)
         distances = pairwise_distances(ens)
         for pair in distances:
             expected = min(
                 res.exponent for q, res in distances.items() if q != pair
             )
-            assert min_distance_excluding(ens, *pair) == pytest.approx(expected)
+            assert table.others_min(pair) == pytest.approx(expected)
 
     def test_excluding_pair_undefined_for_two(self):
         ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
         with pytest.raises(UndefinedQuantity):
-            min_distance_excluding(ens, 0, 1)
+            PairwiseTable(ens).others_min((0, 1))
 
     def test_excluding_pair_rejects_bad_indices(self):
         ens = Ensemble(tuple(random_density(2, 2, k) for k in range(3)))
+        table = PairwiseTable(ens)
         with pytest.raises(ValueError):
-            min_distance_excluding(ens, 1, 0)
+            table.others_min((1, 0))
         with pytest.raises(ValueError):
-            min_distance_excluding(ens, 0, 3)
+            table.others_min((0, 3))
+
+    def test_ties_break_toward_the_smallest_pair(self, monkeypatch):
+        # (0, 2) and (1, 2) tie at the minimum; the table picks (0, 2).
+        ens = Ensemble(tuple(random_density(2, 2, 10 + k) for k in range(3)))
+        index = {id(state): k for k, state in enumerate(ens.states)}
+        exponents = {(0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.25}
+
+        def fixed(rho1, rho2, samples=0):
+            x = exponents[(index[id(rho1)], index[id(rho2)])]
+            return ChernoffResult(x, 0.5, math.exp(-x))
+
+        monkeypatch.setattr(chernoff, "chernoff_distance", fixed)
+        table = PairwiseTable(ens)
+        assert table.least == (0, 2)
+        assert table.others_min(table.least) == 0.25
+        report = table.condition()
+        assert report.pair == (0, 2) and report.threshold == 0.25 / 6.0
 
     def test_golden_section_matches_scipy_minimizer(self):
         # independent bounded minimizer as a cross-check of the search

@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from qmultitest import (
+    DEFAULT_DIM_CAP,
     Detector,
     Ensemble,
     build_split_detector,
@@ -14,12 +16,12 @@ from qmultitest import (
     pgm,
     pure_state,
     random_density,
-    recursive_detector,
     tensor_power,
     validate_detector,
     wedge,
 )
 from qmultitest import linalg
+from qmultitest.detectors import _sub_detector, misses
 from qmultitest.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -347,8 +349,7 @@ class TestBuildSplitDetector:
 class TestRecursiveDetector:
     def test_two_states_is_binary_test(self):
         rho1, rho2 = random_density(2, 2, 71), random_density(2, 2, 72)
-        ens = Ensemble((rho1, rho2))
-        rec = recursive_detector(ens, 3)
+        rec = _sub_detector([rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP)
         direct = holevo_helstrom(tensor_power(rho1, 3), tensor_power(rho2, 3))
         for a, b in zip(rec.elements, direct.elements):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -358,7 +359,7 @@ class TestRecursiveDetector:
         # is the tensor product of two binary-test projections
         ens = Ensemble(tuple(random_density(2, 2, 80 + k) for k in range(3)))
         rho1, rho2, rho3 = ens.states
-        det = recursive_detector(ens, 4, 0.5)
+        det = build_split_detector(ens, 4, 0.5, "recursive")[0]
         sub1 = holevo_helstrom(tensor_power(rho1, 2), tensor_power(rho3, 2))
         sub2 = holevo_helstrom(tensor_power(rho2, 2), tensor_power(rho3, 2))
         expected_tail = np.kron(sub1.elements[1], sub2.elements[1])
@@ -366,7 +367,7 @@ class TestRecursiveDetector:
 
     def test_four_states(self):
         ens = Ensemble(tuple(random_density(2, 2, 90 + k) for k in range(4)))
-        det = recursive_detector(ens, 4, 0.5)
+        det = build_split_detector(ens, 4, 0.5, "recursive")[0]
         assert len(det.elements) == 4
         assert check_detector(det) == []
         total = 0.0
@@ -381,12 +382,44 @@ class TestRecursiveDetector:
         # r = 4 at n = 2 gives one-copy sub-problems with three states,
         # which cannot split further and must use the square-root detector
         ens = Ensemble(tuple(random_density(2, 2, 95 + k) for k in range(4)))
-        det = recursive_detector(ens, 2, 0.5)
+        det = build_split_detector(ens, 2, 0.5, "recursive")[0]
         assert check_detector(det) == []
         sub1 = pgm([ens.states[0], ens.states[2], ens.states[3]])
         sub2 = pgm([ens.states[1], ens.states[2], ens.states[3]])
         expected_tail = np.kron(sub1.elements[1], sub2.elements[1])
         np.testing.assert_allclose(det.elements[2], expected_tail, atol=1e-10)
+
+
+class TestMisses:
+    def test_matches_explicit_traces(self):
+        states = [random_density(2, 2, 160 + k) for k in range(3)]
+        det = pgm(states)
+        expected = [
+            1.0 - np.trace(s.matrix @ e).real for s, e in zip(states, det.elements)
+        ]
+        builders = [lambda s=s: s for s in states]
+        for sources in (states, builders):
+            got = list(misses(sources, det.elements))
+            np.testing.assert_allclose(got, expected, atol=1e-14)
+
+    def test_builds_one_state_at_a_time(self):
+        # Every state built so far is gone when the next one is built.
+        states = [random_density(2, 2, 170 + k) for k in range(4)]
+        det = pgm([tensor_power(s, 3) for s in states])
+        built = []
+
+        def builder(state):
+            def build():
+                assert all(ref() is None for ref in built)
+                power = tensor_power(state, 3)
+                built.append(weakref.ref(power.matrix))
+                return power
+
+            return build
+
+        total = sum(misses([builder(s) for s in states], det.elements))
+        assert len(built) == 4
+        assert 0.0 <= total <= 4.0
 
 
 class TestDetectorChecks:

@@ -69,6 +69,14 @@ class TestErrorSum:
         with pytest.raises(DimensionMismatch):
             error_sum(ens, 2, det)
 
+    def test_out_of_range_miss_raises(self):
+        # An unvalidated element 2 I gives the miss 1 - tr[2 rho] = -1.
+        ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
+        det = Detector(2, (2.0 * np.eye(2), -np.eye(2)))
+        message = r"error probability -1\.0 out of range"
+        with pytest.raises(ArithmeticError, match=message):
+            error_sum(ens, 1, det)
+
 
 class TestLemmaBound:
     def test_zero_partials_term_by_term(self):
@@ -235,6 +243,12 @@ class TestRunExperiment:
         ens = Ensemble((random_density(2, 2, 111), random_density(2, 2, 112)))
         with pytest.raises(DimensionCapExceeded, match="n = 13 needs dim 8192"):
             run_experiment(ens, [13])
+
+    def test_each_pair_computed_once(self, chernoff_calls):
+        ens = Ensemble(tuple(random_density(2, 2, 140 + k) for k in range(4)))
+        table = run_experiment(ens, [2], k_fit=1)
+        assert len(chernoff_calls) == 6
+        assert table.condition is not None
 
     def test_binary_table_matches_decay_check(self):
         rho1, rho2 = random_density(2, 2, 111), random_density(2, 2, 112)

@@ -84,34 +84,6 @@ class TestMatrixPower:
             linalg.matrix_power(np.eye(2), -0.5)
 
 
-class TestPositivePart:
-    def test_diagonal(self):
-        out = linalg.positive_part(np.diag([3.0, -2.0]))
-        np.testing.assert_allclose(out, np.diag([3.0, 0.0]), atol=1e-12)
-
-    def test_zero(self):
-        np.testing.assert_allclose(
-            linalg.positive_part(np.zeros((2, 2))), np.zeros((2, 2))
-        )
-
-    def test_trace_identity(self):
-        # tr[H_+] = (tr|H| + tr H) / 2, both sides from raw eigenvalues.
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            h = random_hermitian(rng, 5)
-            w = np.linalg.eigvalsh(h)
-            expected = (np.sum(np.abs(w)) + np.sum(w)) / 2.0
-            got = np.trace(linalg.positive_part(h)).real
-            assert abs(got - expected) <= 1e-10
-
-    def test_decomposition(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            h = random_hermitian(rng, 5)
-            diff = linalg.positive_part(h) - linalg.positive_part(-h)
-            assert np.max(np.abs(diff - h)) <= 1e-10
-
-
 class TestSupportProjection:
     def test_diagonal(self):
         out = linalg.support_projection(np.diag([0.7, 0.0, 0.3]))
@@ -146,37 +118,6 @@ class TestSqrtPsd:
             a = random_psd(rng, 5)
             b = linalg.sqrt_psd(a)
             assert np.max(np.abs(b @ b - a)) <= 1e-9 * (1 + np.max(np.abs(a)))
-
-
-class TestKron:
-    def test_identities(self):
-        np.testing.assert_allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = linalg.kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        np.testing.assert_allclose(out, np.diag([10.0, 14.0, 15.0, 21.0]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-        st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-        st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-        st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-    )
-    def test_trace_multiplicative(self, ar, ai, br, bi):
-        a = (np.array(ar) + 1j * np.array(ai)).reshape(2, 2)
-        b = (np.array(br) + 1j * np.array(bi)).reshape(2, 2)
-        got = np.trace(linalg.kron(a, b))
-        expected = np.trace(a) * np.trace(b)
-        assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
-
-    def test_associative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-            left = linalg.kron(linalg.kron(a, b), c)
-            right = linalg.kron(a, linalg.kron(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-12
 
 
 class TestTraceNorm:

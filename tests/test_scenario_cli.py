@@ -188,6 +188,18 @@ class TestChernoffCommand:
         for key in ("pair_distance", "others_min", "threshold", "margin"):
             assert condition[key] is None
 
+    def test_each_pair_computed_once(self, tmp_path, chernoff_calls):
+        doc = {
+            "version": 1,
+            "dim": 2,
+            "states": [
+                {"type": "random", "rank": 2, "seed": 20 + k} for k in range(4)
+            ],
+        }
+        path = write_doc(tmp_path / "four.json", doc)
+        assert cli.main(["chernoff", path, "--out", str(tmp_path / "c.json")]) == 0
+        assert len(chernoff_calls) == 6
+
     def test_report_bytes_stable_on_reload(self, tmp_path, capsys):
         src = write_doc(tmp_path / "s.json", two_state_doc())
         first_out = tmp_path / "r1.json"
@@ -231,6 +243,14 @@ class TestRunCommand:
             cells = line.split(",")
             assert abs(float(cells[3])) <= 1e-9
             assert cells[5] == ""  # no rate for a zero row
+
+    def test_orthogonal_csv_writes_inf(self, tmp_path, capsys):
+        # CSV cells are Python float reprs, so the infinite reference
+        # level reads ``inf`` where the JSON table writes ``null``.
+        path = write_doc(tmp_path / "o.json", orthogonal_triple_doc())
+        assert cli.main(["run", path, "--n-min", "2", "--n-max", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[7] for line in lines[1:]] == ["inf", "inf"]
 
     def test_byte_stable_output(self, tmp_path):
         path = write_doc(tmp_path / "s.json", two_state_doc())
@@ -308,6 +328,15 @@ class TestRunCommand:
     def test_cap_exit_code(self, tmp_path):
         path = write_doc(tmp_path / "s.json", two_state_doc())
         assert cli.main(["run", path, "--n-max", "13"]) == 3
+
+    def test_cap_names_first_copy_count_past_it(
+        self, tmp_path, capsys, chernoff_calls
+    ):
+        path = write_doc(tmp_path / "s.json", two_state_doc())
+        assert cli.main(["run", path, "--n-max", "14"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: n = 13 needs dim 8192 > cap 4096\n"
+        assert chernoff_calls == []  # refused before any work
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
