@@ -2,9 +2,10 @@
 condition for an ensemble.
 
 For two states the overlap curve is ``f(s) = tr[rho1^(1-s) rho2^s]`` on
-``s in [0, 1]``, evaluated with the support convention of
-:func:`qmultitest.linalg.matrix_power` (``rho^0`` is the support
-projection, so non-faithful states get finite endpoint values).  The
+``s in [0, 1]``, where powers act on the support only: eigenvalues at or
+below :func:`qmultitest.linalg.eig_floor` are zeros and ``rho^0`` is the
+support projection, not the identity, so non-faithful states get finite
+endpoint values.  The
 exponent is ``-log`` of the global minimum of ``f``; the minimum of the
 exponent over all pairs of an ensemble is the bottleneck that governs how
 fast any detector's error can decay.

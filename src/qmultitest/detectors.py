@@ -1,10 +1,10 @@
 """POVM constructions for binary and multiple state discrimination.
 
 Contains the optimal binary projective test, the square-root (pretty good)
-measurement, the composition that grafts a binary test onto a family of
-partial detector elements, and the tensor-split construction that builds a
-full multi-copy detector out of two sub-detectors plus a binary test on
-the closest pair.
+measurement, the composition that grafts the closest pair's binary test
+onto a family of partial detector elements, and the tensor-split
+construction that builds a full multi-copy detector out of two
+sub-detectors plus that composition.
 """
 
 from __future__ import annotations
@@ -56,29 +56,18 @@ class Detector:
 
 @dataclass(frozen=True)
 class CompositionTrace:
-    """Intermediate operators of the binary-plus-partials composition.
+    """The terms of the error-decomposition bound of a composed detector.
 
-    ``residual`` is identity minus the partial sum, ``sqrt_defect`` is
-    identity minus its square root, and ``reject_1``/``reject_2`` are the
-    complements of the binary test's two projections.  These five ``D x D``
-    operators are kept only when the caller asks for them
-    (``keep_operators=True``, the default of :func:`compose_with_binary`);
-    otherwise they are ``None`` and each is freed at its last use, which
-    is what the split detector does.  The scalar fields (filled when the
-    states are supplied) are the three terms of the error-decomposition
-    bound: twice the binary overlap trace, twice the pair's leakage into
-    the partials, and the partial elements' own misses.
+    ``wedge_trace`` is the summed error of the closest pair's binary test,
+    and the three terms add up to the bound: twice that overlap trace,
+    twice the pair's weight on the partial elements, and the partial
+    elements' own misses.
     """
 
-    residual: np.ndarray | None = None
-    sqrt_defect: np.ndarray | None = None
-    partial_sum: np.ndarray | None = None
-    reject_1: np.ndarray | None = None
-    reject_2: np.ndarray | None = None
-    wedge_trace: float | None = None
-    term_wedge: float | None = None
-    term_partials: float | None = None
-    term_rest: float | None = None
+    wedge_trace: float
+    term_wedge: float
+    term_partials: float
+    term_rest: float
 
 
 @dataclass(frozen=True)
@@ -209,8 +198,8 @@ def pgm(states: Sequence[DensityMatrix]) -> Detector:
     return validate_detector(Detector(dim, tuple(elements)))
 
 
-def _state_matrix(source: StateSource) -> np.ndarray:
-    return (source() if callable(source) else source).matrix
+def _built(source: StateSource) -> DensityMatrix:
+    return source() if callable(source) else source
 
 
 def misses(
@@ -223,34 +212,32 @@ def misses(
     """
     for state, element in zip(states, elements):
         yield linalg.real_scalar(
-            1.0 - linalg.trace_product(_state_matrix(state), element)
+            1.0 - linalg.trace_product(_built(state).matrix, element)
         )
 
 
 def compose_with_binary(
-    partials: Sequence[np.ndarray],
-    binary: Detector,
-    states: tuple[StateSource, StateSource, Sequence[StateSource]] | None = None,
-    keep_operators: bool = True,
+    partials: Sequence[np.ndarray], states: Sequence[StateSource]
 ) -> tuple[Detector, CompositionTrace]:
-    """Complete partial elements to a full POVM using a binary test.
+    """Complete partial elements to a full POVM with the closest pair's
+    optimal binary test.
 
-    The partial elements (one per remaining hypothesis) must sum below the
-    identity; the leftover weight ``residual = I - sum`` is handed to the
-    binary test by conjugating its two projections with
-    ``residual^(1/2)``.  When the hypotheses' states are supplied, the
-    trace additionally records the three terms of the error bound; a
-    state may be given as a zero-argument callable that builds it, so it
-    exists only while its trace term is taken.  With
-    ``keep_operators=False`` the trace's five operators stay ``None`` and
-    each intermediate is freed at its last use.
+    ``states`` holds one state per hypothesis: the closest pair first,
+    then one per partial element.  A state may be given as a
+    zero-argument callable that builds it, so it exists only while it is
+    used.  The partial elements must sum below the identity; the leftover
+    weight ``Q = I - sum`` is handed to the Helstrom projections ``P``
+    of the pair as the Gram forms ``(P Q^(1/2))^dag (P Q^(1/2))
+    = Q^(1/2) P Q^(1/2)``, which stay positive to machine precision.
+    The trace records the terms of the error bound.
     """
-    if len(binary.elements) != 2:
-        raise ValueError("binary detector must have exactly 2 elements")
-    dim = binary.dim
     partial_list = [np.asarray(p, dtype=np.complex128) for p in partials]
     if not partial_list:
         raise ValueError("need at least one partial element")
+    if len(states) != len(partial_list) + 2:
+        raise ValueError("one state per partial element is required")
+    binary = holevo_helstrom(_built(states[0]), _built(states[1]))
+    dim = binary.dim
     for k, p in enumerate(partial_list):
         if p.shape != (dim, dim):
             raise DimensionMismatch(f"partial {k} has shape {p.shape}")
@@ -271,33 +258,18 @@ def compose_with_binary(
     sqrt_residual = _hermitize((v * np.sqrt(residual_values)) @ v.conj().T)
     del w, v
 
-    # Past its last use an operator is dropped, or handed to the trace
-    # when the caller asked for the operators.
-    kept: dict[str, np.ndarray] = {}
-
-    def _conjugate(element: np.ndarray) -> np.ndarray:
-        # For a projection P, (P sqQ)^dag (P sqQ) = sqQ P sqQ; the Gram
-        # form stays positive to machine precision, so prefer it.
-        if float(np.max(np.abs(element @ element - element))) <= 1e-9:
-            half = element @ sqrt_residual
-            return _hermitize(half.conj().T @ half)
-        return _hermitize(sqrt_residual @ element @ sqrt_residual)
+    def _gram(projection: np.ndarray) -> np.ndarray:
+        half = projection @ sqrt_residual
+        return _hermitize(half.conj().T @ half)
 
     detector = Detector(
-        dim,
-        (
-            _conjugate(binary.elements[0]),
-            _conjugate(binary.elements[1]),
-            *partial_list,
-        ),
+        dim, (_gram(binary.elements[0]), _gram(binary.elements[1]), *partial_list)
     )
     validate_detector(detector)
     # Read the binary parts back from the detector's frozen copies rather
     # than keeping a second pair alive.
     first, second = detector.elements[:2]
     pair_sum_defect = float(np.max(np.abs((first + second) - residual)))
-    if keep_operators:
-        kept["residual"] = residual
     del residual
     if pair_sum_defect > TOL_SUM_IDENTITY:
         raise ArithmeticError(
@@ -309,45 +281,27 @@ def compose_with_binary(
     gap = linalg.psd_violation(
         _hermitize(partial_sum - sqrt_defect @ sqrt_defect), 1e-9
     )
-    if keep_operators:
-        kept["sqrt_defect"] = sqrt_defect
     del sqrt_defect
     if gap is not None:
         raise ArithmeticError(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
-    wedge_trace = term_wedge = term_partials = term_rest = None
-    if states is not None:
-        first_state, second_state, rest = states
-        if len(rest) != len(partial_list):
-            raise ValueError("one state per partial element is required")
-        # The states are built only now, and each complement I - E_k is
-        # dropped as soon as its trace is taken.
-        rho1 = _state_matrix(first_state)
-        wedge_1 = linalg.trace_product(rho1, np.eye(dim) - binary.elements[0])
-        rho2 = _state_matrix(second_state)
-        wedge_2 = linalg.trace_product(rho2, np.eye(dim) - binary.elements[1])
-        wedge_trace = linalg.real_scalar(wedge_1 + wedge_2)
-        term_wedge = 2.0 * wedge_trace
-        term_partials = 2.0 * linalg.real_scalar(
-            linalg.trace_product(rho1 + rho2, partial_sum)
-        )
-        del rho1, rho2
-        term_rest = sum(misses(rest, partial_list))
-    if keep_operators:
-        kept["partial_sum"] = partial_sum
-        kept["reject_1"] = np.eye(dim) - binary.elements[0]
-        kept["reject_2"] = np.eye(dim) - binary.elements[1]
-
-    trace = CompositionTrace(
-        **kept,
-        wedge_trace=wedge_trace,
-        term_wedge=term_wedge,
-        term_partials=term_partials,
-        term_rest=term_rest,
+    # The pair is built again only now, and each complement I - P is
+    # dropped as soon as its trace is taken.
+    rho1 = _built(states[0]).matrix
+    wedge_1 = linalg.trace_product(rho1, np.eye(dim) - binary.elements[0])
+    rho2 = _built(states[1]).matrix
+    wedge_2 = linalg.trace_product(rho2, np.eye(dim) - binary.elements[1])
+    wedge_trace = linalg.real_scalar(wedge_1 + wedge_2)
+    term_partials = 2.0 * linalg.real_scalar(
+        linalg.trace_product(rho1 + rho2, partial_sum)
     )
-    return detector, trace
+    del rho1, rho2
+    term_rest = sum(misses(states[2:], partial_list))
+    return detector, CompositionTrace(
+        wedge_trace, 2.0 * wedge_trace, term_partials, term_rest
+    )
 
 
 def can_split(n: int, w1: float) -> bool:
@@ -435,15 +389,11 @@ def build_split_detector(
         np.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
         for k in range(len(tail))
     ]
-    binary = holevo_helstrom(
-        tensor_power(first, n, dim_cap), tensor_power(second, n, dim_cap)
-    )
-
-    # The n-copy states are rebuilt for the bound's trace terms instead of
-    # being held across the Helstrom decomposition and the POVM checks.
-    first_n, second_n, *tail_n = power_builders(ensemble.states, n, dim_cap)
+    # The n-copy states are built where they are used, the pair once for
+    # the Helstrom test and once for the bound's trace terms, instead of
+    # being held across the decomposition and the POVM checks.
     detector, trace = compose_with_binary(
-        partials, binary, states=(first_n, second_n, tail_n), keep_operators=False
+        partials, power_builders(ensemble.states, n, dim_cap)
     )
     return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 

@@ -195,11 +195,9 @@ def lemma_bound_check(
     plus twice the pair's weight on the partial elements, plus the tail
     hypotheses' own misses.
     """
-    binary = holevo_helstrom(rho1, rho2)
-    detector, trace = compose_with_binary(
-        partials, binary, states=(rho1, rho2, rest)
-    )
-    lhs = float(sum(misses([rho1, rho2, *rest], detector.elements)))
+    states = [rho1, rho2, *rest]
+    detector, trace = compose_with_binary(partials, states)
+    lhs = float(sum(misses(states, detector.elements)))
     rhs = _lemma_rhs(trace)
     return LemmaReport(
         lhs=lhs,
@@ -282,10 +280,11 @@ def exponent_estimate(
     """Rates and a fitted decay slope from an (n, err_sm) series.
 
     The slope is the least-squares fit of ``-log(err_sm)`` against ``n``
-    over the last ``k_fit`` rows with positive error.
+    over the last ``k_fit`` rows with positive error; a slope needs at
+    least two of them.
     """
-    if k_fit < 1 or k_fit > len(rows):
-        raise ValueError(f"k_fit must lie in [1, {len(rows)}], got {k_fit}")
+    if k_fit < 2 or k_fit > len(rows):
+        raise ValueError(f"k_fit must lie in [2, {len(rows)}], got {k_fit}")
     ns = [int(n) for n, _ in rows]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("rows must be ordered by strictly ascending n")
@@ -320,6 +319,8 @@ def run_experiment(
     ns = [int(n) for n in n_values]
     if not ns or ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("n_values must be strictly ascending and nonempty")
+    if k_fit < 2:
+        raise ValueError(f"k_fit must be at least 2, got {k_fit}")
     for n in ns:
         if ensemble.dim ** n > dim_cap:
             raise DimensionCapExceeded(

@@ -1,15 +1,17 @@
 """Dense Hermitian matrix kernel.
 
 Everything downstream (states, detectors, exponent estimates) is built on
-the spectral calculus in this module: eigendecomposition, supports,
-fractional powers and square roots of positive semidefinite matrices, and
+the spectral calculus in this module: eigendecomposition, the zero floor
+that fixes supports, square roots of positive semidefinite matrices, and
 trace utilities.
 
 Conventions fixed here and relied on elsewhere:
 
 * Eigenvalues at or below ``eig_floor(A) = 1e-12 * max |eigenvalue|`` are
-  treated as exact zeros by ``matrix_power`` and ``support_projection``.
-* ``matrix_power(A, 0)`` is the support projection of ``A`` (``0**0 := 0``).
+  treated as exact zeros: they are outside the support of ``A``.
+* A fractional power ``A**s`` (the Chernoff overlap curve's) acts on the
+  support only, so ``A**0`` is the support projection of ``A``, not the
+  identity (``0**0 := 0``).
 * PSD threshold tests go through ``psd_violation``, which accepts with a
   shifted Cholesky factorization and rejects only on ``eigvalsh``.
 """
@@ -121,31 +123,6 @@ def _check_psd(values: np.ndarray, tol: float = TOL_PSD) -> None:
 def _reconstruct(vectors: np.ndarray, diag: np.ndarray) -> np.ndarray:
     out = (vectors * diag) @ vectors.conj().T
     return (out + out.conj().T) / 2.0
-
-
-def matrix_power(a, s: float) -> np.ndarray:
-    """Fractional power ``A**s`` of a PSD matrix, ``s >= 0``.
-
-    Eigenvalues at or below the floor are sent to zero for every ``s``,
-    so ``s = 0`` yields the support projection rather than the identity.
-    """
-    if s < 0:
-        raise ValueError(f"exponent must be nonnegative, got {s}")
-    w, v = eigh(a)
-    _check_psd(w)
-    floor = eig_floor(w)
-    powered = np.zeros_like(w)
-    keep = w > floor
-    powered[keep] = w[keep] ** s
-    return _reconstruct(v, powered)
-
-
-def support_projection(a) -> np.ndarray:
-    """Orthogonal projector onto the range of a PSD matrix."""
-    w, v = eigh(a)
-    _check_psd(w)
-    keep = (w > eig_floor(w)).astype(np.float64)
-    return _reconstruct(v, keep)
 
 
 def sqrt_psd(a) -> np.ndarray:

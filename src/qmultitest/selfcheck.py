@@ -73,7 +73,7 @@ def suite_povm_validity(trials: int, seed: int) -> SuiteResult:
             binary = holevo_helstrom(rho1, rho2)
             sqm = pgm([rho1, rho2, rho3])
             composed, _ = compose_with_binary(
-                random_feasible_partials(2, 1, base + 3), binary
+                random_feasible_partials(2, 1, base + 3), [rho1, rho2, rho3]
             )
         except Exception as exc:
             _note(result, t, f"construction failed: {exc}")
@@ -102,7 +102,8 @@ def suite_wedge_identity(trials: int, seed: int) -> SuiteResult:
 
 def suite_composition(trials: int, seed: int) -> SuiteResult:
     """Squared defect stays below the partial sum; binary parts fill the
-    residual."""
+    residual.  Both operators are rebuilt here from a raw decomposition,
+    independently of the composition under test."""
     result = SuiteResult("composition", trials, 0)
     for t in range(trials):
         r = 3 if t % 2 == 0 else 4
@@ -110,20 +111,24 @@ def suite_composition(trials: int, seed: int) -> SuiteResult:
         rho1 = random_density(2, 2, base)
         rho2 = random_density(2, 2, base + 1)
         partials = random_feasible_partials(2, r - 2, base + 2)
+        rest = [random_density(2, 2, base + 3 + k) for k in range(r - 2)]
         try:
-            detector, trace = compose_with_binary(
-                partials, holevo_helstrom(rho1, rho2)
-            )
+            detector, _ = compose_with_binary(partials, [rho1, rho2, *rest])
         except Exception as exc:
             _note(result, t, f"composition failed: {exc}")
             continue
+        partial_sum = sum(partials)
+        residual = np.eye(2) - partial_sum
+        w, v = np.linalg.eigh(residual)
+        sqrt_residual = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        sqrt_defect = np.eye(2) - (sqrt_residual + sqrt_residual.conj().T) / 2.0
         gap = linalg.psd_violation(
-            trace.partial_sum - trace.sqrt_defect @ trace.sqrt_defect, 1e-9
+            partial_sum - sqrt_defect @ sqrt_defect, 1e-9
         )
         if gap is not None:
             _note(result, t, f"squared-defect gap {gap:.3e}")
         pair_sum = detector.elements[0] + detector.elements[1]
-        if float(np.max(np.abs(pair_sum - trace.residual))) > 1e-9:
+        if float(np.max(np.abs(pair_sum - residual))) > 1e-9:
             _note(result, t, "binary elements do not fill the residual")
     return result
 
@@ -176,6 +181,8 @@ def suite_self_test(seed: int) -> SuiteResult:
 def run_suites(
     trials: int, seed: int, self_test: bool = False
 ) -> tuple[bool, list[SuiteResult]]:
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     results = [
         suite_povm_validity(trials, seed),
         suite_wedge_identity(trials, seed),

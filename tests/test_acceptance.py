@@ -33,6 +33,8 @@ from qmultitest.detectors import compose_with_binary
 from qmultitest.scenario import load_scenario
 from qmultitest.selfcheck import random_feasible_partials
 
+from conftest import residual_oracle
+
 
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -219,12 +221,12 @@ def test_criterion_5_lemma_inequality():
         partials = random_feasible_partials(2, r - 2, 9700 + k)
         rep = lemma_bound_check(states[0], states[1], partials, states[2:])
         worst_slack = max(worst_slack, rep.lhs - rep.rhs)
-        binary = holevo_helstrom(states[0], states[1])
-        _, trace = compose_with_binary(partials, binary)
+        # The squared defect, rebuilt from a raw decomposition of the
+        # residual independently of the composition.
+        _, sqrt_residual = residual_oracle(partials)
+        sqrt_defect = np.eye(2) - sqrt_residual
         gap = float(
-            np.linalg.eigvalsh(
-                trace.partial_sum - trace.sqrt_defect @ trace.sqrt_defect
-            )[0]
+            np.linalg.eigvalsh(sum(partials) - sqrt_defect @ sqrt_defect)[0]
         )
         worst_gap = min(worst_gap, gap)
     ok = worst_slack <= 1e-9 and worst_gap >= -1e-9
@@ -316,9 +318,7 @@ def test_criterion_8_povm_validity_everywhere(condition_scenario):
     for k in range(10):
         states = [random_density(2, 2, 9600 + 10 * k + i) for i in range(3)]
         partials = random_feasible_partials(2, 1, 9700 + k)
-        det, _ = compose_with_binary(
-            partials, holevo_helstrom(states[0], states[1])
-        )
+        det, _ = compose_with_binary(partials, states)
         must_be_valid(det)
     ens = Ensemble(tuple(random_density(2, 2, 9800 + i) for i in range(3)))
     for n in (2, 4, 6):

@@ -21,6 +21,8 @@ from qmultitest import chernoff, linalg
 from qmultitest.chernoff import condition_margin
 from qmultitest.errors import DimensionMismatch, UndefinedQuantity
 
+from conftest import matrix_power
+
 
 def classical_overlap(p, q, s):
     """Scalar overlap sum_i p_i^(1-s) q_i^s with the 0^0 := 0 convention."""
@@ -68,8 +70,8 @@ class TestChernoffCurve:
         for s in (0.0, 0.3, 0.77, 1.0):
             via_powers = linalg.real_scalar(
                 linalg.trace_product(
-                    linalg.matrix_power(rho.matrix, 1.0 - s),
-                    linalg.matrix_power(sigma.matrix, s),
+                    matrix_power(rho.matrix, 1.0 - s),
+                    matrix_power(sigma.matrix, s),
                 )
             )
             assert chernoff_curve(rho, sigma, s) == pytest.approx(

@@ -32,6 +32,8 @@ from qmultitest.errors import (
 )
 from qmultitest.selfcheck import random_feasible_partials
 
+from conftest import residual_oracle
+
 
 def binary_sum_error(rho1, rho2, det):
     return linalg.real_scalar(
@@ -148,17 +150,19 @@ class TestPgm:
 
 class TestComposeWithBinary:
     def test_zero_partials_reduce_to_binary(self):
-        rho1, rho2 = random_density(2, 2, 11), random_density(2, 2, 12)
-        binary = holevo_helstrom(rho1, rho2)
-        det, trace = compose_with_binary([np.zeros((2, 2))], binary)
+        states = [random_density(2, 2, 11 + k) for k in range(3)]
+        binary = holevo_helstrom(states[0], states[1])
+        det, _ = compose_with_binary([np.zeros((2, 2))], states)
         np.testing.assert_allclose(det.elements[0], binary.elements[0], atol=1e-12)
         np.testing.assert_allclose(det.elements[1], binary.elements[1], atol=1e-12)
-        np.testing.assert_allclose(trace.residual, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(
+            det.elements[0] + det.elements[1], np.eye(2), atol=1e-12
+        )
 
     def test_scalar_partials_scale_binary(self):
-        rho1, rho2 = random_density(2, 2, 13), random_density(2, 2, 14)
-        binary = holevo_helstrom(rho1, rho2)
-        det, _ = compose_with_binary([np.eye(2) * 0.5], binary)
+        states = [random_density(2, 2, 13 + k) for k in range(3)]
+        binary = holevo_helstrom(states[0], states[1])
+        det, _ = compose_with_binary([np.eye(2) * 0.5], states)
         np.testing.assert_allclose(
             det.elements[0], binary.elements[0] / 2, atol=1e-10
         )
@@ -170,62 +174,88 @@ class TestComposeWithBinary:
         for seed in range(20):
             rho1 = random_density(2, 2, 5000 + seed)
             rho2 = random_density(2, 2, 6000 + seed)
+            rho3 = random_density(2, 2, 7500 + seed)
             partials = random_feasible_partials(2, 1, 7000 + seed)
-            det, trace = compose_with_binary(
-                partials, holevo_helstrom(rho1, rho2)
-            )
+            det, _ = compose_with_binary(partials, [rho1, rho2, rho3])
             assert check_detector(det) == []
+            residual, sqrt_residual = residual_oracle(partials)
             np.testing.assert_allclose(
-                trace.residual, np.eye(2) - trace.partial_sum, atol=1e-10
+                det.elements[0] + det.elements[1], residual, atol=1e-10
             )
-            w_defect = np.linalg.eigvalsh(trace.sqrt_defect)
+            sqrt_defect = np.eye(2) - sqrt_residual
+            w_defect = np.linalg.eigvalsh(sqrt_defect)
             assert w_defect[0] >= -1e-10 and w_defect[-1] <= 1.0 + 1e-10
-            gap = np.linalg.eigvalsh(
-                trace.partial_sum - trace.sqrt_defect @ trace.sqrt_defect
-            )
+            gap = np.linalg.eigvalsh(partials[0] - sqrt_defect @ sqrt_defect)
             assert gap[0] >= -1e-9
 
+    @staticmethod
+    def states():
+        return [random_density(2, 2, k) for k in (1, 2, 3)]
+
     def test_rejects_oversized_partials(self):
-        binary = holevo_helstrom(random_density(2, 2, 1), random_density(2, 2, 2))
         with pytest.raises(PartialsExceedIdentity):
-            compose_with_binary([np.eye(2) * 1.5], binary)
+            compose_with_binary([np.eye(2) * 1.5], self.states())
 
     def test_rejects_exhausted_identity(self):
-        binary = holevo_helstrom(random_density(2, 2, 1), random_density(2, 2, 2))
         with pytest.raises(PartialsEqualIdentity):
-            compose_with_binary([np.eye(2)], binary)
+            compose_with_binary([np.eye(2)], self.states())
 
     def test_rejects_negative_partials(self):
-        binary = holevo_helstrom(random_density(2, 2, 1), random_density(2, 2, 2))
         with pytest.raises(PSDViolation):
-            compose_with_binary([np.diag([0.5, -0.1])], binary)
+            compose_with_binary([np.diag([0.5, -0.1])], self.states())
 
     def test_rejects_empty_partials_and_bad_shapes(self):
-        binary = holevo_helstrom(random_density(2, 2, 1), random_density(2, 2, 2))
-        with pytest.raises(ValueError):
-            compose_with_binary([], binary)
+        states = self.states()
+        with pytest.raises(ValueError, match="at least one partial"):
+            compose_with_binary([], states[:2])
         with pytest.raises(DimensionMismatch):
-            compose_with_binary([np.eye(3) * 0.1], binary)
-        with pytest.raises(ValueError):
-            compose_with_binary(
-                [np.eye(2) * 0.1],
-                binary,
-                states=(
-                    random_density(2, 2, 1),
-                    random_density(2, 2, 2),
-                    [],  # one state per partial is required
-                ),
-            )
+            compose_with_binary([np.eye(3) * 0.1], states)
+        with pytest.raises(ValueError, match="one state per partial"):
+            compose_with_binary([np.eye(2) * 0.1], states[:2])
+        with pytest.raises(ValueError, match="one state per partial"):
+            compose_with_binary([np.eye(2) * 0.1], [*states, states[2]])
 
-    def test_rejects_non_binary_detector(self):
-        triple = pgm([random_density(2, 2, k) for k in range(3)])
-        with pytest.raises(ValueError):
-            compose_with_binary([np.eye(2) * 0.1], triple)
+    @staticmethod
+    def gram_oracle(partials, rho1, rho2):
+        """``sqQ P_+ sqQ`` and ``sqQ P_- sqQ`` from raw decompositions of
+        ``Q = I - sum(partials)`` and of ``rho1 - rho2``."""
+        _, sq = residual_oracle(partials)
+        w, v = np.linalg.eigh(rho1.matrix - rho2.matrix)
+        keep = (w > 1e-12 * np.max(np.abs(w))).astype(np.float64)
+        plus = (v * keep) @ v.conj().T
+        minus = (v * (1.0 - keep)) @ v.conj().T
+        return sq @ plus @ sq, sq @ minus @ sq
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_pair_elements_are_conjugated_projections(self, r, d):
+        for seed in range(5):
+            base = 8600 + 100 * r + 10 * d + seed
+            states = [random_density(d, d, base + 1000 * k) for k in range(r)]
+            partials = random_feasible_partials(d, r - 2, base)
+            det, _ = compose_with_binary(partials, states)
+            expected = self.gram_oracle(partials, states[0], states[1])
+            for got, want in zip(det.elements[:2], expected):
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_split_pair_elements_are_conjugated_projections(self):
+        ens = Ensemble(tuple(random_density(2, 2, 8500 + k) for k in range(3)))
+        n = 6
+        det, _, split = build_split_detector(ens, n)
+        first, second, tail = ens.states
+        sub_1 = pgm([tensor_power(s, split.n1) for s in (first, tail)])
+        sub_2 = pgm([tensor_power(s, split.n2) for s in (second, tail)])
+        partials = [np.kron(sub_1.elements[1], sub_2.elements[1])]
+        expected = self.gram_oracle(
+            partials, tensor_power(first, n), tensor_power(second, n)
+        )
+        for got, want in zip(det.elements[:2], expected):
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestComposeOperatorKeyword:
-    """``keep_operators=False`` frees the trace's operators but changes no
-    element and no bound term."""
+    """The ``states`` argument: builders, as the split passes them, and
+    explicit states give the same elements and bound terms."""
 
     @staticmethod
     def terms(trace):
@@ -237,30 +267,30 @@ class TestComposeOperatorKeyword:
         )
 
     @pytest.mark.parametrize("r", [3, 4])
-    def test_dropping_operators_keeps_elements_and_terms(self, r):
+    def test_builders_match_explicit_states(self, r):
         states = [random_density(2, 2, 8100 + 10 * r + k) for k in range(r)]
         partials = random_feasible_partials(2, r - 2, 8200 + r)
-        binary = holevo_helstrom(states[0], states[1])
-        kept_det, kept = compose_with_binary(
-            partials, binary, states=(states[0], states[1], states[2:])
+        explicit_det, explicit = compose_with_binary(partials, states)
+        built = []
+
+        def builder(state):
+            def build():
+                built.append(state)
+                return state
+
+            return build
+
+        lazy_det, lazy = compose_with_binary(
+            partials, [builder(state) for state in states]
         )
-        # The lean call takes its states as builders, as the split does.
-        builders = [lambda state=state: state for state in states]
-        lean_det, lean = compose_with_binary(
-            partials,
-            binary,
-            states=(builders[0], builders[1], builders[2:]),
-            keep_operators=False,
-        )
-        assert [e.tobytes() for e in lean_det.elements] == [
-            e.tobytes() for e in kept_det.elements
+        assert [e.tobytes() for e in lazy_det.elements] == [
+            e.tobytes() for e in explicit_det.elements
         ]
-        assert self.terms(lean) == self.terms(kept)
-        assert None not in self.terms(kept)
-        operators = ("residual", "sqrt_defect", "partial_sum", "reject_1", "reject_2")
-        for name in operators:
-            assert getattr(kept, name).shape == (2, 2)
-            assert getattr(lean, name) is None
+        assert self.terms(lazy) == self.terms(explicit)
+        assert all(isinstance(term, float) for term in self.terms(explicit))
+        # The pair is built for the Helstrom test and again for the
+        # trace terms; every other state once.
+        assert built == [states[0], states[1], states[0], states[1], *states[2:]]
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_split_terms_match_explicit_states(self, n):
@@ -270,17 +300,14 @@ class TestComposeOperatorKeyword:
         sub_1 = pgm([tensor_power(s, split.n1) for s in (first, tail)])
         sub_2 = pgm([tensor_power(s, split.n2) for s in (second, tail)])
         partials = [np.kron(sub_1.elements[1], sub_2.elements[1])]
-        first_n, second_n = tensor_power(first, n), tensor_power(second, n)
         ref_det, ref = compose_with_binary(
             partials,
-            holevo_helstrom(first_n, second_n),
-            states=(first_n, second_n, [tensor_power(tail, n)]),
+            [tensor_power(first, n), tensor_power(second, n), tensor_power(tail, n)],
         )
         assert [e.tobytes() for e in det.elements] == [
             e.tobytes() for e in ref_det.elements
         ]
         assert self.terms(trace) == self.terms(ref)
-        assert trace.residual is None and trace.reject_1 is None
 
 
 def orthogonal_triple():

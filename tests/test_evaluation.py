@@ -237,6 +237,12 @@ class TestExponentEstimate:
         with pytest.raises(ValueError):
             exponent_estimate([(2, 0.5), (1, 0.7)], 2)
 
+    @pytest.mark.parametrize("k_fit", [0, 1])
+    def test_slope_needs_two_fit_rows(self, k_fit):
+        rows = [(n, math.exp(-0.3 * n)) for n in range(1, 5)]
+        with pytest.raises(ValueError, match=r"k_fit must lie in \[2, 4\]"):
+            exponent_estimate(rows, k_fit)
+
 
 class TestRunExperiment:
     def test_copy_count_past_the_cap_raises_cap_error(self):
@@ -246,9 +252,26 @@ class TestRunExperiment:
 
     def test_each_pair_computed_once(self, chernoff_calls):
         ens = Ensemble(tuple(random_density(2, 2, 140 + k) for k in range(4)))
-        table = run_experiment(ens, [2], k_fit=1)
+        table = run_experiment(ens, [2], k_fit=2)
         assert len(chernoff_calls) == 6
         assert table.condition is not None
+
+    @pytest.mark.parametrize("k_fit", [0, 1])
+    def test_short_fit_window_refused_before_any_work(
+        self, k_fit, monkeypatch, chernoff_calls
+    ):
+        from qmultitest import evaluation
+
+        def no_detector(*args, **kwargs):
+            raise AssertionError("a detector was built")
+
+        monkeypatch.setattr(evaluation, "build_split_detector", no_detector)
+        monkeypatch.setattr(evaluation, "holevo_helstrom", no_detector)
+        for r in (2, 3):
+            ens = Ensemble(tuple(random_density(2, 2, 150 + k) for k in range(r)))
+            with pytest.raises(ValueError, match="k_fit must be at least 2"):
+                run_experiment(ens, range(2, 5), k_fit=k_fit)
+        assert chernoff_calls == []
 
     def test_binary_table_matches_decay_check(self):
         rho1, rho2 = random_density(2, 2, 111), random_density(2, 2, 112)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qmultitest import linalg
 from qmultitest.errors import HermiticityViolation, PSDViolation
 
-from conftest import random_hermitian, random_psd
+from conftest import matrix_power, random_hermitian, random_psd
 
 
 class TestEigh:
@@ -40,13 +40,15 @@ class TestEigh:
 
 
 class TestMatrixPower:
+    """The overlap-curve oracle ``conftest.matrix_power``."""
+
     def test_identity_half_power(self):
         np.testing.assert_allclose(
-            linalg.matrix_power(np.eye(2), 0.5), np.eye(2), atol=1e-12
+            matrix_power(np.eye(2), 0.5), np.eye(2), atol=1e-12
         )
 
     def test_diagonal_half_power(self):
-        out = linalg.matrix_power(np.diag([4.0, 0.0]), 0.5)
+        out = matrix_power(np.diag([4.0, 0.0]), 0.5)
         np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_projector_powers_are_idempotent(self):
@@ -55,53 +57,33 @@ class TestMatrixPower:
         for s in (0.1, 0.37, 0.5, 0.9):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             p = np.outer(v, v.conj()) / np.vdot(v, v).real
-            np.testing.assert_allclose(linalg.matrix_power(p, s), p, atol=1e-12)
+            np.testing.assert_allclose(matrix_power(p, s), p, atol=1e-12)
 
     def test_zero_power_is_support(self):
-        out = linalg.matrix_power(np.diag([0.5, 0.0, 0.2]), 0.0)
+        out = matrix_power(np.diag([0.5, 0.0, 0.2]), 0.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
 
     def test_power_one_is_input(self):
         rng = np.random.default_rng(4)
         a = random_psd(rng, 4)
-        np.testing.assert_allclose(linalg.matrix_power(a, 1.0), a, atol=1e-10)
+        np.testing.assert_allclose(matrix_power(a, 1.0), a, atol=1e-10)
 
     def test_exponent_addition_on_support(self):
         rng = np.random.default_rng(5)
         a = random_psd(rng, 4, rank=3)
         a /= np.trace(a).real
         for s, t in ((0.2, 0.3), (0.5, 0.5), (0.1, 0.85)):
-            lhs = linalg.matrix_power(a, s) @ linalg.matrix_power(a, t)
-            rhs = linalg.matrix_power(a, s + t)
+            lhs = matrix_power(a, s) @ matrix_power(a, t)
+            rhs = matrix_power(a, s + t)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(PSDViolation):
-            linalg.matrix_power(np.diag([1.0, -0.5]), 0.5)
+            matrix_power(np.diag([1.0, -0.5]), 0.5)
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            linalg.matrix_power(np.eye(2), -0.5)
-
-
-class TestSupportProjection:
-    def test_diagonal(self):
-        out = linalg.support_projection(np.diag([0.7, 0.0, 0.3]))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
-
-    def test_zero(self):
-        np.testing.assert_allclose(
-            linalg.support_projection(np.zeros((3, 3))), np.zeros((3, 3))
-        )
-
-    def test_rank_and_action(self):
-        rng = np.random.default_rng(9)
-        a = random_psd(rng, 4, rank=2)
-        p = linalg.support_projection(a)
-        assert abs(np.trace(p).real - 2.0) <= 1e-9
-        assert np.max(np.abs(p @ p - p)) <= 1e-10
-        assert np.max(np.abs(p - p.conj().T)) <= 1e-12
-        assert np.max(np.abs(p @ a - a)) <= 1e-9
+            matrix_power(np.eye(2), -0.5)
 
 
 class TestSqrtPsd:

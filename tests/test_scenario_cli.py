@@ -338,6 +338,17 @@ class TestRunCommand:
         assert err == "error: n = 13 needs dim 8192 > cap 4096\n"
         assert chernoff_calls == []  # refused before any work
 
+    @pytest.mark.parametrize("k_fit", ["0", "1"])
+    def test_short_fit_window_exit_code(self, tmp_path, capsys, k_fit):
+        path = write_doc(tmp_path / "s.json", two_state_doc())
+        out = tmp_path / "t.json"
+        args = ["run", path, "--n-max", "5", "--k-fit", k_fit, "--format", "json"]
+        assert cli.main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: k_fit must be at least 2, got {k_fit}\n"
+        )
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
@@ -361,6 +372,12 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--trials", "0"]) == 0
         out = capsys.readouterr().out
         assert "all suites passed" in out
+
+    def test_negative_trials_exit_code(self, capsys):
+        assert cli.main(["verify", "--trials", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need trials >= 0, got -3\n"
 
     def test_small_run_passes(self, capsys):
         assert cli.main(["verify", "--trials", "5", "--seed", "11"]) == 0
