@@ -1,8 +1,9 @@
 """Exact error probabilities, inequality checks, and exponent estimation.
 
 All error probabilities are exact traces against tensor-power states (no
-sampling).  The two inequality checkers mirror the bound that the split
-construction is designed around: the summed error of the composed
+sampling); a qubit pair's binary test is evaluated on the states' spin
+blocks instead.  The two inequality checkers mirror the bound that the
+split construction is designed around: the summed error of the composed
 detector is controlled by the binary overlap term plus the sub-detectors'
 errors.
 """
@@ -11,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import linalg
 from .chernoff import (
     CONDITION_DIVISOR,
     ChernoffResult,
@@ -30,12 +30,12 @@ from .detectors import (
     SubStrategy,
     build_split_detector,
     compose_with_binary,
-    holevo_helstrom,
+    helstrom_misses,
     misses,
     power_builders,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
-from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble, tensor_power
+from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble
 
 BOUND_SLACK = 1e-9
 DECAY_SLACK = 1e-12
@@ -154,19 +154,25 @@ def error_sum(
         raise DimensionMismatch(
             f"{len(detector.elements)} elements for {ensemble.r} hypotheses"
         )
-    per_state = []
     powers = power_builders(ensemble.states, n, dim_cap)
-    for miss in misses(powers, detector.elements):
+    return _error_report(n, misses(powers, detector.elements))
+
+
+def _error_report(n: int, per_state_misses: Iterable[float]) -> ErrorReport:
+    """Range-check each hypothesis's miss and total them."""
+    per_state = []
+    for miss in per_state_misses:
         if not -1e-10 <= miss <= 1.0 + 1e-10:
             raise ArithmeticError(f"error probability {miss!r} out of range")
         per_state.append(miss)
+    r = len(per_state)
     err_sm = float(sum(per_state))
     return ErrorReport(
         n=n,
         per_state_error=tuple(per_state),
         err_sm=err_sm,
-        err_avg=err_sm / ensemble.r,
-        succ_sm=ensemble.r - err_sm,
+        err_avg=err_sm / r,
+        succ_sm=r - err_sm,
     )
 
 
@@ -229,22 +235,6 @@ def overall_bound_check(
     )
 
 
-def _optimal_binary_error(
-    rho1: DensityMatrix, rho2: DensityMatrix, n: int, dim_cap: int
-) -> float:
-    """Summed error of the optimal binary test on n copies.
-
-    Equals the overlap-operator trace; computed from the spectrum of the
-    difference without forming the test explicitly.
-    """
-    delta = (
-        tensor_power(rho1, n, dim_cap).matrix
-        - tensor_power(rho2, n, dim_cap).matrix
-    )
-    w = np.linalg.eigvalsh(delta)
-    return float(1.0 - np.sum(w[w > linalg.eig_floor(w)]))
-
-
 def binary_chernoff_upper_check(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
@@ -255,7 +245,7 @@ def binary_chernoff_upper_check(
     exponent = chernoff_distance(rho1, rho2).exponent
     rows = []
     for n in range(1, n_max + 1):
-        err = _optimal_binary_error(rho1, rho2, n, dim_cap)
+        err = sum(helstrom_misses(rho1, rho2, n, dim_cap))
         bound = math.exp(-n * exponent)
         rows.append(BinaryDecayRow(n, err, bound, err <= bound + DECAY_SLACK))
     return rows
@@ -283,6 +273,8 @@ def exponent_estimate(
     over the last ``k_fit`` rows with positive error; a slope needs at
     least two of them.
     """
+    if len(rows) < 2:
+        raise ValueError(f"a fit needs at least 2 rows, got {len(rows)}")
     if k_fit < 2 or k_fit > len(rows):
         raise ValueError(f"k_fit must lie in [2, {len(rows)}], got {k_fit}")
     ns = [int(n) for n, _ in rows]
@@ -343,11 +335,9 @@ def run_experiment(
     for n in ns:
         bound = math.exp(-n * pair_result.exponent)
         if ensemble.r == 2:
-            detector = holevo_helstrom(
-                tensor_power(ensemble.states[0], n, dim_cap),
-                tensor_power(ensemble.states[1], n, dim_cap),
+            report = _error_report(
+                n, helstrom_misses(*ensemble.states, n, dim_cap)
             )
-            report = error_sum(ensemble, n, detector, dim_cap)
             n1 = n2 = None
             lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
         else:

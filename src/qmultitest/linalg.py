@@ -27,6 +27,8 @@ from .errors import HermiticityViolation, PSDViolation
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
 EIG_FLOOR_REL = 1e-12
+# Entries per row block in check_hermitian's temporaries (1 MB complex).
+_CHECK_BLOCK = 1 << 16
 
 
 class HermitianEig(NamedTuple):
@@ -50,8 +52,18 @@ def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise HermiticityViolation(f"matrix is not square: shape {m.shape}")
-    scale = 1.0 + (np.max(np.abs(m)) if m.size else 0.0)
-    defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    # Both maxima are taken over row blocks, so no temporary is full-size.
+    # A max is exact and np.maximum keeps a NaN, so the result equals the
+    # whole-matrix form bit for bit.
+    largest = defect = 0.0
+    step = max(1, _CHECK_BLOCK // max(1, m.shape[0]))
+    for i in range(0, m.shape[0], step):
+        rows = m[i : i + step]
+        largest = np.maximum(largest, np.abs(rows).max())
+        defect = np.maximum(
+            defect, np.abs(rows - m[:, i : i + step].conj().T).max()
+        )
+    scale = 1.0 + largest
     if defect > tol * scale:
         raise HermiticityViolation(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -144,19 +145,75 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, epsilon: float) -> DensityMatr
     return DensityMatrix((1.0 - epsilon) * rho.matrix + epsilon * sigma.matrix)
 
 
-def tensor_power(
-    rho: DensityMatrix, n: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> DensityMatrix:
-    """n-fold tensor product of a state with itself."""
+def _check_power(rho: DensityMatrix, n: int, dim_cap: int) -> None:
     if n < 1:
         raise ValueError(f"copy count must be positive, got {n}")
     if rho.dim ** n > dim_cap:
         raise DimensionCapExceeded(
             f"dim {rho.dim}^{n} = {rho.dim ** n} exceeds cap {dim_cap}"
         )
+
+
+def tensor_power(
+    rho: DensityMatrix, n: int, dim_cap: int = DEFAULT_DIM_CAP
+) -> DensityMatrix:
+    """n-fold tensor product of a state with itself."""
+    _check_power(rho, n, dim_cap)
     if n == 1:
         return rho
     out = rho.matrix
     for _ in range(n - 1):
         out = np.kron(out, rho.matrix)
     return _trusted_density(out)
+
+
+def _binomial(a: complex, b: complex, e: int) -> np.ndarray:
+    """Coefficients of ``(a + b z)^e`` in ascending powers of ``z``."""
+    return np.array(
+        [math.comb(e, p) * a ** (e - p) * b ** p for p in range(e + 1)],
+        dtype=np.complex128,
+    )
+
+
+def _sym_power(a: np.ndarray, k: int) -> np.ndarray:
+    """``A^(x)k`` restricted to the symmetric subspace, in the orthonormal
+    Dicke basis (``j`` = number of second basis vectors).
+
+    In the monomial basis ``x^(k-j) y^j`` column ``j`` holds the
+    coefficients of ``(a00 x + a10 y)^(k-j) (a01 x + a11 y)^j``; the Dicke
+    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.
+    """
+    out = np.empty((k + 1, k + 1), dtype=np.complex128)
+    for j in range(k + 1):
+        out[:, j] = np.convolve(
+            _binomial(a[0, 0], a[1, 0], k - j), _binomial(a[0, 1], a[1, 1], j)
+        )
+    norms = np.sqrt([math.comb(k, j) for j in range(k + 1)])
+    return out * (norms[None, :] / norms[:, None])
+
+
+def spin_blocks(
+    rho: DensityMatrix, n: int, dim_cap: int = DEFAULT_DIM_CAP
+) -> list[tuple[int, np.ndarray]]:
+    """Schur–Weyl blocks of a qubit state's n-fold tensor power.
+
+    ``rho^(x)n`` is unitarily equivalent to the direct sum over
+    ``t = 0..floor(n/2)`` of ``m_t`` copies of
+    ``det(rho)^t Sym^(n-2t)(rho)``, with ``m_t = C(n, t) - C(n, t-1)``
+    (Harrow, quant-ph/0512255).  Returns the pairs ``(m_t, block)``; the
+    change of basis is the same for every state, so two states' blocks
+    can be compared block by block.  The dimension cap applies to the
+    dense ``2^n`` it stands for.
+    """
+    if rho.dim != 2:
+        raise DimensionMismatch(f"spin blocks need a qubit state, got dim {rho.dim}")
+    _check_power(rho, n, dim_cap)
+    a = rho.matrix
+    det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
+    return [
+        (
+            math.comb(n, t) - (math.comb(n, t - 1) if t else 0),
+            det ** t * _sym_power(a, n - 2 * t),
+        )
+        for t in range(n // 2 + 1)
+    ]

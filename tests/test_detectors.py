@@ -21,7 +21,7 @@ from qmultitest import (
     wedge,
 )
 from qmultitest import linalg
-from qmultitest.detectors import _sub_detector, misses
+from qmultitest.detectors import _sub_detector, helstrom_misses, misses
 from qmultitest.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -447,6 +447,75 @@ class TestMisses:
         total = sum(misses([builder(s) for s in states], det.elements))
         assert len(built) == 4
         assert 0.0 <= total <= 4.0
+
+
+def dense_helstrom_misses(rho1, rho2, n):
+    """The oracle: the dense Helstrom test on the n-copy states."""
+    test = holevo_helstrom(tensor_power(rho1, n), tensor_power(rho2, n))
+    powers = [tensor_power(rho1, n), tensor_power(rho2, n)]
+    return tuple(misses(powers, test.elements))
+
+
+def qubit_pairs():
+    """20 qubit pairs: random pairs of every rank mix, plus orthogonal,
+    equal, classical and nearly equal ones."""
+    pairs = [
+        (
+            random_density(2, 1 + k % 2, 500 + k),
+            random_density(2, 1 + k // 8, 600 + k),
+        )
+        for k in range(16)
+    ]
+    rho = random_density(2, 2, 700)
+    pairs += [
+        (pure_state([1.0, 0.0]), pure_state([0.0, 1.0])),
+        (rho, rho),
+        (
+            density_from_matrix(np.diag([0.9, 0.1])),
+            density_from_matrix(np.diag([0.2, 0.8])),
+        ),
+        (rho, density_from_matrix(0.999 * rho.matrix + 0.001 * np.eye(2) / 2)),
+    ]
+    return pairs
+
+
+class TestHelstromMisses:
+    """The qubit block path against the dense oracle."""
+
+    @pytest.mark.parametrize("pair", range(20))
+    def test_qubit_blocks_match_dense_test(self, pair):
+        rho1, rho2 = qubit_pairs()[pair]
+        for n in range(1, 9):
+            got = helstrom_misses(rho1, rho2, n)
+            expected = dense_helstrom_misses(rho1, rho2, n)
+            assert got == pytest.approx(expected, abs=1e-12), n
+
+    def test_qubit_blocks_match_dense_test_at_ten_copies(self):
+        rho1, rho2 = random_density(2, 2, 710), random_density(2, 2, 711)
+        got = helstrom_misses(rho1, rho2, 10, dim_cap=1024)
+        expected = dense_helstrom_misses(rho1, rho2, 10)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_every_block_test_is_validated(self, monkeypatch):
+        from qmultitest import detectors
+
+        sizes = []
+        original = detectors.validate_detector
+
+        def recording(det):
+            sizes.append(det.dim)
+            return original(det)
+
+        monkeypatch.setattr(detectors, "validate_detector", recording)
+        helstrom_misses(random_density(2, 2, 730), random_density(2, 2, 731), 5)
+        assert sizes == [6, 4, 2]
+
+    def test_rejects_mixed_dimensions_and_the_cap(self):
+        with pytest.raises(DimensionMismatch):
+            helstrom_misses(random_density(2, 2, 740), random_density(3, 3, 741), 2)
+        rho1, rho2 = random_density(2, 2, 742), random_density(2, 2, 743)
+        with pytest.raises(DimensionCapExceeded, match=r"dim 2\^5 = 32 exceeds cap 16"):
+            helstrom_misses(rho1, rho2, 5, dim_cap=16)
 
 
 class TestDetectorChecks:

@@ -243,6 +243,12 @@ class TestExponentEstimate:
         with pytest.raises(ValueError, match=r"k_fit must lie in \[2, 4\]"):
             exponent_estimate(rows, k_fit)
 
+    @pytest.mark.parametrize("rows", [[], [(2, 0.5)]])
+    def test_fit_needs_two_rows(self, rows):
+        message = f"a fit needs at least 2 rows, got {len(rows)}"
+        with pytest.raises(ValueError, match=message):
+            exponent_estimate(rows, 2)
+
 
 class TestRunExperiment:
     def test_copy_count_past_the_cap_raises_cap_error(self):
@@ -260,13 +266,14 @@ class TestRunExperiment:
     def test_short_fit_window_refused_before_any_work(
         self, k_fit, monkeypatch, chernoff_calls
     ):
-        from qmultitest import evaluation
+        from qmultitest import detectors, evaluation
 
         def no_detector(*args, **kwargs):
             raise AssertionError("a detector was built")
 
         monkeypatch.setattr(evaluation, "build_split_detector", no_detector)
-        monkeypatch.setattr(evaluation, "holevo_helstrom", no_detector)
+        monkeypatch.setattr(evaluation, "helstrom_misses", no_detector)
+        monkeypatch.setattr(detectors, "holevo_helstrom", no_detector)
         for r in (2, 3):
             ens = Ensemble(tuple(random_density(2, 2, 150 + k) for k in range(r)))
             with pytest.raises(ValueError, match="k_fit must be at least 2"):
@@ -286,6 +293,45 @@ class TestRunExperiment:
             assert table_row.n1 is None and table_row.lemma_holds is None
         assert table.condition is None
         assert table.reference_level == pytest.approx(table.pair_exponent)
+
+    def test_pure_pair_errors_stay_exact(self):
+        # |<psi|phi>|^2 = F: the optimal summed error on n copies is
+        # F^n / (1 + sqrt(1 - F^n)), below exp(-n*xi) = F^n.  Errors of
+        # the form 1 - tr[rho E] bottom out near 1e-15 instead.
+        fid = math.exp(-4.61)
+        ens = Ensemble(
+            (
+                pure_state([1.0, 0.0]),
+                pure_state([math.sqrt(fid), math.sqrt(1.0 - fid)]),
+            )
+        )
+        table = run_experiment(ens, range(2, 11))
+        for row in table.rows:
+            power = fid**row.n
+            exact = power / (1.0 + math.sqrt(1.0 - power))
+            assert row.report.err_sm == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert row.report.err_sm <= row.binary_bound
+
+    def test_qubit_binary_row_builds_no_dense_operator(self, monkeypatch):
+        from qmultitest import detectors, states
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense n-copy operator was built")
+
+        monkeypatch.setattr(states, "tensor_power", forbidden)
+        monkeypatch.setattr(detectors, "tensor_power", forbidden)
+        monkeypatch.setattr(detectors, "holevo_helstrom", forbidden)
+        ens = Ensemble((random_density(2, 2, 181), random_density(2, 2, 182)))
+        table = run_experiment(ens, range(1, 7), k_fit=3)
+        assert [row.n for row in table.rows] == list(range(1, 7))
+
+    def test_qutrit_binary_table_is_the_dense_test(self):
+        rho1, rho2 = random_density(3, 3, 191), random_density(3, 2, 192)
+        ens = Ensemble((rho1, rho2))
+        table = run_experiment(ens, range(1, 5), k_fit=2)
+        for row in table.rows:
+            det = holevo_helstrom(tensor_power(rho1, row.n), tensor_power(rho2, row.n))
+            assert row.report == error_sum(ens, row.n, det)
 
     def test_orthogonal_ensemble_is_exact(self):
         table = run_experiment(orthogonal_triple(), [2, 3], k_fit=2)
@@ -332,8 +378,10 @@ class TestRowMemory:
     """Full-size operators live only from construction to last use.
 
     Measured at D = 256: 12.16 matrices on a split row and 5.13 on a
-    binary row.  Keeping the composition trace's five operators and the
-    n-copy states across the Helstrom decomposition gives 17.16 and 7.13.
+    dense binary row (d = 4).  Keeping the composition trace's five
+    operators and the n-copy states across the Helstrom decomposition
+    gives 17.16 and 7.13.  A qubit binary row builds no full-size
+    operator: its blocks have size at most n + 1.
     """
 
     def test_split_row_peak(self):
@@ -342,5 +390,9 @@ class TestRowMemory:
         assert peak_operators_per_row(ens, 8) <= 12.16 + 0.5
 
     def test_binary_row_peak(self):
+        ens = Ensemble((random_density(4, 4, 9011), random_density(4, 4, 9012)))
+        assert peak_operators_per_row(ens, 4) <= 5.13 + 0.5
+
+    def test_qubit_binary_row_peak(self):
         ens = Ensemble((random_density(2, 2, 9011), random_density(2, 2, 9012)))
-        assert peak_operators_per_row(ens, 8) <= 5.13 + 0.5
+        assert peak_operators_per_row(ens, 8) <= 0.1

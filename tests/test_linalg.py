@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,52 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityViolation):
             linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestCheckHermitian:
+    """The row-blocked check against the whole-matrix formula."""
+
+    @staticmethod
+    def whole_matrix(m):
+        return np.max(np.abs(m - m.conj().T)), 1.0 + np.max(np.abs(m))
+
+    @pytest.mark.parametrize("d", [3, 300, 1024])
+    def test_planted_defect_decided_at_the_exact_edge(self, np_rng, d):
+        # 300 and 1024 span several row blocks; the defect sits in the last.
+        m = random_hermitian(np_rng, d)
+        m[d - 1, 1] += 3e-9
+        defect, scale = self.whole_matrix(m)
+        edge = defect / scale
+        for tol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            if defect > tol * scale:
+                with pytest.raises(HermiticityViolation) as info:
+                    linalg.check_hermitian(m, tol)
+                assert str(info.value) == (
+                    f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
+                )
+            else:
+                assert linalg.check_hermitian(m, tol) is m
+
+    def test_nan_in_one_block_passes_as_before(self, np_rng):
+        # The whole-matrix form compares against a NaN scale and accepts;
+        # a defect in another block must not change that.
+        m = random_hermitian(np_rng, 1024)
+        m[0, 5] = np.nan
+        m[1000, 3] += 1.0
+        defect, scale = self.whole_matrix(m)
+        assert not defect > linalg.TOL_HERM * scale
+        assert linalg.check_hermitian(m) is m
+
+    def test_peak_stays_well_below_one_matrix(self, np_rng):
+        d = 1024
+        m = random_hermitian(np_rng, d)
+        tracemalloc.start()
+        try:
+            linalg.check_hermitian(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 16 * d * d
 
 
 def test_real_scalar_guards_residue():

@@ -21,6 +21,7 @@ from qmultitest.errors import (
     TraceViolation,
 )
 from qmultitest.rng import SplitMix64
+from qmultitest.states import spin_blocks
 
 # Reference outputs for SplitMix64 with seed 1234567, as published with the
 # xoshiro generator family's test material.
@@ -192,6 +193,63 @@ class TestTensorPower:
     def test_output_validates(self):
         rho = tensor_power(random_density(2, 2, 6), 3)
         density_from_matrix(rho.matrix)
+
+
+class TestSpinBlocks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_multiplicities_fill_the_space(self, n):
+        blocks = spin_blocks(random_density(2, 2, 7), n)
+        assert len(blocks) == n // 2 + 1
+        assert [len(block) for _, block in blocks] == [
+            n - 2 * t + 1 for t in range(n // 2 + 1)
+        ]
+        assert sum(m * len(block) for m, block in blocks) == 2**n
+        assert sum(m * np.trace(block).real for m, block in blocks) == (
+            pytest.approx(1.0, abs=1e-12)
+        )
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_difference_matches_dense_power(self, rank, n):
+        # The blocks stand for rho^(x)n up to one change of basis, so the
+        # difference's trace moments and trace norm are block sums.
+        rho1 = random_density(2, rank, 300 + n)
+        rho2 = random_density(2, rank, 400 + n)
+        dense = tensor_power(rho1, n).matrix - tensor_power(rho2, n).matrix
+        blocks = [
+            (m, x - y)
+            for (m, x), (_, y) in zip(spin_blocks(rho1, n), spin_blocks(rho2, n))
+        ]
+        for k in (1, 2, 3):
+            expected = np.trace(np.linalg.matrix_power(dense, k)).real
+            got = sum(
+                m * np.trace(np.linalg.matrix_power(b, k)).real for m, b in blocks
+            )
+            assert got == pytest.approx(expected, abs=1e-12)
+        norm = np.sum(np.abs(np.linalg.eigvalsh(dense)))
+        got = sum(m * np.sum(np.abs(np.linalg.eigvalsh(b))) for m, b in blocks)
+        assert got == pytest.approx(norm, abs=1e-12)
+
+    def test_pure_state_has_only_the_symmetric_block(self):
+        blocks = spin_blocks(pure_state([0.6, 0.8j]), 6)
+        top = blocks[0][1]
+        assert np.linalg.eigvalsh(top)[-1] == pytest.approx(1.0, abs=1e-12)
+        for _, block in blocks[1:]:
+            assert np.max(np.abs(block)) <= 1e-15
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            spin_blocks(random_density(3, 3, 8), 2)
+
+    def test_cap_message_matches_tensor_power(self):
+        rho = random_density(2, 2, 9)
+        with pytest.raises(DimensionCapExceeded) as dense:
+            tensor_power(rho, 5, dim_cap=16)
+        with pytest.raises(DimensionCapExceeded) as blocks:
+            spin_blocks(rho, 5, dim_cap=16)
+        assert str(blocks.value) == str(dense.value)
+        with pytest.raises(ValueError, match="copy count must be positive"):
+            spin_blocks(rho, 0)
 
 
 class TestEnsemble:
