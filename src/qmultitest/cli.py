@@ -37,7 +37,7 @@ from .scenario import (
     write_text_atomic,
 )
 from .selfcheck import run_suites
-from .states import DEFAULT_DIM_CAP, Ensemble, mix, random_density
+from .states import DEFAULT_DIM_CAP, DISTINCTNESS_TOL, Ensemble, mix, random_density
 
 CSV_HEADER = (
     "n,n1,n2,err_sm,err_avg,rate,binary_bound,"
@@ -256,7 +256,7 @@ def _gen_condition_satisfying(r: int, d: int, seed: int) -> dict:
         second = mix(base, other, epsilon)
         all_states = [base, second, *tail]
         distinct = all(
-            all_states[i].distance_from(all_states[j]) > 1e-8
+            all_states[i].distance_from(all_states[j]) > DISTINCTNESS_TOL
             for i in range(len(all_states))
             for j in range(i + 1, len(all_states))
         )

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionCapExceeded,
     DimensionMismatch,
     PartialsEqualIdentity,
     PartialsExceedIdentity,
@@ -29,6 +27,7 @@ from .states import (
     DEFAULT_DIM_CAP,
     DensityMatrix,
     Ensemble,
+    check_power,
     spin_blocks,
     tensor_power,
 )
@@ -37,8 +36,6 @@ TOL_ELEMENT_PSD = 1e-10
 TOL_SUM_IDENTITY = 1e-9
 
 SubStrategy = Literal["pgm", "recursive"]
-# A hypothesis state, or a zero-argument callable that builds it on demand.
-StateSource = DensityMatrix | Callable[[], DensityMatrix]
 
 
 @dataclass(frozen=True)
@@ -62,18 +59,18 @@ class Detector:
 
 @dataclass(frozen=True)
 class CompositionTrace:
-    """The terms of the error-decomposition bound of a composed detector.
+    """The pair's terms of the error-decomposition bound of a composed
+    detector.
 
-    ``wedge_trace`` is the summed error of the closest pair's binary test,
-    and the three terms add up to the bound: twice that overlap trace,
-    twice the pair's weight on the partial elements, and the partial
-    elements' own misses.
+    ``wedge_trace`` is the summed error of the closest pair's binary test
+    and ``term_partials`` twice the pair's weight on the partial elements.
+    The bound is twice the overlap trace, plus ``term_partials``, plus the
+    tail hypotheses' own misses, which are the composed detector's errors
+    on the tail (``evaluation.error_sum``).
     """
 
     wedge_trace: float
-    term_wedge: float
     term_partials: float
-    term_rest: float
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,14 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
-    """Optimal binary test: project onto where ``rho1 - rho2`` is positive.
+def holevo_helstrom(
+    rho1: DensityMatrix,
+    rho2: DensityMatrix,
+    n: int = 1,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> Detector:
+    """Optimal binary test on ``n`` copies: project onto where
+    ``rho1^(x)n - rho2^(x)n`` is positive.
 
     Eigenvalues of the difference within the zero floor are assigned to
     the second outcome, so the first element is the support of the
@@ -131,11 +134,12 @@ def holevo_helstrom(rho1: DensityMatrix, rho2: DensityMatrix) -> Detector:
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    dim = rho1.dim
-    delta = rho1.matrix - rho2.matrix
-    # Callers pass n-copy temporaries: dropping them here frees them
-    # before the decomposition.
-    del rho1, rho2
+    # The n-copy states are temporaries, gone before the decomposition.
+    delta = (
+        tensor_power(rho1, n, dim_cap).matrix
+        - tensor_power(rho2, n, dim_cap).matrix
+    )
+    dim = delta.shape[0]
     w, v = linalg.eigh(delta)
     del delta
     keep = (w > linalg.eig_floor(w)).astype(np.float64)
@@ -166,8 +170,13 @@ def wedge(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     return left
 
 
-def pgm(states: Sequence[DensityMatrix]) -> Detector:
-    """Square-root ("pretty good") measurement for equiprobable states.
+def pgm(
+    states: Sequence[DensityMatrix],
+    n: int = 1,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> Detector:
+    """Square-root ("pretty good") measurement for the equiprobable
+    ``n``-copy states ``rho_k^(x)n``.
 
     With ``S`` the average state, each element is
     ``S^(-1/2) (rho_k / m) S^(-1/2)`` using the pseudo-inverse square root
@@ -176,11 +185,12 @@ def pgm(states: Sequence[DensityMatrix]) -> Detector:
     """
     if len(states) < 2:
         raise ValueError(f"need at least 2 states, got {len(states)}")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
+    if any(s.dim != states[0].dim for s in states):
         raise DimensionMismatch("states live on different dimensions")
-    m = len(states)
-    avg = sum(s.matrix for s in states) / m
+    powers = [tensor_power(s, n, dim_cap) for s in states]
+    dim = powers[0].dim
+    m = len(powers)
+    avg = sum(p.matrix for p in powers) / m
     w, v = linalg.eigh(_hermitize(avg))
     keep = w > linalg.eig_floor(w)
     v_keep = v[:, keep]
@@ -189,8 +199,8 @@ def pgm(states: Sequence[DensityMatrix]) -> Detector:
     # Gram form (rho^(1/2) S^(-1/2))^dag (...) keeps elements positive to
     # machine precision even when S is badly conditioned.
     raw = []
-    for s in states:
-        b = linalg.sqrt_psd(s.matrix) @ inv_sqrt
+    for p in powers:
+        b = linalg.sqrt_psd(p.matrix) @ inv_sqrt
         raw.append(_hermitize(b.conj().T @ b / m + kernel_proj / m))
     # Rounding through S^(-1/2) can leave the sum off identity by more
     # than the POVM tolerance when S is nearly singular.  The sum is
@@ -204,21 +214,21 @@ def pgm(states: Sequence[DensityMatrix]) -> Detector:
     return validate_detector(Detector(dim, tuple(elements)))
 
 
-def _built(source: StateSource) -> DensityMatrix:
-    return source() if callable(source) else source
-
-
 def misses(
-    states: Sequence[StateSource], elements: Sequence[np.ndarray]
+    states: Sequence[DensityMatrix],
+    elements: Sequence[np.ndarray],
+    n: int = 1,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Iterator[float]:
-    """Each hypothesis's miss ``1 - tr[rho_k E_k]``, in order.
+    """Each hypothesis's miss ``1 - tr[rho_k^(x)n E_k]``, in order.
 
-    A state given as a builder is built only for its own term, so at most
-    one of them is alive at a time.
+    Each n-copy state is built only for its own term, so at most one of
+    them is alive at a time.  A state count that differs from the element
+    count raises ``ValueError``.
     """
-    for state, element in zip(states, elements):
+    for state, element in zip(states, elements, strict=True):
         yield linalg.real_scalar(
-            1.0 - linalg.trace_product(_built(state).matrix, element)
+            1.0 - linalg.trace_product(tensor_power(state, n, dim_cap).matrix, element)
         )
 
 
@@ -244,12 +254,8 @@ def helstrom_misses(
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
     if rho1.dim != 2:
-        test = holevo_helstrom(
-            tensor_power(rho1, n, dim_cap), tensor_power(rho2, n, dim_cap)
-        )
-        first, second = misses(
-            power_builders((rho1, rho2), n, dim_cap), test.elements
-        )
+        test = holevo_helstrom(rho1, rho2, n, dim_cap)
+        first, second = misses((rho1, rho2), test.elements, n, dim_cap)
         return first, second
     blocks = zip(spin_blocks(rho1, n, dim_cap), spin_blocks(rho2, n, dim_cap))
     pairs = [(m, x, y) for (m, x), (_, y) in blocks]
@@ -269,26 +275,25 @@ def helstrom_misses(
 
 
 def compose_with_binary(
-    partials: Sequence[np.ndarray], states: Sequence[StateSource]
+    partials: Sequence[np.ndarray],
+    rho1: DensityMatrix,
+    rho2: DensityMatrix,
+    n: int = 1,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> tuple[Detector, CompositionTrace]:
-    """Complete partial elements to a full POVM with the closest pair's
-    optimal binary test.
+    """Complete partial elements on ``n`` copies to a full POVM with the
+    optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``.
 
-    ``states`` holds one state per hypothesis: the closest pair first,
-    then one per partial element.  A state may be given as a
-    zero-argument callable that builds it, so it exists only while it is
-    used.  The partial elements must sum below the identity; the leftover
+    The partial elements must sum below the identity; the leftover
     weight ``Q = I - sum`` is handed to the Helstrom projections ``P``
     of the pair as the Gram forms ``(P Q^(1/2))^dag (P Q^(1/2))
     = Q^(1/2) P Q^(1/2)``, which stay positive to machine precision.
-    The trace records the terms of the error bound.
+    The trace records the pair's terms of the error bound.
     """
     partial_list = [np.asarray(p, dtype=np.complex128) for p in partials]
     if not partial_list:
         raise ValueError("need at least one partial element")
-    if len(states) != len(partial_list) + 2:
-        raise ValueError("one state per partial element is required")
-    binary = holevo_helstrom(_built(states[0]), _built(states[1]))
+    binary = holevo_helstrom(rho1, rho2, n, dim_cap)
     dim = binary.dim
     for k, p in enumerate(partial_list):
         if p.shape != (dim, dim):
@@ -339,34 +344,24 @@ def compose_with_binary(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
-    # The pair is built again only now, and each complement I - P is
-    # dropped as soon as its trace is taken.
-    rho1 = _built(states[0]).matrix
-    wedge_1 = linalg.trace_product(rho1, np.eye(dim) - binary.elements[0])
-    rho2 = _built(states[1]).matrix
-    wedge_2 = linalg.trace_product(rho2, np.eye(dim) - binary.elements[1])
+    # The pair is built again only now.  The binary test's second element
+    # is I - P_1 itself; the complement I - P_2 is dropped as soon as its
+    # trace is taken.
+    power_1 = tensor_power(rho1, n, dim_cap).matrix
+    wedge_1 = linalg.trace_product(power_1, binary.elements[1])
+    power_2 = tensor_power(rho2, n, dim_cap).matrix
+    wedge_2 = linalg.trace_product(power_2, np.eye(dim) - binary.elements[1])
     wedge_trace = linalg.real_scalar(wedge_1 + wedge_2)
     term_partials = 2.0 * linalg.real_scalar(
-        linalg.trace_product(rho1 + rho2, partial_sum)
+        linalg.trace_product(power_1 + power_2, partial_sum)
     )
-    del rho1, rho2
-    term_rest = sum(misses(states[2:], partial_list))
-    return detector, CompositionTrace(
-        wedge_trace, 2.0 * wedge_trace, term_partials, term_rest
-    )
+    return detector, CompositionTrace(wedge_trace, term_partials)
 
 
 def can_split(n: int, w1: float) -> bool:
     """Whether ``n`` copies split into two nonempty parts at weight ``w1``."""
     n1 = math.floor(n * w1)
     return n >= 2 and n1 >= 1 and n - n1 >= 1
-
-
-def power_builders(
-    states: Sequence[DensityMatrix], copies: int, dim_cap: int
-) -> list[Callable[[], DensityMatrix]]:
-    """Builders of each state's ``copies``-fold tensor power."""
-    return [partial(tensor_power, s, copies, dim_cap) for s in states]
 
 
 def _sub_detector(
@@ -385,16 +380,13 @@ def _sub_detector(
     if strategy not in ("pgm", "recursive"):
         raise ValueError(f"unknown sub-detector strategy {strategy!r}")
     if strategy == "recursive" and len(states) == 2:
-        return holevo_helstrom(
-            tensor_power(states[0], copies, dim_cap),
-            tensor_power(states[1], copies, dim_cap),
-        )
+        return holevo_helstrom(states[0], states[1], copies, dim_cap)
     if strategy == "recursive" and can_split(copies, w1):
         detector, _, _ = build_split_detector(
             Ensemble(tuple(states)), copies, w1, "recursive", dim_cap
         )
         return detector
-    return pgm([tensor_power(s, copies, dim_cap) for s in states])
+    return pgm(states, copies, dim_cap)
 
 
 def build_split_detector(
@@ -419,10 +411,7 @@ def build_split_detector(
         raise SplitTooSmall(f"need n >= 2 copies to split, got {n}")
     if not 0.0 < w1 < 1.0:
         raise ValueError(f"w1 must lie in (0, 1), got {w1}")
-    if ensemble.dim ** n > dim_cap:
-        raise DimensionCapExceeded(
-            f"dim {ensemble.dim}^{n} = {ensemble.dim ** n} exceeds cap {dim_cap}"
-        )
+    check_power(ensemble.states[0], n, dim_cap)
     n1 = math.floor(n * w1)
     n2 = n - n1
     if n1 < 1 or n2 < 1:
@@ -434,18 +423,13 @@ def build_split_detector(
     side_2 = [second, *tail]
     sub_1 = _sub_detector(side_1, n1, w1, sub, dim_cap)
     sub_2 = _sub_detector(side_2, n2, w1, sub, dim_cap)
-    sub_error_1 = sum(misses(power_builders(side_1, n1, dim_cap), sub_1.elements))
-    sub_error_2 = sum(misses(power_builders(side_2, n2, dim_cap), sub_2.elements))
+    sub_error_1 = sum(misses(side_1, sub_1.elements, n1, dim_cap))
+    sub_error_2 = sum(misses(side_2, sub_2.elements, n2, dim_cap))
 
     partials = [
         np.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
         for k in range(len(tail))
     ]
-    # The n-copy states are built where they are used, the pair once for
-    # the Helstrom test and once for the bound's trace terms, instead of
-    # being held across the decomposition and the POVM checks.
-    detector, trace = compose_with_binary(
-        partials, power_builders(ensemble.states, n, dim_cap)
-    )
+    detector, trace = compose_with_binary(partials, first, second, n, dim_cap)
     return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 

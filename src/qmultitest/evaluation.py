@@ -32,7 +32,6 @@ from .detectors import (
     compose_with_binary,
     helstrom_misses,
     misses,
-    power_builders,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
 from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble
@@ -154,8 +153,7 @@ def error_sum(
         raise DimensionMismatch(
             f"{len(detector.elements)} elements for {ensemble.r} hypotheses"
         )
-    powers = power_builders(ensemble.states, n, dim_cap)
-    return _error_report(n, misses(powers, detector.elements))
+    return _error_report(n, misses(ensemble.states, detector.elements, n, dim_cap))
 
 
 def _error_report(n: int, per_state_misses: Iterable[float]) -> ErrorReport:
@@ -176,10 +174,10 @@ def _error_report(n: int, per_state_misses: Iterable[float]) -> ErrorReport:
     )
 
 
-def _lemma_rhs(trace: CompositionTrace) -> float:
+def _lemma_rhs(trace: CompositionTrace, term_rest: float) -> float:
     """Twice the binary overlap trace, plus twice the pair's weight on the
-    partial elements, plus the tail hypotheses' own misses."""
-    return trace.term_wedge + trace.term_partials + trace.term_rest
+    partial elements, plus the tail hypotheses' own misses ``term_rest``."""
+    return 2.0 * trace.wedge_trace + trace.term_partials + term_rest
 
 
 def _overall_rhs(trace: CompositionTrace, split: SplitReport) -> float:
@@ -199,19 +197,22 @@ def lemma_bound_check(
     The left side is the composed detector's summed error over the full
     hypothesis list; the right side is twice the binary overlap trace,
     plus twice the pair's weight on the partial elements, plus the tail
-    hypotheses' own misses.
+    hypotheses' own misses.  ``rest`` holds one state per partial element.
     """
-    states = [rho1, rho2, *rest]
-    detector, trace = compose_with_binary(partials, states)
-    lhs = float(sum(misses(states, detector.elements)))
-    rhs = _lemma_rhs(trace)
+    if len(rest) != len(partials):
+        raise ValueError("one state per partial element is required")
+    detector, trace = compose_with_binary(partials, rho1, rho2)
+    per_state = list(misses([rho1, rho2, *rest], detector.elements))
+    lhs = float(sum(per_state))
+    term_rest = sum(per_state[2:])
+    rhs = _lemma_rhs(trace, term_rest)
     return LemmaReport(
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs + BOUND_SLACK,
-        term_wedge=trace.term_wedge,
+        term_wedge=2.0 * trace.wedge_trace,
         term_partials=trace.term_partials,
-        term_rest=trace.term_rest,
+        term_rest=term_rest,
     )
 
 
@@ -313,6 +314,8 @@ def run_experiment(
         raise ValueError("n_values must be strictly ascending and nonempty")
     if k_fit < 2:
         raise ValueError(f"k_fit must be at least 2, got {k_fit}")
+    if not 0.0 < w1 < 1.0:
+        raise ValueError(f"w1 must lie in (0, 1), got {w1}")
     for n in ns:
         if ensemble.dim ** n > dim_cap:
             raise DimensionCapExceeded(
@@ -346,7 +349,7 @@ def run_experiment(
             )
             report = error_sum(ensemble, n, detector, dim_cap)
             n1, n2 = split.n1, split.n2
-            lemma_rhs = _lemma_rhs(trace)
+            lemma_rhs = _lemma_rhs(trace, sum(report.per_state_error[2:]))
             lemma_holds = report.err_sm <= lemma_rhs + BOUND_SLACK
             overall_rhs = _overall_rhs(trace, split)
             overall_holds = report.err_sm <= overall_rhs + BOUND_SLACK

@@ -73,7 +73,7 @@ def suite_povm_validity(trials: int, seed: int) -> SuiteResult:
             binary = holevo_helstrom(rho1, rho2)
             sqm = pgm([rho1, rho2, rho3])
             composed, _ = compose_with_binary(
-                random_feasible_partials(2, 1, base + 3), [rho1, rho2, rho3]
+                random_feasible_partials(2, 1, base + 3), rho1, rho2
             )
         except Exception as exc:
             _note(result, t, f"construction failed: {exc}")
@@ -111,9 +111,8 @@ def suite_composition(trials: int, seed: int) -> SuiteResult:
         rho1 = random_density(2, 2, base)
         rho2 = random_density(2, 2, base + 1)
         partials = random_feasible_partials(2, r - 2, base + 2)
-        rest = [random_density(2, 2, base + 3 + k) for k in range(r - 2)]
         try:
-            detector, _ = compose_with_binary(partials, [rho1, rho2, *rest])
+            detector, _ = compose_with_binary(partials, rho1, rho2)
         except Exception as exc:
             _note(result, t, f"composition failed: {exc}")
             continue

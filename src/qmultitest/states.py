@@ -145,7 +145,8 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, epsilon: float) -> DensityMatr
     return DensityMatrix((1.0 - epsilon) * rho.matrix + epsilon * sigma.matrix)
 
 
-def _check_power(rho: DensityMatrix, n: int, dim_cap: int) -> None:
+def check_power(rho: DensityMatrix, n: int, dim_cap: int) -> None:
+    """Refuse a copy count below one or an ``n``-copy dimension past the cap."""
     if n < 1:
         raise ValueError(f"copy count must be positive, got {n}")
     if rho.dim ** n > dim_cap:
@@ -158,7 +159,7 @@ def tensor_power(
     rho: DensityMatrix, n: int, dim_cap: int = DEFAULT_DIM_CAP
 ) -> DensityMatrix:
     """n-fold tensor product of a state with itself."""
-    _check_power(rho, n, dim_cap)
+    check_power(rho, n, dim_cap)
     if n == 1:
         return rho
     out = rho.matrix
@@ -207,7 +208,7 @@ def spin_blocks(
     """
     if rho.dim != 2:
         raise DimensionMismatch(f"spin blocks need a qubit state, got dim {rho.dim}")
-    _check_power(rho, n, dim_cap)
+    check_power(rho, n, dim_cap)
     a = rho.matrix
     det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
     return [

@@ -316,9 +316,9 @@ def test_criterion_8_povm_validity_everywhere(condition_scenario):
             )
         )
     for k in range(10):
-        states = [random_density(2, 2, 9600 + 10 * k + i) for i in range(3)]
+        rho1, rho2 = (random_density(2, 2, 9600 + 10 * k + i) for i in range(2))
         partials = random_feasible_partials(2, 1, 9700 + k)
-        det, _ = compose_with_binary(partials, states)
+        det, _ = compose_with_binary(partials, rho1, rho2)
         must_be_valid(det)
     ens = Ensemble(tuple(random_density(2, 2, 9800 + i) for i in range(3)))
     for n in (2, 4, 6):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -150,9 +151,9 @@ class TestPgm:
 
 class TestComposeWithBinary:
     def test_zero_partials_reduce_to_binary(self):
-        states = [random_density(2, 2, 11 + k) for k in range(3)]
-        binary = holevo_helstrom(states[0], states[1])
-        det, _ = compose_with_binary([np.zeros((2, 2))], states)
+        rho1, rho2 = random_density(2, 2, 11), random_density(2, 2, 12)
+        binary = holevo_helstrom(rho1, rho2)
+        det, _ = compose_with_binary([np.zeros((2, 2))], rho1, rho2)
         np.testing.assert_allclose(det.elements[0], binary.elements[0], atol=1e-12)
         np.testing.assert_allclose(det.elements[1], binary.elements[1], atol=1e-12)
         np.testing.assert_allclose(
@@ -160,9 +161,9 @@ class TestComposeWithBinary:
         )
 
     def test_scalar_partials_scale_binary(self):
-        states = [random_density(2, 2, 13 + k) for k in range(3)]
-        binary = holevo_helstrom(states[0], states[1])
-        det, _ = compose_with_binary([np.eye(2) * 0.5], states)
+        rho1, rho2 = random_density(2, 2, 13), random_density(2, 2, 14)
+        binary = holevo_helstrom(rho1, rho2)
+        det, _ = compose_with_binary([np.eye(2) * 0.5], rho1, rho2)
         np.testing.assert_allclose(
             det.elements[0], binary.elements[0] / 2, atol=1e-10
         )
@@ -174,9 +175,8 @@ class TestComposeWithBinary:
         for seed in range(20):
             rho1 = random_density(2, 2, 5000 + seed)
             rho2 = random_density(2, 2, 6000 + seed)
-            rho3 = random_density(2, 2, 7500 + seed)
             partials = random_feasible_partials(2, 1, 7000 + seed)
-            det, _ = compose_with_binary(partials, [rho1, rho2, rho3])
+            det, _ = compose_with_binary(partials, rho1, rho2)
             assert check_detector(det) == []
             residual, sqrt_residual = residual_oracle(partials)
             np.testing.assert_allclose(
@@ -189,31 +189,29 @@ class TestComposeWithBinary:
             assert gap[0] >= -1e-9
 
     @staticmethod
-    def states():
-        return [random_density(2, 2, k) for k in (1, 2, 3)]
+    def pair():
+        return random_density(2, 2, 1), random_density(2, 2, 2)
 
     def test_rejects_oversized_partials(self):
         with pytest.raises(PartialsExceedIdentity):
-            compose_with_binary([np.eye(2) * 1.5], self.states())
+            compose_with_binary([np.eye(2) * 1.5], *self.pair())
 
     def test_rejects_exhausted_identity(self):
         with pytest.raises(PartialsEqualIdentity):
-            compose_with_binary([np.eye(2)], self.states())
+            compose_with_binary([np.eye(2)], *self.pair())
 
     def test_rejects_negative_partials(self):
         with pytest.raises(PSDViolation):
-            compose_with_binary([np.diag([0.5, -0.1])], self.states())
+            compose_with_binary([np.diag([0.5, -0.1])], *self.pair())
 
     def test_rejects_empty_partials_and_bad_shapes(self):
-        states = self.states()
         with pytest.raises(ValueError, match="at least one partial"):
-            compose_with_binary([], states[:2])
+            compose_with_binary([], *self.pair())
         with pytest.raises(DimensionMismatch):
-            compose_with_binary([np.eye(3) * 0.1], states)
-        with pytest.raises(ValueError, match="one state per partial"):
-            compose_with_binary([np.eye(2) * 0.1], states[:2])
-        with pytest.raises(ValueError, match="one state per partial"):
-            compose_with_binary([np.eye(2) * 0.1], [*states, states[2]])
+            compose_with_binary([np.eye(3) * 0.1], *self.pair())
+        # Partials live on the n-copy space of the pair.
+        with pytest.raises(DimensionMismatch):
+            compose_with_binary([np.eye(2) * 0.1], *self.pair(), 2)
 
     @staticmethod
     def gram_oracle(partials, rho1, rho2):
@@ -231,10 +229,10 @@ class TestComposeWithBinary:
     def test_pair_elements_are_conjugated_projections(self, r, d):
         for seed in range(5):
             base = 8600 + 100 * r + 10 * d + seed
-            states = [random_density(d, d, base + 1000 * k) for k in range(r)]
+            rho1, rho2 = (random_density(d, d, base + 1000 * k) for k in range(2))
             partials = random_feasible_partials(d, r - 2, base)
-            det, _ = compose_with_binary(partials, states)
-            expected = self.gram_oracle(partials, states[0], states[1])
+            det, _ = compose_with_binary(partials, rho1, rho2)
+            expected = self.gram_oracle(partials, rho1, rho2)
             for got, want in zip(det.elements[:2], expected):
                 assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -254,43 +252,33 @@ class TestComposeWithBinary:
 
 
 class TestComposeOperatorKeyword:
-    """The ``states`` argument: builders, as the split passes them, and
-    explicit states give the same elements and bound terms."""
+    """The pair argument: one-copy states with a copy count, as the split
+    passes them, and explicit n-copy states give the same elements and
+    bound terms."""
 
     @staticmethod
     def terms(trace):
-        return (
-            trace.wedge_trace,
-            trace.term_wedge,
-            trace.term_partials,
-            trace.term_rest,
-        )
+        return (trace.wedge_trace, trace.term_partials)
 
     @pytest.mark.parametrize("r", [3, 4])
-    def test_builders_match_explicit_states(self, r):
+    def test_builds_the_pair_twice_and_no_tail_state(self, r, monkeypatch):
+        from qmultitest import detectors
+
         states = [random_density(2, 2, 8100 + 10 * r + k) for k in range(r)]
-        partials = random_feasible_partials(2, r - 2, 8200 + r)
-        explicit_det, explicit = compose_with_binary(partials, states)
+        partials = random_feasible_partials(4, r - 2, 8200 + r)
         built = []
 
-        def builder(state):
-            def build():
-                built.append(state)
-                return state
+        def counted(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            built.append((id(rho), n))
+            return tensor_power(rho, n, dim_cap)
 
-            return build
-
-        lazy_det, lazy = compose_with_binary(
-            partials, [builder(state) for state in states]
-        )
-        assert [e.tobytes() for e in lazy_det.elements] == [
-            e.tobytes() for e in explicit_det.elements
-        ]
-        assert self.terms(lazy) == self.terms(explicit)
-        assert all(isinstance(term, float) for term in self.terms(explicit))
-        # The pair is built for the Helstrom test and again for the
-        # trace terms; every other state once.
-        assert built == [states[0], states[1], states[0], states[1], *states[2:]]
+        monkeypatch.setattr(detectors, "tensor_power", counted)
+        det, trace = compose_with_binary(partials, states[0], states[1], 2)
+        # The pair is built for the Helstrom test and again for the trace
+        # terms; a tail state is never built.
+        assert built == [(id(states[0]), 2), (id(states[1]), 2)] * 2
+        assert all(isinstance(term, float) for term in self.terms(trace))
+        assert len(det.elements) == r
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_split_terms_match_explicit_states(self, n):
@@ -301,8 +289,7 @@ class TestComposeOperatorKeyword:
         sub_2 = pgm([tensor_power(s, split.n2) for s in (second, tail)])
         partials = [np.kron(sub_1.elements[1], sub_2.elements[1])]
         ref_det, ref = compose_with_binary(
-            partials,
-            [tensor_power(first, n), tensor_power(second, n), tensor_power(tail, n)],
+            partials, tensor_power(first, n), tensor_power(second, n)
         )
         assert [e.tobytes() for e in det.elements] == [
             e.tobytes() for e in ref_det.elements
@@ -352,8 +339,12 @@ class TestBuildSplitDetector:
         det, trace, report = build_split_detector(ens, 4, 0.5, sub)
         assert check_detector(det) == []
         assert report.n1 == 2 and report.n2 == 2
-        assert trace.term_wedge == pytest.approx(2 * trace.wedge_trace)
-        assert trace.term_partials is not None and trace.term_rest is not None
+        assert isinstance(trace.wedge_trace, float)
+        assert isinstance(trace.term_partials, float)
+        assert [f.name for f in dataclasses.fields(trace)] == [
+            "wedge_trace",
+            "term_partials",
+        ]
 
     def test_weight_moves_the_split(self):
         ens = Ensemble(tuple(random_density(2, 2, 40 + k) for k in range(3)))
@@ -369,7 +360,8 @@ class TestBuildSplitDetector:
 
     def test_dimension_cap(self):
         ens = Ensemble(tuple(random_density(2, 2, 60 + k) for k in range(3)))
-        with pytest.raises(DimensionCapExceeded):
+        message = r"^dim 2\^4 = 16 exceeds cap 8$"
+        with pytest.raises(DimensionCapExceeded, match=message):
             build_split_detector(ens, 4, 0.5, dim_cap=8)
 
 
@@ -420,33 +412,83 @@ class TestRecursiveDetector:
 class TestMisses:
     def test_matches_explicit_traces(self):
         states = [random_density(2, 2, 160 + k) for k in range(3)]
-        det = pgm(states)
-        expected = [
-            1.0 - np.trace(s.matrix @ e).real for s, e in zip(states, det.elements)
-        ]
-        builders = [lambda s=s: s for s in states]
-        for sources in (states, builders):
-            got = list(misses(sources, det.elements))
+        for n in (1, 2):
+            det = pgm(states, n)
+            expected = [
+                1.0 - np.trace(tensor_power(s, n).matrix @ e).real
+                for s, e in zip(states, det.elements)
+            ]
+            got = list(misses(states, det.elements, n))
             np.testing.assert_allclose(got, expected, atol=1e-14)
 
-    def test_builds_one_state_at_a_time(self):
+    def test_builds_one_state_at_a_time(self, monkeypatch):
         # Every state built so far is gone when the next one is built.
+        from qmultitest import detectors
+
         states = [random_density(2, 2, 170 + k) for k in range(4)]
-        det = pgm([tensor_power(s, 3) for s in states])
+        det = pgm(states, 3)
         built = []
 
-        def builder(state):
-            def build():
-                assert all(ref() is None for ref in built)
-                power = tensor_power(state, 3)
-                built.append(weakref.ref(power.matrix))
-                return power
+        def tracked(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            assert all(ref() is None for ref in built)
+            power = tensor_power(rho, n, dim_cap)
+            built.append(weakref.ref(power.matrix))
+            return power
 
-            return build
-
-        total = sum(misses([builder(s) for s in states], det.elements))
+        monkeypatch.setattr(detectors, "tensor_power", tracked)
+        total = sum(misses(states, det.elements, 3))
         assert len(built) == 4
         assert 0.0 <= total <= 4.0
+
+    def test_count_mismatch_raises(self):
+        states = [random_density(2, 2, 180 + k) for k in range(3)]
+        elements = pgm(states).elements
+        with pytest.raises(ValueError):
+            list(misses(states[:2], elements))
+        with pytest.raises(ValueError):
+            list(misses([*states, states[0]], elements))
+
+
+class TestCopiesArgument:
+    """A construction given one-copy states and ``n`` is bitwise the same
+    construction given the explicit n-copy states."""
+
+    CASES = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
+
+    @staticmethod
+    def same(a, b):
+        assert [e.tobytes() for e in a.elements] == [e.tobytes() for e in b.elements]
+        assert a.dim == b.dim
+
+    @pytest.mark.parametrize("d,n", CASES)
+    def test_holevo_helstrom(self, d, n):
+        a, b = random_density(d, d, 8800 + n), random_density(d, d, 8900 + n)
+        explicit = holevo_helstrom(tensor_power(a, n), tensor_power(b, n))
+        self.same(holevo_helstrom(a, b, n), explicit)
+
+    @pytest.mark.parametrize("d,n", CASES)
+    def test_pgm_and_misses(self, d, n):
+        states = [random_density(d, d, 8810 + 10 * n + k) for k in range(3)]
+        powers = [tensor_power(s, n) for s in states]
+        det = pgm(states, n)
+        self.same(det, pgm(powers))
+        got = np.array(list(misses(states, det.elements, n)))
+        want = np.array(list(misses(powers, det.elements)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,n", CASES)
+    def test_compose_with_binary(self, d, n):
+        a, b = random_density(d, d, 8820 + n), random_density(d, d, 8920 + n)
+        partials = random_feasible_partials(d ** n, 2, 8830 + n)
+        det, trace = compose_with_binary(partials, a, b, n)
+        ref_det, ref = compose_with_binary(
+            partials, tensor_power(a, n), tensor_power(b, n)
+        )
+        self.same(det, ref_det)
+        assert (trace.wedge_trace, trace.term_partials) == (
+            ref.wedge_trace,
+            ref.term_partials,
+        )
 
 
 def dense_helstrom_misses(rho1, rho2, n):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qmultitest import (
+    DEFAULT_DIM_CAP,
     Ensemble,
     binary_chernoff_upper_check,
     chernoff_distance,
@@ -96,6 +97,13 @@ class TestLemmaBound:
         assert report.lhs == pytest.approx(0.0, abs=1e-10)
         assert report.rhs == pytest.approx(0.0, abs=1e-10)
         assert report.holds
+
+    def test_one_state_per_partial_element(self):
+        rho1, rho2, rho3 = (random_density(2, 2, 24 + k) for k in range(3))
+        partials = [np.eye(2) * 0.1]
+        for rest in ([], [rho3, rho3]):
+            with pytest.raises(ValueError, match="one state per partial"):
+                lemma_bound_check(rho1, rho2, partials, rest)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_seeded_configurations_hold(self, r):
@@ -279,6 +287,28 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="k_fit must be at least 2"):
                 run_experiment(ens, range(2, 5), k_fit=k_fit)
         assert chernoff_calls == []
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_split_row_builds_each_tail_state_once(self, r, monkeypatch):
+        # The tail's misses are taken once, in error_sum; the composition
+        # builds only the pair, twice.
+        from qmultitest import detectors
+
+        ens = Ensemble(tuple(random_density(2, 2, 160 + k) for k in range(r)))
+        built = []
+        original = detectors.tensor_power
+
+        def counted(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            built.append((id(rho), n))
+            return original(rho, n, dim_cap)
+
+        monkeypatch.setattr(detectors, "tensor_power", counted)
+        table = run_experiment(ens, [4], k_fit=2)
+        full = [built.count((id(s), 4)) for s in ens.states]
+        assert full == [3, 3] + [1] * (r - 2)
+        row = table.rows[0]
+        assert row.lemma_holds
+        assert row.lemma_rhs >= sum(row.report.per_state_error[2:])
 
     def test_binary_table_matches_decay_check(self):
         rho1, rho2 = random_density(2, 2, 111), random_density(2, 2, 112)

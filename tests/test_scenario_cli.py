@@ -349,6 +349,24 @@ class TestRunCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("r", ["2", "3"])
+    @pytest.mark.parametrize("w1", ["1.5", "1", "0", "-0.25", "nan"])
+    def test_weight_outside_unit_interval_refused(
+        self, tmp_path, capsys, chernoff_calls, r, w1
+    ):
+        path = str(tmp_path / "s.json")
+        gen = ["gen", "random", "--r", r, "--d", "2", "--seed", "3", "--out", path]
+        assert cli.main(gen) == 0
+        chernoff_calls.clear()
+        out = tmp_path / "t.json"
+        args = ["run", path, "--w1", w1, "--format", "json", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: w1 must lie in (0, 1), got {float(w1)}\n"
+        )
+        assert chernoff_calls == []  # refused before any work
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
