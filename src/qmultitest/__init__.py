@@ -25,7 +25,6 @@ from .detectors import (
     holevo_helstrom,
     pgm,
     validate_detector,
-    wedge,
 )
 from .evaluation import (
     BinaryDecayRow,
@@ -93,5 +92,4 @@ __all__ = [
     "run_experiment",
     "tensor_power",
     "validate_detector",
-    "wedge",
 ]

@@ -119,14 +119,41 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram(factor: np.ndarray) -> np.ndarray:
+    """``B B^dag``, positive semidefinite to machine precision."""
+    return _hermitize(factor @ factor.conj().T)
+
+
+def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
+    """One validated optimal binary test ``Detector((E_+, E_-))`` per
+    block, from the eigendecompositions of the blocks of a difference; the
+    zero floor is taken over all their eigenvalues together.  With ``V_+``
+    a block's eigenvectors above it and ``V_-`` the rest, both elements are
+    Gram forms, ``E_+ = V_+ V_+^dag`` and ``E_- = V_- V_-^dag``.  Entries
+    leave ``spectra`` as they are used, freeing their eigenvectors."""
+    floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
+    tests = []
+    while spectra:
+        w, v = spectra.pop(0)
+        # Eigenvalues ascend, so the kept ones are the last columns.
+        cut = int(np.count_nonzero(w <= floor))
+        plus, minus = _gram(v[:, cut:]), _gram(v[:, :cut])
+        del v
+        # Detector keeps frozen copies; drop ours before the checks run.
+        detector = Detector(len(w), (plus, minus))
+        del plus, minus
+        tests.append(validate_detector(detector))
+    return tests
+
+
 def holevo_helstrom(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
     n: int = 1,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Detector:
-    """Optimal binary test on ``n`` copies: project onto where
-    ``rho1^(x)n - rho2^(x)n`` is positive.
+    """Optimal binary test on ``n`` copies: ``E_+`` projects onto where
+    ``rho1^(x)n - rho2^(x)n`` is positive, ``E_-`` onto the rest.
 
     Eigenvalues of the difference within the zero floor are assigned to
     the second outcome, so the first element is the support of the
@@ -134,40 +161,15 @@ def holevo_helstrom(
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    # The n-copy states are temporaries, gone before the decomposition.
-    delta = (
-        tensor_power(rho1, n, dim_cap).matrix
-        - tensor_power(rho2, n, dim_cap).matrix
-    )
-    dim = delta.shape[0]
-    w, v = linalg.eigh(delta)
-    del delta
-    keep = (w > linalg.eig_floor(w)).astype(np.float64)
-    projector = (v * keep) @ v.conj().T
-    del w, v
-    first = _hermitize(projector)
-    del projector
-    # Detector keeps frozen copies; drop ours before the checks run.
-    detector = Detector(dim, (first, np.eye(dim) - first))
-    del first
-    return validate_detector(detector)
-
-
-def wedge(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Self-adjoint overlap operator of the optimal binary test.
-
-    Returns ``rho1 E2 + rho2 E1`` for the test ``{E1, E2}``; its trace is
-    the summed error of that test, which equals
-    ``1 - trace_norm(rho1 - rho2) / 2``.  The matrix need not be positive.
-    """
-    test = holevo_helstrom(rho1, rho2)
-    first, second = test.elements
-    left = rho1.matrix @ second + rho2.matrix @ first
-    right = second @ rho1.matrix + first @ rho2.matrix
-    defect = float(np.max(np.abs(left - right)))
-    if defect > 1e-9:
-        raise ArithmeticError(f"overlap operator asymmetry {defect:.3e}")
-    return left
+    # The n-copy states and their difference are temporaries, gone once
+    # the decomposition returns.
+    spectra = [
+        linalg.eigh(
+            tensor_power(rho1, n, dim_cap).matrix
+            - tensor_power(rho2, n, dim_cap).matrix
+        )
+    ]
+    return _helstrom_tests(spectra)[0]
 
 
 def pgm(
@@ -214,22 +216,29 @@ def pgm(
     return validate_detector(Detector(dim, tuple(elements)))
 
 
+def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
+    """``sum_{j != k} tr[A E_j]``, the weight of ``A`` on the other elements."""
+    return linalg.real_scalar(
+        sum(linalg.trace_product(matrix, e) for j, e in enumerate(elements) if j != k)
+    )
+
+
 def misses(
     states: Sequence[DensityMatrix],
     elements: Sequence[np.ndarray],
     n: int = 1,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Iterator[float]:
-    """Each hypothesis's miss ``1 - tr[rho_k^(x)n E_k]``, in order.
+    """Each hypothesis's miss ``sum_{j != k} tr[rho_k^(x)n E_j]``, in order.
 
-    Each n-copy state is built only for its own term, so at most one of
-    them is alive at a time.  A state count that differs from the element
-    count raises ``ValueError``.
+    The miss is the state's weight on the other elements, not
+    ``1 - tr[rho_k^(x)n E_k]``, so a tiny miss keeps its relative
+    precision.  Each n-copy state is built only for its own term, so at
+    most one of them is alive at a time.  A state count that differs from
+    the element count raises ``ValueError``.
     """
-    for state, element in zip(states, elements, strict=True):
-        yield linalg.real_scalar(
-            1.0 - linalg.trace_product(tensor_power(state, n, dim_cap).matrix, element)
-        )
+    for k, state in zip(range(len(elements)), states, strict=True):
+        yield _miss(tensor_power(state, n, dim_cap).matrix, elements, k)
 
 
 def helstrom_misses(
@@ -240,37 +249,26 @@ def helstrom_misses(
 ) -> tuple[float, float]:
     """The two misses of the optimal binary test on ``n`` copies.
 
-    Qubit pairs are tested block by block on their spin blocks
-    (``states.spin_blocks``): the difference of the n-copy states is the
-    direct sum of the blocks' differences, so its spectrum is the union
-    of theirs and the zero floor is taken over all of them together.
-    With ``V_+`` the eigenvectors above the floor and ``V_-`` the rest,
-    the misses are ``sum_t m_t tr[V_-^dag X_t V_-]`` and
-    ``sum_t m_t tr[V_+^dag Y_t V_+]``, sums of nonnegative terms with no
-    ``1 - x`` cancellation, so a tiny error keeps its relative precision.
-    Every block's test is checked as a POVM.  Other dimensions run the
-    dense ``holevo_helstrom`` and ``misses``.
+    Qubit pairs are tested on their spin blocks ``X_t``, ``Y_t``
+    (``states.spin_blocks``), whose differences are the blocks of the
+    n-copy states' difference, so one ``_helstrom_tests`` call builds every
+    block's test; the misses are ``sum_t m_t tr[X_t E_-,t]`` and
+    ``sum_t m_t tr[Y_t E_+,t]``.  Other dimensions run the dense
+    ``holevo_helstrom`` and ``misses``.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
     if rho1.dim != 2:
-        test = holevo_helstrom(rho1, rho2, n, dim_cap)
-        first, second = misses((rho1, rho2), test.elements, n, dim_cap)
+        elements = holevo_helstrom(rho1, rho2, n, dim_cap).elements
+        first, second = misses((rho1, rho2), elements, n, dim_cap)
         return first, second
     blocks = zip(spin_blocks(rho1, n, dim_cap), spin_blocks(rho2, n, dim_cap))
     pairs = [(m, x, y) for (m, x), (_, y) in blocks]
-    spectra = [linalg.eigh(x - y) for _, x, y in pairs]
-    floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
+    tests = _helstrom_tests([linalg.eigh(x - y) for _, x, y in pairs])
     first = second = 0.0
-    for (m, x, y), (w, v) in zip(pairs, spectra):
-        keep = w > floor
-        v_plus, v_minus = v[:, keep], v[:, ~keep]
-        projector = _hermitize(v_plus @ v_plus.conj().T)
-        validate_detector(
-            Detector(len(w), (projector, np.eye(len(w)) - projector))
-        )
-        first += m * linalg.real_scalar(np.vdot(v_minus, x @ v_minus))
-        second += m * linalg.real_scalar(np.vdot(v_plus, y @ v_plus))
+    for (m, x, y), test in zip(pairs, tests):
+        first += m * _miss(x, test.elements, 0)
+        second += m * _miss(y, test.elements, 1)
     return first, second
 
 
@@ -285,9 +283,9 @@ def compose_with_binary(
     optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``.
 
     The partial elements must sum below the identity; the leftover
-    weight ``Q = I - sum`` is handed to the Helstrom projections ``P``
-    of the pair as the Gram forms ``(P Q^(1/2))^dag (P Q^(1/2))
-    = Q^(1/2) P Q^(1/2)``, which stay positive to machine precision.
+    weight ``Q = I - sum`` is handed to the Helstrom projections ``E_+``
+    and ``E_-`` of the pair as the Gram forms ``(Q^(1/2) E)(Q^(1/2) E)^dag
+    = Q^(1/2) E Q^(1/2)``, which stay positive to machine precision.
     The trace records the pair's terms of the error bound.
     """
     partial_list = [np.asarray(p, dtype=np.complex128) for p in partials]
@@ -315,12 +313,8 @@ def compose_with_binary(
     sqrt_residual = _hermitize((v * np.sqrt(residual_values)) @ v.conj().T)
     del w, v
 
-    def _gram(projection: np.ndarray) -> np.ndarray:
-        half = projection @ sqrt_residual
-        return _hermitize(half.conj().T @ half)
-
     detector = Detector(
-        dim, (_gram(binary.elements[0]), _gram(binary.elements[1]), *partial_list)
+        dim, (*(_gram(sqrt_residual @ e) for e in binary.elements), *partial_list)
     )
     validate_detector(detector)
     # Read the binary parts back from the detector's frozen copies rather
@@ -344,14 +338,11 @@ def compose_with_binary(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
-    # The pair is built again only now.  The binary test's second element
-    # is I - P_1 itself; the complement I - P_2 is dropped as soon as its
-    # trace is taken.
+    # The pair is built again only now.  The overlap trace is the pair's
+    # misses under the binary test, ``tr[rho_1 E_-] + tr[rho_2 E_+]``.
     power_1 = tensor_power(rho1, n, dim_cap).matrix
-    wedge_1 = linalg.trace_product(power_1, binary.elements[1])
     power_2 = tensor_power(rho2, n, dim_cap).matrix
-    wedge_2 = linalg.trace_product(power_2, np.eye(dim) - binary.elements[1])
-    wedge_trace = linalg.real_scalar(wedge_1 + wedge_2)
+    wedge_trace = _miss(power_1, binary.elements, 0) + _miss(power_2, binary.elements, 1)
     term_partials = 2.0 * linalg.real_scalar(
         linalg.trace_product(power_1 + power_2, partial_sum)
     )

@@ -144,7 +144,7 @@ def error_sum(
     detector: Detector,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ErrorReport:
-    """Exact per-state errors ``tr[rho_i^(x)n (1 - E_i)]`` and their sum."""
+    """Exact per-state misses (``detectors.misses``) and their sum."""
     if detector.dim != ensemble.dim ** n:
         raise DimensionMismatch(
             f"detector dim {detector.dim} != {ensemble.dim}^{n}"

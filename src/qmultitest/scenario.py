@@ -51,6 +51,11 @@ class Scenario:
     labels: tuple[str, ...] | None
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are Python ints but not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _complex_entries(raw, where: str, expect_len: int | None = None) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=np.float64)
@@ -92,18 +97,21 @@ def _parse_state(
     if kind == "random":
         rank = spec.get("rank", dim)
         seed = spec.get("seed")
-        if not isinstance(rank, int) or not isinstance(seed, int):
-            raise ScenarioParseError(f"{where}: rank and seed must be integers")
+        for name, value in (("rank", rank), ("seed", seed)):
+            if not _is_integer(value):
+                raise ScenarioParseError(
+                    f"{where}.{name}: must be an integer, got {value!r}"
+                )
         return random_density(dim, rank, seed)
     if kind == "mix":
         base = spec.get("base")
-        if not isinstance(base, int) or not 0 <= base < len(parsed):
+        if not _is_integer(base) or not 0 <= base < len(parsed):
             raise ScenarioParseError(
                 f"{where}.base: must index an earlier state, got {base!r}"
             )
         other_spec = spec.get("other")
         if isinstance(other_spec, int):
-            if not 0 <= other_spec < len(parsed):
+            if not _is_integer(other_spec) or not 0 <= other_spec < len(parsed):
                 raise ScenarioParseError(
                     f"{where}.other: must index an earlier state, got {other_spec}"
                 )
@@ -111,7 +119,8 @@ def _parse_state(
         else:
             other = _parse_state(other_spec, dim, parsed, f"{where}.other")
         epsilon = spec.get("epsilon")
-        if not isinstance(epsilon, (int, float)) or not 0.0 <= epsilon <= 1.0:
+        number = _is_integer(epsilon) or isinstance(epsilon, float)
+        if not number or not 0.0 <= epsilon <= 1.0:
             raise ScenarioParseError(
                 f"{where}.epsilon: must be a number in [0, 1], got {epsilon!r}"
             )
@@ -124,12 +133,12 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level must be a JSON object")
     version = doc.get("version")
-    if version != SCENARIO_VERSION:
+    if not _is_integer(version) or version != SCENARIO_VERSION:
         raise ScenarioParseError(
             f"version: expected {SCENARIO_VERSION}, got {version!r}"
         )
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise ScenarioParseError(f"dim: expected a positive integer, got {dim!r}")
     specs = doc.get("states")
     if not isinstance(specs, list) or len(specs) < 2:

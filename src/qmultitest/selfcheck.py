@@ -17,9 +17,9 @@ from .detectors import (
     Detector,
     check_detector,
     compose_with_binary,
+    helstrom_misses,
     holevo_helstrom,
     pgm,
-    wedge,
 )
 from .evaluation import lemma_bound_check
 from .rng import SplitMix64
@@ -86,14 +86,15 @@ def suite_povm_validity(trials: int, seed: int) -> SuiteResult:
 
 
 def suite_wedge_identity(trials: int, seed: int) -> SuiteResult:
-    """Overlap trace equals ``1 - trace_norm(rho1 - rho2) / 2``."""
+    """The optimal binary test's summed error equals
+    ``1 - trace_norm(rho1 - rho2) / 2``."""
     result = SuiteResult("wedge-identity", trials, 0)
     for t in range(trials):
         d = 2 if t % 2 == 0 else 3
         base = seed + 1000 * t
         rho1 = random_density(d, d, base)
         rho2 = random_density(d, d, base + 1)
-        lhs = linalg.real_scalar(np.trace(wedge(rho1, rho2)))
+        lhs = sum(helstrom_misses(rho1, rho2, 1))
         rhs = 1.0 - linalg.trace_norm(rho1.matrix - rho2.matrix) / 2.0
         if abs(lhs - rhs) > 1e-10:
             _note(result, t, f"|{lhs!r} - {rhs!r}| > 1e-10")

@@ -49,6 +49,12 @@ def residual_oracle(partials):
     return residual, (sqrt_residual + sqrt_residual.conj().T) / 2.0
 
 
+def helstrom_error_oracle(a, b):
+    """``1 - ||A - B||_1 / 2``, the optimal binary test's summed error on
+    the states ``A`` and ``B``, from a raw spectrum."""
+    return 1.0 - 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 @pytest.fixture
 def chernoff_calls(monkeypatch):
     """List that grows by one per ``chernoff_distance`` call."""

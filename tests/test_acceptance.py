@@ -26,7 +26,6 @@ from qmultitest import (
     overall_bound_check,
     random_density,
     tensor_power,
-    wedge,
 )
 from qmultitest import linalg
 from qmultitest.detectors import compose_with_binary
@@ -132,7 +131,6 @@ def test_criterion_2_classical_reduction():
 
 def test_criterion_3_binary_optimality_identity():
     worst_norm = 0.0
-    worst_wedge = 0.0
     for k in range(100):
         d = 2 if k % 2 == 0 else 3
         rho1 = random_density(d, d, 9200 + k)
@@ -142,18 +140,12 @@ def test_criterion_3_binary_optimality_identity():
         via_norm = 1.0 - 0.5 * float(
             np.sum(np.abs(np.linalg.eigvalsh(rho1.matrix - rho2.matrix)))
         )
-        via_wedge = float(np.trace(wedge(rho1, rho2)).real)
         worst_norm = max(worst_norm, abs(err - via_norm))
-        worst_wedge = max(worst_wedge, abs(err - via_wedge))
-    ok = worst_norm <= 1e-10 and worst_wedge <= 1e-10
+    ok = worst_norm <= 1e-10
     report(
-        3,
-        "binary-optimality-identity",
-        ok,
-        f"vs trace norm {worst_norm:.2e}, vs wedge {worst_wedge:.2e}",
+        3, "binary-optimality-identity", ok, f"vs trace norm {worst_norm:.2e}"
     )
     assert worst_norm <= 1e-10
-    assert worst_wedge <= 1e-10
 
 
 def test_criterion_4_binary_exponential_decay():

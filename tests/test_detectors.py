@@ -19,7 +19,6 @@ from qmultitest import (
     random_density,
     tensor_power,
     validate_detector,
-    wedge,
 )
 from qmultitest import linalg
 from qmultitest.detectors import _sub_detector, helstrom_misses, misses
@@ -33,7 +32,7 @@ from qmultitest.errors import (
 )
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import residual_oracle
+from conftest import helstrom_error_oracle, residual_oracle
 
 
 def binary_sum_error(rho1, rho2, det):
@@ -86,27 +85,6 @@ class TestHolevoHelstrom:
             assert binary_sum_error(rho1, rho2, det) == pytest.approx(
                 expected, abs=1e-10
             )
-
-
-class TestWedge:
-    def test_orthogonal_pures_vanish(self):
-        out = wedge(pure_state([1.0, 0.0]), pure_state([0.0, 1.0]))
-        assert np.max(np.abs(out)) <= 1e-12
-
-    def test_same_state_returns_it(self):
-        rho = random_density(2, 2, 9)
-        out = wedge(rho, rho)
-        np.testing.assert_allclose(out, rho.matrix, atol=1e-12)
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_trace_identity_on_seeded_pairs(self):
-        for seed in range(100):
-            d = 2 if seed % 2 == 0 else 3
-            rho1 = random_density(d, d, 1000 + seed)
-            rho2 = random_density(d, d, 2000 + seed)
-            got = np.trace(wedge(rho1, rho2)).real
-            expected = 1.0 - 0.5 * linalg.trace_norm(rho1.matrix - rho2.matrix)
-            assert abs(got - expected) <= 1e-10
 
 
 class TestPgm:
@@ -327,9 +305,9 @@ class TestBuildSplitDetector:
             total += linalg.real_scalar(
                 1.0 - linalg.trace_product(power.matrix, det.elements[k])
             )
-        expected = np.trace(
-            wedge(tensor_power(rho1, 2), tensor_power(rho2, 2))
-        ).real
+        expected = helstrom_error_oracle(
+            tensor_power(rho1, 2).matrix, tensor_power(rho2, 2).matrix
+        )
         assert abs(total - expected) <= 1e-9
         assert trace.wedge_trace == pytest.approx(expected, abs=1e-10)
 
@@ -420,6 +398,23 @@ class TestMisses:
             ]
             got = list(misses(states, det.elements, n))
             np.testing.assert_allclose(got, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("sub", [None, "pgm", "recursive"])
+    def test_matches_one_minus_hit(self, sub):
+        # The weight on the other elements against 1 - tr[rho_k E_k] on a
+        # full-n PGM (sub=None) and on split detectors.
+        ens = Ensemble(tuple(random_density(2, 2, 190 + k) for k in range(4)))
+        n = 4
+        if sub is None:
+            det = pgm(ens.states, n)
+        else:
+            det = build_split_detector(ens, n, 0.5, sub)[0]
+        expected = [
+            1.0 - np.trace(tensor_power(s, n).matrix @ e).real
+            for s, e in zip(ens.states, det.elements)
+        ]
+        got = list(misses(ens.states, det.elements, n))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_builds_one_state_at_a_time(self, monkeypatch):
         # Every state built so far is gone when the next one is built.

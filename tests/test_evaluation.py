@@ -21,12 +21,13 @@ from qmultitest import (
     random_density,
     run_experiment,
     tensor_power,
-    wedge,
 )
 from qmultitest import linalg
 from qmultitest.detectors import Detector
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
+
+from conftest import helstrom_error_oracle
 
 
 def orthogonal_triple():
@@ -55,7 +56,7 @@ class TestErrorSum:
         det = holevo_helstrom(rho1, rho2)
         report = error_sum(ens, 1, det)
         assert report.err_sm == pytest.approx(
-            np.trace(wedge(rho1, rho2)).real, abs=1e-10
+            helstrom_error_oracle(rho1.matrix, rho2.matrix), abs=1e-10
         )
 
     def test_sum_plus_success_is_r(self):
@@ -84,7 +85,7 @@ class TestLemmaBound:
         rho1, rho2 = random_density(2, 2, 21), random_density(2, 2, 22)
         rho3 = random_density(2, 2, 23)
         report = lemma_bound_check(rho1, rho2, [np.zeros((2, 2))], [rho3])
-        wedge_trace = np.trace(wedge(rho1, rho2)).real
+        wedge_trace = helstrom_error_oracle(rho1.matrix, rho2.matrix)
         assert report.lhs == pytest.approx(wedge_trace + 1.0, abs=1e-10)
         assert report.rhs == pytest.approx(2 * wedge_trace + 1.0, abs=1e-10)
         assert report.term_partials == pytest.approx(0.0, abs=1e-12)
@@ -145,9 +146,9 @@ class TestOverallBound:
         )
         rho3 = pure_state([0.0, 0.0, 1.0])
         report = overall_bound_check(Ensemble((rho1, rho2, rho3)), 2)
-        expected = np.trace(
-            wedge(tensor_power(rho1, 2), tensor_power(rho2, 2))
-        ).real
+        expected = helstrom_error_oracle(
+            tensor_power(rho1, 2).matrix, tensor_power(rho2, 2).matrix
+        )
         assert report.lhs == pytest.approx(expected, abs=1e-9)
         assert report.holds
 
@@ -327,20 +328,25 @@ class TestRunExperiment:
     def test_pure_pair_errors_stay_exact(self):
         # |<psi|phi>|^2 = F: the optimal summed error on n copies is
         # F^n / (1 + sqrt(1 - F^n)), below exp(-n*xi) = F^n.  Errors of
-        # the form 1 - tr[rho E] bottom out near 1e-15 instead.
+        # the form 1 - tr[rho E] bottom out near 1e-15 instead.  The qubit
+        # pair runs on spin blocks, the qutrit pair on the dense test.
         fid = math.exp(-4.61)
-        ens = Ensemble(
-            (
-                pure_state([1.0, 0.0]),
-                pure_state([math.sqrt(fid), math.sqrt(1.0 - fid)]),
+        for d, n_max in ((2, 10), (3, 6)):
+            pad = [0.0] * (d - 2)
+            ens = Ensemble(
+                (
+                    pure_state([1.0, 0.0, *pad]),
+                    pure_state([math.sqrt(fid), math.sqrt(1.0 - fid), *pad]),
+                )
             )
-        )
-        table = run_experiment(ens, range(2, 11))
-        for row in table.rows:
-            power = fid**row.n
-            exact = power / (1.0 + math.sqrt(1.0 - power))
-            assert row.report.err_sm == pytest.approx(exact, rel=1e-12, abs=0.0)
-            assert row.report.err_sm <= row.binary_bound
+            table = run_experiment(ens, range(2, n_max + 1))
+            for row in table.rows:
+                power = fid**row.n
+                exact = power / (1.0 + math.sqrt(1.0 - power))
+                assert row.report.err_sm == pytest.approx(
+                    exact, rel=1e-12, abs=0.0
+                ), (d, row.n)
+                assert row.report.err_sm <= row.binary_bound
 
     def test_qubit_binary_row_builds_no_dense_operator(self, monkeypatch):
         from qmultitest import detectors, states

@@ -39,6 +39,13 @@ def two_state_doc():
     }
 
 
+def append_mix(**fields):
+    """A mutation that appends a mix of the two states, with ``fields``
+    overriding its entries."""
+    spec = {"type": "mix", "base": 0, "other": 1, "epsilon": 0.5, **fields}
+    return lambda doc: doc["states"].append(spec)
+
+
 def orthogonal_triple_doc():
     return {
         "version": 1,
@@ -121,6 +128,19 @@ class TestScenarioParsing:
                     0, {"type": "mix", "base": 1, "other": 0, "epsilon": 0.5}
                 ),
                 "base",
+            ),
+            # JSON booleans are not integers, though Python's bool is one.
+            (lambda d: d.update(version=True), r"^version: .* got True$"),
+            (lambda d: d.update(dim=True), r"^dim: .* got True$"),
+            (lambda d: d["states"][0].update(rank=True), r"states\[0\]\.rank"),
+            (lambda d: d["states"][0].update(seed=True), r"states\[0\]\.seed"),
+            (append_mix(base=False), r"states\[2\]\.base"),
+            (append_mix(other=True), r"states\[2\]\.other"),
+            (
+                append_mix(
+                    other={"type": "random", "rank": 2, "seed": 9}, epsilon=True
+                ),
+                r"states\[2\]\.epsilon",
             ),
         ],
     )
