@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -150,12 +151,19 @@ def chernoff_distance(
 
 def pairwise_distances(
     ensemble: Ensemble,
+    known: Mapping[tuple[int, int], ChernoffResult] | None = None,
 ) -> dict[tuple[int, int], ChernoffResult]:
-    """Chernoff result for every pair ``i < j`` of the ensemble."""
+    """Chernoff result for every pair ``i < j`` of the ensemble; a pair in
+    ``known`` takes that result instead of being computed again."""
+    known = known or {}
     out: dict[tuple[int, int], ChernoffResult] = {}
     for i in range(ensemble.r):
         for j in range(i + 1, ensemble.r):
-            out[(i, j)] = chernoff_distance(ensemble.states[i], ensemble.states[j])
+            out[(i, j)] = (
+                known[(i, j)]
+                if (i, j) in known
+                else chernoff_distance(ensemble.states[i], ensemble.states[j])
+            )
     return out
 
 
@@ -176,9 +184,13 @@ class PairwiseTable:
     condition are both read off this one table.
     """
 
-    def __init__(self, ensemble: Ensemble):
+    def __init__(
+        self,
+        ensemble: Ensemble,
+        known: Mapping[tuple[int, int], ChernoffResult] | None = None,
+    ):
         self.r = ensemble.r
-        distances = self.distances = pairwise_distances(ensemble)
+        distances = self.distances = pairwise_distances(ensemble, known)
         self.least = min(sorted(distances), key=lambda p: distances[p].exponent)
 
     def others_min(self, pair: tuple[int, int]) -> float:

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .chernoff import PairwiseTable, attainability_condition, chernoff_distance
+from .chernoff import PairwiseTable, chernoff_distance
 from .errors import (
     CalibrationFailed,
     DimensionCapExceeded,
@@ -36,7 +36,6 @@ from .scenario import (
     scenario_from_dict,
     write_text_atomic,
 )
-from .selfcheck import run_suites
 from .states import DEFAULT_DIM_CAP, Ensemble, mix, random_density
 
 CSV_HEADER = (
@@ -227,6 +226,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Only this command runs the self-checks; importing them here keeps the
+    # other commands' start-up shorter.
+    from .selfcheck import run_suites
+
     passed, results = run_suites(args.trials, args.seed, self_test=args.self_test)
     for suite in results:
         status = "ok" if suite.passed else "FAIL"
@@ -240,9 +243,10 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _gen_condition_satisfying(r: int, d: int, seed: int) -> dict:
+def _gen_condition_satisfying(r: int, d: int, seed: int) -> tuple[dict, Ensemble]:
     """Calibrate a mixing weight so the first pair sits well inside the
-    attainability condition, then emit the reproducing specs.
+    attainability condition, then emit the reproducing specs, with the
+    calibrated ensemble.
 
     The first pair is a full-rank state mixed with a perturbation; tail
     states are drawn pure so the remaining pairs stay far apart and the
@@ -251,6 +255,8 @@ def _gen_condition_satisfying(r: int, d: int, seed: int) -> dict:
     base = random_density(d, d, seed)
     other = random_density(d, d, seed + 1)
     tail = [random_density(d, 1, seed + k) for k in range(2, r)]
+    # Only the pairs with the mixed state (index 1) change between halvings.
+    fixed: dict = {}
     for step in range(1, CALIBRATION_STEPS + 1):
         epsilon = 0.5 ** step
         second = mix(base, other, epsilon)
@@ -258,7 +264,9 @@ def _gen_condition_satisfying(r: int, d: int, seed: int) -> dict:
             ensemble = Ensemble((base, second, *tail))
         except ValueError:  # two states have become numerically identical
             break
-        report = attainability_condition(ensemble)
+        table = PairwiseTable(ensemble, fixed)
+        fixed = {p: res for p, res in table.distances.items() if 1 not in p}
+        report = table.condition()
         if report.holds and report.margin >= MARGIN_FRACTION * report.threshold:
             specs = [
                 {"type": "random", "rank": d, "seed": seed},
@@ -272,7 +280,7 @@ def _gen_condition_satisfying(r: int, d: int, seed: int) -> dict:
                 {"type": "random", "rank": 1, "seed": seed + k}
                 for k in range(2, r)
             ]
-            return scenario_document(d, specs)
+            return scenario_document(d, specs), ensemble
     raise CalibrationFailed(
         f"no feasible mixing weight within {CALIBRATION_STEPS} halvings"
     )
@@ -305,10 +313,15 @@ def cmd_gen(args) -> int:
     if args.kind == "condition-satisfying":
         if args.r < 3:
             raise ValueError("condition-satisfying needs r >= 3")
-        doc = _gen_condition_satisfying(args.r, args.d, args.seed)
-        scenario = scenario_from_dict(doc)
-        if not attainability_condition(scenario.ensemble).holds:
-            raise CalibrationFailed("generated scenario fails its own condition")
+        doc, calibrated = _gen_condition_satisfying(args.r, args.d, args.seed)
+        # The file must rebuild the calibrated states bit for bit; then the
+        # condition that held for them holds for it.
+        rebuilt = scenario_from_dict(doc).ensemble.states
+        if any(
+            a.matrix.tobytes() != b.matrix.tobytes()
+            for a, b in zip(rebuilt, calibrated.states, strict=True)
+        ):
+            raise CalibrationFailed("generated scenario does not rebuild its states")
     elif args.kind == "equidistant-classical":
         doc = _gen_equidistant_classical(args.r, args.d)
         ensemble = scenario_from_dict(doc).ensemble

@@ -15,7 +15,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sectors
 from .errors import (
     DimensionMismatch,
     PartialsEqualIdentity,
@@ -75,12 +75,18 @@ class CompositionTrace:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Copy-budget split and the two sub-detectors' summed errors."""
+    """Copy-budget split and the two sub-detectors' summed errors.
+
+    ``parts`` are the sizes of consecutive runs of copies, covering all
+    ``n``, such that permuting copies inside a run leaves the detector
+    unchanged: the two sub-detectors' parts, side by side.
+    """
 
     n1: int
     n2: int
     sub_error_1: float
     sub_error_2: float
+    parts: tuple[int, ...]
 
 
 def check_detector(det: Detector) -> list[str]:
@@ -125,12 +131,13 @@ def _gram(factor: np.ndarray) -> np.ndarray:
 
 
 def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
-    """One validated optimal binary test ``Detector((E_+, E_-))`` per
-    block, from the eigendecompositions of the blocks of a difference; the
-    zero floor is taken over all their eigenvalues together.  With ``V_+``
-    a block's eigenvectors above it and ``V_-`` the rest, both elements are
-    Gram forms, ``E_+ = V_+ V_+^dag`` and ``E_- = V_- V_-^dag``.  Entries
-    leave ``spectra`` as they are used, freeing their eigenvectors."""
+    """One optimal binary test ``Detector((E_+, E_-))`` per block, from the
+    eigendecompositions of the blocks of a difference; the zero floor is
+    taken over all their eigenvalues together.  With ``V_+`` a block's
+    eigenvectors above it and ``V_-`` the rest, both elements are Gram
+    forms, ``E_+ = V_+ V_+^dag`` and ``E_- = V_- V_-^dag``.  Entries leave
+    ``spectra`` as they are used, freeing their eigenvectors.  The caller
+    validates the tests it keeps."""
     floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
     tests = []
     while spectra:
@@ -139,10 +146,9 @@ def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
         cut = int(np.count_nonzero(w <= floor))
         plus, minus = _gram(v[:, cut:]), _gram(v[:, :cut])
         del v
-        # Detector keeps frozen copies; drop ours before the checks run.
-        detector = Detector(len(w), (plus, minus))
+        # Detector keeps frozen copies; drop ours before anything else.
+        tests.append(Detector(len(w), (plus, minus)))
         del plus, minus
-        tests.append(validate_detector(detector))
     return tests
 
 
@@ -169,7 +175,7 @@ def holevo_helstrom(
             - tensor_power(rho2, n, dim_cap).matrix
         )
     ]
-    return _helstrom_tests(spectra)[0]
+    return validate_detector(_helstrom_tests(spectra)[0])
 
 
 def pgm(
@@ -267,6 +273,7 @@ def helstrom_misses(
     tests = _helstrom_tests([linalg.eigh(x - y) for _, x, y in pairs])
     first = second = 0.0
     for (m, x, y), test in zip(pairs, tests):
+        validate_detector(test)
         first += m * _miss(x, test.elements, 0)
         second += m * _miss(y, test.elements, 1)
     return first, second
@@ -278,6 +285,7 @@ def compose_with_binary(
     rho2: DensityMatrix,
     n: int = 1,
     dim_cap: int = DEFAULT_DIM_CAP,
+    parts: Sequence[int] = (),
 ) -> tuple[Detector, CompositionTrace]:
     """Complete partial elements on ``n`` copies to a full POVM with the
     optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``.
@@ -286,13 +294,40 @@ def compose_with_binary(
     weight ``Q = I - sum`` is handed to the Helstrom projections ``E_+``
     and ``E_-`` of the pair as the Gram forms ``(Q^(1/2) E)(Q^(1/2) E)^dag
     = Q^(1/2) E Q^(1/2)``, which stay positive to machine precision.
-    The trace records the pair's terms of the error bound.
+    Residual eigenvalues at or below the zero floor, taken over the whole
+    spectrum, are zeros of ``Q``.  The trace records the pair's terms of
+    the error bound.
+
+    ``parts``, sizes of consecutive runs of copies adding up to ``n``,
+    states that permuting copies inside a run leaves every partial
+    unchanged.  The work then runs on the copy-pair sectors of
+    ``sectors.layout``: each partial is replaced by its average over the
+    pair swaps, and the Helstrom test, ``Q``, ``Q^(1/2)`` and the pair's
+    elements are formed sector by sector.  Without parts there is one
+    sector, the dense operators themselves.  Every check runs on the dense
+    operators either way.
     """
     partial_list = [np.asarray(p, dtype=np.complex128) for p in partials]
     if not partial_list:
         raise ValueError("need at least one partial element")
-    binary = holevo_helstrom(rho1, rho2, n, dim_cap)
-    dim = binary.dim
+    if rho1.dim != rho2.dim:
+        raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
+    check_power(rho1, n, dim_cap)
+    parts = tuple(parts)
+    if parts and sum(parts) != n:
+        raise ValueError(f"parts {parts} do not add up to {n} copies")
+    layout = sectors.layout(rho1.dim, parts)
+    dim = rho1.dim ** n
+    difference = [
+        a - b
+        for a, b in zip(
+            sectors.power_blocks(rho1, n, layout, dim_cap),
+            sectors.power_blocks(rho2, n, layout, dim_cap),
+        )
+    ]
+    spectra = [linalg.eigh(block) for block in difference]
+    del difference
+    tests = _helstrom_tests(spectra)
     for k, p in enumerate(partial_list):
         if p.shape != (dim, dim):
             raise DimensionMismatch(f"partial {k} has shape {p.shape}")
@@ -300,33 +335,51 @@ def compose_with_binary(
         if lowest is not None:
             raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
 
+    # The average over the pair swaps keeps a partial's sector blocks and
+    # drops the rest, so Q is exactly block diagonal.
+    partial_list = [
+        sectors.from_blocks(sectors.to_blocks(p, layout), layout) for p in partial_list
+    ]
     partial_sum = _hermitize(sum(partial_list))
-    w, v = linalg.eigh(partial_sum)
-    if float(w[-1]) > 1.0 + TOL_ELEMENT_PSD:
-        raise PartialsExceedIdentity(
-            f"partial elements reach eigenvalue {w[-1]!r} > 1"
-        )
-    residual_values = np.clip(1.0 - w, 0.0, None)
-    if float(np.max(residual_values)) <= 1e-12:
+    spectra = [linalg.eigh(block) for block in sectors.to_blocks(partial_sum, layout)]
+    top = max(w[-1] for w, _ in spectra)
+    if float(top) > 1.0 + TOL_ELEMENT_PSD:
+        raise PartialsExceedIdentity(f"partial elements reach eigenvalue {top!r} > 1")
+    residual_values = [np.clip(1.0 - w, 0.0, None) for w, _ in spectra]
+    if max(float(np.max(q)) for q in residual_values) <= 1e-12:
         raise PartialsEqualIdentity("partial elements exhaust the identity")
-    residual = _hermitize((v * residual_values) @ v.conj().T)
-    sqrt_residual = _hermitize((v * np.sqrt(residual_values)) @ v.conj().T)
-    del w, v
+    # A residual eigenvalue that is zero in exact arithmetic comes out as
+    # rounding, whose square root would enter Q^(1/2) at ~1e-8.
+    floor = linalg.eig_floor(np.concatenate(residual_values))
+    residual, sqrt_residual = [], []
+    for (_, v), q in zip(spectra, residual_values):
+        q[q <= floor] = 0.0
+        residual.append(_hermitize((v * q) @ v.conj().T))
+        sqrt_residual.append(_hermitize((v * np.sqrt(q)) @ v.conj().T))
+    del spectra, v
 
-    detector = Detector(
-        dim, (*(_gram(sqrt_residual @ e) for e in binary.elements), *partial_list)
-    )
+    pair_elements = [
+        sectors.from_blocks(
+            [_gram(root @ t.elements[i]) for root, t in zip(sqrt_residual, tests)],
+            layout,
+        )
+        for i in (0, 1)
+    ]
+    detector = Detector(dim, (*pair_elements, *partial_list))
+    del pair_elements, partial_list
     validate_detector(detector)
     # Read the binary parts back from the detector's frozen copies rather
     # than keeping a second pair alive.
     first, second = detector.elements[:2]
-    pair_sum_defect = float(np.max(np.abs((first + second) - residual)))
+    pair_sum_defect = float(
+        np.max(np.abs((first + second) - sectors.from_blocks(residual, layout)))
+    )
     del residual
     if pair_sum_defect > TOL_SUM_IDENTITY:
         raise ArithmeticError(
             f"binary elements miss the residual by {pair_sum_defect:.3e}"
         )
-    sqrt_defect = np.eye(dim) - sqrt_residual
+    sqrt_defect = np.eye(dim) - sectors.from_blocks(sqrt_residual, layout)
     del sqrt_residual
     # (1 - (1-x)^(1/2))^2 <= x for x in [0, 1], as operators.
     gap = linalg.psd_violation(
@@ -338,6 +391,21 @@ def compose_with_binary(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
+    # The binary test is checked as one dense test, assembled from the
+    # sectors; one sector's test is that test already.
+    if layout.chunks:
+        tests = [
+            Detector(
+                dim,
+                tuple(
+                    sectors.from_blocks([t.elements[i] for t in tests], layout)
+                    for i in (0, 1)
+                ),
+            )
+        ]
+    (binary,) = tests
+    del tests
+    validate_detector(binary)
     # The pair is built again only now.  The overlap trace is the pair's
     # misses under the binary test, ``tr[rho_1 E_-] + tr[rho_2 E_+]``.
     power_1 = tensor_power(rho1, n, dim_cap).matrix
@@ -361,23 +429,25 @@ def _sub_detector(
     w1: float,
     strategy: SubStrategy,
     dim_cap: int,
-) -> Detector:
-    """Detector for ``{state^(x)copies}`` built per the chosen strategy.
+) -> tuple[Detector, tuple[int, ...]]:
+    """Detector for ``{state^(x)copies}`` built per the chosen strategy,
+    with the parts (``SplitReport.parts``) it is invariant under.
 
     The recursive strategy bottoms out in the binary test for two states
     and falls back to the square-root measurement once the copy budget can
-    no longer be split.
+    no longer be split; both are invariant under every permutation of the
+    copies, one part.
     """
     if strategy not in ("pgm", "recursive"):
         raise ValueError(f"unknown sub-detector strategy {strategy!r}")
     if strategy == "recursive" and len(states) == 2:
-        return holevo_helstrom(states[0], states[1], copies, dim_cap)
+        return holevo_helstrom(states[0], states[1], copies, dim_cap), (copies,)
     if strategy == "recursive" and can_split(copies, w1):
-        detector, _, _ = build_split_detector(
+        detector, _, split = build_split_detector(
             Ensemble(tuple(states)), copies, w1, "recursive", dim_cap
         )
-        return detector
-    return pgm(states, copies, dim_cap)
+        return detector, split.parts
+    return pgm(states, copies, dim_cap), (copies,)
 
 
 def build_split_detector(
@@ -394,7 +464,9 @@ def build_split_detector(
     on ``n1`` copies, the other the second state against the tail on
     ``n2`` copies; each tail hypothesis gets the tensor product of its two
     sub-elements, and the leftover weight goes to the optimal binary test
-    on the first pair's full ``n``-copy states.
+    on the first pair's full ``n``-copy states.  Every partial is invariant
+    under permuting copies inside each sub-detector's parts, so the
+    composition runs on their copy-pair sectors.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")
@@ -412,15 +484,16 @@ def build_split_detector(
     tail = list(ensemble.states[2:])
     side_1 = [first, *tail]
     side_2 = [second, *tail]
-    sub_1 = _sub_detector(side_1, n1, w1, sub, dim_cap)
-    sub_2 = _sub_detector(side_2, n2, w1, sub, dim_cap)
+    sub_1, parts_1 = _sub_detector(side_1, n1, w1, sub, dim_cap)
+    sub_2, parts_2 = _sub_detector(side_2, n2, w1, sub, dim_cap)
     sub_error_1 = sum(misses(side_1, sub_1.elements, n1, dim_cap))
     sub_error_2 = sum(misses(side_2, sub_2.elements, n2, dim_cap))
 
     partials = [
-        np.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
+        linalg.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
         for k in range(len(tail))
     ]
-    detector, trace = compose_with_binary(partials, first, second, n, dim_cap)
-    return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
+    parts = parts_1 + parts_2
+    detector, trace = compose_with_binary(partials, first, second, n, dim_cap, parts)
+    return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2, parts)
 

@@ -149,9 +149,22 @@ def trace_norm(a) -> float:
     return float(np.sum(np.abs(eigvalsh(a))))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, entry for entry: each entry is the one
+    product ``a_ij b_kl``, without ``np.kron``'s generic set-up, which costs
+    more than the product on small operators."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """``tr[A B]`` in O(d^2) without forming the product."""
-    return complex(np.sum(a * b.T))
+    """``tr[A B]`` for a Hermitian ``B``, in O(d^2) with no temporary.
+
+    ``np.vdot(B, A) = sum_ij conj(B_ij) A_ij``, which is ``sum_ij A_ij B_ji``
+    only because ``conj(B_ij) = B_ji``; a non-Hermitian ``B`` gives a wrong
+    trace.
+    """
+    return complex(np.vdot(b, a))
 
 
 def real_scalar(z, tol: float = 1e-9) -> float:

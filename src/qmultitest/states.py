@@ -164,7 +164,7 @@ def tensor_power(
         return rho
     out = rho.matrix
     for _ in range(n - 1):
-        out = np.kron(out, rho.matrix)
+        out = linalg.kron(out, rho.matrix)
     return _trusted_density(out)
 
 

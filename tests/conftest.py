@@ -40,12 +40,18 @@ def matrix_power(a, s):
     return (out + out.conj().T) / 2.0
 
 
-def residual_oracle(partials):
+def residual_oracle(partials, floor=False):
     """``Q = I - sum(partials)`` and ``Q^(1/2)`` from a raw decomposition,
-    independently of the composition under test."""
+    independently of the composition under test.  With ``floor``, the
+    eigenvalues of ``Q`` at or below ``1e-12`` times the largest are
+    zeros, in both."""
     residual = np.eye(partials[0].shape[0]) - sum(partials)
     w, v = np.linalg.eigh(residual)
-    sqrt_residual = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.clip(w, 0.0, None)
+    if floor:
+        w[w <= 1e-12 * np.max(w)] = 0.0
+        residual = (v * w) @ v.conj().T
+    sqrt_residual = (v * np.sqrt(w)) @ v.conj().T
     return residual, (sqrt_residual + sqrt_residual.conj().T) / 2.0
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import weakref
 
@@ -21,6 +22,7 @@ from qmultitest import (
     validate_detector,
 )
 from qmultitest import linalg
+from qmultitest import sectors
 from qmultitest.detectors import _sub_detector, helstrom_misses, misses
 from qmultitest.errors import (
     DimensionCapExceeded,
@@ -32,7 +34,7 @@ from qmultitest.errors import (
 )
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import helstrom_error_oracle, residual_oracle
+from conftest import helstrom_error_oracle, random_hermitian, residual_oracle
 
 
 def binary_sum_error(rho1, rho2, det):
@@ -250,7 +252,9 @@ class TestComposeOperatorKeyword:
             built.append((id(rho), n))
             return tensor_power(rho, n, dim_cap)
 
+        # The one-sector Helstrom test builds the pair through sectors.
         monkeypatch.setattr(detectors, "tensor_power", counted)
+        monkeypatch.setattr(sectors, "tensor_power", counted)
         det, trace = compose_with_binary(partials, states[0], states[1], 2)
         # The pair is built for the Helstrom test and again for the trace
         # terms; a tail state is never built.
@@ -260,6 +264,9 @@ class TestComposeOperatorKeyword:
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_split_terms_match_explicit_states(self, n):
+        # The split composes on copy-pair sectors; the reference is the
+        # one-sector composition of explicit n-copy states.  Measured: at
+        # most 9.1e-14 on the elements and a relative 3.3e-15 on the terms.
         ens = Ensemble(tuple(random_density(2, 2, 8400 + k) for k in range(3)))
         det, trace, split = build_split_detector(ens, n)
         first, second, tail = ens.states[0], ens.states[1], ens.states[2]
@@ -269,10 +276,205 @@ class TestComposeOperatorKeyword:
         ref_det, ref = compose_with_binary(
             partials, tensor_power(first, n), tensor_power(second, n)
         )
-        assert [e.tobytes() for e in det.elements] == [
-            e.tobytes() for e in ref_det.elements
+        for got, want in zip(det.elements, ref_det.elements, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert self.terms(trace) == pytest.approx(self.terms(ref), rel=1e-12)
+
+
+def explicit_w(d, parts):
+    """The layout's ``W`` as a dense matrix: the tensor product of the pair
+    basis on each pair and the identity on each lone copy, its columns
+    grouped by sector; with the sector slices."""
+    layout = sectors.layout(d, parts)
+    pair, _ = sectors.pair_basis(d)
+    factors = [pair if site == 2 else np.eye(d) for site in layout.sites]
+    full = factors[0]
+    for f in factors[1:]:
+        full = np.kron(full, f)
+    flats = [ix[0].reshape(-1) for ix in layout.index]
+    edges = np.cumsum([0] + [len(f) for f in flats])
+    slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return full[:, np.concatenate(flats)], slices
+
+
+class TestSectors:
+    """The copy-pair sector layout against an explicit ``W``."""
+
+    LAYOUTS = [
+        (2, (2,)), (2, (3, 3)), (2, (2, 3, 2, 3)), (3, (1, 2)), (3, (2, 2)), (4, (2, 1))
+    ]
+
+    @pytest.mark.parametrize("d,parts", LAYOUTS)
+    def test_w_is_orthogonal(self, d, parts):
+        w, slices = explicit_w(d, parts)
+        assert w.shape == (d ** sum(parts),) * 2
+        assert np.max(np.abs(w.T @ w - np.eye(len(w)))) <= 1e-15
+        # Each pair has d(d+1)/2 symmetric and d(d-1)/2 antisymmetric
+        # vectors, first pair most significant; a lone copy keeps all d.
+        halves = (d * (d + 1) // 2, d * (d - 1) // 2)
+        pairs = sum(m // 2 for m in parts)
+        lone = d ** sum(m % 2 for m in parts)
+        sizes = [
+            math.prod(halves[b] for b in labels) * lone
+            for labels in itertools.product((0, 1), repeat=pairs)
         ]
-        assert self.terms(trace) == self.terms(ref)
+        assert [sl.stop - sl.start for sl in slices] == sizes
+
+    @pytest.mark.parametrize("d,parts", LAYOUTS)
+    def test_one_copy_blocks_match_the_n_copy_state(self, d, parts):
+        n = sum(parts)
+        w, slices = explicit_w(d, parts)
+        rho = random_density(d, d, 9100 + 10 * d + n)
+        rotated = w.T @ tensor_power(rho, n).matrix @ w
+        layout = sectors.layout(d, parts)
+        blocks = sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)
+        off = rotated.copy()
+        for sl, block in zip(slices, blocks, strict=True):
+            assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-15
+            off[sl, sl] = 0.0
+        assert np.max(np.abs(off)) <= 1e-15
+
+    @pytest.mark.parametrize("d,parts", LAYOUTS)
+    def test_basis_changes_match_explicit_w(self, d, parts, np_rng):
+        layout = sectors.layout(d, parts)
+        w, slices = explicit_w(d, parts)
+        x = random_hermitian(np_rng, len(w))
+        rotated = w.T @ x @ w
+        blocks = sectors.to_blocks(x, layout)
+        for sl, block in zip(slices, blocks, strict=True):
+            assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-13
+        kept = np.zeros_like(rotated)
+        for sl in slices:
+            kept[sl, sl] = rotated[sl, sl]
+        back = sectors.from_blocks(blocks, layout)
+        assert np.max(np.abs(back - w @ kept @ w.T)) <= 1e-13
+
+    def test_no_pair_is_one_sector(self):
+        x = np.eye(8, dtype=complex)
+        for parts in [(), (1, 1, 1)]:
+            layout = sectors.layout(2, parts)
+            (block,) = sectors.to_blocks(x, layout)
+            assert block is x and sectors.from_blocks([x], layout) is x
+
+    def test_layout_is_built_once(self):
+        assert sectors.layout(2, (3, 3)) is sectors.layout(2, (3, 3))
+
+    @pytest.mark.parametrize(
+        "r,parts", [(3, (4,)), (4, (2, 2)), (5, (1, 1, 1, 1))]
+    )
+    def test_sub_detector_parts(self, r, parts):
+        states = [random_density(2, 2, 9200 + k) for k in range(r - 1)]
+        _, got = _sub_detector(states, 4, 0.5, "recursive", DEFAULT_DIM_CAP)
+        assert got == parts
+        _, got = _sub_detector(states, 4, 0.5, "pgm", DEFAULT_DIM_CAP)
+        assert got == (4,)
+
+    @pytest.mark.parametrize(
+        "r,sub,parts",
+        [
+            (3, "pgm", (3, 3)),
+            (4, "pgm", (3, 3)),
+            (5, "pgm", (3, 3)),
+            (3, "recursive", (3, 3)),
+            (4, "recursive", (1, 2, 1, 2)),
+            (5, "recursive", (1, 1, 1, 1, 1, 1)),
+        ],
+    )
+    def test_split_parts(self, r, sub, parts):
+        ens = Ensemble(tuple(random_density(2, 2, 9300 + k) for k in range(r)))
+        _, _, split = build_split_detector(ens, 6, 0.5, sub)
+        assert split.parts == parts
+
+
+def rows_without_parts(ensemble, ns, sub, monkeypatch):
+    """``run_experiment`` rows with every composition on one sector."""
+    from qmultitest import detectors
+    from qmultitest.evaluation import run_experiment
+
+    original = detectors.compose_with_binary
+
+    def one_sector(partials, rho1, rho2, n, dim_cap, parts):
+        return original(partials, rho1, rho2, n, dim_cap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(detectors, "compose_with_binary", one_sector)
+        return run_experiment(ensemble, ns, sub=sub, k_fit=2).rows
+
+
+class TestSectorComposition:
+    """Split rows on copy-pair sectors against the one-sector (dense)
+    composition.  Tolerance: 1e-12 relative on every error and bound
+    column and 1e-12 absolute on the rate; the largest differences
+    measured over r = 3..5 and d = 2..4 were 1.1e-14 and 2.1e-13
+    relative."""
+
+    TOL = 1e-12
+
+    def same_rows(self, got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.n, a.n1, a.n2) == (b.n, b.n1, b.n2)
+            assert a.report.per_state_error == pytest.approx(
+                b.report.per_state_error, rel=self.TOL, abs=self.TOL
+            )
+            for column in ("lemma_rhs", "overall_rhs"):
+                assert getattr(a, column) == pytest.approx(
+                    getattr(b, column), rel=self.TOL
+                )
+            assert a.report.err_sm == pytest.approx(b.report.err_sm, rel=self.TOL)
+            assert a.rate == pytest.approx(b.rate, abs=self.TOL)
+            assert (a.lemma_holds, a.overall_holds) == (b.lemma_holds, b.overall_holds)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    @pytest.mark.parametrize("d,n_max", [(2, 7), (3, 4), (4, 3)])
+    def test_rows_match_one_sector(self, d, n_max, sub, monkeypatch):
+        from qmultitest.evaluation import run_experiment
+
+        for r in (3, 4):
+            states = [random_density(d, d, 9400 + 10 * r + k) for k in range(r)]
+            ens = Ensemble(tuple(states))
+            ns = range(2, n_max + 1)
+            got = run_experiment(ens, ns, sub=sub, k_fit=2).rows
+            self.same_rows(got, rows_without_parts(ens, ns, sub, monkeypatch))
+
+    def test_qubit_row_at_1024(self, monkeypatch):
+        from qmultitest.cli import _gen_condition_satisfying
+        from qmultitest.evaluation import run_experiment
+        from qmultitest.scenario import scenario_from_dict
+
+        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0]).ensemble
+        got = run_experiment(ens, [10], k_fit=2).rows
+        self.same_rows(got, rows_without_parts(ens, [10], "pgm", monkeypatch))
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_floor_bounds_the_move_of_recursive_rows(self, seed):
+        # With projection partials some residual eigenvalues are zero in
+        # exact arithmetic.  The composition zeroes those at or below the
+        # floor; unfloored, their rounding (~1e-16) puts ~1e-8 into
+        # Q^(1/2).  Measured on these rows: the floor moves the elements by
+        # at most 1.1e-8 and err_sm by a relative 4.3e-9.
+        from qmultitest.cli import _gen_condition_satisfying
+        from qmultitest.scenario import scenario_from_dict
+
+        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, seed)[0]).ensemble
+        for n in range(2, 9):
+            det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
+            partials = list(det.elements[2:])
+            a, b = (tensor_power(s, n).matrix for s in ens.states[:2])
+            w, v = np.linalg.eigh(a - b)
+            keep = (w > 1e-12 * np.max(np.abs(w))).astype(np.float64)
+            tests = [(v * keep) @ v.conj().T, (v * (1.0 - keep)) @ v.conj().T]
+            errors = {}
+            for floor in (False, True):
+                _, sq = residual_oracle(partials, floor=floor)
+                ref = [sq @ e @ sq for e in tests] + partials
+                errors[floor] = sum(misses(ens.states, ref, n))
+                if floor:
+                    for got, want in zip(det.elements, ref):
+                        assert np.max(np.abs(got - want)) <= 1e-12
+            err = sum(misses(ens.states, det.elements, n))
+            assert err == pytest.approx(errors[True], rel=1e-12)
+            assert abs(errors[True] - errors[False]) <= 2e-8 * errors[False]
 
 
 def orthogonal_triple():
@@ -346,7 +548,8 @@ class TestBuildSplitDetector:
 class TestRecursiveDetector:
     def test_two_states_is_binary_test(self):
         rho1, rho2 = random_density(2, 2, 71), random_density(2, 2, 72)
-        rec = _sub_detector([rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP)
+        rec, parts = _sub_detector([rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP)
+        assert parts == (3,)
         direct = holevo_helstrom(tensor_power(rho1, 3), tensor_power(rho2, 3))
         for a, b in zip(rec.elements, direct.elements):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -583,7 +786,7 @@ class TestPsdFastPath:
 
     @pytest.fixture
     def kernel_sizes(self, monkeypatch):
-        sizes = {"eigvalsh": [], "cholesky": []}
+        sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
         for name in sizes:
             real = getattr(np.linalg, name)
 
@@ -605,6 +808,8 @@ class TestPsdFastPath:
         ens = Ensemble(tuple(random_density(2, 2, 20 + k) for k in range(3)))
         build_split_detector(ens, 6)
         assert kernel_sizes["eigvalsh"].count(64) == 0
+        # The Helstrom difference and the residual are decomposed by sector.
+        assert kernel_sizes["eigh"].count(64) == 0
         # Binary test (2), partial (1), composed detector (3), squared defect (1).
         assert kernel_sizes["cholesky"].count(64) == 7
 

@@ -176,11 +176,25 @@ def test_real_scalar_guards_residue():
 
 
 def test_trace_product_matches_full_product(np_rng):
-    a = random_hermitian(np_rng, 4)
-    b = random_hermitian(np_rng, 4)
-    assert linalg.trace_product(a, b) == pytest.approx(
-        complex(np.trace(a @ b)), abs=1e-12
+    # Only the second factor needs to be Hermitian.
+    for d in (1, 4, 64):
+        a = np_rng.normal(size=(d, d)) + 1j * np_rng.normal(size=(d, d))
+        b = random_hermitian(np_rng, d)
+        assert linalg.trace_product(a, b) == pytest.approx(
+            complex(np.trace(a @ b)), rel=1e-12, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "shapes", [((1, 1), (3, 3)), ((2, 2), (4, 4)), ((3, 2), (2, 5))]
+)
+def test_kron_is_numpy_kron_bit_for_bit(np_rng, shapes):
+    a, b = (
+        np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape)
+        for shape in shapes
     )
+    assert linalg.kron(a, b).tobytes() == np.kron(a, b).tobytes()
+    assert linalg.kron(a, b).shape == np.kron(a, b).shape
 
 
 def _unitary(rng, d):

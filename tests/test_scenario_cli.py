@@ -448,6 +448,32 @@ class TestGenCommand:
 
         assert attainability_condition(load_scenario(out).ensemble).holds
 
+    def test_calibration_computes_fixed_pairs_once(self, tmp_path, chernoff_calls):
+        out = tmp_path / "c.json"
+        assert cli.main(
+            ["gen", "condition-satisfying", "--r", "4", "--d", "2", "--seed", "1",
+             "--out", str(out)]
+        ) == 0
+        assert json.loads(out.read_text())["states"][1]["epsilon"] == 0.125
+        # Three halvings: all 6 pairs, then only the 3 pairs with the mixed
+        # state, twice.  The written scenario rebuilds the calibrated states,
+        # so its condition is not evaluated again.
+        assert len(chernoff_calls) == 6 + 3 + 3
+
+    def test_written_file_must_rebuild_the_calibrated_states(
+        self, monkeypatch, capsys
+    ):
+        original = cli._gen_condition_satisfying
+
+        def drifted(r, d, seed):
+            doc, calibrated = original(r, d, seed)
+            doc["states"][1]["epsilon"] /= 2.0
+            return doc, calibrated
+
+        monkeypatch.setattr(cli, "_gen_condition_satisfying", drifted)
+        assert cli.main(["gen", "condition-satisfying", "--seed", "3"]) == 1
+        assert "does not rebuild its states" in capsys.readouterr().err
+
     def test_equidistant_requires_three(self):
         assert cli.main(["gen", "equidistant-classical", "--r", "4"]) == 1
 
