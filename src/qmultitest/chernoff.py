@@ -37,14 +37,12 @@ class ChernoffResult:
     """Minimized overlap between two states.
 
     ``exponent`` is ``-log(f_min)`` in nats (``inf`` when the overlap
-    vanishes), ``s_opt`` the minimizing parameter, and ``curve`` an
-    optional sampling of ``(s, f(s))`` pairs.
+    vanishes) and ``s_opt`` the minimizing parameter.
     """
 
     exponent: float
     s_opt: float
     f_min: float
-    curve: tuple[tuple[float, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,7 @@ def _golden_minimize(fn, tol: float = GOLDEN_TOL) -> tuple[float, float]:
     return best_s, best_f
 
 
-def chernoff_distance(
-    rho1: DensityMatrix, rho2: DensityMatrix, samples: int = 0
-) -> ChernoffResult:
+def chernoff_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResult:
     """Minimize the overlap curve over [0, 1] and return the exponent.
 
     Golden-section search (the curve is convex) plus explicit endpoint
@@ -140,13 +136,9 @@ def chernoff_distance(
         f_end = curve.value(endpoint)
         if f_end < f_min:
             s_opt, f_min = endpoint, f_end
-    sampled = None
-    if samples > 0:
-        grid = np.linspace(0.0, 1.0, samples)
-        sampled = tuple((float(s), curve.value(float(s))) for s in grid)
     if f_min <= F_MIN_ZERO:
-        return ChernoffResult(math.inf, s_opt, 0.0, sampled)
-    return ChernoffResult(-math.log(f_min), s_opt, f_min, sampled)
+        return ChernoffResult(math.inf, s_opt, 0.0)
+    return ChernoffResult(-math.log(f_min), s_opt, f_min)
 
 
 def pairwise_distances(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -34,6 +34,12 @@ from .states import (
 
 TOL_ELEMENT_PSD = 1e-10
 TOL_SUM_IDENTITY = 1e-9
+# A partial's part outside the copy-pair sectors, in the Frobenius norm,
+# beyond which it is not invariant under the split's parts.  Dropping a
+# smaller part moves no trace with a state by more than this.  The
+# rounding of legitimate partials reaches ~1e-8: a PGM sub-detector on a
+# nearly singular average state amplifies it.
+TOL_INVARIANCE = 1e-6
 
 SubStrategy = Literal["pgm", "recursive"]
 
@@ -89,10 +95,19 @@ class SplitReport:
     parts: tuple[int, ...]
 
 
+def _identity_defect(elements: Iterable[np.ndarray], dim: int) -> float:
+    """Largest entry of ``sum_k E_k - I`` by absolute value."""
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for element in elements:
+        total += element
+    total.reshape(-1)[:: dim + 1] -= 1.0  # total - I, in place
+    return float(np.max(np.abs(total)))
+
+
 def check_detector(det: Detector) -> list[str]:
     """Return the list of POVM-validity violations (empty when valid)."""
     problems: list[str] = []
-    total = np.zeros((det.dim, det.dim), dtype=np.complex128)
+    summed = []
     for k, element in enumerate(det.elements):
         if element.shape != (det.dim, det.dim):
             problems.append(f"element {k} has shape {element.shape}")
@@ -104,9 +119,8 @@ def check_detector(det: Detector) -> list[str]:
             continue
         if lowest is not None:
             problems.append(f"element {k} has negative eigenvalue {lowest:.3e}")
-        total += element
-    total.reshape(-1)[:: det.dim + 1] -= 1.0  # total - I, in place
-    defect = float(np.max(np.abs(total)))
+        summed.append(element)
+    defect = _identity_defect(summed, det.dim)
     if defect > TOL_SUM_IDENTITY:
         problems.append(f"elements sum to identity only within {defect:.3e}")
     return problems
@@ -123,6 +137,19 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     out = a + a.conj().T
     out /= 2.0
     return out
+
+
+def _lowest(blocks: Iterable[np.ndarray], tol: float) -> float | None:
+    """``linalg.psd_violation`` of a block-diagonal operator from its
+    blocks: the lowest eigenvalue over all of them when it is below
+    ``-tol``, else ``None``."""
+    found = [linalg.psd_violation(block, tol) for block in blocks]
+    return min((x for x in found if x is not None), default=None)
+
+
+def _frobenius(blocks: Iterable[np.ndarray]) -> float:
+    """The Frobenius norm of a block-diagonal operator from its blocks."""
+    return math.sqrt(sum(np.vdot(block, block).real for block in blocks))
 
 
 def _gram(factor: np.ndarray) -> np.ndarray:
@@ -300,12 +327,17 @@ def compose_with_binary(
 
     ``parts``, sizes of consecutive runs of copies adding up to ``n``,
     states that permuting copies inside a run leaves every partial
-    unchanged.  The work then runs on the copy-pair sectors of
-    ``sectors.layout``: each partial is replaced by its average over the
-    pair swaps, and the Helstrom test, ``Q``, ``Q^(1/2)`` and the pair's
-    elements are formed sector by sector.  Without parts there is one
-    sector, the dense operators themselves.  Every check runs on the dense
-    operators either way.
+    unchanged; a partial whose part outside the copy-pair sectors of
+    ``sectors.layout`` exceeds ``TOL_INVARIANCE`` in the Frobenius norm is
+    refused, and a smaller part, rounding, is dropped.  The work then runs
+    on those sectors: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's
+    elements and the trace terms are formed sector by sector, and so are
+    the checks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is
+    the lowest over its blocks and its Frobenius norm is the one over its
+    blocks.  Checked on dense operators are only the composed detector's
+    sum to the identity and the positivity of a partial whose dropped
+    rounding exceeds the ``1e-10`` positivity tolerance.  Without parts
+    there is one sector, the dense operators themselves.
     """
     partial_list = [np.asarray(p, dtype=np.complex128) for p in partials]
     if not partial_list:
@@ -318,30 +350,42 @@ def compose_with_binary(
         raise ValueError(f"parts {parts} do not add up to {n} copies")
     layout = sectors.layout(rho1.dim, parts)
     dim = rho1.dim ** n
-    difference = [
-        a - b
-        for a, b in zip(
-            sectors.power_blocks(rho1, n, layout, dim_cap),
-            sectors.power_blocks(rho2, n, layout, dim_cap),
-        )
-    ]
-    spectra = [linalg.eigh(block) for block in difference]
-    del difference
-    tests = _helstrom_tests(spectra)
+    # The pair's blocks are kept for the trace terms; with one sector they
+    # are the dense n-copy states.
+    powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
+    tests = _helstrom_tests([linalg.eigh(a - b) for a, b in zip(*powers)])
+    problems = []
+    for i in (0, 1):
+        lowest = _lowest((t.elements[i] for t in tests), TOL_ELEMENT_PSD)
+        if lowest is not None:
+            problems.append(f"element {i} has negative eigenvalue {lowest:.3e}")
+    defect = _frobenius(sum(t.elements) - np.eye(t.dim) for t in tests)
+    if defect > TOL_SUM_IDENTITY:
+        problems.append(f"elements sum to identity only within {defect:.3e}")
+    if problems:
+        raise PSDViolation("invalid POVM: " + "; ".join(problems))
+
     for k, p in enumerate(partial_list):
         if p.shape != (dim, dim):
             raise DimensionMismatch(f"partial {k} has shape {p.shape}")
-        lowest = linalg.psd_violation(_hermitize(p), TOL_ELEMENT_PSD)
+        blocks, outside = sectors.to_blocks(p, layout)
+        if outside > TOL_INVARIANCE:
+            raise ValueError(
+                f"partial {k} is not invariant under the parts {parts}: "
+                f"{outside:.3e} of it lies outside the sectors"
+            )
+        lowest = _lowest(blocks, TOL_ELEMENT_PSD)
+        if lowest is None and outside > TOL_ELEMENT_PSD:
+            # The blocks decide the partial's positivity only up to the part
+            # outside them.
+            lowest = linalg.psd_violation(_hermitize(p), TOL_ELEMENT_PSD)
         if lowest is not None:
             raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
-
-    # The average over the pair swaps keeps a partial's sector blocks and
-    # drops the rest, so Q is exactly block diagonal.
-    partial_list = [
-        sectors.from_blocks(sectors.to_blocks(p, layout), layout) for p in partial_list
-    ]
-    partial_sum = _hermitize(sum(partial_list))
-    spectra = [linalg.eigh(block) for block in sectors.to_blocks(partial_sum, layout)]
+        # The rounding outside the sectors is dropped, so Q is exactly block
+        # diagonal.
+        partial_list[k] = sectors.from_blocks(blocks, layout)
+    sum_blocks, _ = sectors.to_blocks(_hermitize(sum(partial_list)), layout)
+    spectra = [linalg.eigh(block) for block in sum_blocks]
     top = max(w[-1] for w, _ in spectra)
     if float(top) > 1.0 + TOL_ELEMENT_PSD:
         raise PartialsExceedIdentity(f"partial elements reach eigenvalue {top!r} > 1")
@@ -358,63 +402,53 @@ def compose_with_binary(
         sqrt_residual.append(_hermitize((v * np.sqrt(q)) @ v.conj().T))
     del spectra, v
 
-    pair_elements = [
-        sectors.from_blocks(
-            [_gram(root @ t.elements[i]) for root, t in zip(sqrt_residual, tests)],
-            layout,
-        )
+    pair_blocks = [
+        [_gram(root @ t.elements[i]) for root, t in zip(sqrt_residual, tests)]
         for i in (0, 1)
     ]
-    detector = Detector(dim, (*pair_elements, *partial_list))
-    del pair_elements, partial_list
-    validate_detector(detector)
-    # Read the binary parts back from the detector's frozen copies rather
-    # than keeping a second pair alive.
-    first, second = detector.elements[:2]
-    pair_sum_defect = float(
-        np.max(np.abs((first + second) - sectors.from_blocks(residual, layout)))
+    for i, blocks in enumerate(pair_blocks):
+        lowest = _lowest(blocks, TOL_ELEMENT_PSD)
+        if lowest is not None:
+            raise PSDViolation(
+                f"invalid POVM: element {i} has negative eigenvalue {lowest:.3e}"
+            )
+    pair_sum_defect = _frobenius(
+        plus + minus - q for plus, minus, q in zip(*pair_blocks, residual)
     )
     del residual
     if pair_sum_defect > TOL_SUM_IDENTITY:
         raise ArithmeticError(
             f"binary elements miss the residual by {pair_sum_defect:.3e}"
         )
-    sqrt_defect = np.eye(dim) - sectors.from_blocks(sqrt_residual, layout)
-    del sqrt_residual
     # (1 - (1-x)^(1/2))^2 <= x for x in [0, 1], as operators.
-    gap = linalg.psd_violation(
-        _hermitize(partial_sum - sqrt_defect @ sqrt_defect), 1e-9
+    defects = (
+        (s, np.eye(len(root)) - root) for s, root in zip(sum_blocks, sqrt_residual)
     )
-    del sqrt_defect
+    gap = _lowest((_hermitize(s - e @ e) for s, e in defects), 1e-9)
+    del sqrt_residual
     if gap is not None:
         raise ArithmeticError(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
-    # The binary test is checked as one dense test, assembled from the
-    # sectors; one sector's test is that test already.
-    if layout.chunks:
-        tests = [
-            Detector(
-                dim,
-                tuple(
-                    sectors.from_blocks([t.elements[i] for t in tests], layout)
-                    for i in (0, 1)
-                ),
-            )
-        ]
-    (binary,) = tests
-    del tests
-    validate_detector(binary)
-    # The pair is built again only now.  The overlap trace is the pair's
-    # misses under the binary test, ``tr[rho_1 E_-] + tr[rho_2 E_+]``.
-    power_1 = tensor_power(rho1, n, dim_cap).matrix
-    power_2 = tensor_power(rho2, n, dim_cap).matrix
-    wedge_trace = _miss(power_1, binary.elements, 0) + _miss(power_2, binary.elements, 1)
-    term_partials = 2.0 * linalg.real_scalar(
-        linalg.trace_product(power_1 + power_2, partial_sum)
+    detector = Detector(
+        dim,
+        (*(sectors.from_blocks(b, layout) for b in pair_blocks), *partial_list),
     )
-    return detector, CompositionTrace(wedge_trace, term_partials)
+    del pair_blocks, partial_list
+    defect = _identity_defect(detector.elements, dim)
+    if defect > TOL_SUM_IDENTITY:
+        raise PSDViolation(
+            f"invalid POVM: elements sum to identity only within {defect:.3e}"
+        )
+    # The overlap trace is the pair's misses under the binary test,
+    # ``tr[rho_1 E_-] + tr[rho_2 E_+]``.
+    first = second = weight = 0.0
+    for a, b, test, s in zip(*powers, tests, sum_blocks):
+        first += _miss(a, test.elements, 0)
+        second += _miss(b, test.elements, 1)
+        weight += linalg.trace_product(a + b, s)
+    return detector, CompositionTrace(first + second, 2.0 * linalg.real_scalar(weight))
 
 
 def can_split(n: int, w1: float) -> bool:

@@ -118,12 +118,17 @@ def _change_basis(x: np.ndarray, lay: Layout, inverse: bool) -> np.ndarray:
     return x
 
 
-def to_blocks(x: np.ndarray, lay: Layout) -> list[np.ndarray]:
-    """The sector blocks of ``W^T X W``; ``[X]`` itself with one sector."""
+def to_blocks(x: np.ndarray, lay: Layout) -> tuple[list[np.ndarray], float]:
+    """The sector blocks of ``W^T X W`` and the Frobenius norm of its part
+    outside them; ``([X], 0.0)`` with one sector."""
     if not lay.chunks:
-        return [x]
+        return [x], 0.0
     y = _change_basis(np.ascontiguousarray(x), lay, inverse=False)
-    return [y[ix] for ix in lay.index]
+    blocks = []
+    for ix in lay.index:
+        blocks.append(y[ix])
+        y[ix] = 0.0
+    return blocks, math.sqrt(np.vdot(y, y).real)
 
 
 def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:

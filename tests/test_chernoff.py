@@ -139,12 +139,13 @@ class TestChernoffDistance:
         assert result.f_min <= min(f0, f1) + 1e-12
 
     def test_curve_samples(self):
+        # The minimum lies below the curve on an 11-point grid, ends included.
         rho = random_density(2, 2, 31)
         sigma = random_density(2, 2, 32)
-        result = chernoff_distance(rho, sigma, samples=11)
-        assert len(result.curve) == 11
-        assert result.curve[0][0] == 0.0 and result.curve[-1][0] == 1.0
-        assert all(result.f_min <= f + 1e-12 for _, f in result.curve)
+        result = chernoff_distance(rho, sigma)
+        grid = np.linspace(0.0, 1.0, 11)
+        curve = [chernoff_curve(rho, sigma, float(s)) for s in grid]
+        assert all(result.f_min <= f + 1e-12 for f in curve)
 
     def test_classical_reduction(self):
         # commuting states reduce to the scalar classical exponent
@@ -253,7 +254,7 @@ class TestEnsembleQuantities:
         index = {id(state): k for k, state in enumerate(ens.states)}
         exponents = {(0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.25}
 
-        def fixed(rho1, rho2, samples=0):
+        def fixed(rho1, rho2):
             x = exponents[(index[id(rho1)], index[id(rho2)])]
             return ChernoffResult(x, 0.5, math.exp(-x))
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -241,7 +242,7 @@ class TestComposeOperatorKeyword:
         return (trace.wedge_trace, trace.term_partials)
 
     @pytest.mark.parametrize("r", [3, 4])
-    def test_builds_the_pair_twice_and_no_tail_state(self, r, monkeypatch):
+    def test_builds_the_pair_once_and_no_tail_state(self, r, monkeypatch):
         from qmultitest import detectors
 
         states = [random_density(2, 2, 8100 + 10 * r + k) for k in range(r)]
@@ -256,9 +257,9 @@ class TestComposeOperatorKeyword:
         monkeypatch.setattr(detectors, "tensor_power", counted)
         monkeypatch.setattr(sectors, "tensor_power", counted)
         det, trace = compose_with_binary(partials, states[0], states[1], 2)
-        # The pair is built for the Helstrom test and again for the trace
-        # terms; a tail state is never built.
-        assert built == [(id(states[0]), 2), (id(states[1]), 2)] * 2
+        # The pair is built once, for the Helstrom test and the trace terms;
+        # a tail state is never built.
+        assert built == [(id(states[0]), 2), (id(states[1]), 2)]
         assert all(isinstance(term, float) for term in self.terms(trace))
         assert len(det.elements) == r
 
@@ -340,12 +341,13 @@ class TestSectors:
         w, slices = explicit_w(d, parts)
         x = random_hermitian(np_rng, len(w))
         rotated = w.T @ x @ w
-        blocks = sectors.to_blocks(x, layout)
+        blocks, outside = sectors.to_blocks(x, layout)
         for sl, block in zip(slices, blocks, strict=True):
             assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-13
         kept = np.zeros_like(rotated)
         for sl in slices:
             kept[sl, sl] = rotated[sl, sl]
+        assert outside == pytest.approx(np.linalg.norm(rotated - kept), rel=1e-13)
         back = sectors.from_blocks(blocks, layout)
         assert np.max(np.abs(back - w @ kept @ w.T)) <= 1e-13
 
@@ -353,8 +355,9 @@ class TestSectors:
         x = np.eye(8, dtype=complex)
         for parts in [(), (1, 1, 1)]:
             layout = sectors.layout(2, parts)
-            (block,) = sectors.to_blocks(x, layout)
-            assert block is x and sectors.from_blocks([x], layout) is x
+            (block,), outside = sectors.to_blocks(x, layout)
+            assert block is x and outside == 0.0
+            assert sectors.from_blocks([x], layout) is x
 
     def test_layout_is_built_once(self):
         assert sectors.layout(2, (3, 3)) is sectors.layout(2, (3, 3))
@@ -475,6 +478,122 @@ class TestSectorComposition:
             err = sum(misses(ens.states, det.elements, n))
             assert err == pytest.approx(errors[True], rel=1e-12)
             assert abs(errors[True] - errors[False]) <= 2e-8 * errors[False]
+
+
+def rounded_negative_partial():
+    """A positive swap-invariant partial plus a 7.1e-7 part outside the
+    sectors, which couples its kernel vector ``|00>`` to the antisymmetric
+    ``|a>`` and gives it the eigenvalue -2.5e-9."""
+    sym = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    anti = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    zero = np.eye(4)[0]
+    invariant = 0.5 * (np.outer(sym, sym) + np.diag([0.0, 0.0, 0.0, 1.0]))
+    invariant += 1e-4 * np.outer(anti, anti)
+    return invariant + 5e-7 * (np.outer(zero, anti) + np.outer(anti, zero))
+
+
+class TestSectorChecks:
+    """The composition's checks on copy-pair sectors refuse what the
+    one-sector (dense) checks refuse, with the same exception and message,
+    and the dense oracle accepts every split row they accept."""
+
+    @staticmethod
+    def refusal(partials, parts):
+        rho1, rho2 = random_density(2, 2, 9500), random_density(2, 2, 9501)
+        with pytest.raises(ValueError) as info:
+            compose_with_binary(partials, rho1, rho2, sum(parts), parts=parts)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize(
+        "partials,error",
+        [
+            # Swap invariant, with eigenvalue -0.05.
+            ([np.kron(np.diag([0.5, -0.1]), np.diag([0.5, -0.1]))], PSDViolation),
+            # Positive blocks, and 7.1e-7 outside them that hides the
+            # eigenvalue -2.5e-9.
+            ([rounded_negative_partial()], PSDViolation),
+            ([1.5 * np.kron(np.diag([1.0, 0.5]), np.diag([1.0, 0.5]))],
+             PartialsExceedIdentity),
+            ([0.75 * np.eye(4), np.diag([0.5, 0.25, 0.25, 0.0])],
+             PartialsExceedIdentity),
+            ([np.eye(4)], PartialsEqualIdentity),
+            ([np.diag([1.0, 0.5, 0.5, 0.0]), np.diag([0.0, 0.5, 0.5, 1.0])],
+             PartialsEqualIdentity),
+        ],
+    )
+    def test_sectors_refuse_what_one_sector_refuses(self, partials, error):
+        got = self.refusal(partials, (2,))
+        assert got == self.refusal(partials, (1, 1))
+        assert got[0] is error
+
+    def test_refuses_a_partial_outside_the_sectors(self):
+        # 0.5 |01><01| is not swap invariant; its swap average would be
+        # diag(0, .25, .25, 0).
+        partial = np.diag([0.0, 0.5, 0.0, 0.0])
+        error, message = self.refusal([0.1 * np.eye(4), partial], (2,))
+        assert error is ValueError
+        assert message == (
+            "partial 1 is not invariant under the parts (2,): "
+            "3.536e-01 of it lies outside the sectors"
+        )
+        rho1, rho2 = random_density(2, 2, 9500), random_density(2, 2, 9501)
+        det, _ = compose_with_binary([partial], rho1, rho2, 2, parts=(1, 1))
+        assert np.array_equal(det.elements[2], partial)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    @pytest.mark.parametrize(
+        "d,r,seed,n_max",
+        [
+            (2, 3, 7, 10),
+            (3, 4, None, 5),
+            # At n = 6 the PGM sub-detectors' average state is nearly
+            # singular, and their rounding leaves ~1e-9 of the partials
+            # outside the sectors.
+            (2, 5, 1305084, 6),
+        ],
+    )
+    def test_dense_oracle_accepts_every_split_row(
+        self, d, r, seed, n_max, sub, monkeypatch
+    ):
+        # Every composition of the table, the recursive sub-detectors'
+        # included: the composed detector and the binary test, assembled
+        # from its sectors, pass the dense check_detector.
+        from qmultitest import detectors
+        from qmultitest.cli import _gen_condition_satisfying
+        from qmultitest.scenario import scenario_from_dict
+
+        if seed is not None:
+            ens = scenario_from_dict(_gen_condition_satisfying(r, d, seed)[0]).ensemble
+        else:
+            ens = Ensemble(tuple(random_density(d, d, 9600 + k) for k in range(r)))
+        tests, checked = [], []
+        helstrom, compose = detectors._helstrom_tests, detectors.compose_with_binary
+
+        def recording(spectra):
+            tests.append(helstrom(spectra))
+            return tests[-1]
+
+        def checking(partials, rho1, rho2, n, dim_cap, parts):
+            before = len(tests)
+            det, trace = compose(partials, rho1, rho2, n, dim_cap, parts)
+            (blocks,) = tests[before:]
+            layout = sectors.layout(rho1.dim, parts)
+            binary = Detector(
+                det.dim,
+                tuple(
+                    sectors.from_blocks([t.elements[i] for t in blocks], layout)
+                    for i in (0, 1)
+                ),
+            )
+            assert check_detector(det) == [] and check_detector(binary) == []
+            checked.append((n, det.dim))
+            return det, trace
+
+        monkeypatch.setattr(detectors, "_helstrom_tests", recording)
+        monkeypatch.setattr(detectors, "compose_with_binary", checking)
+        for n in range(2, n_max + 1):
+            build_split_detector(ens, n, 0.5, sub)
+        assert (n_max, d ** n_max) in checked
 
 
 def orthogonal_triple():
@@ -806,12 +925,17 @@ class TestPsdFastPath:
 
     def test_split_checks_skip_full_size_eigvalsh(self, kernel_sizes):
         ens = Ensemble(tuple(random_density(2, 2, 20 + k) for k in range(3)))
-        build_split_detector(ens, 6)
+        _, _, split = build_split_detector(ens, 6)
+        assert split.parts == (3, 3)
         assert kernel_sizes["eigvalsh"].count(64) == 0
         # The Helstrom difference and the residual are decomposed by sector.
         assert kernel_sizes["eigh"].count(64) == 0
-        # Binary test (2), partial (1), composed detector (3), squared defect (1).
-        assert kernel_sizes["cholesky"].count(64) == 7
+        # So is every check, on the sectors of sizes 36, 12, 12 and 4, six
+        # per sector: binary test (2), partial (1), the pair's elements (2),
+        # squared defect (1).
+        assert kernel_sizes["cholesky"].count(64) == 0
+        per_size = collections.Counter(kernel_sizes["cholesky"])
+        assert (per_size[36], per_size[12], per_size[4]) == (6, 12, 6)
 
     def test_planted_negative_element_keeps_its_message(self):
         d = 256

@@ -291,9 +291,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_split_row_builds_each_tail_state_once(self, r, monkeypatch):
-        # The tail's misses are taken once, in error_sum; the composition
-        # builds only the pair, once for its trace terms (its Helstrom test
-        # runs on sector blocks made from one copy).
+        # Every state is built once, in error_sum, which also takes the
+        # tail's misses; the composition's Helstrom test and trace terms run
+        # on sector blocks made from one copy.
         from qmultitest import detectors
 
         ens = Ensemble(tuple(random_density(2, 2, 160 + k) for k in range(r)))
@@ -307,7 +307,7 @@ class TestRunExperiment:
         monkeypatch.setattr(detectors, "tensor_power", counted)
         table = run_experiment(ens, [4], k_fit=2)
         full = [built.count((id(s), 4)) for s in ens.states]
-        assert full == [2, 2] + [1] * (r - 2)
+        assert full == [1] * r
         row = table.rows[0]
         assert row.lemma_holds
         assert row.lemma_rhs >= sum(row.report.per_state_error[2:])
