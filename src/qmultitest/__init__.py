@@ -13,7 +13,6 @@ from .chernoff import (
     attainability_condition,
     chernoff_curve,
     chernoff_distance,
-    pairwise_distances,
 )
 from .detectors import (
     CompositionTrace,
@@ -32,12 +31,10 @@ from .evaluation import (
     ExperimentTable,
     ExponentSeries,
     LemmaReport,
-    OverallReport,
     binary_chernoff_upper_check,
     error_sum,
     exponent_estimate,
     lemma_bound_check,
-    overall_bound_check,
     run_experiment,
 )
 from .states import (
@@ -67,7 +64,6 @@ __all__ = [
     "ExperimentTable",
     "ExponentSeries",
     "LemmaReport",
-    "OverallReport",
     "PairwiseTable",
     "SplitReport",
     "attainability_condition",
@@ -84,8 +80,6 @@ __all__ = [
     "holevo_helstrom",
     "lemma_bound_check",
     "mix",
-    "overall_bound_check",
-    "pairwise_distances",
     "pgm",
     "pure_state",
     "random_density",

@@ -141,24 +141,6 @@ def chernoff_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResul
     return ChernoffResult(-math.log(f_min), s_opt, f_min)
 
 
-def pairwise_distances(
-    ensemble: Ensemble,
-    known: Mapping[tuple[int, int], ChernoffResult] | None = None,
-) -> dict[tuple[int, int], ChernoffResult]:
-    """Chernoff result for every pair ``i < j`` of the ensemble; a pair in
-    ``known`` takes that result instead of being computed again."""
-    known = known or {}
-    out: dict[tuple[int, int], ChernoffResult] = {}
-    for i in range(ensemble.r):
-        for j in range(i + 1, ensemble.r):
-            out[(i, j)] = (
-                known[(i, j)]
-                if (i, j) in known
-                else chernoff_distance(ensemble.states[i], ensemble.states[j])
-            )
-    return out
-
-
 def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, float]:
     """Non-strict test ``pair_distance <= others_min / 6`` with its margin."""
     threshold = others_min / CONDITION_DIVISOR
@@ -171,9 +153,10 @@ def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, flo
 class PairwiseTable:
     """Every pairwise Chernoff result of an ensemble, computed once.
 
-    ``least`` is the closest pair, ties broken toward the lexicographically
-    smallest; the ensemble's minimum exponent and the attainability
-    condition are both read off this one table.
+    ``distances`` maps each pair ``i < j`` to its result, taken from
+    ``known`` when it is there.  ``least`` is the closest pair, ties broken
+    toward the lexicographically smallest; the ensemble's minimum exponent
+    and the attainability condition are both read off this one table.
     """
 
     def __init__(
@@ -182,7 +165,14 @@ class PairwiseTable:
         known: Mapping[tuple[int, int], ChernoffResult] | None = None,
     ):
         self.r = ensemble.r
-        distances = self.distances = pairwise_distances(ensemble, known)
+        known = known or {}
+        distances = self.distances = {
+            (i, j): known[(i, j)]
+            if (i, j) in known
+            else chernoff_distance(ensemble.states[i], ensemble.states[j])
+            for i in range(self.r)
+            for j in range(i + 1, self.r)
+        }
         self.least = min(sorted(distances), key=lambda p: distances[p].exponent)
 
     def others_min(self, pair: tuple[int, int]) -> float:

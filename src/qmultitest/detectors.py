@@ -163,8 +163,9 @@ def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
     taken over all their eigenvalues together.  With ``V_+`` a block's
     eigenvectors above it and ``V_-`` the rest, both elements are Gram
     forms, ``E_+ = V_+ V_+^dag`` and ``E_- = V_- V_-^dag``.  Entries leave
-    ``spectra`` as they are used, freeing their eigenvectors.  The caller
-    validates the tests it keeps."""
+    ``spectra`` as they are used, freeing their eigenvectors.  The tests
+    are checked together, as blocks of one POVM: each element's lowest
+    eigenvalue, and ``E_+ + E_- - I`` in the Frobenius norm, over all blocks."""
     floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
     tests = []
     while spectra:
@@ -176,6 +177,16 @@ def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
         # Detector keeps frozen copies; drop ours before anything else.
         tests.append(Detector(len(w), (plus, minus)))
         del plus, minus
+    problems = []
+    for i in (0, 1):
+        lowest = _lowest((t.elements[i] for t in tests), TOL_ELEMENT_PSD)
+        if lowest is not None:
+            problems.append(f"element {i} has negative eigenvalue {lowest:.3e}")
+    defect = _frobenius(sum(t.elements) - np.eye(t.dim) for t in tests)
+    if defect > TOL_SUM_IDENTITY:
+        problems.append(f"elements sum to identity only within {defect:.3e}")
+    if problems:
+        raise PSDViolation("invalid POVM: " + "; ".join(problems))
     return tests
 
 
@@ -202,7 +213,7 @@ def holevo_helstrom(
             - tensor_power(rho2, n, dim_cap).matrix
         )
     ]
-    return validate_detector(_helstrom_tests(spectra)[0])
+    return _helstrom_tests(spectra)[0]
 
 
 def pgm(
@@ -300,7 +311,6 @@ def helstrom_misses(
     tests = _helstrom_tests([linalg.eigh(x - y) for _, x, y in pairs])
     first = second = 0.0
     for (m, x, y), test in zip(pairs, tests):
-        validate_detector(test)
         first += m * _miss(x, test.elements, 0)
         second += m * _miss(y, test.elements, 1)
     return first, second
@@ -354,16 +364,6 @@ def compose_with_binary(
     # are the dense n-copy states.
     powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
     tests = _helstrom_tests([linalg.eigh(a - b) for a, b in zip(*powers)])
-    problems = []
-    for i in (0, 1):
-        lowest = _lowest((t.elements[i] for t in tests), TOL_ELEMENT_PSD)
-        if lowest is not None:
-            problems.append(f"element {i} has negative eigenvalue {lowest:.3e}")
-    defect = _frobenius(sum(t.elements) - np.eye(t.dim) for t in tests)
-    if defect > TOL_SUM_IDENTITY:
-        problems.append(f"elements sum to identity only within {defect:.3e}")
-    if problems:
-        raise PSDViolation("invalid POVM: " + "; ".join(problems))
 
     for k, p in enumerate(partial_list):
         if p.shape != (dim, dim):
@@ -386,8 +386,8 @@ def compose_with_binary(
         partial_list[k] = sectors.from_blocks(blocks, layout)
     sum_blocks, _ = sectors.to_blocks(_hermitize(sum(partial_list)), layout)
     spectra = [linalg.eigh(block) for block in sum_blocks]
-    top = max(w[-1] for w, _ in spectra)
-    if float(top) > 1.0 + TOL_ELEMENT_PSD:
+    top = float(max(w[-1] for w, _ in spectra))
+    if top > 1.0 + TOL_ELEMENT_PSD:
         raise PartialsExceedIdentity(f"partial elements reach eigenvalue {top!r} > 1")
     residual_values = [np.clip(1.0 - w, 0.0, None) for w, _ in spectra]
     if max(float(np.max(q)) for q in residual_values) <= 1e-12:

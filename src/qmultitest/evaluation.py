@@ -2,7 +2,8 @@
 
 All error probabilities are exact traces against tensor-power states (no
 sampling); a qubit pair's binary test is evaluated on the states' spin
-blocks instead.  The two inequality checkers mirror the bound that the
+blocks instead.  The one-copy inequality checker and the two bounds that
+every split row of ``run_experiment`` records mirror the bound that the
 split construction is designed around: the summed error of the composed
 detector is controlled by the binary overlap term plus the sub-detectors'
 errors.
@@ -61,18 +62,6 @@ class LemmaReport:
     term_wedge: float
     term_partials: float
     term_rest: float
-
-
-@dataclass(frozen=True)
-class OverallReport:
-    """Multi-copy bound: summed error against binary overlap plus
-    four times the sub-detector errors."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-    wedge_trace: float
-    split: SplitReport
 
 
 @dataclass(frozen=True)
@@ -213,26 +202,6 @@ def lemma_bound_check(
         term_wedge=2.0 * trace.wedge_trace,
         term_partials=trace.term_partials,
         term_rest=term_rest,
-    )
-
-
-def overall_bound_check(
-    ensemble: Ensemble,
-    n: int,
-    w1: float = 0.5,
-    sub: SubStrategy = "pgm",
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> OverallReport:
-    """Check the multi-copy bound on a freshly built split detector."""
-    detector, trace, split = build_split_detector(ensemble, n, w1, sub, dim_cap)
-    report = error_sum(ensemble, n, detector, dim_cap)
-    rhs = _overall_rhs(trace, split)
-    return OverallReport(
-        lhs=report.err_sm,
-        rhs=rhs,
-        holds=report.err_sm <= rhs + BOUND_SLACK,
-        wedge_trace=trace.wedge_trace,
-        split=split,
     )
 
 

@@ -127,21 +127,14 @@ def psd_violation(a, tol: float = TOL_PSD) -> float | None:
     return lowest if lowest < -tol else None
 
 
-def _check_psd(values: np.ndarray, tol: float = TOL_PSD) -> None:
-    if values.size and float(values[0]) < -tol:
-        raise PSDViolation(f"matrix has negative eigenvalue {values[0]:.3e}")
-
-
-def _reconstruct(vectors: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    out = (vectors * diag) @ vectors.conj().T
-    return (out + out.conj().T) / 2.0
-
-
 def sqrt_psd(a) -> np.ndarray:
-    """PSD square root: returns B with ``B @ B = A``."""
+    """PSD square root: returns B with ``B @ B = A``; rejects ``A`` on
+    ``psd_violation``'s predicate, ``lambda_min < -TOL_PSD``."""
     w, v = eigh(a)
-    _check_psd(w)
-    return _reconstruct(v, np.sqrt(np.clip(w, 0.0, None)))
+    if w.size and float(w[0]) < -TOL_PSD:
+        raise PSDViolation(f"matrix has negative eigenvalue {w[0]:.3e}")
+    out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def trace_norm(a) -> float:

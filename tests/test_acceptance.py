@@ -23,8 +23,8 @@ from qmultitest import (
     exponent_estimate,
     holevo_helstrom,
     lemma_bound_check,
-    overall_bound_check,
     random_density,
+    run_experiment,
     tensor_power,
 )
 from qmultitest import linalg
@@ -240,9 +240,9 @@ def test_criterion_6_overall_bound():
         )
         for n in (2, 4, 6):
             for sub in ("pgm", "recursive"):
-                rep = overall_bound_check(ens, n, 0.5, sub)
-                worst = max(worst, rep.lhs - rep.rhs)
-                assert rep.holds, (k, n, sub)
+                row = run_experiment(ens, [n], 0.5, sub).rows[0]
+                worst = max(worst, row.report.err_sm - row.overall_rhs)
+                assert row.overall_holds, (k, n, sub)
     ok = worst <= 1e-9
     report(6, "overall-bound", ok, f"max lhs-rhs {worst:.2e}")
     assert worst <= 1e-9

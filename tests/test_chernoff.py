@@ -10,7 +10,6 @@ from qmultitest import (
     classical_state,
     density_from_matrix,
     mix,
-    pairwise_distances,
     pure_state,
     random_density,
     ChernoffResult,
@@ -207,20 +206,21 @@ class TestEnsembleQuantities:
         ens = Ensemble((rho, mix(rho, sigma, 0.05), far))
         value, pair = least_favorable(ens)
         assert pair == (0, 1)
-        distances = pairwise_distances(ens)
+        distances = PairwiseTable(ens).distances
         assert value <= distances[(0, 2)].exponent
         assert value <= distances[(1, 2)].exponent
 
     def test_minimum_over_all_pairs(self):
         ens = Ensemble(tuple(random_density(2, 2, 60 + k) for k in range(4)))
         value, _ = least_favorable(ens)
-        for result in pairwise_distances(ens).values():
+        for result in PairwiseTable(ens).distances.values():
             assert value <= result.exponent + 1e-12
 
     def test_excluding_pair_r3(self):
         ens = Ensemble(tuple(random_density(2, 2, 70 + k) for k in range(3)))
-        distances = pairwise_distances(ens)
-        got = PairwiseTable(ens).others_min((0, 1))
+        table = PairwiseTable(ens)
+        distances = table.distances
+        got = table.others_min((0, 1))
         assert got == pytest.approx(
             min(distances[(0, 2)].exponent, distances[(1, 2)].exponent)
         )
@@ -228,7 +228,7 @@ class TestEnsembleQuantities:
     def test_excluding_pair_r4_enumeration(self):
         ens = Ensemble(tuple(random_density(2, 2, 80 + k) for k in range(4)))
         table = PairwiseTable(ens)
-        distances = pairwise_distances(ens)
+        distances = table.distances
         for pair in distances:
             expected = min(
                 res.exponent for q, res in distances.items() if q != pair

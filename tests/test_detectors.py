@@ -174,8 +174,9 @@ class TestComposeWithBinary:
         return random_density(2, 2, 1), random_density(2, 2, 2)
 
     def test_rejects_oversized_partials(self):
-        with pytest.raises(PartialsExceedIdentity):
+        with pytest.raises(PartialsExceedIdentity) as info:
             compose_with_binary([np.eye(2) * 1.5], *self.pair())
+        assert str(info.value) == "partial elements reach eigenvalue 1.5 > 1"
 
     def test_rejects_exhausted_identity(self):
         with pytest.raises(PartialsEqualIdentity):
@@ -855,19 +856,41 @@ class TestHelstromMisses:
         expected = dense_helstrom_misses(rho1, rho2, 10)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_every_block_test_is_validated(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # Qubit spin blocks of sizes 6, 4 and 2.
+            lambda rho1, rho2: helstrom_misses(rho1, rho2, 5),
+            # One dense block.
+            lambda rho1, rho2: holevo_helstrom(rho1, rho2, 3),
+            # Copy-pair sectors of sizes 3 and 1.
+            lambda rho1, rho2: compose_with_binary(
+                [0.1 * np.eye(4)], rho1, rho2, 2, parts=(1, 1)
+            ),
+        ],
+        ids=["spin-blocks", "dense", "sectors"],
+    )
+    def test_a_corrupted_block_test_is_refused(self, build, monkeypatch):
+        # Every Helstrom test is checked where it is built: shifting the
+        # first block's E_+ by -1e-3 breaks its positivity or the sum to
+        # the identity, whichever block comes first.
         from qmultitest import detectors
 
-        sizes = []
-        original = detectors.validate_detector
+        original = detectors._gram
+        calls = []
 
-        def recording(det):
-            sizes.append(det.dim)
-            return original(det)
+        def corrupt_first(factor):
+            out = original(factor)
+            if not calls:
+                out -= 1e-3 * np.eye(len(out))
+            calls.append(len(out))
+            return out
 
-        monkeypatch.setattr(detectors, "validate_detector", recording)
-        helstrom_misses(random_density(2, 2, 730), random_density(2, 2, 731), 5)
-        assert sizes == [6, 4, 2]
+        monkeypatch.setattr(detectors, "_gram", corrupt_first)
+        rho1, rho2 = random_density(2, 2, 730), random_density(2, 2, 731)
+        with pytest.raises(PSDViolation, match="^invalid POVM: "):
+            build(rho1, rho2)
+        assert calls
 
     def test_rejects_mixed_dimensions_and_the_cap(self):
         with pytest.raises(DimensionMismatch):

@@ -16,7 +16,6 @@ from qmultitest import (
     holevo_helstrom,
     lemma_bound_check,
     mix,
-    overall_bound_check,
     pure_state,
     random_density,
     run_experiment,
@@ -120,11 +119,14 @@ class TestLemmaBound:
 
 
 class TestOverallBound:
+    """The multi-copy bound as every split row of ``run_experiment``
+    records it."""
+
     def test_orthogonal_ensemble_is_tight_at_zero(self):
-        report = overall_bound_check(orthogonal_triple(), 2)
-        assert report.lhs == pytest.approx(0.0, abs=1e-9)
-        assert report.rhs == pytest.approx(0.0, abs=1e-9)
-        assert report.holds
+        row = run_experiment(orthogonal_triple(), [2]).rows[0]
+        assert row.report.err_sm == pytest.approx(0.0, abs=1e-9)
+        assert row.overall_rhs == pytest.approx(0.0, abs=1e-9)
+        assert row.overall_holds
 
     @pytest.mark.parametrize("sub", ["pgm", "recursive"])
     def test_seeded_scenarios_hold(self, sub):
@@ -132,9 +134,9 @@ class TestOverallBound:
             ens = Ensemble(
                 tuple(random_density(2, 2, 500 + 10 * seed + k) for k in range(3))
             )
-            report = overall_bound_check(ens, 4, 0.5, sub)
-            assert report.holds
-            assert report.lhs >= 0.0
+            row = run_experiment(ens, [4], 0.5, sub).rows[0]
+            assert row.overall_holds
+            assert row.report.err_sm >= 0.0
 
     def test_orthogonal_tail_reduces_to_binary(self):
         base1, base2 = random_density(2, 2, 61), random_density(2, 2, 62)
@@ -145,12 +147,12 @@ class TestOverallBound:
             np.block([[base2.matrix, np.zeros((2, 1))], [np.zeros((1, 3))]])
         )
         rho3 = pure_state([0.0, 0.0, 1.0])
-        report = overall_bound_check(Ensemble((rho1, rho2, rho3)), 2)
+        row = run_experiment(Ensemble((rho1, rho2, rho3)), [2]).rows[0]
         expected = helstrom_error_oracle(
             tensor_power(rho1, 2).matrix, tensor_power(rho2, 2).matrix
         )
-        assert report.lhs == pytest.approx(expected, abs=1e-9)
-        assert report.holds
+        assert row.report.err_sm == pytest.approx(expected, abs=1e-9)
+        assert row.overall_holds
 
 
 class TestBinaryDecay:
@@ -414,17 +416,17 @@ def peak_operators_per_row(ensemble, n):
 class TestRowMemory:
     """Full-size operators live only from construction to last use.
 
-    Measured at D = 256: 12.16 matrices on a split row and 5.13 on a
-    dense binary row (d = 4).  Keeping the composition trace's five
-    operators and the n-copy states across the Helstrom decomposition
-    gives 17.16 and 7.13.  A qubit binary row builds no full-size
+    Measured at D = 256: 8.13 matrices on a split row, whose composition
+    runs on copy-pair sectors, and 5.13 on a dense binary row (d = 4).
+    Keeping the n-copy states across the Helstrom decomposition gives
+    7.13 on the binary row.  A qubit binary row builds no full-size
     operator: its blocks have size at most n + 1.
     """
 
     def test_split_row_peak(self):
         rho, sigma = random_density(2, 2, 9001), random_density(2, 2, 9002)
         ens = Ensemble((rho, mix(rho, sigma, 0.125), random_density(2, 1, 9003)))
-        assert peak_operators_per_row(ens, 8) <= 12.16 + 0.5
+        assert peak_operators_per_row(ens, 8) <= 8.13 + 0.5
 
     def test_binary_row_peak(self):
         ens = Ensemble((random_density(4, 4, 9011), random_density(4, 4, 9012)))
