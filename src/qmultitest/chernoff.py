@@ -62,8 +62,17 @@ class ConditionReport:
         return self.others_min / CONDITION_DIVISOR
 
 
+def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The logarithms of a state's eigenvalues above the zero floor, and
+    their eigenvectors."""
+    w, v = linalg.eigh(rho.matrix)
+    keep = w > linalg.eig_floor(w)
+    return np.log(w[keep]), v[:, keep]
+
+
 class _PairCurve:
-    """Overlap curve with the eigendecompositions done once.
+    """Overlap curve with each state's decomposition taken once, by
+    ``support`` (``_support`` unless the caller keeps them).
 
     With spectral data ``rho1 = sum_i a_i |u_i><u_i|`` and
     ``rho2 = sum_j b_j |v_j><v_j|`` the curve is the positive combination
@@ -71,17 +80,13 @@ class _PairCurve:
     eigenvalues above the zero floor.
     """
 
-    def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix):
+    def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix, support=_support):
         if rho1.dim != rho2.dim:
             raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-        w1, v1 = linalg.eigh(rho1.matrix)
-        w2, v2 = linalg.eigh(rho2.matrix)
-        keep1 = w1 > linalg.eig_floor(w1)
-        keep2 = w2 > linalg.eig_floor(w2)
-        overlap = np.abs(v1[:, keep1].conj().T @ v2[:, keep2]) ** 2
-        self._weights = overlap
-        self._log_a = np.log(w1[keep1])[:, None]
-        self._log_b = np.log(w2[keep2])[None, :]
+        (log_a, v1), (log_b, v2) = support(rho1), support(rho2)
+        self._weights = np.abs(v1.conj().T @ v2) ** 2
+        self._log_a = log_a[:, None]
+        self._log_b = log_b[None, :]
 
     def value(self, s: float) -> float:
         if self._weights.size == 0:
@@ -122,15 +127,18 @@ def _golden_minimize(fn, tol: float = GOLDEN_TOL) -> tuple[float, float]:
     return best_s, best_f
 
 
-def chernoff_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResult:
+def chernoff_distance(
+    rho1: DensityMatrix, rho2: DensityMatrix, support=_support
+) -> ChernoffResult:
     """Minimize the overlap curve over [0, 1] and return the exponent.
 
     Golden-section search (the curve is convex) plus explicit endpoint
     evaluation, since with the support convention the infimum can sit at
     ``s = 0`` or ``s = 1`` for non-faithful states.  An overlap at or
-    below 1e-300 is reported as an infinite exponent.
+    below 1e-300 is reported as an infinite exponent.  ``support`` gives
+    a state's decomposition; a caller that keeps them passes its own.
     """
-    curve = _PairCurve(rho1, rho2)
+    curve = _PairCurve(rho1, rho2, support)
     s_opt, f_min = _golden_minimize(curve.value)
     for endpoint in (0.0, 1.0):
         f_end = curve.value(endpoint)
@@ -154,9 +162,10 @@ class PairwiseTable:
     """Every pairwise Chernoff result of an ensemble, computed once.
 
     ``distances`` maps each pair ``i < j`` to its result, taken from
-    ``known`` when it is there.  ``least`` is the closest pair, ties broken
-    toward the lexicographically smallest; the ensemble's minimum exponent
-    and the attainability condition are both read off this one table.
+    ``known`` when it is there.  Each state the other pairs need is
+    decomposed once.  ``least`` is the closest pair, ties broken toward the
+    lexicographically smallest; the ensemble's minimum exponent and the
+    attainability condition are both read off this one table.
     """
 
     def __init__(
@@ -166,10 +175,18 @@ class PairwiseTable:
     ):
         self.r = ensemble.r
         known = known or {}
+        states = ensemble.states
+        supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+        def support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+            if id(rho) not in supports:
+                supports[id(rho)] = _support(rho)
+            return supports[id(rho)]
+
         distances = self.distances = {
             (i, j): known[(i, j)]
             if (i, j) in known
-            else chernoff_distance(ensemble.states[i], ensemble.states[j])
+            else chernoff_distance(states[i], states[j], support)
             for i in range(self.r)
             for j in range(i + 1, self.r)
         }

@@ -27,6 +27,7 @@ from .states import (
     DEFAULT_DIM_CAP,
     DensityMatrix,
     Ensemble,
+    _frozen,
     check_power,
     spin_blocks,
     tensor_power,
@@ -48,19 +49,25 @@ SubStrategy = Literal["pgm", "recursive"]
 class Detector:
     """POVM: positive elements, one per hypothesis, summing to identity.
 
-    Elements are stored as read-only copies so detectors stay pure values.
+    ``blocks[k]`` holds element ``k`` as its blocks on the copy-pair
+    sectors of ``layout`` (``sectors``); with one sector, the default, its
+    one block is the dense matrix.  Blocks are stored as read-only copies
+    so detectors stay pure values.
     """
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[np.ndarray, ...], ...]
+    layout: sectors.Layout = sectors.ONE
 
     def __post_init__(self):
-        frozen = []
-        for e in self.elements:
-            arr = np.array(e, dtype=np.complex128, order="C")
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "elements", tuple(frozen))
+        frozen = tuple(tuple(_frozen(b) for b in e) for e in self.blocks)
+        object.__setattr__(self, "blocks", frozen)
+
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """The dense elements, ``W B W^T`` (``sectors.from_blocks``), formed
+        on each access; with one sector, the stored blocks themselves."""
+        return tuple(sectors.from_blocks(b, self.layout) for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -95,19 +102,12 @@ class SplitReport:
     parts: tuple[int, ...]
 
 
-def _identity_defect(elements: Iterable[np.ndarray], dim: int) -> float:
-    """Largest entry of ``sum_k E_k - I`` by absolute value."""
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for element in elements:
-        total += element
-    total.reshape(-1)[:: dim + 1] -= 1.0  # total - I, in place
-    return float(np.max(np.abs(total)))
-
-
 def check_detector(det: Detector) -> list[str]:
-    """Return the list of POVM-validity violations (empty when valid)."""
+    """Return the list of POVM-validity violations (empty when valid), found
+    on the dense elements: each element's lowest eigenvalue, and the largest
+    entry of ``sum_k E_k - I`` by absolute value."""
     problems: list[str] = []
-    summed = []
+    total = np.zeros((det.dim, det.dim), dtype=np.complex128)
     for k, element in enumerate(det.elements):
         if element.shape != (det.dim, det.dim):
             problems.append(f"element {k} has shape {element.shape}")
@@ -119,8 +119,9 @@ def check_detector(det: Detector) -> list[str]:
             continue
         if lowest is not None:
             problems.append(f"element {k} has negative eigenvalue {lowest:.3e}")
-        summed.append(element)
-    defect = _identity_defect(summed, det.dim)
+        total += element
+    total.reshape(-1)[:: det.dim + 1] -= 1.0  # total - I, in place
+    defect = float(np.max(np.abs(total)))
     if defect > TOL_SUM_IDENTITY:
         problems.append(f"elements sum to identity only within {defect:.3e}")
     return problems
@@ -157,8 +158,10 @@ def _gram(factor: np.ndarray) -> np.ndarray:
     return _hermitize(factor @ factor.conj().T)
 
 
-def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
-    """One optimal binary test ``Detector((E_+, E_-))`` per block, from the
+def _helstrom_tests(
+    spectra: list[linalg.HermitianEig],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One optimal binary test ``(E_+, E_-)`` per block, from the
     eigendecompositions of the blocks of a difference; the zero floor is
     taken over all their eigenvalues together.  With ``V_+`` a block's
     eigenvectors above it and ``V_-`` the rest, both elements are Gram
@@ -172,17 +175,14 @@ def _helstrom_tests(spectra: list[linalg.HermitianEig]) -> list[Detector]:
         w, v = spectra.pop(0)
         # Eigenvalues ascend, so the kept ones are the last columns.
         cut = int(np.count_nonzero(w <= floor))
-        plus, minus = _gram(v[:, cut:]), _gram(v[:, :cut])
+        tests.append((_gram(v[:, cut:]), _gram(v[:, :cut])))
         del v
-        # Detector keeps frozen copies; drop ours before anything else.
-        tests.append(Detector(len(w), (plus, minus)))
-        del plus, minus
     problems = []
     for i in (0, 1):
-        lowest = _lowest((t.elements[i] for t in tests), TOL_ELEMENT_PSD)
+        lowest = _lowest((t[i] for t in tests), TOL_ELEMENT_PSD)
         if lowest is not None:
             problems.append(f"element {i} has negative eigenvalue {lowest:.3e}")
-    defect = _frobenius(sum(t.elements) - np.eye(t.dim) for t in tests)
+    defect = _frobenius(plus + minus - np.eye(len(plus)) for plus, minus in tests)
     if defect > TOL_SUM_IDENTITY:
         problems.append(f"elements sum to identity only within {defect:.3e}")
     if problems:
@@ -213,7 +213,8 @@ def holevo_helstrom(
             - tensor_power(rho2, n, dim_cap).matrix
         )
     ]
-    return _helstrom_tests(spectra)[0]
+    ((plus, minus),) = _helstrom_tests(spectra)
+    return Detector(len(plus), ((plus,), (minus,)))
 
 
 def pgm(
@@ -256,8 +257,8 @@ def pgm(
     total = _hermitize(sum(raw))
     tw, tv = np.linalg.eigh(total)
     correct = (tv * (1.0 / np.sqrt(tw))) @ tv.conj().T
-    elements = tuple(_hermitize(correct @ g @ correct) for g in raw)
-    return validate_detector(Detector(dim, tuple(elements)))
+    elements = tuple((_hermitize(correct @ g @ correct),) for g in raw)
+    return validate_detector(Detector(dim, elements))
 
 
 def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
@@ -269,7 +270,7 @@ def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
 
 def misses(
     states: Sequence[DensityMatrix],
-    elements: Sequence[np.ndarray],
+    detector: Detector,
     n: int = 1,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Iterator[float]:
@@ -277,12 +278,19 @@ def misses(
 
     The miss is the state's weight on the other elements, not
     ``1 - tr[rho_k^(x)n E_k]``, so a tiny miss keeps its relative
-    precision.  Each n-copy state is built only for its own term, so at
-    most one of them is alive at a time.  A state count that differs from
-    the element count raises ``ValueError``.
+    precision.  It is summed over the detector's sectors,
+    ``sum_s sum_{j != k} tr[P_s E_j,s]``, with ``P_s`` the sector blocks
+    of the n-copy state (``sectors.power_blocks``); with one sector that is
+    the dense state.  Each state's blocks are built only for its own term,
+    so at most one state's are alive at a time.  A state count that differs
+    from the element count raises ``ValueError``.
     """
-    for k, state in zip(range(len(elements)), states, strict=True):
-        yield _miss(tensor_power(state, n, dim_cap).matrix, elements, k)
+    per_sector = list(zip(*detector.blocks))
+    for k, state in zip(range(len(detector.blocks)), states, strict=True):
+        powers = sectors.power_blocks(state, n, detector.layout, dim_cap)
+        miss = sum(_miss(p, elements, k) for p, elements in zip(powers, per_sector))
+        del powers
+        yield miss
 
 
 def helstrom_misses(
@@ -303,21 +311,21 @@ def helstrom_misses(
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
     if rho1.dim != 2:
-        elements = holevo_helstrom(rho1, rho2, n, dim_cap).elements
-        first, second = misses((rho1, rho2), elements, n, dim_cap)
+        test = holevo_helstrom(rho1, rho2, n, dim_cap)
+        first, second = misses((rho1, rho2), test, n, dim_cap)
         return first, second
     blocks = zip(spin_blocks(rho1, n, dim_cap), spin_blocks(rho2, n, dim_cap))
     pairs = [(m, x, y) for (m, x), (_, y) in blocks]
     tests = _helstrom_tests([linalg.eigh(x - y) for _, x, y in pairs])
     first = second = 0.0
     for (m, x, y), test in zip(pairs, tests):
-        first += m * _miss(x, test.elements, 0)
-        second += m * _miss(y, test.elements, 1)
+        first += m * _miss(x, test, 0)
+        second += m * _miss(y, test, 1)
     return first, second
 
 
 def compose_with_binary(
-    partials: Sequence[np.ndarray],
+    partials: Sequence[np.ndarray | sectors.Blocks],
     rho1: DensityMatrix,
     rho2: DensityMatrix,
     n: int = 1,
@@ -337,20 +345,21 @@ def compose_with_binary(
 
     ``parts``, sizes of consecutive runs of copies adding up to ``n``,
     states that permuting copies inside a run leaves every partial
-    unchanged; a partial whose part outside the copy-pair sectors of
-    ``sectors.layout`` exceeds ``TOL_INVARIANCE`` in the Frobenius norm is
-    refused, and a smaller part, rounding, is dropped.  The work then runs
-    on those sectors: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's
-    elements and the trace terms are formed sector by sector, and so are
-    the checks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is
-    the lowest over its blocks and its Frobenius norm is the one over its
-    blocks.  Checked on dense operators are only the composed detector's
-    sum to the identity and the positivity of a partial whose dropped
-    rounding exceeds the ``1e-10`` positivity tolerance.  Without parts
-    there is one sector, the dense operators themselves.
+    unchanged.  A partial comes as its blocks on the copy-pair sectors of
+    ``sectors.layout`` (``sectors.Blocks``) or as a dense matrix, which is
+    split onto them.  A partial whose part outside the sectors exceeds
+    ``TOL_INVARIANCE`` in the Frobenius norm is refused, and a smaller
+    part, rounding, is dropped.  Everything then runs on the sectors: the
+    Helstrom test, ``Q``, ``Q^(1/2)``, the pair's elements, the trace terms
+    and every check, and the detector is returned as its sector blocks.
+    ``W`` is orthogonal, so an operator's lowest eigenvalue is the lowest
+    over its blocks and its Frobenius norm is the one over its blocks.  Only
+    a partial whose dropped rounding exceeds the ``1e-10`` positivity
+    tolerance is formed densely, for its own positivity check.  Without
+    parts there is one sector, the dense operators themselves.
     """
-    partial_list = [np.asarray(p, dtype=np.complex128) for p in partials]
-    if not partial_list:
+    partials = list(partials)
+    if not partials:
         raise ValueError("need at least one partial element")
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
@@ -365,26 +374,32 @@ def compose_with_binary(
     powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
     tests = _helstrom_tests([linalg.eigh(a - b) for a, b in zip(*powers)])
 
-    for k, p in enumerate(partial_list):
-        if p.shape != (dim, dim):
-            raise DimensionMismatch(f"partial {k} has shape {p.shape}")
-        blocks, outside = sectors.to_blocks(p, layout)
-        if outside > TOL_INVARIANCE:
+    shapes = [a.shape for a in powers[0]]
+    partial_blocks = []
+    for k, p in enumerate(partials):
+        if not isinstance(p, sectors.Blocks):
+            p = np.asarray(p, dtype=np.complex128)
+            if p.shape != (dim, dim):
+                raise DimensionMismatch(f"partial {k} has shape {p.shape}")
+            p = sectors.to_blocks(p, layout)
+        elif [b.shape for b in p.blocks] != shapes:
+            raise DimensionMismatch(f"partial {k} does not fit the sectors")
+        if p.outside > TOL_INVARIANCE:
             raise ValueError(
                 f"partial {k} is not invariant under the parts {parts}: "
-                f"{outside:.3e} of it lies outside the sectors"
+                f"{p.outside:.3e} of it lies outside the sectors"
             )
-        lowest = _lowest(blocks, TOL_ELEMENT_PSD)
-        if lowest is None and outside > TOL_ELEMENT_PSD:
+        lowest = _lowest(p.blocks, TOL_ELEMENT_PSD)
+        if lowest is None and p.outside > TOL_ELEMENT_PSD:
             # The blocks decide the partial's positivity only up to the part
             # outside them.
-            lowest = linalg.psd_violation(_hermitize(p), TOL_ELEMENT_PSD)
+            lowest = linalg.psd_violation(_hermitize(p.dense()), TOL_ELEMENT_PSD)
         if lowest is not None:
             raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
         # The rounding outside the sectors is dropped, so Q is exactly block
         # diagonal.
-        partial_list[k] = sectors.from_blocks(blocks, layout)
-    sum_blocks, _ = sectors.to_blocks(_hermitize(sum(partial_list)), layout)
+        partial_blocks.append(p.blocks)
+    sum_blocks = [_hermitize(sum(blocks)) for blocks in zip(*partial_blocks)]
     spectra = [linalg.eigh(block) for block in sum_blocks]
     top = float(max(w[-1] for w, _ in spectra))
     if top > 1.0 + TOL_ELEMENT_PSD:
@@ -403,7 +418,7 @@ def compose_with_binary(
     del spectra, v
 
     pair_blocks = [
-        [_gram(root @ t.elements[i]) for root, t in zip(sqrt_residual, tests)]
+        [_gram(root @ t[i]) for root, t in zip(sqrt_residual, tests)]
         for i in (0, 1)
     ]
     for i, blocks in enumerate(pair_blocks):
@@ -431,22 +446,21 @@ def compose_with_binary(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
-    detector = Detector(
-        dim,
-        (*(sectors.from_blocks(b, layout) for b in pair_blocks), *partial_list),
-    )
-    del pair_blocks, partial_list
-    defect = _identity_defect(detector.elements, dim)
+    elements = (*pair_blocks, *partial_blocks)
+    del pair_blocks, partial_blocks
+    defect = _frobenius(sum(e) - np.eye(len(e[0])) for e in zip(*elements))
     if defect > TOL_SUM_IDENTITY:
         raise PSDViolation(
             f"invalid POVM: elements sum to identity only within {defect:.3e}"
         )
+    detector = Detector(dim, elements, layout)
+    del elements
     # The overlap trace is the pair's misses under the binary test,
     # ``tr[rho_1 E_-] + tr[rho_2 E_+]``.
     first = second = weight = 0.0
     for a, b, test, s in zip(*powers, tests, sum_blocks):
-        first += _miss(a, test.elements, 0)
-        second += _miss(b, test.elements, 1)
+        first += _miss(a, test, 0)
+        second += _miss(b, test, 1)
         weight += linalg.trace_product(a + b, s)
     return detector, CompositionTrace(first + second, 2.0 * linalg.real_scalar(weight))
 
@@ -484,6 +498,15 @@ def _sub_detector(
     return pgm(states, copies, dim_cap), (copies,)
 
 
+def _element_on(det: Detector, k: int, layout: sectors.Layout) -> sectors.Blocks:
+    """Element ``k`` of ``det`` on the sectors of ``layout``: the blocks it
+    is held in when that is its layout, else split from the dense element."""
+    blocks = det.blocks[k]
+    if det.layout is layout:
+        return sectors.Blocks(blocks, 0.0, lambda: sectors.from_blocks(blocks, layout))
+    return sectors.to_blocks(sectors.from_blocks(blocks, det.layout), layout)
+
+
 def build_split_detector(
     ensemble: Ensemble,
     n: int,
@@ -499,8 +522,10 @@ def build_split_detector(
     ``n2`` copies; each tail hypothesis gets the tensor product of its two
     sub-elements, and the leftover weight goes to the optimal binary test
     on the first pair's full ``n``-copy states.  Every partial is invariant
-    under permuting copies inside each sub-detector's parts, so the
-    composition runs on their copy-pair sectors.
+    under permuting copies inside each sub-detector's parts, so it is taken
+    on their copy-pair sectors, as the Kronecker products of the
+    sub-elements' blocks (``sectors.kron``), and the composition and the
+    detector it returns stay there.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")
@@ -520,11 +545,15 @@ def build_split_detector(
     side_2 = [second, *tail]
     sub_1, parts_1 = _sub_detector(side_1, n1, w1, sub, dim_cap)
     sub_2, parts_2 = _sub_detector(side_2, n2, w1, sub, dim_cap)
-    sub_error_1 = sum(misses(side_1, sub_1.elements, n1, dim_cap))
-    sub_error_2 = sum(misses(side_2, sub_2.elements, n2, dim_cap))
+    sub_error_1 = sum(misses(side_1, sub_1, n1, dim_cap))
+    sub_error_2 = sum(misses(side_2, sub_2, n2, dim_cap))
 
+    layout_1 = sectors.layout(first.dim, parts_1)
+    layout_2 = sectors.layout(first.dim, parts_2)
     partials = [
-        linalg.kron(sub_1.elements[1 + k], sub_2.elements[1 + k])
+        sectors.kron(
+            _element_on(sub_1, 1 + k, layout_1), _element_on(sub_2, 1 + k, layout_2)
+        )
         for k in range(len(tail))
     ]
     parts = parts_1 + parts_2

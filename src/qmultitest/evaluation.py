@@ -133,16 +133,17 @@ def error_sum(
     detector: Detector,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ErrorReport:
-    """Exact per-state misses (``detectors.misses``) and their sum."""
+    """Exact per-state misses (``detectors.misses``, on the detector's
+    sectors) and their sum."""
     if detector.dim != ensemble.dim ** n:
         raise DimensionMismatch(
             f"detector dim {detector.dim} != {ensemble.dim}^{n}"
         )
-    if len(detector.elements) != ensemble.r:
+    if len(detector.blocks) != ensemble.r:
         raise DimensionMismatch(
-            f"{len(detector.elements)} elements for {ensemble.r} hypotheses"
+            f"{len(detector.blocks)} elements for {ensemble.r} hypotheses"
         )
-    return _error_report(n, misses(ensemble.states, detector.elements, n, dim_cap))
+    return _error_report(n, misses(ensemble.states, detector, n, dim_cap))
 
 
 def _error_report(n: int, per_state_misses: Iterable[float]) -> ErrorReport:
@@ -191,7 +192,7 @@ def lemma_bound_check(
     if len(rest) != len(partials):
         raise ValueError("one state per partial element is required")
     detector, trace = compose_with_binary(partials, rho1, rho2)
-    per_state = list(misses([rho1, rho2, *rest], detector.elements))
+    per_state = list(misses([rho1, rho2, *rest], detector))
     lhs = float(sum(per_state))
     term_rest = sum(per_state[2:])
     rhs = _lemma_rhs(trace, term_rest)

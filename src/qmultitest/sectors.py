@@ -15,6 +15,11 @@ grouped by sector: a sector takes the symmetric or the antisymmetric half
 of every pair, and sectors run in lexicographic order, first pair most
 significant.  ``W`` is real orthogonal and is never formed as a ``D x D``
 matrix.  With no pair there is one sector and ``W = I``.
+
+Copies are paired only inside a part, so the ``W`` of two runs of parts side
+by side is the tensor product of theirs: sector ``(s, t)`` of ``X (x) Y`` is
+``kron(X_s, Y_t)`` (``kron``), and an operator built from the sub-detectors
+of a split never needs its ``D x D`` form.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,16 +70,20 @@ class Layout(NamedTuple):
     index: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+# The layout of every operator without a copy pair: one sector, ``W = I``.
+ONE = Layout(np.eye(0), 0, (), (), ())
+
+
 @functools.lru_cache(maxsize=None)
 def layout(d: int, parts: tuple[int, ...]) -> Layout:
     """The layout for one-copy dimension ``d`` and copy ``parts`` (sizes of
-    consecutive runs of copies); built once per ``(d, parts)`` and shared,
-    so its arrays are read-only."""
-    pair, sym = pair_basis(d)
-    pair.setflags(write=False)
+    consecutive runs of copies), ``ONE`` when no part holds a pair; built
+    once per ``(d, parts)`` and shared, so its arrays are read-only."""
     sites = tuple(s for m in parts for s in (2,) * (m // 2) + (1,) * (m % 2))
     if 2 not in sites:
-        return Layout(pair, sym, sites, (), ())
+        return ONE
+    pair, sym = pair_basis(d)
+    pair.setflags(write=False)
     dims = [d ** s for s in sites]
     # Two factors of about equal size: applying one costs D^2 times its size.
     cut = min(
@@ -118,17 +127,48 @@ def _change_basis(x: np.ndarray, lay: Layout, inverse: bool) -> np.ndarray:
     return x
 
 
-def to_blocks(x: np.ndarray, lay: Layout) -> tuple[list[np.ndarray], float]:
-    """The sector blocks of ``W^T X W`` and the Frobenius norm of its part
-    outside them; ``([X], 0.0)`` with one sector."""
+class Blocks(NamedTuple):
+    """An operator ``X`` on a layout's sectors: the sector blocks of
+    ``W^T X W``, the Frobenius norm of its part outside them, which the
+    blocks drop, and ``dense()``, which forms ``X`` itself."""
+
+    blocks: Sequence[np.ndarray]
+    outside: float
+    dense: Callable[[], np.ndarray]
+
+
+def _squared_norm(blocks: Sequence[np.ndarray]) -> float:
+    return sum(np.vdot(b, b).real for b in blocks)
+
+
+def to_blocks(x: np.ndarray, lay: Layout) -> Blocks:
+    """``X`` on the sectors of ``lay``; its one block ``X``, with nothing
+    outside, with one sector."""
     if not lay.chunks:
-        return [x], 0.0
+        return Blocks([x], 0.0, lambda: x)
     y = _change_basis(np.ascontiguousarray(x), lay, inverse=False)
     blocks = []
     for ix in lay.index:
         blocks.append(y[ix])
         y[ix] = 0.0
-    return blocks, math.sqrt(np.vdot(y, y).real)
+    return Blocks(blocks, math.sqrt(np.vdot(y, y).real), lambda: x)
+
+
+def kron(x: Blocks, y: Blocks) -> Blocks:
+    """``X (x) Y`` on the layout of ``X``'s parts followed by ``Y``'s.
+
+    ``W = W_X (x) W_Y``, so sector ``(s, t)``, ``s`` the more significant,
+    holds ``kron(X_s, Y_t)``.  The squared norm outside the sectors is the
+    whole, ``(i_X + o_X)(i_Y + o_Y)``, less the inside, ``i_X i_Y``, with
+    ``i`` and ``o`` the factors' squared norms inside and outside theirs.
+    """
+    i_x, i_y = _squared_norm(x.blocks), _squared_norm(y.blocks)
+    o_x, o_y = x.outside ** 2, y.outside ** 2
+    return Blocks(
+        [linalg.kron(a, b) for a in x.blocks for b in y.blocks],
+        math.sqrt(o_x * (i_y + o_y) + i_x * o_y),
+        lambda: linalg.kron(x.dense(), y.dense()),
+    )
 
 
 def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:

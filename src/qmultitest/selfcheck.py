@@ -169,10 +169,8 @@ def suite_self_test(seed: int) -> SuiteResult:
     result = SuiteResult("self-test", 1, 0)
     states = [random_density(2, 2, seed + k) for k in range(3)]
     detector = pgm(states)
-    corrupted = Detector(
-        detector.dim,
-        (detector.elements[0] * 1.1, *detector.elements[1:]),
-    )
+    first, *rest = detector.blocks
+    corrupted = Detector(detector.dim, ((first[0] * 1.1,), *rest))
     if not check_detector(corrupted):
         _note(result, 0, "corrupted detector passed the validity check")
     return result

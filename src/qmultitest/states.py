@@ -189,7 +189,8 @@ def _sym_power(a: np.ndarray, k: int) -> np.ndarray:
         out[:, j] = np.convolve(
             _binomial(a[0, 0], a[1, 0], k - j), _binomial(a[0, 1], a[1, 1], j)
         )
-    norms = np.sqrt([math.comb(k, j) for j in range(k + 1)])
+    # Python floats: past k = 66 the binomials overflow int64.
+    norms = np.array([math.sqrt(float(math.comb(k, j))) for j in range(k + 1)])
     return out * (norms[None, :] / norms[:, None])
 
 

@@ -55,6 +55,13 @@ def residual_oracle(partials, floor=False):
     return residual, (sqrt_residual + sqrt_residual.conj().T) / 2.0
 
 
+def dense_detector(elements):
+    """A one-sector ``Detector`` holding these dense elements."""
+    from qmultitest import Detector
+
+    return Detector(len(elements[0]), tuple((e,) for e in elements))
+
+
 def helstrom_error_oracle(a, b):
     """``1 - ||A - B||_1 / 2``, the optimal binary test's summed error on
     the states ``A`` and ``B``, from a raw spectrum."""

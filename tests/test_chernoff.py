@@ -235,6 +235,31 @@ class TestEnsembleQuantities:
             )
             assert table.others_min(pair) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("r,d", [(3, 2), (5, 3)])
+    def test_table_decomposes_each_state_once(self, r, d, monkeypatch):
+        # r decompositions, not two per pair, and every result bit for bit
+        # the one chernoff_distance gives on its own.
+        states = [random_density(d, 1 + k % d, 90 + 10 * d + k) for k in range(r)]
+        ens = Ensemble(tuple(states))
+        sizes = []
+        original = linalg.eigh
+
+        def counted(h):
+            sizes.append(len(h))
+            return original(h)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "eigh", counted)
+            table = PairwiseTable(ens)
+        assert sizes == [d] * r
+        for (i, j), result in table.distances.items():
+            alone = chernoff_distance(states[i], states[j])
+            assert (result.exponent, result.s_opt, result.f_min) == (
+                alone.exponent,
+                alone.s_opt,
+                alone.f_min,
+            )
+
     def test_excluding_pair_undefined_for_two(self):
         ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
         with pytest.raises(UndefinedQuantity):
@@ -254,7 +279,7 @@ class TestEnsembleQuantities:
         index = {id(state): k for k, state in enumerate(ens.states)}
         exponents = {(0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.25}
 
-        def fixed(rho1, rho2):
+        def fixed(rho1, rho2, support=None):
             x = exponents[(index[id(rho1)], index[id(rho2)])]
             return ChernoffResult(x, 0.5, math.exp(-x))
 

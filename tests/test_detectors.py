@@ -35,7 +35,12 @@ from qmultitest.errors import (
 )
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import helstrom_error_oracle, random_hermitian, residual_oracle
+from conftest import (
+    dense_detector,
+    helstrom_error_oracle,
+    random_hermitian,
+    residual_oracle,
+)
 
 
 def binary_sum_error(rho1, rho2, det):
@@ -191,9 +196,13 @@ class TestComposeWithBinary:
             compose_with_binary([], *self.pair())
         with pytest.raises(DimensionMismatch):
             compose_with_binary([np.eye(3) * 0.1], *self.pair())
-        # Partials live on the n-copy space of the pair.
+        # Partials live on the n-copy space of the pair, and on its sectors.
         with pytest.raises(DimensionMismatch):
             compose_with_binary([np.eye(2) * 0.1], *self.pair(), 2)
+        partial = 0.1 * np.eye(4, dtype=complex)
+        paired = sectors.to_blocks(partial, sectors.layout(2, (2,)))
+        with pytest.raises(DimensionMismatch, match="does not fit the sectors"):
+            compose_with_binary([paired], *self.pair(), 2, parts=(1, 1))
 
     @staticmethod
     def gram_oracle(partials, rho1, rho2):
@@ -342,7 +351,8 @@ class TestSectors:
         w, slices = explicit_w(d, parts)
         x = random_hermitian(np_rng, len(w))
         rotated = w.T @ x @ w
-        blocks, outside = sectors.to_blocks(x, layout)
+        blocks, outside, dense = sectors.to_blocks(x, layout)
+        assert dense() is x
         for sl, block in zip(slices, blocks, strict=True):
             assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-13
         kept = np.zeros_like(rotated)
@@ -356,9 +366,28 @@ class TestSectors:
         x = np.eye(8, dtype=complex)
         for parts in [(), (1, 1, 1)]:
             layout = sectors.layout(2, parts)
-            (block,), outside = sectors.to_blocks(x, layout)
-            assert block is x and outside == 0.0
+            assert layout is sectors.ONE
+            (block,), outside, dense = sectors.to_blocks(x, layout)
+            assert block is x and outside == 0.0 and dense() is x
             assert sectors.from_blocks([x], layout) is x
+
+    @pytest.mark.parametrize(
+        "d,parts_x,parts_y",
+        [(2, (2,), (3,)), (2, (1, 2), (2, 1)), (3, (2,), (1,)), (2, (1,), (1,))],
+    )
+    def test_kron_matches_the_dense_product(self, d, parts_x, parts_y, np_rng):
+        # Random factors are not invariant, so both carry a part outside
+        # their sectors, and so does the product.
+        lay_x, lay_y = sectors.layout(d, parts_x), sectors.layout(d, parts_y)
+        a = random_hermitian(np_rng, d ** sum(parts_x))
+        b = random_hermitian(np_rng, d ** sum(parts_y))
+        got = sectors.kron(sectors.to_blocks(a, lay_x), sectors.to_blocks(b, lay_y))
+        want = sectors.to_blocks(np.kron(a, b), sectors.layout(d, parts_x + parts_y))
+        assert len(got.blocks) == len(want.blocks)
+        for x, y in zip(got.blocks, want.blocks):
+            assert np.max(np.abs(x - y)) <= 1e-13
+        assert got.outside == pytest.approx(want.outside, rel=1e-12, abs=1e-13)
+        assert np.array_equal(got.dense(), np.kron(a, b))
 
     def test_layout_is_built_once(self):
         assert sectors.layout(2, (3, 3)) is sectors.layout(2, (3, 3))
@@ -390,19 +419,21 @@ class TestSectors:
         assert split.parts == parts
 
 
-def rows_without_parts(ensemble, ns, sub, monkeypatch):
-    """``run_experiment`` rows with every composition on one sector."""
+def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
+    """``run_experiment`` with every composition on one sector: the dense
+    path, which composes the dense partials and evaluates the misses on
+    dense n-copy states."""
     from qmultitest import detectors
     from qmultitest.evaluation import run_experiment
 
     original = detectors.compose_with_binary
 
     def one_sector(partials, rho1, rho2, n, dim_cap, parts):
-        return original(partials, rho1, rho2, n, dim_cap)
+        return original([p.dense() for p in partials], rho1, rho2, n, dim_cap)
 
     with monkeypatch.context() as patch:
         patch.setattr(detectors, "compose_with_binary", one_sector)
-        return run_experiment(ensemble, ns, sub=sub, k_fit=2).rows
+        return run_experiment(ensemble, ns, sub=sub, k_fit=k_fit)
 
 
 class TestSectorComposition:
@@ -439,7 +470,7 @@ class TestSectorComposition:
             ens = Ensemble(tuple(states))
             ns = range(2, n_max + 1)
             got = run_experiment(ens, ns, sub=sub, k_fit=2).rows
-            self.same_rows(got, rows_without_parts(ens, ns, sub, monkeypatch))
+            self.same_rows(got, table_without_parts(ens, ns, sub, monkeypatch).rows)
 
     def test_qubit_row_at_1024(self, monkeypatch):
         from qmultitest.cli import _gen_condition_satisfying
@@ -448,7 +479,74 @@ class TestSectorComposition:
 
         ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0]).ensemble
         got = run_experiment(ens, [10], k_fit=2).rows
-        self.same_rows(got, rows_without_parts(ens, [10], "pgm", monkeypatch))
+        self.same_rows(got, table_without_parts(ens, [10], "pgm", monkeypatch).rows)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    @pytest.mark.parametrize("d,r,n_max", [(2, 3, 10), (3, 4, 5)])
+    def test_per_state_error_matches_dense_path(self, d, r, n_max, sub, monkeypatch):
+        # Whole tables against the dense path.  Tolerance: 1e-10 relative
+        # on per_state_error and 1e-12 relative on every other error,
+        # bound, rate and slope column.  Measured with one and two BLAS
+        # threads: at most 4.1e-13 and 3.8e-13.  The dense path's own
+        # rounding can exceed 1e-10 on a small miss (next test).
+        from qmultitest.cli import _gen_condition_satisfying
+        from qmultitest.evaluation import run_experiment
+        from qmultitest.scenario import scenario_from_dict
+
+        if d == 2:
+            ens = scenario_from_dict(_gen_condition_satisfying(r, d, 7)[0]).ensemble
+        else:
+            ens = Ensemble(tuple(random_density(d, d, 9600 + k) for k in range(r)))
+        ns = range(2, n_max + 1)
+        got = run_experiment(ens, ns, sub=sub)
+        want = table_without_parts(ens, ns, sub, monkeypatch, k_fit=4)
+        for a, b in zip(got.rows, want.rows, strict=True):
+            assert (a.n, a.n1, a.n2) == (b.n, b.n1, b.n2)
+            assert a.binary_bound == b.binary_bound
+            assert a.report.per_state_error == pytest.approx(
+                b.report.per_state_error, rel=1e-10, abs=0.0
+            )
+            for x, y in (
+                (a.report.err_sm, b.report.err_sm),
+                (a.report.err_avg, b.report.err_avg),
+                (a.report.succ_sm, b.report.succ_sm),
+                (a.lemma_rhs, b.lemma_rhs),
+                (a.overall_rhs, b.overall_rhs),
+                (a.rate, b.rate),
+            ):
+                assert x == pytest.approx(y, rel=1e-12, abs=0.0)
+            assert (a.lemma_holds, a.overall_holds) == (b.lemma_holds, b.overall_holds)
+        assert got.series.fitted_slope == pytest.approx(
+            want.series.fitted_slope, rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="long double is no wider than double here",
+    )
+    def test_sector_misses_agree_with_extended_precision(self):
+        # The row whose tail miss (2.3e-4) moves most against the dense
+        # path: the dense traces are off by 2.7e-10 relative there with one
+        # BLAS thread (2.3e-11 with two), while the sector traces agree
+        # with an extended-precision trace of the same detector to 3.0e-12.
+        from qmultitest.cli import _gen_condition_satisfying
+        from qmultitest.evaluation import error_sum
+        from qmultitest.scenario import scenario_from_dict
+
+        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 8)[0]).ensemble
+        n = 10
+        det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
+        got = error_sum(ens, n, det).per_state_error
+        elements = [e.astype(np.clongdouble) for e in det.elements]
+        for k, state in enumerate(ens.states):
+            one = state.matrix.astype(np.clongdouble)
+            power = one
+            for _ in range(n - 1):
+                power = linalg.kron(power, one)
+            exact = sum(
+                np.sum(power * e.T) for j, e in enumerate(elements) if j != k
+            ).real
+            assert abs(got[k] - exact) <= 1e-11 * exact
 
     @pytest.mark.parametrize("seed", [4, 7])
     def test_floor_bounds_the_move_of_recursive_rows(self, seed):
@@ -472,11 +570,11 @@ class TestSectorComposition:
             for floor in (False, True):
                 _, sq = residual_oracle(partials, floor=floor)
                 ref = [sq @ e @ sq for e in tests] + partials
-                errors[floor] = sum(misses(ens.states, ref, n))
+                errors[floor] = sum(misses(ens.states, dense_detector(ref), n))
                 if floor:
                     for got, want in zip(det.elements, ref):
                         assert np.max(np.abs(got - want)) <= 1e-12
-            err = sum(misses(ens.states, det.elements, n))
+            err = sum(misses(ens.states, det, n))
             assert err == pytest.approx(errors[True], rel=1e-12)
             assert abs(errors[True] - errors[False]) <= 2e-8 * errors[False]
 
@@ -557,8 +655,8 @@ class TestSectorChecks:
         self, d, r, seed, n_max, sub, monkeypatch
     ):
         # Every composition of the table, the recursive sub-detectors'
-        # included: the composed detector and the binary test, assembled
-        # from its sectors, pass the dense check_detector.
+        # included: the composed detector and the binary test, both held as
+        # sector blocks and assembled densely here, pass check_detector.
         from qmultitest import detectors
         from qmultitest.cli import _gen_condition_satisfying
         from qmultitest.scenario import scenario_from_dict
@@ -579,14 +677,15 @@ class TestSectorChecks:
             det, trace = compose(partials, rho1, rho2, n, dim_cap, parts)
             (blocks,) = tests[before:]
             layout = sectors.layout(rho1.dim, parts)
-            binary = Detector(
-                det.dim,
-                tuple(
-                    sectors.from_blocks([t.elements[i] for t in blocks], layout)
-                    for i in (0, 1)
-                ),
-            )
-            assert check_detector(det) == [] and check_detector(binary) == []
+            assert det.layout is layout
+            # Each element and each binary element assembled as W B W^T.
+            elements = [sectors.from_blocks(b, layout) for b in det.blocks]
+            binary = [
+                sectors.from_blocks([t[i] for t in blocks], layout)
+                for i in (0, 1)
+            ]
+            assert check_detector(dense_detector(elements)) == []
+            assert check_detector(dense_detector(binary)) == []
             checked.append((n, det.dim))
             return det, trace
 
@@ -719,7 +818,7 @@ class TestMisses:
                 1.0 - np.trace(tensor_power(s, n).matrix @ e).real
                 for s, e in zip(states, det.elements)
             ]
-            got = list(misses(states, det.elements, n))
+            got = list(misses(states, det, n))
             np.testing.assert_allclose(got, expected, atol=1e-14)
 
     @pytest.mark.parametrize("sub", [None, "pgm", "recursive"])
@@ -736,13 +835,11 @@ class TestMisses:
             1.0 - np.trace(tensor_power(s, n).matrix @ e).real
             for s, e in zip(ens.states, det.elements)
         ]
-        got = list(misses(ens.states, det.elements, n))
+        got = list(misses(ens.states, det, n))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_builds_one_state_at_a_time(self, monkeypatch):
         # Every state built so far is gone when the next one is built.
-        from qmultitest import detectors
-
         states = [random_density(2, 2, 170 + k) for k in range(4)]
         det = pgm(states, 3)
         built = []
@@ -753,18 +850,18 @@ class TestMisses:
             built.append(weakref.ref(power.matrix))
             return power
 
-        monkeypatch.setattr(detectors, "tensor_power", tracked)
-        total = sum(misses(states, det.elements, 3))
+        monkeypatch.setattr(sectors, "tensor_power", tracked)
+        total = sum(misses(states, det, 3))
         assert len(built) == 4
         assert 0.0 <= total <= 4.0
 
     def test_count_mismatch_raises(self):
         states = [random_density(2, 2, 180 + k) for k in range(3)]
-        elements = pgm(states).elements
+        det = pgm(states)
         with pytest.raises(ValueError):
-            list(misses(states[:2], elements))
+            list(misses(states[:2], det))
         with pytest.raises(ValueError):
-            list(misses([*states, states[0]], elements))
+            list(misses([*states, states[0]], det))
 
 
 class TestCopiesArgument:
@@ -790,8 +887,8 @@ class TestCopiesArgument:
         powers = [tensor_power(s, n) for s in states]
         det = pgm(states, n)
         self.same(det, pgm(powers))
-        got = np.array(list(misses(states, det.elements, n)))
-        want = np.array(list(misses(powers, det.elements)))
+        got = np.array(list(misses(states, det, n)))
+        want = np.array(list(misses(powers, det)))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d,n", CASES)
@@ -813,7 +910,7 @@ def dense_helstrom_misses(rho1, rho2, n):
     """The oracle: the dense Helstrom test on the n-copy states."""
     test = holevo_helstrom(tensor_power(rho1, n), tensor_power(rho2, n))
     powers = [tensor_power(rho1, n), tensor_power(rho2, n)]
-    return tuple(misses(powers, test.elements))
+    return tuple(misses(powers, test))
 
 
 def qubit_pairs():
@@ -903,7 +1000,7 @@ class TestHelstromMisses:
 class TestDetectorChecks:
     def test_corrupted_element_is_flagged(self):
         det = pgm([random_density(2, 2, 1), random_density(2, 2, 2)])
-        bad = Detector(det.dim, (det.elements[0] * 1.1, det.elements[1]))
+        bad = dense_detector([det.elements[0] * 1.1, det.elements[1]])
         assert check_detector(bad) != []
         with pytest.raises(PSDViolation):
             validate_detector(bad)
@@ -968,7 +1065,7 @@ class TestPsdFastPath:
         spectrum[0] = -3e-7
         first = (q * spectrum) @ q.conj().T
         first = (first + first.conj().T) / 2.0
-        det = Detector(d, (first, np.eye(d) - first))
+        det = dense_detector([first, np.eye(d) - first])
         with pytest.raises(PSDViolation) as info:
             validate_detector(det)
         assert str(info.value) == (

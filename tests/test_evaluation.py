@@ -22,11 +22,10 @@ from qmultitest import (
     tensor_power,
 )
 from qmultitest import linalg
-from qmultitest.detectors import Detector
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import helstrom_error_oracle
+from conftest import dense_detector, helstrom_error_oracle
 
 
 def orthogonal_triple():
@@ -36,14 +35,14 @@ def orthogonal_triple():
 class TestErrorSum:
     def test_perfect_pvm_on_orthogonal_states(self):
         ens = orthogonal_triple()
-        det = Detector(3, tuple(s.matrix.copy() for s in ens.states))
+        det = dense_detector([s.matrix.copy() for s in ens.states])
         report = error_sum(ens, 1, det)
         assert report.err_sm == pytest.approx(0.0, abs=1e-12)
         assert report.succ_sm == pytest.approx(3.0, abs=1e-12)
 
     def test_uninformative_detector(self):
         ens = Ensemble(tuple(random_density(2, 2, k) for k in range(3)))
-        det = Detector(2, tuple(np.eye(2) / 3 for _ in range(3)))
+        det = dense_detector([np.eye(2) / 3 for _ in range(3)])
         report = error_sum(ens, 1, det)
         np.testing.assert_allclose(report.per_state_error, [2 / 3] * 3)
         assert report.err_sm == pytest.approx(2.0)
@@ -60,7 +59,7 @@ class TestErrorSum:
 
     def test_sum_plus_success_is_r(self):
         ens = Ensemble(tuple(random_density(2, 2, 10 + k) for k in range(3)))
-        det = Detector(2, tuple(np.eye(2) / 3 for _ in range(3)))
+        det = dense_detector([np.eye(2) / 3 for _ in range(3)])
         report = error_sum(ens, 1, det)
         assert report.err_sm + report.succ_sm == pytest.approx(3.0, abs=1e-9)
 
@@ -73,7 +72,7 @@ class TestErrorSum:
     def test_out_of_range_miss_raises(self):
         # An unvalidated element 2 I gives the miss 1 - tr[2 rho] = -1.
         ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
-        det = Detector(2, (2.0 * np.eye(2), -np.eye(2)))
+        det = dense_detector([2.0 * np.eye(2), -np.eye(2)])
         message = r"error probability -1\.0 out of range"
         with pytest.raises(ArithmeticError, match=message):
             error_sum(ens, 1, det)
@@ -293,23 +292,32 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_split_row_builds_each_tail_state_once(self, r, monkeypatch):
-        # Every state is built once, in error_sum, which also takes the
-        # tail's misses; the composition's Helstrom test and trace terms run
-        # on sector blocks made from one copy.
-        from qmultitest import detectors
+        # A split row builds no dense n-copy state: every state enters as
+        # its sector blocks, made from one copy.  Each tail state's are
+        # built once, in error_sum, which also takes the tail's misses; the
+        # pair's once more, for the composition's Helstrom test and trace
+        # terms.
+        from qmultitest import detectors, sectors, states
 
         ens = Ensemble(tuple(random_density(2, 2, 160 + k) for k in range(r)))
-        built = []
-        original = detectors.tensor_power
+        built, dense = [], []
+        original_blocks, original_power = sectors.power_blocks, states.tensor_power
 
-        def counted(rho, n, dim_cap=DEFAULT_DIM_CAP):
+        def counted(rho, n, layout, dim_cap):
             built.append((id(rho), n))
-            return original(rho, n, dim_cap)
+            return original_blocks(rho, n, layout, dim_cap)
 
-        monkeypatch.setattr(detectors, "tensor_power", counted)
+        def power(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            dense.append(n)
+            return original_power(rho, n, dim_cap)
+
+        monkeypatch.setattr(sectors, "power_blocks", counted)
+        for module in (states, sectors, detectors):
+            monkeypatch.setattr(module, "tensor_power", power)
         table = run_experiment(ens, [4], k_fit=2)
+        assert 4 not in dense
         full = [built.count((id(s), 4)) for s in ens.states]
-        assert full == [1] * r
+        assert full == [2, 2] + [1] * (r - 2)
         row = table.rows[0]
         assert row.lemma_holds
         assert row.lemma_rhs >= sum(row.report.per_state_error[2:])
@@ -416,17 +424,18 @@ def peak_operators_per_row(ensemble, n):
 class TestRowMemory:
     """Full-size operators live only from construction to last use.
 
-    Measured at D = 256: 8.13 matrices on a split row, whose composition
-    runs on copy-pair sectors, and 5.13 on a dense binary row (d = 4).
-    Keeping the n-copy states across the Helstrom decomposition gives
-    7.13 on the binary row.  A qubit binary row builds no full-size
-    operator: its blocks have size at most n + 1.
+    Measured at D = 256: 1.95 matrices on a split row, which is built and
+    evaluated on copy-pair sectors and forms no full-size operator (its
+    sector blocks hold about 0.15 of one each), and 5.13 on a dense binary
+    row (d = 4).  Keeping the n-copy states across the Helstrom
+    decomposition gives 7.13 on the binary row.  A qubit binary row builds
+    no full-size operator: its blocks have size at most n + 1.
     """
 
     def test_split_row_peak(self):
         rho, sigma = random_density(2, 2, 9001), random_density(2, 2, 9002)
         ens = Ensemble((rho, mix(rho, sigma, 0.125), random_density(2, 1, 9003)))
-        assert peak_operators_per_row(ens, 8) <= 8.13 + 0.5
+        assert peak_operators_per_row(ens, 8) <= 1.95 + 0.5
 
     def test_binary_row_peak(self):
         ens = Ensemble((random_density(4, 4, 9011), random_density(4, 4, 9012)))

@@ -21,7 +21,7 @@ from qmultitest.errors import (
     TraceViolation,
 )
 from qmultitest.rng import SplitMix64
-from qmultitest.states import spin_blocks
+from qmultitest.states import _sym_power, spin_blocks
 
 # Reference outputs for SplitMix64 with seed 1234567, as published with the
 # xoshiro generator family's test material.
@@ -250,6 +250,30 @@ class TestSpinBlocks:
         assert str(blocks.value) == str(dense.value)
         with pytest.raises(ValueError, match="copy count must be positive"):
             spin_blocks(rho, 0)
+
+
+class TestSymPower:
+    """``A^(x)k`` on the symmetric subspace past ``k = 66``, where the
+    binomials no longer fit an int64."""
+
+    K = 70
+
+    def test_diagonal_state(self):
+        p, q = 0.7, 0.3
+        got = _sym_power(np.diag([p, q]).astype(complex), self.K)
+        want = np.array([p ** (self.K - j) * q ** j for j in range(self.K + 1)])
+        np.testing.assert_allclose(np.diag(got), want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, np.diag(np.diag(got)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trace_is_the_complete_symmetric_sum(self, seed):
+        # tr Sym^k(rho) = sum_j l1^(k-j) l2^j over rho's eigenvalues.
+        rho = random_density(2, 2, 500 + seed)
+        low, high = np.linalg.eigvalsh(rho.matrix)
+        want = sum(high ** (self.K - j) * low ** j for j in range(self.K + 1))
+        got = np.trace(_sym_power(rho.matrix, self.K))
+        assert got.real == pytest.approx(want, rel=1e-12)
+        assert abs(got.imag) <= 1e-12 * want
 
 
 class TestEnsemble:
