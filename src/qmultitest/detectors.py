@@ -29,17 +29,15 @@ from .states import (
     Ensemble,
     _frozen,
     check_power,
-    spin_blocks,
-    tensor_power,
 )
 
 TOL_ELEMENT_PSD = 1e-10
 TOL_SUM_IDENTITY = 1e-9
-# A partial's part outside the copy-pair sectors, in the Frobenius norm,
+# A partial's part outside the layout's blocks, in the Frobenius norm,
 # beyond which it is not invariant under the split's parts.  Dropping a
 # smaller part moves no trace with a state by more than this.  The
-# rounding of legitimate partials reaches ~1e-8: a PGM sub-detector on a
-# nearly singular average state amplifies it.
+# rounding of a dense partial split onto copy-pair sectors reaches ~1e-8:
+# a dense PGM sub-detector on a nearly singular average state amplifies it.
 TOL_INVARIANCE = 1e-6
 
 SubStrategy = Literal["pgm", "recursive"]
@@ -49,15 +47,15 @@ SubStrategy = Literal["pgm", "recursive"]
 class Detector:
     """POVM: positive elements, one per hypothesis, summing to identity.
 
-    ``blocks[k]`` holds element ``k`` as its blocks on the copy-pair
-    sectors of ``layout`` (``sectors``); with one sector, the default, its
-    one block is the dense matrix.  Blocks are stored as read-only copies
-    so detectors stay pure values.
+    ``blocks[k]`` holds element ``k`` as its blocks on ``layout``
+    (``sectors``: qubit spin blocks or copy-pair sectors); with one block,
+    the default, that block is the dense matrix.  Blocks are stored as
+    read-only copies so detectors stay pure values.
     """
 
     dim: int
     blocks: tuple[tuple[np.ndarray, ...], ...]
-    layout: sectors.Layout = sectors.ONE
+    layout: sectors.Layout | sectors.SpinLayout = sectors.ONE
 
     def __post_init__(self):
         frozen = tuple(tuple(_frozen(b) for b in e) for e in self.blocks)
@@ -66,7 +64,7 @@ class Detector:
     @property
     def elements(self) -> tuple[np.ndarray, ...]:
         """The dense elements, ``W B W^T`` (``sectors.from_blocks``), formed
-        on each access; with one sector, the stored blocks themselves."""
+        on each access; with one block, the stored blocks themselves."""
         return tuple(sectors.from_blocks(b, self.layout) for b in self.blocks)
 
 
@@ -148,9 +146,29 @@ def _lowest(blocks: Iterable[np.ndarray], tol: float) -> float | None:
     return min((x for x in found if x is not None), default=None)
 
 
-def _frobenius(blocks: Iterable[np.ndarray]) -> float:
-    """The Frobenius norm of a block-diagonal operator from its blocks."""
-    return math.sqrt(sum(np.vdot(block, block).real for block in blocks))
+def _frobenius(blocks: Iterable[np.ndarray], mults: Sequence[int]) -> float:
+    """The Frobenius norm of a block-diagonal operator from its blocks and
+    their multiplicities."""
+    return math.sqrt(sectors.squared_norm(blocks, mults))
+
+
+def _check_povm(
+    elements: Sequence[Sequence[np.ndarray]], mults: Sequence[int]
+) -> None:
+    """Refuse elements, each given by its blocks with these multiplicities,
+    that are not a POVM: an element's lowest eigenvalue below
+    ``-TOL_ELEMENT_PSD``, or ``sum_k E_k - I`` beyond ``TOL_SUM_IDENTITY``
+    in the Frobenius norm, which bounds its largest entry."""
+    problems = []
+    for k, blocks in enumerate(elements):
+        lowest = _lowest(blocks, TOL_ELEMENT_PSD)
+        if lowest is not None:
+            problems.append(f"element {k} has negative eigenvalue {lowest:.3e}")
+    defect = _frobenius((sum(e) - np.eye(len(e[0])) for e in zip(*elements)), mults)
+    if defect > TOL_SUM_IDENTITY:
+        problems.append(f"elements sum to identity only within {defect:.3e}")
+    if problems:
+        raise PSDViolation("invalid POVM: " + "; ".join(problems))
 
 
 def _gram(factor: np.ndarray) -> np.ndarray:
@@ -159,34 +177,26 @@ def _gram(factor: np.ndarray) -> np.ndarray:
 
 
 def _helstrom_tests(
-    spectra: list[linalg.HermitianEig],
+    spectra: list[tuple[int, linalg.HermitianEig]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One optimal binary test ``(E_+, E_-)`` per block, from the
-    eigendecompositions of the blocks of a difference; the zero floor is
-    taken over all their eigenvalues together.  With ``V_+`` a block's
-    eigenvectors above it and ``V_-`` the rest, both elements are Gram
-    forms, ``E_+ = V_+ V_+^dag`` and ``E_- = V_- V_-^dag``.  Entries leave
-    ``spectra`` as they are used, freeing their eigenvectors.  The tests
-    are checked together, as blocks of one POVM: each element's lowest
-    eigenvalue, and ``E_+ + E_- - I`` in the Frobenius norm, over all blocks."""
-    floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
-    tests = []
+    multiplicities and eigendecompositions of the blocks of a difference;
+    the zero floor is taken over all their eigenvalues together.  With
+    ``V_+`` a block's eigenvectors above it and ``V_-`` the rest, both
+    elements are Gram forms, ``E_+ = V_+ V_+^dag`` and ``E_- = V_- V_-^dag``.
+    Entries leave ``spectra`` as they are used, freeing their eigenvectors.
+    The tests are checked together, as blocks of one POVM
+    (``_check_povm``)."""
+    floor = linalg.eig_floor(np.concatenate([w for _, (w, _) in spectra]))
+    mults, tests = [], []
     while spectra:
-        w, v = spectra.pop(0)
+        m, (w, v) = spectra.pop(0)
         # Eigenvalues ascend, so the kept ones are the last columns.
         cut = int(np.count_nonzero(w <= floor))
+        mults.append(m)
         tests.append((_gram(v[:, cut:]), _gram(v[:, :cut])))
         del v
-    problems = []
-    for i in (0, 1):
-        lowest = _lowest((t[i] for t in tests), TOL_ELEMENT_PSD)
-        if lowest is not None:
-            problems.append(f"element {i} has negative eigenvalue {lowest:.3e}")
-    defect = _frobenius(plus + minus - np.eye(len(plus)) for plus, minus in tests)
-    if defect > TOL_SUM_IDENTITY:
-        problems.append(f"elements sum to identity only within {defect:.3e}")
-    if problems:
-        raise PSDViolation("invalid POVM: " + "; ".join(problems))
+    _check_povm(list(zip(*tests)), mults)
     return tests
 
 
@@ -201,20 +211,22 @@ def holevo_helstrom(
 
     Eigenvalues of the difference within the zero floor are assigned to
     the second outcome, so the first element is the support of the
-    strictly positive part.
+    strictly positive part.  The test is built block by block on
+    ``sectors.symmetric``: the spin blocks of qubits, whose differences are
+    the blocks of the n-copy states' difference, or the dense states.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    # The n-copy states and their difference are temporaries, gone once
-    # the decomposition returns.
-    spectra = [
-        linalg.eigh(
-            tensor_power(rho1, n, dim_cap).matrix
-            - tensor_power(rho2, n, dim_cap).matrix
-        )
-    ]
-    ((plus, minus),) = _helstrom_tests(spectra)
-    return Detector(len(plus), ((plus,), (minus,)))
+    layout = sectors.symmetric(rho1.dim, n)
+    # The n-copy states' blocks are gone before the decompositions start,
+    # and their differences once they return.
+    powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
+    differences = [a - b for a, b in zip(*powers)]
+    del powers
+    spectra = [(m, linalg.eigh(x)) for m, x in zip(layout.mults, differences)]
+    del differences
+    plus, minus = zip(*_helstrom_tests(spectra))
+    return Detector(rho1.dim ** n, (plus, minus), layout)
 
 
 def pgm(
@@ -228,37 +240,47 @@ def pgm(
     With ``S`` the average state, each element is
     ``S^(-1/2) (rho_k / m) S^(-1/2)`` using the pseudo-inverse square root
     on the support of ``S``; the projector onto the kernel of ``S`` is
-    split equally among the elements so they sum to the identity.
+    split equally among the elements so they sum to the identity.  The
+    states, and so every element, are block diagonal on
+    ``sectors.symmetric`` (the spin blocks of qubits), so each element is
+    built block by block, with the zero floor of ``S`` taken over all
+    blocks together.
     """
     if len(states) < 2:
         raise ValueError(f"need at least 2 states, got {len(states)}")
     if any(s.dim != states[0].dim for s in states):
         raise DimensionMismatch("states live on different dimensions")
-    powers = [tensor_power(s, n, dim_cap) for s in states]
-    dim = powers[0].dim
+    layout = sectors.symmetric(states[0].dim, n)
+    powers = [sectors.power_blocks(s, n, layout, dim_cap) for s in states]
     m = len(powers)
-    avg = sum(p.matrix for p in powers) / m
-    w, v = linalg.eigh(_hermitize(avg))
-    keep = w > linalg.eig_floor(w)
-    v_keep = v[:, keep]
-    inv_sqrt = (v_keep * (1.0 / np.sqrt(w[keep]))) @ v_keep.conj().T
-    kernel_proj = np.eye(dim) - v_keep @ v_keep.conj().T
-    # Gram form (rho^(1/2) S^(-1/2))^dag (...) keeps elements positive to
-    # machine precision even when S is badly conditioned.
-    raw = []
-    for p in powers:
-        b = linalg.sqrt_psd(p.matrix) @ inv_sqrt
-        raw.append(_hermitize(b.conj().T @ b / m + kernel_proj / m))
+    spectra = [linalg.eigh(_hermitize(sum(p) / m)) for p in zip(*powers)]
+    floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
+    raw: list[list[np.ndarray]] = [[] for _ in powers]
+    for (w, v), blocks in zip(spectra, zip(*powers)):
+        keep = w > floor
+        v_keep = v[:, keep]
+        inv_sqrt = (v_keep * (1.0 / np.sqrt(w[keep]))) @ v_keep.conj().T
+        kernel_proj = np.eye(len(w)) - v_keep @ v_keep.conj().T
+        # Gram form (rho^(1/2) S^(-1/2))^dag (...) keeps elements positive
+        # to machine precision even when S is badly conditioned.
+        for k, p in enumerate(blocks):
+            b = linalg.sqrt_psd(p) @ inv_sqrt
+            raw[k].append(_hermitize(b.conj().T @ b / m + kernel_proj / m))
+    del powers, spectra
     # Rounding through S^(-1/2) can leave the sum off identity by more
     # than the POVM tolerance when S is nearly singular.  The sum is
     # I + delta with tiny Hermitian delta, so conjugating every element
     # by sum^(-1/2) (identity in exact arithmetic, well conditioned here)
     # restores the resolution of identity while preserving positivity.
-    total = _hermitize(sum(raw))
-    tw, tv = np.linalg.eigh(total)
-    correct = (tv * (1.0 / np.sqrt(tw))) @ tv.conj().T
-    elements = tuple((_hermitize(correct @ g @ correct),) for g in raw)
-    return validate_detector(Detector(dim, elements))
+    corrections = []
+    for gs in zip(*raw):
+        tw, tv = np.linalg.eigh(_hermitize(sum(gs)))
+        corrections.append((tv * (1.0 / np.sqrt(tw))) @ tv.conj().T)
+    elements = tuple(
+        tuple(_hermitize(c @ g @ c) for c, g in zip(corrections, gs)) for gs in raw
+    )
+    _check_povm(elements, layout.mults)
+    return Detector(states[0].dim ** n, elements, layout)
 
 
 def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
@@ -278,17 +300,22 @@ def misses(
 
     The miss is the state's weight on the other elements, not
     ``1 - tr[rho_k^(x)n E_k]``, so a tiny miss keeps its relative
-    precision.  It is summed over the detector's sectors,
-    ``sum_s sum_{j != k} tr[P_s E_j,s]``, with ``P_s`` the sector blocks
-    of the n-copy state (``sectors.power_blocks``); with one sector that is
-    the dense state.  Each state's blocks are built only for its own term,
-    so at most one state's are alive at a time.  A state count that differs
-    from the element count raises ``ValueError``.
+    precision.  It is summed over the detector's blocks,
+    ``sum_s m_s sum_{j != k} tr[P_s E_j,s]``, with ``P_s`` the blocks of the
+    n-copy state (``sectors.power_blocks``) and ``m_s`` their
+    multiplicities; with one block that is the dense state.  Each state's
+    blocks are built only for its own term, so at most one state's are
+    alive at a time.  A state count that differs from the element count
+    raises ``ValueError``.
     """
-    per_sector = list(zip(*detector.blocks))
+    per_block = list(zip(*detector.blocks))
+    mults = detector.layout.mults
     for k, state in zip(range(len(detector.blocks)), states, strict=True):
         powers = sectors.power_blocks(state, n, detector.layout, dim_cap)
-        miss = sum(_miss(p, elements, k) for p, elements in zip(powers, per_sector))
+        miss = sum(
+            m * _miss(p, elements, k)
+            for m, p, elements in zip(mults, powers, per_block)
+        )
         del powers
         yield miss
 
@@ -299,28 +326,10 @@ def helstrom_misses(
     n: int,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> tuple[float, float]:
-    """The two misses of the optimal binary test on ``n`` copies.
-
-    Qubit pairs are tested on their spin blocks ``X_t``, ``Y_t``
-    (``states.spin_blocks``), whose differences are the blocks of the
-    n-copy states' difference, so one ``_helstrom_tests`` call builds every
-    block's test; the misses are ``sum_t m_t tr[X_t E_-,t]`` and
-    ``sum_t m_t tr[Y_t E_+,t]``.  Other dimensions run the dense
-    ``holevo_helstrom`` and ``misses``.
-    """
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    if rho1.dim != 2:
-        test = holevo_helstrom(rho1, rho2, n, dim_cap)
-        first, second = misses((rho1, rho2), test, n, dim_cap)
-        return first, second
-    blocks = zip(spin_blocks(rho1, n, dim_cap), spin_blocks(rho2, n, dim_cap))
-    pairs = [(m, x, y) for (m, x), (_, y) in blocks]
-    tests = _helstrom_tests([linalg.eigh(x - y) for _, x, y in pairs])
-    first = second = 0.0
-    for (m, x, y), test in zip(pairs, tests):
-        first += m * _miss(x, test, 0)
-        second += m * _miss(y, test, 1)
+    """The two misses of the optimal binary test on ``n`` copies
+    (``holevo_helstrom``, then ``misses``)."""
+    test = holevo_helstrom(rho1, rho2, n, dim_cap)
+    first, second = misses((rho1, rho2), test, n, dim_cap)
     return first, second
 
 
@@ -345,18 +354,19 @@ def compose_with_binary(
 
     ``parts``, sizes of consecutive runs of copies adding up to ``n``,
     states that permuting copies inside a run leaves every partial
-    unchanged.  A partial comes as its blocks on the copy-pair sectors of
-    ``sectors.layout`` (``sectors.Blocks``) or as a dense matrix, which is
-    split onto them.  A partial whose part outside the sectors exceeds
-    ``TOL_INVARIANCE`` in the Frobenius norm is refused, and a smaller
-    part, rounding, is dropped.  Everything then runs on the sectors: the
-    Helstrom test, ``Q``, ``Q^(1/2)``, the pair's elements, the trace terms
-    and every check, and the detector is returned as its sector blocks.
-    ``W`` is orthogonal, so an operator's lowest eigenvalue is the lowest
-    over its blocks and its Frobenius norm is the one over its blocks.  Only
-    a partial whose dropped rounding exceeds the ``1e-10`` positivity
+    unchanged.  A partial comes as its blocks on ``sectors.layout`` (qubit
+    spin blocks, else copy-pair sectors; ``sectors.Blocks``) or as a dense
+    matrix, which is split onto them.  A partial whose part outside the
+    blocks exceeds ``TOL_INVARIANCE`` in the Frobenius norm is refused, and
+    a smaller part, rounding, is dropped.  Everything then runs on the
+    blocks: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's elements, the
+    trace terms and every check, and the detector is returned as its
+    blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
+    lowest over its blocks, and its trace and squared Frobenius norm are
+    the sums over its blocks weighted by their multiplicities.  Only a
+    partial whose dropped rounding exceeds the ``1e-10`` positivity
     tolerance is formed densely, for its own positivity check.  Without
-    parts there is one sector, the dense operators themselves.
+    parts there is one block, the dense operators themselves.
     """
     partials = list(partials)
     if not partials:
@@ -368,11 +378,14 @@ def compose_with_binary(
     if parts and sum(parts) != n:
         raise ValueError(f"parts {parts} do not add up to {n} copies")
     layout = sectors.layout(rho1.dim, parts)
+    mults = layout.mults
     dim = rho1.dim ** n
-    # The pair's blocks are kept for the trace terms; with one sector they
+    # The pair's blocks are kept for the trace terms; with one block they
     # are the dense n-copy states.
     powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
-    tests = _helstrom_tests([linalg.eigh(a - b) for a, b in zip(*powers)])
+    tests = _helstrom_tests(
+        [(m, linalg.eigh(a - b)) for m, a, b in zip(mults, *powers)]
+    )
 
     shapes = [a.shape for a in powers[0]]
     partial_blocks = []
@@ -382,7 +395,7 @@ def compose_with_binary(
             if p.shape != (dim, dim):
                 raise DimensionMismatch(f"partial {k} has shape {p.shape}")
             p = sectors.to_blocks(p, layout)
-        elif [b.shape for b in p.blocks] != shapes:
+        elif [b.shape for b in p.blocks] != shapes or p.mults != mults:
             raise DimensionMismatch(f"partial {k} does not fit the sectors")
         if p.outside > TOL_INVARIANCE:
             raise ValueError(
@@ -396,7 +409,7 @@ def compose_with_binary(
             lowest = linalg.psd_violation(_hermitize(p.dense()), TOL_ELEMENT_PSD)
         if lowest is not None:
             raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
-        # The rounding outside the sectors is dropped, so Q is exactly block
+        # The rounding outside the blocks is dropped, so Q is exactly block
         # diagonal.
         partial_blocks.append(p.blocks)
     sum_blocks = [_hermitize(sum(blocks)) for blocks in zip(*partial_blocks)]
@@ -428,7 +441,7 @@ def compose_with_binary(
                 f"invalid POVM: element {i} has negative eigenvalue {lowest:.3e}"
             )
     pair_sum_defect = _frobenius(
-        plus + minus - q for plus, minus, q in zip(*pair_blocks, residual)
+        (plus + minus - q for plus, minus, q in zip(*pair_blocks, residual)), mults
     )
     del residual
     if pair_sum_defect > TOL_SUM_IDENTITY:
@@ -448,7 +461,7 @@ def compose_with_binary(
 
     elements = (*pair_blocks, *partial_blocks)
     del pair_blocks, partial_blocks
-    defect = _frobenius(sum(e) - np.eye(len(e[0])) for e in zip(*elements))
+    defect = _frobenius((sum(e) - np.eye(len(e[0])) for e in zip(*elements)), mults)
     if defect > TOL_SUM_IDENTITY:
         raise PSDViolation(
             f"invalid POVM: elements sum to identity only within {defect:.3e}"
@@ -458,10 +471,10 @@ def compose_with_binary(
     # The overlap trace is the pair's misses under the binary test,
     # ``tr[rho_1 E_-] + tr[rho_2 E_+]``.
     first = second = weight = 0.0
-    for a, b, test, s in zip(*powers, tests, sum_blocks):
-        first += _miss(a, test, 0)
-        second += _miss(b, test, 1)
-        weight += linalg.trace_product(a + b, s)
+    for m, a, b, test, s in zip(mults, *powers, tests, sum_blocks):
+        first += m * _miss(a, test, 0)
+        second += m * _miss(b, test, 1)
+        weight += m * linalg.trace_product(a + b, s)
     return detector, CompositionTrace(first + second, 2.0 * linalg.real_scalar(weight))
 
 
@@ -484,7 +497,7 @@ def _sub_detector(
     The recursive strategy bottoms out in the binary test for two states
     and falls back to the square-root measurement once the copy budget can
     no longer be split; both are invariant under every permutation of the
-    copies, one part.
+    copies, one part, and built on ``sectors.symmetric``.
     """
     if strategy not in ("pgm", "recursive"):
         raise ValueError(f"unknown sub-detector strategy {strategy!r}")
@@ -498,12 +511,17 @@ def _sub_detector(
     return pgm(states, copies, dim_cap), (copies,)
 
 
-def _element_on(det: Detector, k: int, layout: sectors.Layout) -> sectors.Blocks:
-    """Element ``k`` of ``det`` on the sectors of ``layout``: the blocks it
-    is held in when that is its layout, else split from the dense element."""
+def _element_on(
+    det: Detector, k: int, layout: sectors.Layout | sectors.SpinLayout
+) -> sectors.Blocks:
+    """Element ``k`` of ``det`` on the blocks of ``layout``: the blocks it
+    is held in when that is its layout (always for qubits), else split from
+    the dense element."""
     blocks = det.blocks[k]
     if det.layout is layout:
-        return sectors.Blocks(blocks, 0.0, lambda: sectors.from_blocks(blocks, layout))
+        return sectors.Blocks(
+            blocks, 0.0, lambda: sectors.from_blocks(blocks, layout), layout.mults
+        )
     return sectors.to_blocks(sectors.from_blocks(blocks, det.layout), layout)
 
 
@@ -523,9 +541,11 @@ def build_split_detector(
     sub-elements, and the leftover weight goes to the optimal binary test
     on the first pair's full ``n``-copy states.  Every partial is invariant
     under permuting copies inside each sub-detector's parts, so it is taken
-    on their copy-pair sectors, as the Kronecker products of the
-    sub-elements' blocks (``sectors.kron``), and the composition and the
-    detector it returns stay there.
+    on their ``sectors.layout`` (spin blocks for qubits, copy-pair sectors
+    otherwise), as the Kronecker products of the sub-elements' blocks
+    (``sectors.kron``), and the composition and the detector it returns
+    stay there.  Qubit sub-detectors are built on those blocks, so their
+    partials are exactly invariant.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")

@@ -134,7 +134,7 @@ def error_sum(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ErrorReport:
     """Exact per-state misses (``detectors.misses``, on the detector's
-    sectors) and their sum."""
+    blocks) and their sum."""
     if detector.dim != ensemble.dim ** n:
         raise DimensionMismatch(
             f"detector dim {detector.dim} != {ensemble.dim}^{n}"

@@ -1,25 +1,41 @@
-"""Copy-pair sectors: a block layout of ``n``-copy operators.
+"""Block layouts of ``n``-copy operators: copy-pair sectors and qubit spin
+blocks.
 
-An operator on ``n`` copies that commutes with swapping two copies is
-block diagonal once that pair is written in the symmetric and
-antisymmetric subspaces of ``C^d (x) C^d``.  A split row's operators are
-unchanged by permuting copies inside each part of the copy budget, so
-pairing adjacent copies inside each part gives ``2^(pairs)`` sectors on
-which every operator of its composition is block diagonal (tensor powers
-commute with copy permutations; Harrow, quant-ph/0512255).
+A split row's operators are unchanged by permuting copies inside each part
+of the copy budget (its runs of consecutive copies): tensor powers commute
+with copy permutations, and so do the detectors built from them (Harrow,
+quant-ph/0512255).  A layout is a real orthogonal ``W`` under which every
+such operator is block diagonal, ``W^T X W = (+)_s B_s (x) I_{m_s}``: block
+``s`` appears ``m_s`` times, its multiplicity, and the operator is held as
+its blocks ``B_s``.  A trace or a squared Frobenius norm is then the
+multiplicity-weighted sum over the blocks, and a lowest eigenvalue the
+lowest over them.  ``W`` is never formed on the way from states to errors.
 
+*Copy-pair sectors* (``pair_layout``, any ``d``).  An operator that
+commutes with swapping two copies is block diagonal once that pair is
+written in the symmetric and antisymmetric subspaces of ``C^d (x) C^d``.
 Copies are paired inside each part, ``(o, o+1), (o+2, o+3), ...``, and the
 last copy of an odd part stays alone.  ``W`` is the tensor product of
 ``pair_basis`` on each pair and the identity on each lone copy, its columns
 grouped by sector: a sector takes the symmetric or the antisymmetric half
-of every pair, and sectors run in lexicographic order, first pair most
-significant.  ``W`` is real orthogonal and is never formed as a ``D x D``
-matrix.  With no pair there is one sector and ``W = I``.
+of every pair, first pair most significant.  Every multiplicity is 1.
 
-Copies are paired only inside a part, so the ``W`` of two runs of parts side
-by side is the tensor product of theirs: sector ``(s, t)`` of ``X (x) Y`` is
-``kron(X_s, Y_t)`` (``kron``), and an operator built from the sub-detectors
-of a split never needs its ``D x D`` form.
+*Spin blocks* (``spin_layout``, qubits).  By Schur–Weyl duality ``p``
+qubits are blocks ``t = 0..p//2`` of size ``p - 2t + 1``, each repeated
+``m_t = C(p, t) - C(p, t - 1)`` times, and an operator that commutes with
+every permutation of them is ``(+)_t B_t (x) I_{m_t}``.  Over several parts
+a block is a label ``(t_1, ..., t_k)``, of size ``prod(p_i - 2t_i + 1)``
+and multiplicity ``prod(m_{t_i})``; the block of ``rho^(x)n`` is the
+Kronecker product of the parts' ``states.spin_blocks``.  ``W`` is the
+tensor product of each part's ``schur_basis``, built only to go between an
+operator and its blocks (``to_blocks``, ``from_blocks``).
+
+Both order their blocks lexicographically, first part most significant, so
+the ``W`` of two runs of parts side by side is the tensor product of theirs:
+block ``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of multiplicity
+``m_s m_t`` (``kron``), and an operator built from the sub-detectors of a
+split never needs its ``D x D`` form.  Without a part of two copies there is
+one block, ``ONE``, with ``W = I``.
 """
 
 from __future__ import annotations
@@ -32,7 +48,13 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, tensor_power
+from .states import (
+    DensityMatrix,
+    check_power,
+    spin_blocks,
+    spin_multiplicity,
+    tensor_power,
+)
 
 
 def pair_basis(d: int) -> tuple[np.ndarray, int]:
@@ -54,7 +76,7 @@ def pair_basis(d: int) -> tuple[np.ndarray, int]:
 
 
 class Layout(NamedTuple):
-    """The sectors for one ``(d, parts)``.
+    """The copy-pair sectors for one ``(d, parts)``.
 
     ``sites`` lists, in copy order, 2 for a pair and 1 for a lone copy.
     ``chunks`` holds ``W`` as at most two tensor factors, each
@@ -69,16 +91,44 @@ class Layout(NamedTuple):
     chunks: tuple[tuple[int, np.ndarray, int], ...]
     index: tuple[tuple[np.ndarray, np.ndarray], ...]
 
+    @property
+    def mults(self) -> tuple[int, ...]:
+        """Every sector's multiplicity, 1."""
+        return (1,) * max(1, len(self.index))
 
-# The layout of every operator without a copy pair: one sector, ``W = I``.
+
+class SpinLayout(NamedTuple):
+    """The qubit spin blocks for one ``parts``: block ``s`` is
+    ``labels[s] = (t_1, ..., t_k)``, repeated ``mults[s]`` times."""
+
+    parts: tuple[int, ...]
+    labels: tuple[tuple[int, ...], ...]
+    mults: tuple[int, ...]
+
+
+# The layout of every operator without a part of two copies: one block,
+# ``W = I``.
 ONE = Layout(np.eye(0), 0, (), (), ())
 
 
+def layout(d: int, parts: tuple[int, ...]) -> Layout | SpinLayout:
+    """The layout of a split row on copy ``parts`` (sizes of consecutive
+    runs of copies): spin blocks for qubits, copy-pair sectors otherwise."""
+    return spin_layout(parts) if d == 2 else pair_layout(d, parts)
+
+
+def symmetric(d: int, n: int) -> Layout | SpinLayout:
+    """The layout an ``n``-copy operator that commutes with every permutation
+    of the copies is built on: spin blocks of one part for qubits, one block
+    (the dense operator) otherwise."""
+    return spin_layout((n,)) if d == 2 else ONE
+
+
 @functools.lru_cache(maxsize=None)
-def layout(d: int, parts: tuple[int, ...]) -> Layout:
-    """The layout for one-copy dimension ``d`` and copy ``parts`` (sizes of
-    consecutive runs of copies), ``ONE`` when no part holds a pair; built
-    once per ``(d, parts)`` and shared, so its arrays are read-only."""
+def pair_layout(d: int, parts: tuple[int, ...]) -> Layout:
+    """The copy-pair sectors for one-copy dimension ``d`` and copy
+    ``parts``, ``ONE`` when no part holds a pair; built once per
+    ``(d, parts)`` and shared, so its arrays are read-only."""
     sites = tuple(s for m in parts for s in (2,) * (m // 2) + (1,) * (m % 2))
     if 2 not in sites:
         return ONE
@@ -112,11 +162,102 @@ def layout(d: int, parts: tuple[int, ...]) -> Layout:
     return Layout(pair, sym, sites, tuple(chunks), tuple(index))
 
 
-def _change_basis(x: np.ndarray, lay: Layout, inverse: bool) -> np.ndarray:
-    """``W^T X W`` (``W X W^T`` when ``inverse``) up to the sector order,
+@functools.lru_cache(maxsize=None)
+def spin_layout(parts: tuple[int, ...]) -> Layout | SpinLayout:
+    """The qubit spin blocks for copy ``parts``, ``ONE`` when no part holds
+    two copies; built once per ``parts`` and shared."""
+    if all(p < 2 for p in parts):
+        return ONE
+    labels = tuple(itertools.product(*(range(p // 2 + 1) for p in parts)))
+    mults = tuple(
+        math.prod(spin_multiplicity(p, t) for p, t in zip(parts, label))
+        for label in labels
+    )
+    return SpinLayout(parts, labels, mults)
+
+
+@functools.lru_cache(maxsize=None)
+def schur_basis(p: int) -> np.ndarray:
+    """Real orthogonal ``W`` for ``p`` qubits: ``W^T rho^(x)p W`` is the
+    direct sum over ``t`` of ``spin_blocks(rho, p)[t]`` block (x) ``I_{m_t}``,
+    its columns grouped by ``t``, then by Dicke index ``a`` (the block's
+    row), then by copy.
+
+    Qubits are coupled one at a time with the spin-1/2 Clebsch–Gordan
+    coefficients (Condon–Shortley phases), so every copy of spin ``J``
+    holds ``|J, J - a>`` in column ``a``, which ``rho^(x)p`` maps as
+    ``det(rho)^t Sym^(2J)(rho)`` maps the Dicke vector ``a``.  Built once
+    per ``p``; its array is read-only.
+    """
+    # Each copy: (2J, columns |J, J - a> for a = 0..2J), on the qubits so far.
+    copies = [(1, np.eye(2))]
+    for _ in range(p - 1):
+        grown = []
+        for j2, v in copies:
+            rows = 2 * len(v)
+            # J = j + 1/2: sqrt((2j+1-a)/(2j+1)) |j, a> |0>
+            #              + sqrt(a/(2j+1)) |j, a-1> |1>.
+            up = np.zeros((rows, j2 + 2))
+            a = np.arange(j2 + 1)
+            up[0::2, : j2 + 1] = v * np.sqrt((j2 + 1 - a) / (j2 + 1))
+            up[1::2, 1:] = v * np.sqrt((a + 1) / (j2 + 1))
+            grown.append((j2 + 1, up))
+            if j2:
+                # J = j - 1/2: -sqrt((a+1)/(2j+1)) |j, a+1> |0>
+                #              + sqrt((2j-a)/(2j+1)) |j, a> |1>.
+                a = np.arange(j2)
+                down = np.zeros((rows, j2))
+                down[0::2] = -v[:, 1:] * np.sqrt((a + 1) / (j2 + 1))
+                down[1::2] = v[:, :-1] * np.sqrt((j2 - a) / (j2 + 1))
+                grown.append((j2 - 1, down))
+        copies = grown
+    columns = []
+    for t in range(p // 2 + 1):
+        same = [v for j2, v in copies if j2 == p - 2 * t]
+        # Dicke index major, copy minor: block (x) I_{m_t}.
+        columns.append(np.stack(same, axis=2).reshape(2 ** p, -1))
+    basis = np.concatenate(columns, axis=1)
+    basis.setflags(write=False)
+    return basis
+
+
+def _spin_basis(lay: SpinLayout) -> tuple[tuple, list[list[tuple]]]:
+    """``W`` of a spin layout as tensor factors, as ``Layout.chunks``, and
+    for each block the ``np.ix_`` of each of its copies in the basis they
+    give (the Kronecker product of the parts' ``schur_basis`` columns)."""
+    dims = [2 ** p for p in lay.parts]
+    chunks = tuple(
+        (math.prod(dims[:i]), schur_basis(p), math.prod(dims[i + 1 :]))
+        for i, p in enumerate(lay.parts)
+        if p >= 2
+    )
+    copies = []
+    for label in lay.labels:
+        flat = np.zeros((1, 1), dtype=np.intp)
+        for p, t in zip(lay.parts, label):
+            size, m = p - 2 * t + 1, spin_multiplicity(p, t)
+            start = sum(
+                (p - 2 * u + 1) * spin_multiplicity(p, u) for u in range(t)
+            )
+            local = start + np.arange(size)[:, None] * m + np.arange(m)
+            flat = (flat[:, None, :, None] * 2 ** p + local[None, :, None, :])
+            flat = flat.reshape(flat.shape[0] * size, -1)
+        copies.append([np.ix_(c, c) for c in flat.T])
+    return chunks, copies
+
+
+def _basis(lay: Layout | SpinLayout) -> tuple[tuple, list[list[tuple]]]:
+    """``W`` as tensor factors, and each block's ``np.ix_``, one per copy."""
+    if isinstance(lay, SpinLayout):
+        return _spin_basis(lay)
+    return lay.chunks, [[ix] for ix in lay.index]
+
+
+def _change_basis(x: np.ndarray, chunks: tuple, inverse: bool) -> np.ndarray:
+    """``W^T X W`` (``W X W^T`` when ``inverse``) up to the block order,
     one tensor factor and one side at a time."""
     dim = len(x)
-    for outer, basis, inner in lay.chunks:
+    for outer, basis, inner in chunks:
         factor = basis if inverse else basis.T
         size = len(basis)
         # Real and imaginary parts transform alike, so the factor acts on
@@ -128,70 +269,92 @@ def _change_basis(x: np.ndarray, lay: Layout, inverse: bool) -> np.ndarray:
 
 
 class Blocks(NamedTuple):
-    """An operator ``X`` on a layout's sectors: the sector blocks of
-    ``W^T X W``, the Frobenius norm of its part outside them, which the
+    """An operator ``X`` on a layout's blocks: the blocks of ``W^T X W``
+    and their multiplicities, the Frobenius norm of the part of ``X`` the
     blocks drop, and ``dense()``, which forms ``X`` itself."""
 
     blocks: Sequence[np.ndarray]
     outside: float
     dense: Callable[[], np.ndarray]
+    mults: tuple[int, ...]
 
 
-def _squared_norm(blocks: Sequence[np.ndarray]) -> float:
-    return sum(np.vdot(b, b).real for b in blocks)
+def squared_norm(blocks: Sequence[np.ndarray], mults: Sequence[int]) -> float:
+    """The squared Frobenius norm of the operator with these blocks."""
+    return sum(m * np.vdot(b, b).real for m, b in zip(mults, blocks, strict=True))
 
 
-def to_blocks(x: np.ndarray, lay: Layout) -> Blocks:
-    """``X`` on the sectors of ``lay``; its one block ``X``, with nothing
-    outside, with one sector."""
-    if not lay.chunks:
-        return Blocks([x], 0.0, lambda: x)
-    y = _change_basis(np.ascontiguousarray(x), lay, inverse=False)
+def to_blocks(x: np.ndarray, lay: Layout | SpinLayout) -> Blocks:
+    """``X`` on the blocks of ``lay``: each block is the mean of its copies
+    in ``W^T X W``, the orthogonal projection onto the operators the layout
+    holds; its one block ``X``, with nothing outside, with one block."""
+    if lay is ONE:
+        return Blocks([x], 0.0, lambda: x, ONE.mults)
+    chunks, copies = _basis(lay)
+    y = _change_basis(np.ascontiguousarray(x), chunks, inverse=False)
     blocks = []
-    for ix in lay.index:
-        blocks.append(y[ix])
-        y[ix] = 0.0
-    return Blocks(blocks, math.sqrt(np.vdot(y, y).real), lambda: x)
+    for ixs in copies:
+        block = y[ixs[0]] if len(ixs) == 1 else sum(y[ix] for ix in ixs) / len(ixs)
+        for ix in ixs:
+            y[ix] -= block
+        blocks.append(block)
+    return Blocks(blocks, math.sqrt(np.vdot(y, y).real), lambda: x, lay.mults)
 
 
 def kron(x: Blocks, y: Blocks) -> Blocks:
     """``X (x) Y`` on the layout of ``X``'s parts followed by ``Y``'s.
 
-    ``W = W_X (x) W_Y``, so sector ``(s, t)``, ``s`` the more significant,
-    holds ``kron(X_s, Y_t)``.  The squared norm outside the sectors is the
-    whole, ``(i_X + o_X)(i_Y + o_Y)``, less the inside, ``i_X i_Y``, with
-    ``i`` and ``o`` the factors' squared norms inside and outside theirs.
+    ``W = W_X (x) W_Y``, so block ``(s, t)``, ``s`` the more significant,
+    holds ``kron(X_s, Y_t)`` with multiplicity ``m_s m_t``.  The squared
+    norm outside the blocks is the whole, ``(i_X + o_X)(i_Y + o_Y)``, less
+    the inside, ``i_X i_Y``, with ``i`` and ``o`` the factors' squared norms
+    inside and outside theirs.
     """
-    i_x, i_y = _squared_norm(x.blocks), _squared_norm(y.blocks)
+    i_x, i_y = squared_norm(x.blocks, x.mults), squared_norm(y.blocks, y.mults)
     o_x, o_y = x.outside ** 2, y.outside ** 2
     return Blocks(
         [linalg.kron(a, b) for a in x.blocks for b in y.blocks],
         math.sqrt(o_x * (i_y + o_y) + i_x * o_y),
         lambda: linalg.kron(x.dense(), y.dense()),
+        tuple(a * b for a in x.mults for b in y.mults),
     )
 
 
-def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
-    """``W B W^T`` for the block-diagonal ``B`` with these sector blocks;
-    the one block itself with one sector."""
-    if not lay.chunks:
+def from_blocks(blocks: Sequence[np.ndarray], lay: Layout | SpinLayout) -> np.ndarray:
+    """``W B W^T`` for ``B`` the direct sum of these blocks, each repeated
+    its multiplicity; the one block itself with one block."""
+    if lay is ONE:
         return blocks[0]
-    dim = sum(len(b) for b in blocks)
+    chunks, copies = _basis(lay)
+    dim = sum(len(ixs) * len(b) for ixs, b in zip(copies, blocks))
     y = np.zeros((dim, dim), dtype=np.complex128)
-    for ix, block in zip(lay.index, blocks):
-        y[ix] = block
-    return _change_basis(y, lay, inverse=True)
+    for ixs, block in zip(copies, blocks):
+        for ix in ixs:
+            y[ix] = block
+    return _change_basis(y, chunks, inverse=True)
 
 
 def power_blocks(
-    rho: DensityMatrix, n: int, lay: Layout, dim_cap: int
+    rho: DensityMatrix, n: int, lay: Layout | SpinLayout, dim_cap: int
 ) -> list[np.ndarray]:
-    """The sector blocks of ``rho^(x)n``: in each sector, the tensor
-    product over sites of ``S(rho)`` or ``A(rho)``, the symmetric and
-    antisymmetric blocks of ``rho (x) rho``, or ``rho`` on a lone copy.
-    With one sector, ``[tensor_power(rho, n)]``."""
-    if not lay.chunks:
+    """The blocks of ``rho^(x)n``, without their multiplicities: a spin
+    block is the Kronecker product over the parts of their
+    ``states.spin_blocks``, and a copy-pair sector the one over the sites
+    of ``S(rho)`` or ``A(rho)``, the symmetric and antisymmetric blocks of
+    ``rho (x) rho``, or ``rho`` on a lone copy.  With one block,
+    ``[tensor_power(rho, n)]``."""
+    if lay is ONE:
         return [tensor_power(rho, n, dim_cap).matrix]
+    if isinstance(lay, SpinLayout):
+        check_power(rho, n, dim_cap)
+        per_size = {
+            p: [block for _, block in spin_blocks(rho, p, dim_cap)]
+            for p in set(lay.parts)
+        }
+        blocks = per_size[lay.parts[0]]
+        for p in lay.parts[1:]:
+            blocks = [linalg.kron(b, f) for b in blocks for f in per_size[p]]
+        return blocks
     both = lay.pair.T @ linalg.kron(rho.matrix, rho.matrix) @ lay.pair
     s = lay.sym
     halves = tuple((h + h.conj().T) / 2.0 for h in (both[:s, :s], both[s:, s:]))

@@ -253,8 +253,6 @@ class TestComposeOperatorKeyword:
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_builds_the_pair_once_and_no_tail_state(self, r, monkeypatch):
-        from qmultitest import detectors
-
         states = [random_density(2, 2, 8100 + 10 * r + k) for k in range(r)]
         partials = random_feasible_partials(4, r - 2, 8200 + r)
         built = []
@@ -263,8 +261,7 @@ class TestComposeOperatorKeyword:
             built.append((id(rho), n))
             return tensor_power(rho, n, dim_cap)
 
-        # The one-sector Helstrom test builds the pair through sectors.
-        monkeypatch.setattr(detectors, "tensor_power", counted)
+        # The one-block Helstrom test builds the pair through sectors.
         monkeypatch.setattr(sectors, "tensor_power", counted)
         det, trace = compose_with_binary(partials, states[0], states[1], 2)
         # The pair is built once, for the Helstrom test and the trace terms;
@@ -293,10 +290,10 @@ class TestComposeOperatorKeyword:
 
 
 def explicit_w(d, parts):
-    """The layout's ``W`` as a dense matrix: the tensor product of the pair
-    basis on each pair and the identity on each lone copy, its columns
-    grouped by sector; with the sector slices."""
-    layout = sectors.layout(d, parts)
+    """The copy-pair layout's ``W`` as a dense matrix: the tensor product of
+    the pair basis on each pair and the identity on each lone copy, its
+    columns grouped by sector; with the sector slices."""
+    layout = sectors.pair_layout(d, parts)
     pair, _ = sectors.pair_basis(d)
     factors = [pair if site == 2 else np.eye(d) for site in layout.sites]
     full = factors[0]
@@ -309,7 +306,9 @@ def explicit_w(d, parts):
 
 
 class TestSectors:
-    """The copy-pair sector layout against an explicit ``W``."""
+    """The copy-pair sector layout against an explicit ``W``, for every
+    ``d``: qubit split rows run on spin blocks (``TestSpinLayout``), but the
+    copy-pair layout serves any ``d``."""
 
     LAYOUTS = [
         (2, (2,)), (2, (3, 3)), (2, (2, 3, 2, 3)), (3, (1, 2)), (3, (2, 2)), (4, (2, 1))
@@ -337,7 +336,7 @@ class TestSectors:
         w, slices = explicit_w(d, parts)
         rho = random_density(d, d, 9100 + 10 * d + n)
         rotated = w.T @ tensor_power(rho, n).matrix @ w
-        layout = sectors.layout(d, parts)
+        layout = sectors.pair_layout(d, parts)
         blocks = sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)
         off = rotated.copy()
         for sl, block in zip(slices, blocks, strict=True):
@@ -347,11 +346,12 @@ class TestSectors:
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_basis_changes_match_explicit_w(self, d, parts, np_rng):
-        layout = sectors.layout(d, parts)
+        layout = sectors.pair_layout(d, parts)
         w, slices = explicit_w(d, parts)
         x = random_hermitian(np_rng, len(w))
         rotated = w.T @ x @ w
-        blocks, outside, dense = sectors.to_blocks(x, layout)
+        blocks, outside, dense, mults = sectors.to_blocks(x, layout)
+        assert mults == (1,) * len(slices)
         assert dense() is x
         for sl, block in zip(slices, blocks, strict=True):
             assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-13
@@ -366,8 +366,8 @@ class TestSectors:
         x = np.eye(8, dtype=complex)
         for parts in [(), (1, 1, 1)]:
             layout = sectors.layout(2, parts)
-            assert layout is sectors.ONE
-            (block,), outside, dense = sectors.to_blocks(x, layout)
+            assert layout is sectors.ONE is sectors.pair_layout(2, parts)
+            (block,), outside, dense, _ = sectors.to_blocks(x, layout)
             assert block is x and outside == 0.0 and dense() is x
             assert sectors.from_blocks([x], layout) is x
 
@@ -378,11 +378,13 @@ class TestSectors:
     def test_kron_matches_the_dense_product(self, d, parts_x, parts_y, np_rng):
         # Random factors are not invariant, so both carry a part outside
         # their sectors, and so does the product.
-        lay_x, lay_y = sectors.layout(d, parts_x), sectors.layout(d, parts_y)
+        lay_x, lay_y = sectors.pair_layout(d, parts_x), sectors.pair_layout(d, parts_y)
         a = random_hermitian(np_rng, d ** sum(parts_x))
         b = random_hermitian(np_rng, d ** sum(parts_y))
         got = sectors.kron(sectors.to_blocks(a, lay_x), sectors.to_blocks(b, lay_y))
-        want = sectors.to_blocks(np.kron(a, b), sectors.layout(d, parts_x + parts_y))
+        want = sectors.to_blocks(
+            np.kron(a, b), sectors.pair_layout(d, parts_x + parts_y)
+        )
         assert len(got.blocks) == len(want.blocks)
         for x, y in zip(got.blocks, want.blocks):
             assert np.max(np.abs(x - y)) <= 1e-13
@@ -419,6 +421,264 @@ class TestSectors:
         assert split.parts == parts
 
 
+def explicit_schur(p):
+    """A Schur basis of ``p`` qubits built apart from ``sectors``: for each
+    ``t``, an orthonormal basis of the spin-``J`` highest weights
+    (``J = p/2 - t``: the strings with ``t`` ones that the raising operator
+    annihilates) is lowered by ``J_-`` and normalized, which gives each
+    copy's ``|J, J - a>``.  Columns are grouped by ``t``, then the Dicke
+    index ``a``, then the copy; the copies' basis may differ from
+    ``sectors.schur_basis``'s, which no block depends on."""
+    dim = 2**p
+    lower = np.zeros((dim, dim))
+    for x in range(dim):
+        for i in range(p):
+            if not x & (1 << i):
+                lower[x | (1 << i), x] = 1.0
+    ones = np.array([bin(x).count("1") for x in range(dim)])
+    columns = []
+    for t in range(p // 2 + 1):
+        support = np.flatnonzero(ones == t)
+        _, values, vt = np.linalg.svd(lower.T[:, support])
+        rank = int(np.count_nonzero(values > 1e-10))
+        highest = np.zeros((dim, len(support) - rank))
+        highest[support] = vt[rank:].T
+        ladder = [highest]
+        for _ in range(p - 2 * t):
+            step = lower @ ladder[-1]
+            ladder.append(step / np.linalg.norm(step, axis=0))
+        columns.append(np.stack(ladder, axis=1).reshape(dim, -1))
+    return np.concatenate(columns, axis=1)
+
+
+def explicit_spin_w(parts):
+    """The spin layout's ``W`` as a dense matrix, from ``explicit_schur``:
+    block ``(t_1, ..., t_k)`` takes the columns of the parts' products with
+    the parts' Dicke indices major and their copies minor; with each
+    block's ``(size, multiplicity)``."""
+    full = np.ones((1, 1))
+    for p in parts:
+        full = np.kron(full, explicit_schur(p))
+    def m_t(p, t):
+        return math.comb(p, t) - (math.comb(p, t - 1) if t else 0)
+
+    order, shapes = [], []
+    for label in itertools.product(*(range(p // 2 + 1) for p in parts)):
+        sizes = [p - 2 * t + 1 for p, t in zip(parts, label)]
+        mults = [m_t(p, t) for p, t in zip(parts, label)]
+        starts = [
+            sum((p - 2 * u + 1) * m_t(p, u) for u in range(t))
+            for p, t in zip(parts, label)
+        ]
+        for a in itertools.product(*map(range, sizes)):
+            for c in itertools.product(*map(range, mults)):
+                column = 0
+                for p, start, m, ai, ci in zip(parts, starts, mults, a, c):
+                    column = column * 2**p + start + ai * m + ci
+                order.append(column)
+        shapes.append((math.prod(sizes), math.prod(mults)))
+    return full[:, order], shapes
+
+
+def block_sum(blocks, shapes):
+    """``(+)_s B_s (x) I_{m_s}`` as a dense matrix."""
+    out = np.zeros((sum(n * m for n, m in shapes),) * 2, dtype=complex)
+    start = 0
+    for block, (n, m) in zip(blocks, shapes, strict=True):
+        out[start : start + n * m, start : start + n * m] = np.kron(block, np.eye(m))
+        start += n * m
+    return out
+
+
+class TestSpinLayout:
+    """The qubit spin layout against an explicit Schur ``W``.  Measured:
+    ``W`` orthogonal to 1.4e-15, the state's blocks within 1.2e-16, the
+    part outside within 2.2e-15 relative."""
+
+    PARTS = [(2,), (3, 3), (1, 2), (2, 3, 2, 3), (5, 5)]
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_w_is_orthogonal(self, parts):
+        n = sum(parts)
+        w, shapes = explicit_spin_w(parts)
+        assert w.shape == (2**n, 2**n)
+        assert np.max(np.abs(w.T @ w - np.eye(2**n))) <= 1e-13
+        for p in set(parts):
+            basis = sectors.schur_basis(p)
+            assert np.max(np.abs(basis.T @ basis - np.eye(2**p))) <= 1e-13
+        layout = sectors.layout(2, parts)
+        assert list(layout.mults) == [m for _, m in shapes]
+        assert sum(n * m for n, m in shapes) == 2**n
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_one_copy_blocks_match_the_n_copy_state(self, parts):
+        # W^T rho^(x)n W = (+) B_s (x) I_{m_s}, with B_s from power_blocks.
+        n = sum(parts)
+        w, shapes = explicit_spin_w(parts)
+        layout = sectors.layout(2, parts)
+        for rank in (1, 2):
+            rho = random_density(2, rank, 9700 + 10 * n + rank)
+            rotated = w.T @ tensor_power(rho, n).matrix @ w
+            blocks = sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)
+            assert [len(b) for b in blocks] == [size for size, _ in shapes]
+            assert np.max(np.abs(rotated - block_sum(blocks, shapes))) <= 1e-14
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_basis_changes_match_explicit_w(self, parts, np_rng):
+        # A random X is not invariant: its blocks are the mean of each
+        # block's copies in W^T X W, and the rest is the part outside.
+        layout = sectors.layout(2, parts)
+        w, shapes = explicit_spin_w(parts)
+        x = random_hermitian(np_rng, len(w))
+        rotated = w.T @ x @ w
+        got = sectors.to_blocks(x, layout)
+        assert got.dense() is x and got.mults == layout.mults
+        start = 0
+        for block, (size, m) in zip(got.blocks, shapes, strict=True):
+            region = rotated[start : start + size * m, start : start + size * m]
+            mean = np.einsum("acbc->ab", region.reshape(size, m, size, m)) / m
+            assert np.max(np.abs(block - mean)) <= 1e-12
+            start += size * m
+        kept = w @ block_sum(got.blocks, shapes) @ w.T
+        assert got.outside == pytest.approx(np.linalg.norm(x - kept), rel=1e-12)
+        assert np.max(np.abs(sectors.from_blocks(got.blocks, layout) - kept)) <= 1e-12
+        # An invariant operator goes round the trip unchanged.
+        back = sectors.to_blocks(kept, layout)
+        assert back.outside <= 1e-12 * np.linalg.norm(kept)
+        for a, b in zip(back.blocks, got.blocks, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "parts_x,parts_y",
+        [((2,), (3,)), ((1, 2), (2, 1)), ((2, 3), (2, 3)), ((5,), (5,))],
+    )
+    def test_kron_matches_the_dense_product(self, parts_x, parts_y, np_rng):
+        lay_x, lay_y = sectors.layout(2, parts_x), sectors.layout(2, parts_y)
+        a = random_hermitian(np_rng, 2 ** sum(parts_x))
+        b = random_hermitian(np_rng, 2 ** sum(parts_y))
+        got = sectors.kron(sectors.to_blocks(a, lay_x), sectors.to_blocks(b, lay_y))
+        want = sectors.to_blocks(np.kron(a, b), sectors.layout(2, parts_x + parts_y))
+        assert got.mults == want.mults == sectors.layout(2, parts_x + parts_y).mults
+        for x, y in zip(got.blocks, want.blocks, strict=True):
+            assert np.max(np.abs(x - y)) <= 1e-12
+        assert got.outside == pytest.approx(want.outside, rel=1e-12)
+        assert np.array_equal(got.dense(), np.kron(a, b))
+
+    def test_symmetric_layouts(self):
+        assert sectors.symmetric(2, 1) is sectors.ONE
+        assert sectors.symmetric(2, 4) is sectors.layout(2, (4,))
+        assert sectors.symmetric(3, 4) is sectors.ONE
+        assert sectors.layout(3, (2, 2)) is sectors.pair_layout(3, (2, 2))
+
+
+def seed_7_ensemble():
+    from qmultitest.cli import _gen_condition_satisfying
+    from qmultitest.scenario import scenario_from_dict
+
+    return scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0]).ensemble
+
+
+def dense_split_row(ens, n, sub):
+    """A qubit ``r = 3`` split row from dense sub-detectors: the PGM or the
+    Helstrom test of the explicit ``n1``- and ``n2``-copy states, their
+    tail elements' product composed on one block with the explicit
+    ``n``-copy pair; with the detector's misses on the explicit states."""
+    first, second, tail = ens.states
+    n1 = n // 2
+
+    def sub_detector(states, copies):
+        powers = [tensor_power(s, copies) for s in states]
+        return pgm(powers) if sub == "pgm" else holevo_helstrom(*powers)
+
+    sub_1 = sub_detector((first, tail), n1)
+    sub_2 = sub_detector((second, tail), n - n1)
+    partials = [np.kron(sub_1.elements[1], sub_2.elements[1])]
+    powers = [tensor_power(s, n) for s in ens.states]
+    det, trace = compose_with_binary(partials, powers[0], powers[1])
+    return det, trace, list(misses(powers, det))
+
+
+class TestSpinSplitRows:
+    """Qubit split rows, built and evaluated on spin blocks, against the
+    one-block composition of the dense sub-detectors.  Tolerances, those of
+    ``test_split_terms_match_explicit_states``: every element entry within
+    1e-12, and the bound's terms and the per-state errors within 1e-12
+    relative.  Measured on seed 7: at most 1.7e-13, 1.6e-13 and 1.4e-13."""
+
+    @staticmethod
+    def compare(ens, n, sub, elements=True):
+        from qmultitest.evaluation import error_sum
+
+        det, trace, split = build_split_detector(ens, n, 0.5, sub)
+        assert split.parts == (n // 2, n - n // 2)
+        got = error_sum(ens, n, det).per_state_error
+        ref_det, ref_trace, ref_errors = dense_split_row(ens, n, sub)
+        if elements:
+            for a, b in zip(det.elements, ref_det.elements, strict=True):
+                assert np.max(np.abs(a - b)) <= 1e-12
+        assert (trace.wedge_trace, trace.term_partials) == pytest.approx(
+            (ref_trace.wedge_trace, ref_trace.term_partials), rel=1e-12, abs=0.0
+        )
+        assert got == pytest.approx(ref_errors, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    @pytest.mark.parametrize("n", [*range(2, 9), 10])
+    def test_rows_match_dense_sub_detectors(self, n, sub):
+        self.compare(seed_7_ensemble(), n, sub)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_random_rows_match_dense_terms_and_errors(self, sub):
+        # The ensemble of test_split_terms_match_explicit_states.  Measured:
+        # terms within 2.3e-14 and errors within 4.2e-15 relative.  Its
+        # elements are not compared here: at n = 8 the pair's difference
+        # has eigenvalues 9.0e-8 and -2.2e-7 beside the zero floor, so the
+        # dense Helstrom test of the 256-dimensional states is itself
+        # rounded by 1.8e-11 against the spin blocks' test, and the
+        # composed elements differ by 1.8e-12.
+        ens = Ensemble(tuple(random_density(2, 2, 8400 + k) for k in range(3)))
+        for n in range(2, 9):
+            self.compare(ens, n, sub, elements=False)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_table_builds_no_schur_basis_and_no_large_block(self, sub, monkeypatch):
+        # A qubit r = 3 table never forms W, nor a dense state past the
+        # row's largest block, and decomposes and checks nothing above that
+        # block's size, (n1 + 1)(n2 + 1).
+        from qmultitest import states
+        from qmultitest.evaluation import run_experiment
+
+        ens = seed_7_ensemble()
+        original = states.tensor_power
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Schur basis was built")
+
+        def one_copy(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            # The n = 2 row's parts (1, 1) hold no pair of copies: its one
+            # block is the two-copy space.
+            if n > 2:
+                raise AssertionError("a dense n-copy state was built")
+            return original(rho, n, dim_cap)
+
+        sizes = []
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            real = getattr(np.linalg, name)
+
+            def counting(a, *args, _real=real, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(sectors, "schur_basis", forbidden)
+        for module in (states, sectors):
+            monkeypatch.setattr(module, "tensor_power", one_copy)
+        for n in range(2, 11):
+            sizes.clear()
+            (row,) = run_experiment(ens, [n], sub=sub).rows
+            assert max(sizes) == (row.n1 + 1) * (row.n2 + 1)
+            assert row.lemma_holds and row.overall_holds
+
+
 def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
     """``run_experiment`` with every composition on one sector: the dense
     path, which composes the dense partials and evaluates the misses on
@@ -437,8 +697,9 @@ def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
 
 
 class TestSectorComposition:
-    """Split rows on copy-pair sectors against the one-sector (dense)
-    composition.  Tolerance: 1e-12 relative on every error and bound
+    """Split rows on their block layout (spin blocks for qubits, copy-pair
+    sectors otherwise) against the one-block (dense) composition of the
+    same sub-detectors.  Tolerance: 1e-12 relative on every error and bound
     column and 1e-12 absolute on the rate; the largest differences
     measured over r = 3..5 and d = 2..4 were 1.1e-14 and 2.1e-13
     relative."""
@@ -527,8 +788,9 @@ class TestSectorComposition:
     def test_sector_misses_agree_with_extended_precision(self):
         # The row whose tail miss (2.3e-4) moves most against the dense
         # path: the dense traces are off by 2.7e-10 relative there with one
-        # BLAS thread (2.3e-11 with two), while the sector traces agree
-        # with an extended-precision trace of the same detector to 3.0e-12.
+        # BLAS thread (2.3e-11 with two), while the block traces agree
+        # with an extended-precision trace of the same detector to 3.6e-14
+        # on spin blocks (3.0e-12 on copy-pair sectors).
         from qmultitest.cli import _gen_condition_satisfying
         from qmultitest.evaluation import error_sum
         from qmultitest.scenario import scenario_from_dict
@@ -839,8 +1101,10 @@ class TestMisses:
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_builds_one_state_at_a_time(self, monkeypatch):
-        # Every state built so far is gone when the next one is built.
-        states = [random_density(2, 2, 170 + k) for k in range(4)]
+        # Every dense state built so far is gone when the next one is built.
+        # (Qubit states enter as spin blocks of size at most n + 1, which
+        # states.spin_blocks keeps for the rest of the row.)
+        states = [random_density(3, 3, 170 + k) for k in range(4)]
         det = pgm(states, 3)
         built = []
 
@@ -866,14 +1130,24 @@ class TestMisses:
 
 class TestCopiesArgument:
     """A construction given one-copy states and ``n`` is bitwise the same
-    construction given the explicit n-copy states."""
+    construction given the explicit n-copy states, when both are dense.  A
+    qubit construction on ``n >= 2`` copies runs on spin blocks instead;
+    its elements agree with the dense construction's within 1e-12 and its
+    misses within 1e-12 relative (the differential tolerance of
+    ``TestSpinSplitRows``)."""
 
     CASES = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 
     @staticmethod
     def same(a, b):
-        assert [e.tobytes() for e in a.elements] == [e.tobytes() for e in b.elements]
         assert a.dim == b.dim
+        if a.layout is b.layout is sectors.ONE:
+            got, want = a.elements, b.elements
+            assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
+        else:
+            assert isinstance(a.layout, sectors.SpinLayout)
+            for x, y in zip(a.elements, b.elements, strict=True):
+                assert np.max(np.abs(x - y)) <= 1e-12
 
     @pytest.mark.parametrize("d,n", CASES)
     def test_holevo_helstrom(self, d, n):
@@ -888,8 +1162,12 @@ class TestCopiesArgument:
         det = pgm(states, n)
         self.same(det, pgm(powers))
         got = np.array(list(misses(states, det, n)))
-        want = np.array(list(misses(powers, det)))
-        assert got.tobytes() == want.tobytes()
+        if det.layout is sectors.ONE:
+            want = np.array(list(misses(powers, det)))
+            assert got.tobytes() == want.tobytes()
+        else:
+            want = np.array(list(misses(powers, pgm(powers))))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d,n", CASES)
     def test_compose_with_binary(self, d, n):
@@ -1047,15 +1325,19 @@ class TestPsdFastPath:
         ens = Ensemble(tuple(random_density(2, 2, 20 + k) for k in range(3)))
         _, _, split = build_split_detector(ens, 6)
         assert split.parts == (3, 3)
-        assert kernel_sizes["eigvalsh"].count(64) == 0
-        # The Helstrom difference and the residual are decomposed by sector.
-        assert kernel_sizes["eigh"].count(64) == 0
-        # So is every check, on the sectors of sizes 36, 12, 12 and 4, six
-        # per sector: binary test (2), partial (1), the pair's elements (2),
-        # squared defect (1).
-        assert kernel_sizes["cholesky"].count(64) == 0
+        # Nothing is decomposed or checked above the largest spin block,
+        # (3 + 1)(3 + 1) = 16.
+        assert max(size for sizes in kernel_sizes.values() for size in sizes) == 16
+        assert kernel_sizes["eigvalsh"].count(16) == 0
+        # Every composition check runs on the spin blocks of sizes 16, 8, 8
+        # and 4, six per block: binary test (2), partial (1), the pair's
+        # elements (2), squared defect (1).  The two PGM sub-detectors
+        # check their two elements on their blocks of sizes 4 and 2, and the
+        # three one-copy states were checked when they were made.
         per_size = collections.Counter(kernel_sizes["cholesky"])
-        assert (per_size[36], per_size[12], per_size[4]) == (6, 12, 6)
+        assert (per_size[16], per_size[8], per_size[4], per_size[2]) == (
+            6, 12, 6 + 4, 4 + 3
+        )
 
     def test_planted_negative_element_keeps_its_message(self):
         d = 256

@@ -297,7 +297,7 @@ class TestRunExperiment:
         # built once, in error_sum, which also takes the tail's misses; the
         # pair's once more, for the composition's Helstrom test and trace
         # terms.
-        from qmultitest import detectors, sectors, states
+        from qmultitest import sectors, states
 
         ens = Ensemble(tuple(random_density(2, 2, 160 + k) for k in range(r)))
         built, dense = [], []
@@ -312,7 +312,7 @@ class TestRunExperiment:
             return original_power(rho, n, dim_cap)
 
         monkeypatch.setattr(sectors, "power_blocks", counted)
-        for module in (states, sectors, detectors):
+        for module in (states, sectors):
             monkeypatch.setattr(module, "tensor_power", power)
         table = run_experiment(ens, [4], k_fit=2)
         assert 4 not in dense
@@ -360,14 +360,23 @@ class TestRunExperiment:
                 assert row.report.err_sm <= row.binary_bound
 
     def test_qubit_binary_row_builds_no_dense_operator(self, monkeypatch):
-        from qmultitest import detectors, states
+        # The qubit test is holevo_helstrom on spin blocks: no state on more
+        # than one copy and no Schur basis.  One copy is its own block.
+        from qmultitest import sectors, states
+
+        original = states.tensor_power
+
+        def one_copy(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            if n > 1:
+                raise AssertionError("a dense n-copy operator was built")
+            return original(rho, n, dim_cap)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a dense n-copy operator was built")
+            raise AssertionError("a Schur basis was built")
 
-        monkeypatch.setattr(states, "tensor_power", forbidden)
-        monkeypatch.setattr(detectors, "tensor_power", forbidden)
-        monkeypatch.setattr(detectors, "holevo_helstrom", forbidden)
+        for module in (states, sectors):
+            monkeypatch.setattr(module, "tensor_power", one_copy)
+        monkeypatch.setattr(sectors, "schur_basis", forbidden)
         ens = Ensemble((random_density(2, 2, 181), random_density(2, 2, 182)))
         table = run_experiment(ens, range(1, 7), k_fit=3)
         assert [row.n for row in table.rows] == list(range(1, 7))
@@ -424,10 +433,10 @@ def peak_operators_per_row(ensemble, n):
 class TestRowMemory:
     """Full-size operators live only from construction to last use.
 
-    Measured at D = 256: 1.95 matrices on a split row, which is built and
-    evaluated on copy-pair sectors and forms no full-size operator (its
-    sector blocks hold about 0.15 of one each), and 5.13 on a dense binary
-    row (d = 4).  Keeping the n-copy states across the Helstrom
+    Measured at D = 256: 0.25 matrices on a qubit split row, which is
+    built and evaluated on spin blocks and forms no full-size operator (its
+    blocks hold about 0.02 of one each; 1.95 on copy-pair sectors), and
+    5.13 on a dense binary row (d = 4).  Keeping the n-copy states across the Helstrom
     decomposition gives 7.13 on the binary row.  A qubit binary row builds
     no full-size operator: its blocks have size at most n + 1.
     """
@@ -435,7 +444,7 @@ class TestRowMemory:
     def test_split_row_peak(self):
         rho, sigma = random_density(2, 2, 9001), random_density(2, 2, 9002)
         ens = Ensemble((rho, mix(rho, sigma, 0.125), random_density(2, 1, 9003)))
-        assert peak_operators_per_row(ens, 8) <= 1.95 + 0.5
+        assert peak_operators_per_row(ens, 8) <= 0.25 + 0.5
 
     def test_binary_row_peak(self):
         ens = Ensemble((random_density(4, 4, 9011), random_density(4, 4, 9012)))

@@ -330,6 +330,23 @@ class TestRunCommand:
             assert cells[9] == "true" and cells[10] == "true"
             assert cells[1] != "" and cells[2] != ""
 
+    def test_nearly_singular_pgm_sub_detectors_compose(self, tmp_path, capsys):
+        # Seed 1508's PGM sub-detectors have a nearly singular average state.
+        # Built on spin blocks, their elements are exactly invariant, so the
+        # composition takes every partial and each bound holds.
+        path = str(tmp_path / "c.json")
+        gen = ["gen", "condition-satisfying", "--r", "3", "--d", "2"]
+        assert cli.main([*gen, "--seed", "1508", "--out", path]) == 0
+        capsys.readouterr()
+        run = ["run", path, "--n-max", "10", "--sub", "pgm", "--format", "json"]
+        assert cli.main(run) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = strict_json(captured.out)["rows"]
+        assert [row["n"] for row in rows] == list(range(2, 11))
+        assert all(row["lemma_holds"] is True for row in rows)
+        assert all(row["overall_holds"] is True for row in rows)
+
     def test_bad_range_is_validation_error(self, tmp_path):
         path = write_doc(tmp_path / "s.json", two_state_doc())
         assert cli.main(["run", path, "--n-min", "3", "--n-max", "2"]) == 1
