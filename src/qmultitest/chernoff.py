@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -77,24 +77,33 @@ class _PairCurve:
     With spectral data ``rho1 = sum_i a_i |u_i><u_i|`` and
     ``rho2 = sum_j b_j |v_j><v_j|`` the curve is the positive combination
     ``f(s) = sum_ij |<u_i|v_j>|^2 a_i^(1-s) b_j^s`` restricted to
-    eigenvalues above the zero floor.
+    eigenvalues above the zero floor.  Its terms are held as one row,
+    ``weights``, ``log_a`` and ``log_b`` each of shape ``(1, k_a * k_b)``,
+    so curves with as many terms stack into a batch (``_overlaps``).
     """
 
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix, support=_support):
         if rho1.dim != rho2.dim:
             raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
         (log_a, v1), (log_b, v2) = support(rho1), support(rho2)
-        self._weights = np.abs(v1.conj().T @ v2) ** 2
-        self._log_a = log_a[:, None]
-        self._log_b = log_b[None, :]
+        weights = np.abs(v1.conj().T @ v2) ** 2
+        self.weights = weights.reshape(1, -1)
+        self.log_a = np.repeat(log_a, len(log_b))[None]
+        self.log_b = np.tile(log_b, len(log_a))[None]
 
     def value(self, s: float) -> float:
-        if self._weights.size == 0:
-            return 0.0
-        terms = self._weights * np.exp(
-            (1.0 - s) * self._log_a + s * self._log_b
-        )
-        return float(min(max(np.sum(terms), 0.0), 1.0))
+        return _overlaps(self.weights, self.log_a, self.log_b, [s])[0]
+
+
+def _overlaps(
+    weights: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, points: list[float]
+) -> list[float]:
+    """Curve ``k`` of a stack (``_PairCurve`` rows) at ``points[k]``, each
+    clamped to [0, 1]: one ``exp`` and one row sum for all of them.  A
+    row's terms are summed in the same order whatever else is stacked."""
+    s = np.array(points)[:, None]
+    terms = weights * np.exp((1.0 - s) * log_a + s * log_b)
+    return [min(max(f, 0.0), 1.0) for f in terms.sum(axis=1).tolist()]
 
 
 def chernoff_curve(rho1: DensityMatrix, rho2: DensityMatrix, s: float) -> float:
@@ -104,27 +113,76 @@ def chernoff_curve(rho1: DensityMatrix, rho2: DensityMatrix, s: float) -> float:
     return _PairCurve(rho1, rho2).value(s)
 
 
-def _golden_minimize(fn, tol: float = GOLDEN_TOL) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [0, 1]."""
+def _golden_search(tol: float = GOLDEN_TOL):
+    """Golden-section minimum of a unimodal function on [0, 1], then the
+    two endpoints, as a generator: it yields each point to evaluate, is
+    sent the function's value there, and returns the result.
+
+    The infimum can sit at ``s = 0`` or ``s = 1`` for non-faithful states,
+    hence the endpoints.  An overlap at or below ``F_MIN_ZERO`` is an
+    infinite exponent.
+    """
     a, b = 0.0, 1.0
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
-    fc, fd = fn(c), fn(d)
+    fc = yield c
+    fd = yield d
     best_s, best_f = (c, fc) if fc <= fd else (d, fd)
     while (b - a) > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
-            fc = fn(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
-            fd = fn(d)
+            fd = yield d
         if fc < best_f:
             best_s, best_f = c, fc
         if fd < best_f:
             best_s, best_f = d, fd
-    return best_s, best_f
+    for endpoint in (0.0, 1.0):
+        f_end = yield endpoint
+        if f_end < best_f:
+            best_s, best_f = endpoint, f_end
+    if best_f <= F_MIN_ZERO:
+        return ChernoffResult(math.inf, best_s, 0.0)
+    return ChernoffResult(-math.log(best_f), best_s, best_f)
+
+
+def _minimize(curves: Sequence[_PairCurve]) -> list[ChernoffResult]:
+    """Minimize each curve over [0, 1] (``_golden_search``), in order.
+
+    The searches of curves with as many terms advance in lockstep, so each
+    step evaluates them all at once (``_overlaps``); each keeps its own
+    bookkeeping and stops on its own.  Shorter rows are not padded, since
+    that would change the order of their sums.
+    """
+    results: list[ChernoffResult | None] = [None] * len(curves)
+    groups: dict[int, list[int]] = {}
+    for k, curve in enumerate(curves):
+        groups.setdefault(curve.weights.size, []).append(k)
+    for members in groups.values():
+        stacked = [
+            np.concatenate([getattr(curves[k], name) for k in members])
+            for name in ("weights", "log_a", "log_b")
+        ]
+        searches = [_golden_search() for _ in members]
+        points = [next(search) for search in searches]
+        while members:
+            values = _overlaps(*stacked, points)
+            live, points = [], []
+            for row, (k, search, f) in enumerate(zip(members, searches, values)):
+                try:
+                    points.append(search.send(f))
+                    live.append(row)
+                except StopIteration as done:
+                    results[k] = done.value
+            if len(live) < len(members):
+                stacked = [x[live] for x in stacked]
+                members = [members[row] for row in live]
+                searches = [searches[row] for row in live]
+    return results
 
 
 def chernoff_distance(
@@ -136,17 +194,10 @@ def chernoff_distance(
     evaluation, since with the support convention the infimum can sit at
     ``s = 0`` or ``s = 1`` for non-faithful states.  An overlap at or
     below 1e-300 is reported as an infinite exponent.  ``support`` gives
-    a state's decomposition; a caller that keeps them passes its own.
+    a state's decomposition; a caller that keeps them passes its own.  The
+    search is ``_minimize`` on a batch of one.
     """
-    curve = _PairCurve(rho1, rho2, support)
-    s_opt, f_min = _golden_minimize(curve.value)
-    for endpoint in (0.0, 1.0):
-        f_end = curve.value(endpoint)
-        if f_end < f_min:
-            s_opt, f_min = endpoint, f_end
-    if f_min <= F_MIN_ZERO:
-        return ChernoffResult(math.inf, s_opt, 0.0)
-    return ChernoffResult(-math.log(f_min), s_opt, f_min)
+    return _minimize([_PairCurve(rho1, rho2, support)])[0]
 
 
 def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, float]:
@@ -163,7 +214,8 @@ class PairwiseTable:
 
     ``distances`` maps each pair ``i < j`` to its result, taken from
     ``known`` when it is there.  Each state the other pairs need is
-    decomposed once.  ``least`` is the closest pair, ties broken toward the
+    decomposed once, and those pairs are minimized together, in one batch
+    (``_minimize``).  ``least`` is the closest pair, ties broken toward the
     lexicographically smallest; the ensemble's minimum exponent and the
     attainability condition are both read off this one table.
     """
@@ -183,12 +235,12 @@ class PairwiseTable:
                 supports[id(rho)] = _support(rho)
             return supports[id(rho)]
 
+        pairs = [(i, j) for i in range(self.r) for j in range(i + 1, self.r)]
+        todo = [pair for pair in pairs if pair not in known]
+        curves = [_PairCurve(states[i], states[j], support) for i, j in todo]
+        found = dict(zip(todo, _minimize(curves)))
         distances = self.distances = {
-            (i, j): known[(i, j)]
-            if (i, j) in known
-            else chernoff_distance(states[i], states[j], support)
-            for i in range(self.r)
-            for j in range(i + 1, self.r)
+            pair: known[pair] if pair in known else found[pair] for pair in pairs
         }
         self.least = min(sorted(distances), key=lambda p: distances[p].exponent)
 

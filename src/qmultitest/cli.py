@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chern.add_argument("scenario", help="scenario JSON file")
     p_chern.add_argument("--out", default=None, help="write report to this path")
-    p_chern.set_defaults(func=cmd_chernoff)
 
     p_run = sub.add_parser("run", help="per-copy error table for a scenario")
     p_run.add_argument("scenario", help="scenario JSON file")
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run randomized invariant suites")
     p_verify.add_argument("--trials", type=int, default=100)
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also corrupt a detector and confirm the checker flags it",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a scenario file")
     p_gen.add_argument(
@@ -386,16 +383,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--d", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built on the first call and kept for the later ones.
+    # Commands are looked up by name on each call, so one rebound on this
+    # module runs.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    commands = {
+        "chernoff": cmd_chernoff,
+        "run": cmd_run,
+        "verify": cmd_verify,
+        "gen": cmd_gen,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -486,29 +486,42 @@ def can_split(n: int, w1: float) -> bool:
 
 def _sub_detector(
     states: Sequence[DensityMatrix],
+    positions: tuple[int, ...],
     copies: int,
     w1: float,
     strategy: SubStrategy,
     dim_cap: int,
-) -> tuple[Detector, tuple[int, ...]]:
+    shared: dict,
+) -> tuple[Detector, tuple[int, ...], float]:
     """Detector for ``{state^(x)copies}`` built per the chosen strategy,
-    with the parts (``SplitReport.parts``) it is invariant under.
+    with the parts (``SplitReport.parts``) it is invariant under and its
+    summed misses.
 
     The recursive strategy bottoms out in the binary test for two states
     and falls back to the square-root measurement once the copy budget can
     no longer be split; both are invariant under every permutation of the
-    copies, one part, and built on ``sectors.symmetric``.
+    copies, one part, and built on ``sectors.symmetric``.  ``positions``
+    are the states' positions in the table's ensemble: ``shared`` keeps
+    each result under ``(positions, copies)`` and hands it out again.
     """
     if strategy not in ("pgm", "recursive"):
         raise ValueError(f"unknown sub-detector strategy {strategy!r}")
+    key = (positions, copies)
+    if key in shared:
+        return shared[key]
+    parts: tuple[int, ...] = (copies,)
     if strategy == "recursive" and len(states) == 2:
-        return holevo_helstrom(states[0], states[1], copies, dim_cap), (copies,)
-    if strategy == "recursive" and can_split(copies, w1):
+        detector = holevo_helstrom(states[0], states[1], copies, dim_cap)
+    elif strategy == "recursive" and can_split(copies, w1):
+        ensemble = Ensemble(tuple(states))
         detector, _, split = build_split_detector(
-            Ensemble(tuple(states)), copies, w1, "recursive", dim_cap
+            ensemble, copies, w1, "recursive", dim_cap, shared, positions
         )
-        return detector, split.parts
-    return pgm(states, copies, dim_cap), (copies,)
+        parts = split.parts
+    else:
+        detector = pgm(states, copies, dim_cap)
+    shared[key] = detector, parts, sum(misses(states, detector, copies, dim_cap))
+    return shared[key]
 
 
 def _element_on(
@@ -531,6 +544,8 @@ def build_split_detector(
     w1: float = 0.5,
     sub: SubStrategy = "pgm",
     dim_cap: int = DEFAULT_DIM_CAP,
+    shared: dict | None = None,
+    positions: tuple[int, ...] | None = None,
 ) -> tuple[Detector, CompositionTrace, SplitReport]:
     """Multi-copy detector from a tensor split of the copy budget.
 
@@ -546,6 +561,13 @@ def build_split_detector(
     (``sectors.kron``), and the composition and the detector it returns
     stay there.  Qubit sub-detectors are built on those blocks, so their
     partials are exactly invariant.
+
+    ``shared`` maps the positions of a sub-detector's states and its copy
+    count to the sub-detector, its parts and its summed misses, for one
+    ensemble, ``w1``, ``sub`` and ``dim_cap``; what is built here is added.
+    The rows of a table pass one map.  ``positions`` are those of
+    ``ensemble.states``, ``0..r-1`` unless this is a nested recursive split.
+    Without ``shared`` the map serves this detector's nested splits only.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")
@@ -559,14 +581,15 @@ def build_split_detector(
     if n1 < 1 or n2 < 1:
         raise SplitTooSmall(f"weight {w1} leaves an empty part: n1={n1}, n2={n2}")
 
-    first, second = ensemble.states[0], ensemble.states[1]
-    tail = list(ensemble.states[2:])
-    side_1 = [first, *tail]
-    side_2 = [second, *tail]
-    sub_1, parts_1 = _sub_detector(side_1, n1, w1, sub, dim_cap)
-    sub_2, parts_2 = _sub_detector(side_2, n2, w1, sub, dim_cap)
-    sub_error_1 = sum(misses(side_1, sub_1, n1, dim_cap))
-    sub_error_2 = sum(misses(side_2, sub_2, n2, dim_cap))
+    shared = {} if shared is None else shared
+    positions = tuple(range(ensemble.r)) if positions is None else positions
+    first, second, *tail = ensemble.states
+    sub_1, parts_1, sub_error_1 = _sub_detector(
+        [first, *tail], (positions[0], *positions[2:]), n1, w1, sub, dim_cap, shared
+    )
+    sub_2, parts_2, sub_error_2 = _sub_detector(
+        [second, *tail], positions[1:], n2, w1, sub, dim_cap, shared
+    )
 
     layout_1 = sectors.layout(first.dim, parts_1)
     layout_2 = sectors.layout(first.dim, parts_2)

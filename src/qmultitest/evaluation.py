@@ -305,6 +305,8 @@ def run_experiment(
 
     rows = []
     rate_rows = []
+    # The sub-detectors of all rows, each built once (build_split_detector).
+    shared: dict = {}
     for n in ns:
         bound = math.exp(-n * pair_result.exponent)
         if ensemble.r == 2:
@@ -315,7 +317,7 @@ def run_experiment(
             lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
         else:
             detector, trace, split = build_split_detector(
-                ensemble, n, w1, sub, dim_cap
+                ensemble, n, w1, sub, dim_cap, shared
             )
             report = error_sum(ensemble, n, detector, dim_cap)
             n1, n2 = split.n1, split.n2

@@ -70,15 +70,17 @@ def helstrom_error_oracle(a, b):
 
 @pytest.fixture
 def chernoff_calls(monkeypatch):
-    """List that grows by one per ``chernoff_distance`` call."""
+    """List that grows by one per pair handed to the batched Chernoff
+    search, ``chernoff._minimize``, through which every pairwise table and
+    every ``chernoff_distance`` call goes."""
     from qmultitest import chernoff
 
     calls = []
-    original = chernoff.chernoff_distance
+    original = chernoff._minimize
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(curves):
+        calls.extend(curves)
+        return original(curves)
 
-    monkeypatch.setattr(chernoff, "chernoff_distance", counted)
+    monkeypatch.setattr(chernoff, "_minimize", counted)
     return calls

@@ -23,6 +23,22 @@ from qmultitest.errors import DimensionMismatch, UndefinedQuantity
 from conftest import matrix_power
 
 
+def state_rank(rho):
+    return int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > 1e-12))
+
+
+def assert_each_pair_as_alone(table, states):
+    """Every result of ``table`` equals, field for field and exactly, the
+    one ``chernoff_distance`` gives for its pair of ``states`` alone."""
+    for (i, j), result in table.distances.items():
+        alone = chernoff_distance(states[i], states[j])
+        assert (result.exponent, result.s_opt, result.f_min) == (
+            alone.exponent,
+            alone.s_opt,
+            alone.f_min,
+        )
+
+
 def classical_overlap(p, q, s):
     """Scalar overlap sum_i p_i^(1-s) q_i^s with the 0^0 := 0 convention."""
     total = 0.0
@@ -252,8 +268,52 @@ class TestEnsembleQuantities:
             patch.setattr(linalg, "eigh", counted)
             table = PairwiseTable(ens)
         assert sizes == [d] * r
-        for (i, j), result in table.distances.items():
-            alone = chernoff_distance(states[i], states[j])
+        assert_each_pair_as_alone(table, states)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_matches_each_pair_alone_bit_for_bit(self, seed):
+        # The search runs every pair of a table in lockstep; each result is
+        # still exactly what chernoff_distance gives for the pair alone.
+        # States 0 and 1 are orthogonal pure states and the rest have rank
+        # 2..d, so from r = 3 on a table's pairs have several support shapes.
+        for r in range(2, 7):
+            for d in range(2, 5):
+                base = 1000 * seed + 100 * r + 10 * d
+                eye = np.eye(d)
+                states = [pure_state(eye[0]), pure_state(eye[1])] + [
+                    random_density(d, 2 + (k + seed) % (d - 1), base + k)
+                    for k in range(2, r)
+                ]
+                table = PairwiseTable(Ensemble(tuple(states)))
+                assert math.isinf(table.distances[(0, 1)].exponent)
+                assert r == 2 or len({state_rank(s) for s in states}) > 1
+                assert_each_pair_as_alone(table, states)
+
+    def test_known_pairs_kept_and_the_rest_as_alone(self):
+        states = [random_density(3, 1 + k % 3, 9300 + k) for k in range(5)]
+        ens = Ensemble(tuple(states))
+        known = {
+            pair: result
+            for pair, result in PairwiseTable(ens).distances.items()
+            if 1 not in pair
+        }
+        table = PairwiseTable(ens, known)
+        for pair, result in known.items():
+            assert table.distances[pair] is result
+        assert_each_pair_as_alone(table, states)
+
+    def test_batch_with_identical_and_orthogonal_pairs_as_alone(self):
+        # An identical pair and an orthogonal pure pair (an infinite
+        # exponent through F_MIN_ZERO), in one batch with other pairs of
+        # their shapes.
+        rho, sigma = random_density(2, 2, 9400), random_density(2, 2, 9401)
+        up, down = pure_state([1.0, 0.0]), pure_state([0.0, 1.0])
+        tilted = pure_state([math.cos(0.3), math.sin(0.3)])
+        pairs = [(rho, rho), (rho, sigma), (up, down), (up, tilted), (down, rho)]
+        found = chernoff._minimize([chernoff._PairCurve(a, b) for a, b in pairs])
+        assert math.isinf(found[2].exponent) and found[2].f_min == 0.0
+        for result, (a, b) in zip(found, pairs, strict=True):
+            alone = chernoff_distance(a, b)
             assert (result.exponent, result.s_opt, result.f_min) == (
                 alone.exponent,
                 alone.s_opt,
@@ -276,14 +336,14 @@ class TestEnsembleQuantities:
     def test_ties_break_toward_the_smallest_pair(self, monkeypatch):
         # (0, 2) and (1, 2) tie at the minimum; the table picks (0, 2).
         ens = Ensemble(tuple(random_density(2, 2, 10 + k) for k in range(3)))
-        index = {id(state): k for k, state in enumerate(ens.states)}
         exponents = {(0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.25}
 
-        def fixed(rho1, rho2, support=None):
-            x = exponents[(index[id(rho1)], index[id(rho2)])]
-            return ChernoffResult(x, 0.5, math.exp(-x))
+        def fixed(curves):
+            # The table hands its pairs to the search in ascending order.
+            assert len(curves) == len(exponents)
+            return [ChernoffResult(x, 0.5, math.exp(-x)) for x in exponents.values()]
 
-        monkeypatch.setattr(chernoff, "chernoff_distance", fixed)
+        monkeypatch.setattr(chernoff, "_minimize", fixed)
         table = PairwiseTable(ens)
         assert table.least == (0, 2)
         assert table.others_min(table.least) == 0.25

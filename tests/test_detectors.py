@@ -399,9 +399,12 @@ class TestSectors:
     )
     def test_sub_detector_parts(self, r, parts):
         states = [random_density(2, 2, 9200 + k) for k in range(r - 1)]
-        _, got = _sub_detector(states, 4, 0.5, "recursive", DEFAULT_DIM_CAP)
+        positions = tuple(range(r - 1))
+        _, got, _ = _sub_detector(
+            states, positions, 4, 0.5, "recursive", DEFAULT_DIM_CAP, {}
+        )
         assert got == parts
-        _, got = _sub_detector(states, 4, 0.5, "pgm", DEFAULT_DIM_CAP)
+        _, got, _ = _sub_detector(states, positions, 4, 0.5, "pgm", DEFAULT_DIM_CAP, {})
         assert got == (4,)
 
     @pytest.mark.parametrize(
@@ -1029,7 +1032,9 @@ class TestBuildSplitDetector:
 class TestRecursiveDetector:
     def test_two_states_is_binary_test(self):
         rho1, rho2 = random_density(2, 2, 71), random_density(2, 2, 72)
-        rec, parts = _sub_detector([rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP)
+        rec, parts, _ = _sub_detector(
+            [rho1, rho2], (0, 1), 3, 0.5, "recursive", DEFAULT_DIM_CAP, {}
+        )
         assert parts == (3,)
         direct = holevo_helstrom(tensor_power(rho1, 3), tensor_power(rho2, 3))
         for a, b in zip(rec.elements, direct.elements):

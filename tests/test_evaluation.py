@@ -417,6 +417,76 @@ class TestRunExperiment:
         )
 
 
+class TestSharedSubDetectors:
+    """A table builds each sub-detector once: rows share them through
+    ``run_experiment``'s map, and every row is exactly the one built with
+    no map."""
+
+    @staticmethod
+    def ensemble(r):
+        from qmultitest.cli import _gen_condition_satisfying
+        from qmultitest.scenario import scenario_from_dict
+
+        return scenario_from_dict(_gen_condition_satisfying(r, 2, 7)[0]).ensemble
+
+    @staticmethod
+    def table(ens, ns, sub, monkeypatch, shared):
+        """The table and each row's split detector, built with the table's
+        map or, unless ``shared``, with none."""
+        from qmultitest import evaluation
+
+        original = evaluation.build_split_detector
+        built = []
+
+        def recorded(ensemble, n, w1, sub, dim_cap, table_map):
+            out = original(
+                ensemble, n, w1, sub, dim_cap, table_map if shared else None
+            )
+            built.append(out)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "build_split_detector", recorded)
+            return run_experiment(ens, ns, sub=sub), built
+
+    @pytest.mark.parametrize(
+        "r,sub,ns", [(3, "pgm", range(2, 11)), (5, "recursive", range(2, 9))]
+    )
+    def test_rows_equal_the_rows_built_alone(self, r, sub, ns, monkeypatch):
+        ens = self.ensemble(r)
+        table, built = self.table(ens, ns, sub, monkeypatch, shared=True)
+        alone, built_alone = self.table(ens, ns, sub, monkeypatch, shared=False)
+        assert table == alone
+        for (det, trace, split), (ref, ref_trace, ref_split) in zip(
+            built, built_alone, strict=True
+        ):
+            assert (trace, split) == (ref_trace, ref_split)
+            assert det.layout is ref.layout
+            for blocks, ref_blocks in zip(det.blocks, ref.blocks, strict=True):
+                for a, b in zip(blocks, ref_blocks, strict=True):
+                    assert np.array_equal(a, b)
+
+    def test_each_pgm_built_once_per_table(self, monkeypatch):
+        # n1 = floor(n / 2) and n2 = n - n1 take each of 1..5 copies on
+        # each side over n = 2..10: 10 sub-detectors, not two per row.
+        from qmultitest import detectors
+
+        ens = self.ensemble(3)
+        original = detectors.pgm
+        calls = []
+
+        def counted(states, n=1, dim_cap=DEFAULT_DIM_CAP):
+            calls.append(n)
+            return original(states, n, dim_cap)
+
+        monkeypatch.setattr(detectors, "pgm", counted)
+        run_experiment(ens, range(2, 11), sub="pgm")
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        calls.clear()
+        self.table(ens, range(2, 11), "pgm", monkeypatch, shared=False)
+        assert len(calls) == 18
+
+
 def peak_operators_per_row(ensemble, n):
     """Traced peak of one ``run_experiment`` row, in ``D x D`` complex
     matrices (``16 D^2`` bytes each)."""
