@@ -23,7 +23,6 @@ from .detectors import (
     compose_with_binary,
     holevo_helstrom,
     pgm,
-    validate_detector,
 )
 from .evaluation import (
     BinaryDecayRow,
@@ -85,5 +84,4 @@ __all__ = [
     "random_density",
     "run_experiment",
     "tensor_power",
-    "validate_detector",
 ]

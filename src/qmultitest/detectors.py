@@ -4,7 +4,11 @@ Contains the optimal binary projective test, the square-root (pretty good)
 measurement, the composition that grafts the closest pair's binary test
 onto a family of partial detector elements, and the tensor-split
 construction that builds a full multi-copy detector out of two
-sub-detectors plus that composition.
+sub-detectors plus that composition.  Every construction on ``n`` copies
+lives on a block layout of its copies (``sectors.layout``): the binary
+test and the PGM on one part of ``n``, a split on its sub-detectors' parts
+side by side, where each partial is the Kronecker product of their blocks.
+With one block the operators are dense.
 """
 
 from __future__ import annotations
@@ -33,12 +37,6 @@ from .states import (
 
 TOL_ELEMENT_PSD = 1e-10
 TOL_SUM_IDENTITY = 1e-9
-# A partial's part outside the layout's blocks, in the Frobenius norm,
-# beyond which it is not invariant under the split's parts.  Dropping a
-# smaller part moves no trace with a state by more than this.  The
-# rounding of a dense partial split onto copy-pair sectors reaches ~1e-8:
-# a dense PGM sub-detector on a nearly singular average state amplifies it.
-TOL_INVARIANCE = 1e-6
 
 SubStrategy = Literal["pgm", "recursive"]
 
@@ -125,13 +123,6 @@ def check_detector(det: Detector) -> list[str]:
     return problems
 
 
-def validate_detector(det: Detector) -> Detector:
-    problems = check_detector(det)
-    if problems:
-        raise PSDViolation("invalid POVM: " + "; ".join(problems))
-    return det
-
-
 def _hermitize(a: np.ndarray) -> np.ndarray:
     out = a + a.conj().T
     out /= 2.0
@@ -211,13 +202,14 @@ def holevo_helstrom(
 
     Eigenvalues of the difference within the zero floor are assigned to
     the second outcome, so the first element is the support of the
-    strictly positive part.  The test is built block by block on
-    ``sectors.symmetric``: the spin blocks of qubits, whose differences are
-    the blocks of the n-copy states' difference, or the dense states.
+    strictly positive part.  The test is built block by block on the
+    layout of one part of ``n`` copies, ``sectors.layout(d, (n,))`` (spin
+    blocks for qubits, else copy-pair sectors), where the blocks'
+    differences are the blocks of the n-copy states' difference.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    layout = sectors.symmetric(rho1.dim, n)
+    layout = sectors.layout(rho1.dim, (n,))
     # The n-copy states' blocks are gone before the decompositions start,
     # and their differences once they return.
     powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
@@ -241,8 +233,8 @@ def pgm(
     ``S^(-1/2) (rho_k / m) S^(-1/2)`` using the pseudo-inverse square root
     on the support of ``S``; the projector onto the kernel of ``S`` is
     split equally among the elements so they sum to the identity.  The
-    states, and so every element, are block diagonal on
-    ``sectors.symmetric`` (the spin blocks of qubits), so each element is
+    states, and so every element, are block diagonal on the layout of one
+    part of ``n`` copies, ``sectors.layout(d, (n,))``, so each element is
     built block by block, with the zero floor of ``S`` taken over all
     blocks together.
     """
@@ -250,7 +242,7 @@ def pgm(
         raise ValueError(f"need at least 2 states, got {len(states)}")
     if any(s.dim != states[0].dim for s in states):
         raise DimensionMismatch("states live on different dimensions")
-    layout = sectors.symmetric(states[0].dim, n)
+    layout = sectors.layout(states[0].dim, (n,))
     powers = [sectors.power_blocks(s, n, layout, dim_cap) for s in states]
     m = len(powers)
     spectra = [linalg.eigh(_hermitize(sum(p) / m)) for p in zip(*powers)]
@@ -355,18 +347,16 @@ def compose_with_binary(
     ``parts``, sizes of consecutive runs of copies adding up to ``n``,
     states that permuting copies inside a run leaves every partial
     unchanged.  A partial comes as its blocks on ``sectors.layout`` (qubit
-    spin blocks, else copy-pair sectors; ``sectors.Blocks``) or as a dense
-    matrix, which is split onto them.  A partial whose part outside the
-    blocks exceeds ``TOL_INVARIANCE`` in the Frobenius norm is refused, and
-    a smaller part, rounding, is dropped.  Everything then runs on the
-    blocks: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's elements, the
-    trace terms and every check, and the detector is returned as its
-    blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
-    lowest over its blocks, and its trace and squared Frobenius norm are
-    the sums over its blocks weighted by their multiplicities.  Only a
-    partial whose dropped rounding exceeds the ``1e-10`` positivity
-    tolerance is formed densely, for its own positivity check.  Without
-    parts there is one block, the dense operators themselves.
+    spin blocks, else copy-pair sectors; ``sectors.Blocks``), or as a
+    dense matrix when that layout has one block, ``sectors.ONE``; a dense
+    partial with parts that give several blocks raises
+    ``DimensionMismatch``.  Everything runs on the blocks: the Helstrom
+    test, ``Q``, ``Q^(1/2)``, the pair's elements, the trace terms and
+    every check, and the detector is returned as its blocks.  ``W`` is
+    orthogonal, so an operator's lowest eigenvalue is the lowest over its
+    blocks, and its trace and squared Frobenius norm are the sums over its
+    blocks weighted by their multiplicities.  Without parts there is one
+    block, the dense operators themselves.
     """
     partials = list(partials)
     if not partials:
@@ -391,26 +381,20 @@ def compose_with_binary(
     partial_blocks = []
     for k, p in enumerate(partials):
         if not isinstance(p, sectors.Blocks):
+            if layout is not sectors.ONE:
+                raise DimensionMismatch(
+                    f"partial {k} is dense, but the parts {parts} give "
+                    f"{len(mults)} blocks"
+                )
             p = np.asarray(p, dtype=np.complex128)
             if p.shape != (dim, dim):
                 raise DimensionMismatch(f"partial {k} has shape {p.shape}")
-            p = sectors.to_blocks(p, layout)
+            p = sectors.Blocks([p], mults)
         elif [b.shape for b in p.blocks] != shapes or p.mults != mults:
             raise DimensionMismatch(f"partial {k} does not fit the sectors")
-        if p.outside > TOL_INVARIANCE:
-            raise ValueError(
-                f"partial {k} is not invariant under the parts {parts}: "
-                f"{p.outside:.3e} of it lies outside the sectors"
-            )
         lowest = _lowest(p.blocks, TOL_ELEMENT_PSD)
-        if lowest is None and p.outside > TOL_ELEMENT_PSD:
-            # The blocks decide the partial's positivity only up to the part
-            # outside them.
-            lowest = linalg.psd_violation(_hermitize(p.dense()), TOL_ELEMENT_PSD)
         if lowest is not None:
             raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
-        # The rounding outside the blocks is dropped, so Q is exactly block
-        # diagonal.
         partial_blocks.append(p.blocks)
     sum_blocks = [_hermitize(sum(blocks)) for blocks in zip(*partial_blocks)]
     spectra = [linalg.eigh(block) for block in sum_blocks]
@@ -500,7 +484,7 @@ def _sub_detector(
     The recursive strategy bottoms out in the binary test for two states
     and falls back to the square-root measurement once the copy budget can
     no longer be split; both are invariant under every permutation of the
-    copies, one part, and built on ``sectors.symmetric``.  ``positions``
+    copies, one part, and built on its layout.  ``positions``
     are the states' positions in the table's ensemble: ``shared`` keeps
     each result under ``(positions, copies)`` and hands it out again.
     """
@@ -524,20 +508,6 @@ def _sub_detector(
     return shared[key]
 
 
-def _element_on(
-    det: Detector, k: int, layout: sectors.Layout | sectors.SpinLayout
-) -> sectors.Blocks:
-    """Element ``k`` of ``det`` on the blocks of ``layout``: the blocks it
-    is held in when that is its layout (always for qubits), else split from
-    the dense element."""
-    blocks = det.blocks[k]
-    if det.layout is layout:
-        return sectors.Blocks(
-            blocks, 0.0, lambda: sectors.from_blocks(blocks, layout), layout.mults
-        )
-    return sectors.to_blocks(sectors.from_blocks(blocks, det.layout), layout)
-
-
 def build_split_detector(
     ensemble: Ensemble,
     n: int,
@@ -554,13 +524,12 @@ def build_split_detector(
     on ``n1`` copies, the other the second state against the tail on
     ``n2`` copies; each tail hypothesis gets the tensor product of its two
     sub-elements, and the leftover weight goes to the optimal binary test
-    on the first pair's full ``n``-copy states.  Every partial is invariant
-    under permuting copies inside each sub-detector's parts, so it is taken
-    on their ``sectors.layout`` (spin blocks for qubits, copy-pair sectors
-    otherwise), as the Kronecker products of the sub-elements' blocks
-    (``sectors.kron``), and the composition and the detector it returns
-    stay there.  Qubit sub-detectors are built on those blocks, so their
-    partials are exactly invariant.
+    on the first pair's full ``n``-copy states.  Each sub-detector is built
+    on ``sectors.layout`` of its own parts (spin blocks for qubits,
+    copy-pair sectors otherwise), so every partial is the Kronecker product
+    of the sub-elements' blocks (``sectors.kron``) on the layout of both
+    parts side by side, where the composition and the detector it returns
+    stay.
 
     ``shared`` maps the positions of a sub-detector's states and its copy
     count to the sub-detector, its parts and its summed misses, for one
@@ -591,11 +560,10 @@ def build_split_detector(
         [second, *tail], positions[1:], n2, w1, sub, dim_cap, shared
     )
 
-    layout_1 = sectors.layout(first.dim, parts_1)
-    layout_2 = sectors.layout(first.dim, parts_2)
     partials = [
         sectors.kron(
-            _element_on(sub_1, 1 + k, layout_1), _element_on(sub_2, 1 + k, layout_2)
+            sectors.Blocks(sub_1.blocks[1 + k], sub_1.layout.mults),
+            sectors.Blocks(sub_2.blocks[1 + k], sub_2.layout.mults),
         )
         for k in range(len(tail))
     ]

@@ -1,12 +1,13 @@
 """Exact error probabilities, inequality checks, and exponent estimation.
 
-All error probabilities are exact traces against tensor-power states (no
-sampling); a qubit pair's binary test is evaluated on the states' spin
-blocks instead.  The one-copy inequality checker and the two bounds that
-every split row of ``run_experiment`` records mirror the bound that the
-split construction is designed around: the summed error of the composed
-detector is controlled by the binary overlap term plus the sub-detectors'
-errors.
+All error probabilities are exact traces against the ``n``-copy states (no
+sampling), taken block by block on the detector's layout: qubit spin
+blocks or copy-pair sectors, made from one-copy states, and the dense
+states when the layout has one block.  The one-copy inequality checker
+and the two bounds that every split row of ``run_experiment`` records
+mirror the bound that the split construction is designed around: the
+summed error of the composed detector is controlled by the binary overlap
+term plus the sub-detectors' errors.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ every permutation of them is ``(+)_t B_t (x) I_{m_t}``.  Over several parts
 a block is a label ``(t_1, ..., t_k)``, of size ``prod(p_i - 2t_i + 1)``
 and multiplicity ``prod(m_{t_i})``; the block of ``rho^(x)n`` is the
 Kronecker product of the parts' ``states.spin_blocks``.  ``W`` is the
-tensor product of each part's ``schur_basis``, built only to go between an
-operator and its blocks (``to_blocks``, ``from_blocks``).
+tensor product of each part's ``schur_basis``, built only to assemble an
+operator from its blocks (``from_blocks``).
 
 Both order their blocks lexicographically, first part most significant, so
 the ``W`` of two runs of parts side by side is the tensor product of theirs:
@@ -36,6 +36,11 @@ block ``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of multiplicity
 ``m_s m_t`` (``kron``), and an operator built from the sub-detectors of a
 split never needs its ``D x D`` form.  Without a part of two copies there is
 one block, ``ONE``, with ``W = I``.
+
+Every detector is built on the layout of its own parts: the binary test and
+the PGM on ``n`` copies on ``layout(d, (n,))``, a split on its sub-detectors'
+parts side by side.  So no operator is ever moved onto a layout from its
+dense form.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,13 +120,6 @@ def layout(d: int, parts: tuple[int, ...]) -> Layout | SpinLayout:
     """The layout of a split row on copy ``parts`` (sizes of consecutive
     runs of copies): spin blocks for qubits, copy-pair sectors otherwise."""
     return spin_layout(parts) if d == 2 else pair_layout(d, parts)
-
-
-def symmetric(d: int, n: int) -> Layout | SpinLayout:
-    """The layout an ``n``-copy operator that commutes with every permutation
-    of the copies is built on: spin blocks of one part for qubits, one block
-    (the dense operator) otherwise."""
-    return spin_layout((n,)) if d == 2 else ONE
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,36 +244,11 @@ def _spin_basis(lay: SpinLayout) -> tuple[tuple, list[list[tuple]]]:
     return chunks, copies
 
 
-def _basis(lay: Layout | SpinLayout) -> tuple[tuple, list[list[tuple]]]:
-    """``W`` as tensor factors, and each block's ``np.ix_``, one per copy."""
-    if isinstance(lay, SpinLayout):
-        return _spin_basis(lay)
-    return lay.chunks, [[ix] for ix in lay.index]
-
-
-def _change_basis(x: np.ndarray, chunks: tuple, inverse: bool) -> np.ndarray:
-    """``W^T X W`` (``W X W^T`` when ``inverse``) up to the block order,
-    one tensor factor and one side at a time."""
-    dim = len(x)
-    for outer, basis, inner in chunks:
-        factor = basis if inverse else basis.T
-        size = len(basis)
-        # Real and imaginary parts transform alike, so the factor acts on
-        # the real view: rows, then columns.
-        for shape in ((outer, size, 2 * inner * dim), (dim * outer, size, 2 * inner)):
-            x = np.matmul(factor, x.view(np.float64).reshape(shape))
-            x = x.reshape(dim, 2 * dim).view(np.complex128)
-    return x
-
-
 class Blocks(NamedTuple):
-    """An operator ``X`` on a layout's blocks: the blocks of ``W^T X W``
-    and their multiplicities, the Frobenius norm of the part of ``X`` the
-    blocks drop, and ``dense()``, which forms ``X`` itself."""
+    """An operator on a layout: the blocks of ``W^T X W`` and their
+    multiplicities."""
 
     blocks: Sequence[np.ndarray]
-    outside: float
-    dense: Callable[[], np.ndarray]
     mults: tuple[int, ...]
 
 
@@ -284,38 +257,12 @@ def squared_norm(blocks: Sequence[np.ndarray], mults: Sequence[int]) -> float:
     return sum(m * np.vdot(b, b).real for m, b in zip(mults, blocks, strict=True))
 
 
-def to_blocks(x: np.ndarray, lay: Layout | SpinLayout) -> Blocks:
-    """``X`` on the blocks of ``lay``: each block is the mean of its copies
-    in ``W^T X W``, the orthogonal projection onto the operators the layout
-    holds; its one block ``X``, with nothing outside, with one block."""
-    if lay is ONE:
-        return Blocks([x], 0.0, lambda: x, ONE.mults)
-    chunks, copies = _basis(lay)
-    y = _change_basis(np.ascontiguousarray(x), chunks, inverse=False)
-    blocks = []
-    for ixs in copies:
-        block = y[ixs[0]] if len(ixs) == 1 else sum(y[ix] for ix in ixs) / len(ixs)
-        for ix in ixs:
-            y[ix] -= block
-        blocks.append(block)
-    return Blocks(blocks, math.sqrt(np.vdot(y, y).real), lambda: x, lay.mults)
-
-
 def kron(x: Blocks, y: Blocks) -> Blocks:
-    """``X (x) Y`` on the layout of ``X``'s parts followed by ``Y``'s.
-
+    """``X (x) Y`` on the layout of ``X``'s parts followed by ``Y``'s:
     ``W = W_X (x) W_Y``, so block ``(s, t)``, ``s`` the more significant,
-    holds ``kron(X_s, Y_t)`` with multiplicity ``m_s m_t``.  The squared
-    norm outside the blocks is the whole, ``(i_X + o_X)(i_Y + o_Y)``, less
-    the inside, ``i_X i_Y``, with ``i`` and ``o`` the factors' squared norms
-    inside and outside theirs.
-    """
-    i_x, i_y = squared_norm(x.blocks, x.mults), squared_norm(y.blocks, y.mults)
-    o_x, o_y = x.outside ** 2, y.outside ** 2
+    holds ``kron(X_s, Y_t)`` with multiplicity ``m_s m_t``."""
     return Blocks(
         [linalg.kron(a, b) for a in x.blocks for b in y.blocks],
-        math.sqrt(o_x * (i_y + o_y) + i_x * o_y),
-        lambda: linalg.kron(x.dense(), y.dense()),
         tuple(a * b for a in x.mults for b in y.mults),
     )
 
@@ -325,13 +272,24 @@ def from_blocks(blocks: Sequence[np.ndarray], lay: Layout | SpinLayout) -> np.nd
     its multiplicity; the one block itself with one block."""
     if lay is ONE:
         return blocks[0]
-    chunks, copies = _basis(lay)
+    if isinstance(lay, SpinLayout):
+        chunks, copies = _spin_basis(lay)
+    else:
+        chunks, copies = lay.chunks, [[ix] for ix in lay.index]
     dim = sum(len(ixs) * len(b) for ixs, b in zip(copies, blocks))
-    y = np.zeros((dim, dim), dtype=np.complex128)
+    x = np.zeros((dim, dim), dtype=np.complex128)
     for ixs, block in zip(copies, blocks):
         for ix in ixs:
-            y[ix] = block
-    return _change_basis(y, chunks, inverse=True)
+            x[ix] = block
+    # One tensor factor of W and one side at a time.  Real and imaginary
+    # parts transform alike, so the factor acts on the real view: rows,
+    # then columns.
+    for outer, basis, inner in chunks:
+        size = len(basis)
+        for shape in ((outer, size, 2 * inner * dim), (dim * outer, size, 2 * inner)):
+            x = np.matmul(basis, x.view(np.float64).reshape(shape))
+            x = x.reshape(dim, 2 * dim).view(np.complex128)
+    return x
 
 
 def power_blocks(
@@ -342,11 +300,12 @@ def power_blocks(
     ``states.spin_blocks``, and a copy-pair sector the one over the sites
     of ``S(rho)`` or ``A(rho)``, the symmetric and antisymmetric blocks of
     ``rho (x) rho``, or ``rho`` on a lone copy.  With one block,
-    ``[tensor_power(rho, n)]``."""
+    ``[tensor_power(rho, n)]``.  The dimension cap applies to the ``d^n``
+    the blocks stand for."""
+    check_power(rho, n, dim_cap)
     if lay is ONE:
         return [tensor_power(rho, n, dim_cap).matrix]
     if isinstance(lay, SpinLayout):
-        check_power(rho, n, dim_cap)
         per_size = {
             p: [block for _, block in spin_blocks(rho, p, dim_cap)]
             for p in set(lay.parts)

@@ -62,6 +62,18 @@ def dense_detector(elements):
     return Detector(len(elements[0]), tuple((e,) for e in elements))
 
 
+def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
+    """``run_experiment`` with every ``sectors.layout`` one block: the dense
+    path, which builds every binary test, sub-detector and composition on
+    the dense operators and evaluates the misses on dense n-copy states."""
+    from qmultitest import sectors
+    from qmultitest.evaluation import run_experiment
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sectors, "layout", lambda d, parts: sectors.ONE)
+        return run_experiment(ensemble, ns, sub=sub, k_fit=k_fit)
+
+
 def helstrom_error_oracle(a, b):
     """``1 - ||A - B||_1 / 2``, the optimal binary test's summed error on
     the states ``A`` and ``B``, from a raw spectrum."""

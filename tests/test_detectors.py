@@ -20,7 +20,6 @@ from qmultitest import (
     pure_state,
     random_density,
     tensor_power,
-    validate_detector,
 )
 from qmultitest import linalg
 from qmultitest import sectors
@@ -40,6 +39,7 @@ from conftest import (
     helstrom_error_oracle,
     random_hermitian,
     residual_oracle,
+    table_without_parts,
 )
 
 
@@ -199,10 +199,24 @@ class TestComposeWithBinary:
         # Partials live on the n-copy space of the pair, and on its sectors.
         with pytest.raises(DimensionMismatch):
             compose_with_binary([np.eye(2) * 0.1], *self.pair(), 2)
-        partial = 0.1 * np.eye(4, dtype=complex)
-        paired = sectors.to_blocks(partial, sectors.layout(2, (2,)))
+        paired = sectors.Blocks(
+            [0.1 * np.eye(3), 0.1 * np.eye(1)], sectors.layout(2, (2,)).mults
+        )
         with pytest.raises(DimensionMismatch, match="does not fit the sectors"):
             compose_with_binary([paired], *self.pair(), 2, parts=(1, 1))
+
+    @pytest.mark.parametrize("d,parts", [(2, (2,)), (3, (2,)), (3, (1, 2))])
+    def test_refuses_a_dense_partial_on_several_blocks(self, d, parts):
+        # A dense partial is taken on the one-block layout only; with parts
+        # that hold a pair of copies it must come as its blocks.
+        rho1, rho2 = random_density(d, d, 1), random_density(d, d, 2)
+        n = sum(parts)
+        blocks = len(sectors.layout(d, parts).mults)
+        with pytest.raises(DimensionMismatch) as info:
+            compose_with_binary([0.1 * np.eye(d ** n)], rho1, rho2, n, parts=parts)
+        assert str(info.value) == (
+            f"partial 0 is dense, but the parts {parts} give {blocks} blocks"
+        )
 
     @staticmethod
     def gram_oracle(partials, rho1, rho2):
@@ -305,6 +319,14 @@ def explicit_w(d, parts):
     return full[:, np.concatenate(flats)], slices
 
 
+def random_blocks(rng, d, n, layout):
+    """Random Hermitian blocks on ``layout`` of ``n`` copies of ``C^d``, of
+    the sizes of an ``n``-copy state's."""
+    rho = random_density(d, d, 1)
+    sizes = [len(b) for b in sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)]
+    return [random_hermitian(rng, size) for size in sizes]
+
+
 class TestSectors:
     """The copy-pair sector layout against an explicit ``W``, for every
     ``d``: qubit split rows run on spin blocks (``TestSpinLayout``), but the
@@ -346,29 +368,23 @@ class TestSectors:
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_basis_changes_match_explicit_w(self, d, parts, np_rng):
+        # W B W^T for random blocks B, against the explicit W.
         layout = sectors.pair_layout(d, parts)
         w, slices = explicit_w(d, parts)
-        x = random_hermitian(np_rng, len(w))
-        rotated = w.T @ x @ w
-        blocks, outside, dense, mults = sectors.to_blocks(x, layout)
-        assert mults == (1,) * len(slices)
-        assert dense() is x
-        for sl, block in zip(slices, blocks, strict=True):
-            assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-13
-        kept = np.zeros_like(rotated)
-        for sl in slices:
-            kept[sl, sl] = rotated[sl, sl]
-        assert outside == pytest.approx(np.linalg.norm(rotated - kept), rel=1e-13)
-        back = sectors.from_blocks(blocks, layout)
-        assert np.max(np.abs(back - w @ kept @ w.T)) <= 1e-13
+        assert layout.mults == (1,) * len(slices)
+        blocks = [random_hermitian(np_rng, sl.stop - sl.start) for sl in slices]
+        direct = np.zeros((len(w), len(w)), dtype=complex)
+        for sl, block in zip(slices, blocks):
+            direct[sl, sl] = block
+        got = sectors.from_blocks(blocks, layout)
+        assert np.max(np.abs(got - w @ direct @ w.T)) <= 1e-13
 
     def test_no_pair_is_one_sector(self):
         x = np.eye(8, dtype=complex)
         for parts in [(), (1, 1, 1)]:
             layout = sectors.layout(2, parts)
             assert layout is sectors.ONE is sectors.pair_layout(2, parts)
-            (block,), outside, dense, _ = sectors.to_blocks(x, layout)
-            assert block is x and outside == 0.0 and dense() is x
+            assert layout.mults == (1,)
             assert sectors.from_blocks([x], layout) is x
 
     @pytest.mark.parametrize(
@@ -376,20 +392,16 @@ class TestSectors:
         [(2, (2,), (3,)), (2, (1, 2), (2, 1)), (3, (2,), (1,)), (2, (1,), (1,))],
     )
     def test_kron_matches_the_dense_product(self, d, parts_x, parts_y, np_rng):
-        # Random factors are not invariant, so both carry a part outside
-        # their sectors, and so does the product.
         lay_x, lay_y = sectors.pair_layout(d, parts_x), sectors.pair_layout(d, parts_y)
-        a = random_hermitian(np_rng, d ** sum(parts_x))
-        b = random_hermitian(np_rng, d ** sum(parts_y))
-        got = sectors.kron(sectors.to_blocks(a, lay_x), sectors.to_blocks(b, lay_y))
-        want = sectors.to_blocks(
-            np.kron(a, b), sectors.pair_layout(d, parts_x + parts_y)
+        lay = sectors.pair_layout(d, parts_x + parts_y)
+        x = random_blocks(np_rng, d, sum(parts_x), lay_x)
+        y = random_blocks(np_rng, d, sum(parts_y), lay_y)
+        got = sectors.kron(
+            sectors.Blocks(x, lay_x.mults), sectors.Blocks(y, lay_y.mults)
         )
-        assert len(got.blocks) == len(want.blocks)
-        for x, y in zip(got.blocks, want.blocks):
-            assert np.max(np.abs(x - y)) <= 1e-13
-        assert got.outside == pytest.approx(want.outside, rel=1e-12, abs=1e-13)
-        assert np.array_equal(got.dense(), np.kron(a, b))
+        assert got.mults == lay.mults
+        want = np.kron(sectors.from_blocks(x, lay_x), sectors.from_blocks(y, lay_y))
+        assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= 1e-13
 
     def test_layout_is_built_once(self):
         assert sectors.layout(2, (3, 3)) is sectors.layout(2, (3, 3))
@@ -528,28 +540,14 @@ class TestSpinLayout:
 
     @pytest.mark.parametrize("parts", PARTS)
     def test_basis_changes_match_explicit_w(self, parts, np_rng):
-        # A random X is not invariant: its blocks are the mean of each
-        # block's copies in W^T X W, and the rest is the part outside.
+        # W ((+)_s B_s (x) I_{m_s}) W^T for random blocks B_s, against the
+        # explicit W.
         layout = sectors.layout(2, parts)
         w, shapes = explicit_spin_w(parts)
-        x = random_hermitian(np_rng, len(w))
-        rotated = w.T @ x @ w
-        got = sectors.to_blocks(x, layout)
-        assert got.dense() is x and got.mults == layout.mults
-        start = 0
-        for block, (size, m) in zip(got.blocks, shapes, strict=True):
-            region = rotated[start : start + size * m, start : start + size * m]
-            mean = np.einsum("acbc->ab", region.reshape(size, m, size, m)) / m
-            assert np.max(np.abs(block - mean)) <= 1e-12
-            start += size * m
-        kept = w @ block_sum(got.blocks, shapes) @ w.T
-        assert got.outside == pytest.approx(np.linalg.norm(x - kept), rel=1e-12)
-        assert np.max(np.abs(sectors.from_blocks(got.blocks, layout) - kept)) <= 1e-12
-        # An invariant operator goes round the trip unchanged.
-        back = sectors.to_blocks(kept, layout)
-        assert back.outside <= 1e-12 * np.linalg.norm(kept)
-        for a, b in zip(back.blocks, got.blocks, strict=True):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        assert list(layout.mults) == [m for _, m in shapes]
+        blocks = [random_hermitian(np_rng, size) for size, _ in shapes]
+        got = sectors.from_blocks(blocks, layout)
+        assert np.max(np.abs(got - w @ block_sum(blocks, shapes) @ w.T)) <= 1e-12
 
     @pytest.mark.parametrize(
         "parts_x,parts_y",
@@ -557,21 +555,27 @@ class TestSpinLayout:
     )
     def test_kron_matches_the_dense_product(self, parts_x, parts_y, np_rng):
         lay_x, lay_y = sectors.layout(2, parts_x), sectors.layout(2, parts_y)
-        a = random_hermitian(np_rng, 2 ** sum(parts_x))
-        b = random_hermitian(np_rng, 2 ** sum(parts_y))
-        got = sectors.kron(sectors.to_blocks(a, lay_x), sectors.to_blocks(b, lay_y))
-        want = sectors.to_blocks(np.kron(a, b), sectors.layout(2, parts_x + parts_y))
-        assert got.mults == want.mults == sectors.layout(2, parts_x + parts_y).mults
-        for x, y in zip(got.blocks, want.blocks, strict=True):
-            assert np.max(np.abs(x - y)) <= 1e-12
-        assert got.outside == pytest.approx(want.outside, rel=1e-12)
-        assert np.array_equal(got.dense(), np.kron(a, b))
+        lay = sectors.layout(2, parts_x + parts_y)
+        x = random_blocks(np_rng, 2, sum(parts_x), lay_x)
+        y = random_blocks(np_rng, 2, sum(parts_y), lay_y)
+        got = sectors.kron(
+            sectors.Blocks(x, lay_x.mults), sectors.Blocks(y, lay_y.mults)
+        )
+        assert got.mults == lay.mults
+        want = np.kron(sectors.from_blocks(x, lay_x), sectors.from_blocks(y, lay_y))
+        assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= 1e-12
 
     def test_symmetric_layouts(self):
-        assert sectors.symmetric(2, 1) is sectors.ONE
-        assert sectors.symmetric(2, 4) is sectors.layout(2, (4,))
-        assert sectors.symmetric(3, 4) is sectors.ONE
+        # The binary test and the PGM on n copies are built on one part.
+        assert sectors.layout(2, (1,)) is sectors.ONE is sectors.layout(3, (1,))
+        assert isinstance(sectors.layout(2, (4,)), sectors.SpinLayout)
+        assert sectors.layout(3, (4,)) is sectors.pair_layout(3, (4,))
         assert sectors.layout(3, (2, 2)) is sectors.pair_layout(3, (2, 2))
+        assert holevo_helstrom(*TestComposeWithBinary.pair(), 4).layout is (
+            sectors.layout(2, (4,))
+        )
+        states = [random_density(3, 3, 9800 + k) for k in range(3)]
+        assert pgm(states, 4).layout is sectors.layout(3, (4,))
 
 
 def seed_7_ensemble():
@@ -682,30 +686,14 @@ class TestSpinSplitRows:
             assert row.lemma_holds and row.overall_holds
 
 
-def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
-    """``run_experiment`` with every composition on one sector: the dense
-    path, which composes the dense partials and evaluates the misses on
-    dense n-copy states."""
-    from qmultitest import detectors
-    from qmultitest.evaluation import run_experiment
-
-    original = detectors.compose_with_binary
-
-    def one_sector(partials, rho1, rho2, n, dim_cap, parts):
-        return original([p.dense() for p in partials], rho1, rho2, n, dim_cap)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(detectors, "compose_with_binary", one_sector)
-        return run_experiment(ensemble, ns, sub=sub, k_fit=k_fit)
-
-
 class TestSectorComposition:
     """Split rows on their block layout (spin blocks for qubits, copy-pair
-    sectors otherwise) against the one-block (dense) composition of the
-    same sub-detectors.  Tolerance: 1e-12 relative on every error and bound
-    column and 1e-12 absolute on the rate; the largest differences
-    measured over r = 3..5 and d = 2..4 were 1.1e-14 and 2.1e-13
-    relative."""
+    sectors otherwise) against the dense path, every layout one block
+    (``table_without_parts``: dense sub-detectors, composition and misses).
+    Tolerance: 1e-12 relative on every error and bound column and 1e-12
+    absolute on the rate; the largest differences measured over r = 3, 4
+    and d = 2..4 with one and two BLAS threads were 4.0e-13 relative on
+    the per-state errors and 2.3e-13 on the other columns."""
 
     TOL = 1e-12
 
@@ -751,7 +739,7 @@ class TestSectorComposition:
         # Whole tables against the dense path.  Tolerance: 1e-10 relative
         # on per_state_error and 1e-12 relative on every other error,
         # bound, rate and slope column.  Measured with one and two BLAS
-        # threads: at most 4.1e-13 and 3.8e-13.  The dense path's own
+        # threads: at most 4.0e-13 and 3.8e-13.  The dense path's own
         # rounding can exceed 1e-10 on a small miss (next test).
         from qmultitest.cli import _gen_condition_satisfying
         from qmultitest.evaluation import run_experiment
@@ -789,12 +777,12 @@ class TestSectorComposition:
         reason="long double is no wider than double here",
     )
     def test_sector_misses_agree_with_extended_precision(self):
-        # The row whose tail miss (2.3e-4) moves most against the dense
-        # path: the dense traces are off by 2.7e-10 relative there with one
-        # BLAS thread (2.3e-11 with two), while the block traces agree
-        # with an extended-precision trace of the same detector to 3.6e-14
-        # on spin blocks (3.0e-12 on copy-pair sectors).
-        from qmultitest.cli import _gen_condition_satisfying
+        # The split row whose tail miss (2.3e-4) moves most against the
+        # dense path: the dense traces are off by 2.7e-10 relative there
+        # with one BLAS thread (2.3e-11 with two), while the block traces
+        # agree with an extended-precision trace of the same detector to
+        # 3.6e-14 on spin blocks (3.0e-12 on copy-pair sectors).
+        from qmultitest.cli import _gen_condition_satisfying, _gen_random
         from qmultitest.evaluation import error_sum
         from qmultitest.scenario import scenario_from_dict
 
@@ -802,16 +790,75 @@ class TestSectorComposition:
         n = 10
         det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
         got = error_sum(ens, n, det).per_state_error
-        elements = [e.astype(np.clongdouble) for e in det.elements]
-        for k, state in enumerate(ens.states):
-            one = state.matrix.astype(np.clongdouble)
-            power = one
-            for _ in range(n - 1):
-                power = linalg.kron(power, one)
-            exact = sum(
-                np.sum(power * e.T) for j, e in enumerate(elements) if j != k
-            ).real
-            assert abs(got[k] - exact) <= 1e-11 * exact
+        for miss, exact in zip(got, extended_misses(ens.states, det, n), strict=True):
+            assert abs(miss - exact) <= 1e-11 * exact
+        # The qutrit binary row that moves most against the dense test
+        # (gen random --r 2 --d 3 --seed 7001, n = 7, D = 2187): its
+        # copy-pair sector traces agree to 5.2e-13 and 8.1e-14 with one
+        # BLAS thread (1.5e-14 and 7.1e-14 with two), the dense test's
+        # traces only to 5.1e-12 and 2.1e-11 (2.5e-11 and 2.3e-12).
+        ens = scenario_from_dict(_gen_random(2, 3, 7001)).ensemble
+        n = 7
+        test = holevo_helstrom(*ens.states, n)
+        assert test.layout is sectors.layout(3, (n,))
+        got = list(misses(ens.states, test, n))
+        for miss, exact in zip(got, extended_misses(ens.states, test, n), strict=True):
+            assert abs(miss - exact) <= 2e-12 * exact
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_qutrit_tables_build_no_dense_state_and_no_large_block(
+        self, sub, monkeypatch
+    ):
+        # The d >= 3 counterpart of TestSpinSplitRows'
+        # test_table_builds_no_schur_basis_and_no_large_block: a qutrit
+        # binary table and an r = 3 split table never assemble an element
+        # (from_blocks), build no dense state past two copies, and decompose
+        # and check nothing above the row's largest copy-pair sector:
+        # 6 = 3 * 4 / 2 per pair of copies and 3 per lone copy, on the parts
+        # (n,) of a binary row and (n1, n2) of a split row.
+        from qmultitest import states
+        from qmultitest.cli import _gen_condition_satisfying, _gen_random
+        from qmultitest.evaluation import run_experiment
+        from qmultitest.scenario import scenario_from_dict
+
+        original = states.tensor_power
+
+        def two_copies(rho, n, dim_cap=DEFAULT_DIM_CAP):
+            if n > 2:
+                raise AssertionError("a dense n-copy state was built")
+            return original(rho, n, dim_cap)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an element was assembled")
+
+        sizes = []
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            real = getattr(np.linalg, name)
+
+            def counting(a, *args, _real=real, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for module in (states, sectors):
+            monkeypatch.setattr(module, "tensor_power", two_copies)
+        monkeypatch.setattr(sectors, "from_blocks", forbidden)
+
+        def largest(parts):
+            return math.prod(6 ** (p // 2) * 3 ** (p % 2) for p in parts)
+
+        binary = scenario_from_dict(_gen_random(2, 3, 4)).ensemble
+        split = scenario_from_dict(_gen_condition_satisfying(3, 3, 7)[0]).ensemble
+        for n in range(1, 6):
+            sizes.clear()
+            (row,) = run_experiment(binary, [n], sub=sub).rows
+            assert max(sizes) == largest((n,))
+            if n == 1:
+                continue
+            sizes.clear()
+            (row,) = run_experiment(split, [n], sub=sub).rows
+            assert max(sizes) == largest((row.n1, row.n2))
+            assert row.lemma_holds and row.overall_holds
 
     @pytest.mark.parametrize("seed", [4, 7])
     def test_floor_bounds_the_move_of_recursive_rows(self, seed):
@@ -844,26 +891,64 @@ class TestSectorComposition:
             assert abs(errors[True] - errors[False]) <= 2e-8 * errors[False]
 
 
-def rounded_negative_partial():
-    """A positive swap-invariant partial plus a 7.1e-7 part outside the
-    sectors, which couples its kernel vector ``|00>`` to the antisymmetric
-    ``|a>`` and gives it the eigenvalue -2.5e-9."""
+def antisymmetric_negative_partial():
+    """A swap-invariant partial, positive but for the eigenvalue -2.5e-9 of
+    its antisymmetric vector ``|a>``, a block of its own."""
     sym = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
     anti = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    zero = np.eye(4)[0]
     invariant = 0.5 * (np.outer(sym, sym) + np.diag([0.0, 0.0, 0.0, 1.0]))
-    invariant += 1e-4 * np.outer(anti, anti)
-    return invariant + 5e-7 * (np.outer(zero, anti) + np.outer(anti, zero))
+    return invariant - 2.5e-9 * np.outer(anti, anti)
+
+
+def spin_blocks_of(x, parts):
+    """An invariant qubit operator as its blocks on ``sectors.layout(2,
+    parts)``, through the explicit ``W``: each block the mean of its copies
+    in ``W^T X W``."""
+    w, shapes = explicit_spin_w(parts)
+    rotated = w.T @ x @ w
+    blocks, start = [], 0
+    for size, m in shapes:
+        region = rotated[start : start + size * m, start : start + size * m]
+        blocks.append(np.einsum("acbc->ab", region.reshape(size, m, size, m)) / m)
+        start += size * m
+    return sectors.Blocks(blocks, sectors.layout(2, parts).mults)
+
+
+def extended_misses(states, det, n):
+    """Each state's miss under ``det`` from an extended-precision
+    (``np.clongdouble``) trace of its dense elements with the dense
+    ``n``-copy state, taken over column slabs so that at most one dense
+    element and one extended-precision state are alive."""
+    out = []
+    for k, state in enumerate(states):
+        one = state.matrix.astype(np.clongdouble)
+        power = one
+        for _ in range(n - 1):
+            power = np.kron(power, one)
+        total = np.clongdouble(0.0)
+        for j, blocks in enumerate(det.blocks):
+            if j == k:
+                continue
+            element = sectors.from_blocks(blocks, det.layout)
+            for lo in range(0, len(element), 256):
+                slab = element[:, lo : lo + 256].T.astype(np.clongdouble)
+                total += np.sum(power[lo : lo + 256] * slab)
+            del element
+        out.append(total.real)
+        del power
+    return out
 
 
 class TestSectorChecks:
-    """The composition's checks on copy-pair sectors refuse what the
-    one-sector (dense) checks refuse, with the same exception and message,
-    and the dense oracle accepts every split row they accept."""
+    """The composition's checks on spin blocks refuse what the one-block
+    (dense) checks refuse, with the same exception and message, and the
+    dense oracle accepts every split row they accept."""
 
     @staticmethod
     def refusal(partials, parts):
         rho1, rho2 = random_density(2, 2, 9500), random_density(2, 2, 9501)
+        if sectors.layout(2, parts) is not sectors.ONE:
+            partials = [spin_blocks_of(p, parts) for p in partials]
         with pytest.raises(ValueError) as info:
             compose_with_binary(partials, rho1, rho2, sum(parts), parts=parts)
         return type(info.value), str(info.value)
@@ -873,9 +958,9 @@ class TestSectorChecks:
         [
             # Swap invariant, with eigenvalue -0.05.
             ([np.kron(np.diag([0.5, -0.1]), np.diag([0.5, -0.1]))], PSDViolation),
-            # Positive blocks, and 7.1e-7 outside them that hides the
-            # eigenvalue -2.5e-9.
-            ([rounded_negative_partial()], PSDViolation),
+            # Swap invariant, with eigenvalue -2.5e-9 in the antisymmetric
+            # block only.
+            ([antisymmetric_negative_partial()], PSDViolation),
             ([1.5 * np.kron(np.diag([1.0, 0.5]), np.diag([1.0, 0.5]))],
              PartialsExceedIdentity),
             ([0.75 * np.eye(4), np.diag([0.5, 0.25, 0.25, 0.0])],
@@ -890,20 +975,6 @@ class TestSectorChecks:
         assert got == self.refusal(partials, (1, 1))
         assert got[0] is error
 
-    def test_refuses_a_partial_outside_the_sectors(self):
-        # 0.5 |01><01| is not swap invariant; its swap average would be
-        # diag(0, .25, .25, 0).
-        partial = np.diag([0.0, 0.5, 0.0, 0.0])
-        error, message = self.refusal([0.1 * np.eye(4), partial], (2,))
-        assert error is ValueError
-        assert message == (
-            "partial 1 is not invariant under the parts (2,): "
-            "3.536e-01 of it lies outside the sectors"
-        )
-        rho1, rho2 = random_density(2, 2, 9500), random_density(2, 2, 9501)
-        det, _ = compose_with_binary([partial], rho1, rho2, 2, parts=(1, 1))
-        assert np.array_equal(det.elements[2], partial)
-
     @pytest.mark.parametrize("sub", ["pgm", "recursive"])
     @pytest.mark.parametrize(
         "d,r,seed,n_max",
@@ -911,8 +982,7 @@ class TestSectorChecks:
             (2, 3, 7, 10),
             (3, 4, None, 5),
             # At n = 6 the PGM sub-detectors' average state is nearly
-            # singular, and their rounding leaves ~1e-9 of the partials
-            # outside the sectors.
+            # singular.
             (2, 5, 1305084, 6),
         ],
     )
@@ -1027,6 +1097,11 @@ class TestBuildSplitDetector:
         message = r"^dim 2\^4 = 16 exceeds cap 8$"
         with pytest.raises(DimensionCapExceeded, match=message):
             build_split_detector(ens, 4, 0.5, dim_cap=8)
+        ens = Ensemble(tuple(random_density(3, 3, 60 + k) for k in range(3)))
+        message = r"^dim 3\^4 = 81 exceeds cap 80$"
+        for sub in ("pgm", "recursive"):
+            with pytest.raises(DimensionCapExceeded, match=message):
+                build_split_detector(ens, 4, 0.5, sub, dim_cap=80)
 
 
 class TestRecursiveDetector:
@@ -1106,22 +1181,24 @@ class TestMisses:
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_builds_one_state_at_a_time(self, monkeypatch):
-        # Every dense state built so far is gone when the next one is built.
-        # (Qubit states enter as spin blocks of size at most n + 1, which
-        # states.spin_blocks keeps for the rest of the row.)
+        # Every state's blocks built so far are gone when the next state's
+        # are built.  (Qubit states enter as spin blocks of size at most
+        # n + 1, which states.spin_blocks keeps for the rest of the row.)
         states = [random_density(3, 3, 170 + k) for k in range(4)]
         det = pgm(states, 3)
+        assert det.layout is sectors.layout(3, (3,))
+        original = sectors.power_blocks
         built = []
 
-        def tracked(rho, n, dim_cap=DEFAULT_DIM_CAP):
+        def tracked(rho, n, layout, dim_cap):
             assert all(ref() is None for ref in built)
-            power = tensor_power(rho, n, dim_cap)
-            built.append(weakref.ref(power.matrix))
-            return power
+            blocks = original(rho, n, layout, dim_cap)
+            built.extend(weakref.ref(b) for b in blocks)
+            return blocks
 
-        monkeypatch.setattr(sectors, "tensor_power", tracked)
+        monkeypatch.setattr(sectors, "power_blocks", tracked)
         total = sum(misses(states, det, 3))
-        assert len(built) == 4
+        assert len(built) == 4 * len(det.layout.mults)
         assert 0.0 <= total <= 4.0
 
     def test_count_mismatch_raises(self):
@@ -1136,10 +1213,10 @@ class TestMisses:
 class TestCopiesArgument:
     """A construction given one-copy states and ``n`` is bitwise the same
     construction given the explicit n-copy states, when both are dense.  A
-    qubit construction on ``n >= 2`` copies runs on spin blocks instead;
-    its elements agree with the dense construction's within 1e-12 and its
-    misses within 1e-12 relative (the differential tolerance of
-    ``TestSpinSplitRows``)."""
+    construction on ``n >= 2`` copies runs on the blocks of one part
+    instead (qubit spin blocks, else copy-pair sectors); its elements agree
+    with the dense construction's within 1e-12 and its misses within 1e-12
+    relative (the differential tolerance of ``TestSpinSplitRows``)."""
 
     CASES = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 
@@ -1150,7 +1227,7 @@ class TestCopiesArgument:
             got, want = a.elements, b.elements
             assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
         else:
-            assert isinstance(a.layout, sectors.SpinLayout)
+            assert len(a.layout.mults) > 1 and b.layout is sectors.ONE
             for x, y in zip(a.elements, b.elements, strict=True):
                 assert np.max(np.abs(x - y)) <= 1e-12
 
@@ -1242,10 +1319,14 @@ class TestHelstromMisses:
             # Qubit spin blocks of sizes 6, 4 and 2.
             lambda rho1, rho2: helstrom_misses(rho1, rho2, 5),
             # One dense block.
-            lambda rho1, rho2: holevo_helstrom(rho1, rho2, 3),
-            # Copy-pair sectors of sizes 3 and 1.
+            lambda rho1, rho2: holevo_helstrom(rho1, rho2),
+            # The blocks of the swap, of sizes 3 and 1.
             lambda rho1, rho2: compose_with_binary(
-                [0.1 * np.eye(4)], rho1, rho2, 2, parts=(1, 1)
+                [sectors.Blocks([0.1 * np.eye(3), 0.1 * np.eye(1)], (1, 1))],
+                rho1,
+                rho2,
+                2,
+                parts=(2,),
             ),
         ],
         ids=["spin-blocks", "dense", "sectors"],
@@ -1278,15 +1359,27 @@ class TestHelstromMisses:
         rho1, rho2 = random_density(2, 2, 742), random_density(2, 2, 743)
         with pytest.raises(DimensionCapExceeded, match=r"dim 2\^5 = 32 exceeds cap 16"):
             helstrom_misses(rho1, rho2, 5, dim_cap=16)
+        # Qutrits on copy-pair sectors: 3^4 = 81 is one past the cap.
+        a, b = random_density(3, 3, 744), random_density(3, 3, 745)
+        det = pgm([a, b], 4)
+        for build in (
+            lambda: holevo_helstrom(a, b, 4, dim_cap=80),
+            lambda: helstrom_misses(a, b, 4, dim_cap=80),
+            lambda: pgm([a, b], 4, dim_cap=80),
+            lambda: list(misses([a, b], det, 4, dim_cap=80)),
+        ):
+            with pytest.raises(
+                DimensionCapExceeded, match=r"^dim 3\^4 = 81 exceeds cap 80$"
+            ):
+                build()
 
 
 class TestDetectorChecks:
     def test_corrupted_element_is_flagged(self):
         det = pgm([random_density(2, 2, 1), random_density(2, 2, 2)])
         bad = dense_detector([det.elements[0] * 1.1, det.elements[1]])
-        assert check_detector(bad) != []
-        with pytest.raises(PSDViolation):
-            validate_detector(bad)
+        problems = check_detector(bad)
+        assert problems and problems[-1].startswith("elements sum to identity")
 
     def test_product_elements_factorize_traces(self):
         # tr[rho^(x)2 (A (x) B)] = tr[rho A] tr[rho B]
@@ -1353,8 +1446,4 @@ class TestPsdFastPath:
         first = (q * spectrum) @ q.conj().T
         first = (first + first.conj().T) / 2.0
         det = dense_detector([first, np.eye(d) - first])
-        with pytest.raises(PSDViolation) as info:
-            validate_detector(det)
-        assert str(info.value) == (
-            "invalid POVM: element 0 has negative eigenvalue -3.000e-07"
-        )
+        assert check_detector(det) == ["element 0 has negative eigenvalue -3.000e-07"]
