@@ -7,8 +7,9 @@ Commands::
     qmultitest verify [--trials --seed]       randomized invariant suites
     qmultitest gen <kind> [--r --d --seed]    scenario generation
 
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 resource cap
-(dimension cap exceeded or out of memory).  Reports are byte-stable for a
+Exit codes: 0 success, 1 validation failure or an output file that cannot
+be written, 2 parse error or a scenario file that cannot be read, 3 resource
+cap (dimension cap exceeded or out of memory).  Reports are byte-stable for a
 fixed scenario and configuration: floats are written as their shortest
 round-trip decimals, non-finite values as ``null`` (JSON reports are strict
 RFC 8259), and files land atomically (temp file + rename).
@@ -84,10 +85,13 @@ def _report_json(doc: dict) -> str:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
-        write_text_atomic(out_path, text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        write_text_atomic(out_path, text)
+    except OSError as exc:
+        raise OSError(f"cannot write {out_path} ({exc.strerror})") from None
 
 
 def _chernoff_report(scenario: Scenario) -> dict:
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, CalibrationFailed) as exc:
+    except (ValueError, ArithmeticError, CalibrationFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

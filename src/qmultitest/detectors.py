@@ -53,7 +53,7 @@ class Detector:
 
     dim: int
     blocks: tuple[tuple[np.ndarray, ...], ...]
-    layout: sectors.Layout | sectors.SpinLayout = sectors.ONE
+    layout: sectors.Layout = sectors.ONE
 
     def __post_init__(self):
         frozen = tuple(tuple(_frozen(b) for b in e) for e in self.blocks)

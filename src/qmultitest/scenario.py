@@ -159,8 +159,12 @@ def scenario_from_dict(doc) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a scenario file; one that cannot be read is a
+    parse error naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioParseError(f"{path}: cannot read ({exc.strerror})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,5 +1,4 @@
-"""Block layouts of ``n``-copy operators: copy-pair sectors and qubit spin
-blocks.
+"""Block layouts of ``n``-copy operators, made of tensor factors.
 
 A split row's operators are unchanged by permuting copies inside each part
 of the copy budget (its runs of consecutive copies): tensor powers commute
@@ -11,31 +10,31 @@ its blocks ``B_s``.  A trace or a squared Frobenius norm is then the
 multiplicity-weighted sum over the blocks, and a lowest eigenvalue the
 lowest over them.  ``W`` is never formed on the way from states to errors.
 
-*Copy-pair sectors* (``pair_layout``, any ``d``).  An operator that
-commutes with swapping two copies is block diagonal once that pair is
-written in the symmetric and antisymmetric subspaces of ``C^d (x) C^d``.
-Copies are paired inside each part, ``(o, o+1), (o+2, o+3), ...``, and the
-last copy of an odd part stays alone.  ``W`` is the tensor product of
-``pair_basis`` on each pair and the identity on each lone copy, its columns
-grouped by sector: a sector takes the symmetric or the antisymmetric half
-of every pair, first pair most significant.  Every multiplicity is 1.
+A layout is a tensor product of factors, one per run of copies in copy
+order, each with its own local decomposition (``Factor``): local blocks of
+``sizes``, repeated ``mults`` times, the local blocks of ``rho^(x)copies``
+(``Factor.blocks``), and the local ``W`` (``Factor.basis``), built only on
+demand.  There are three kinds:
 
-*Spin blocks* (``spin_layout``, qubits).  By Schur–Weyl duality ``p``
-qubits are blocks ``t = 0..p//2`` of size ``p - 2t + 1``, each repeated
-``m_t = C(p, t) - C(p, t - 1)`` times, and an operator that commutes with
-every permutation of them is ``(+)_t B_t (x) I_{m_t}``.  Over several parts
-a block is a label ``(t_1, ..., t_k)``, of size ``prod(p_i - 2t_i + 1)``
-and multiplicity ``prod(m_{t_i})``; the block of ``rho^(x)n`` is the
-Kronecker product of the parts' ``states.spin_blocks``.  ``W`` is the
-tensor product of each part's ``schur_basis``, built only to assemble an
-operator from its blocks (``from_blocks``).
+* *a qubit part* of ``p`` copies: by Schur–Weyl duality, blocks
+  ``t = 0..p//2`` of size ``p - 2t + 1``, each repeated
+  ``m_t = C(p, t) - C(p, t - 1)`` times (``states.spin_blocks``), with
+  ``W = schur_basis(p)``;
+* *a copy pair* of ``C^d``: its symmetric and antisymmetric subspaces,
+  blocks ``S(rho)`` and ``A(rho)`` of ``rho (x) rho``, with
+  ``W = pair_basis(d)``;
+* *a lone copy*: ``rho`` itself, with ``W = I``.
 
-Both order their blocks lexicographically, first part most significant, so
-the ``W`` of two runs of parts side by side is the tensor product of theirs:
-block ``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of multiplicity
-``m_s m_t`` (``kron``), and an operator built from the sub-detectors of a
-split never needs its ``D x D`` form.  Without a part of two copies there is
-one block, ``ONE``, with ``W = I``.
+``layout(d, parts)`` picks them: one qubit factor per part for ``d = 2``,
+and for ``d >= 3`` the copy pairs ``(o, o+1), (o+2, o+3), ...`` of each part
+with the last copy of an odd part alone (``pair_layout``).  A block is one
+local block of every factor: its size and multiplicity are the products of
+theirs, and blocks are ordered lexicographically, first factor most
+significant.  So the ``W`` of two runs of parts side by side is the tensor
+product of theirs: block ``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of
+multiplicity ``m_s m_t`` (``kron``), and an operator built from the
+sub-detectors of a split never needs its ``D x D`` form.  When every factor
+has one block the layout is one block, ``ONE``, with ``W = I``.
 
 Every detector is built on the layout of its own parts: the binary test and
 the PGM on ``n`` copies on ``layout(d, (n,))``, a split on its sub-detectors'
@@ -48,11 +47,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
+from .errors import DimensionMismatch
 from .states import (
     DensityMatrix,
     check_power,
@@ -80,98 +80,89 @@ def pair_basis(d: int) -> tuple[np.ndarray, int]:
     return basis, d + len(upper)
 
 
+class Factor(NamedTuple):
+    """One tensor factor of a layout: ``copies`` consecutive copies, whose
+    local blocks have ``sizes`` and ``mults``.  ``blocks(rho, dim_cap)``
+    returns the local blocks of ``rho^(x)copies`` and ``basis()`` the local
+    ``W``, its columns grouped by block, then by the block's row, then by
+    copy."""
+
+    copies: int
+    sizes: tuple[int, ...]
+    mults: tuple[int, ...]
+    blocks: Callable[[DensityMatrix, int], Sequence[np.ndarray]]
+    basis: Callable[[], np.ndarray]
+
+
 class Layout(NamedTuple):
-    """The copy-pair sectors for one ``(d, parts)``.
+    """A block layout: its tensor factors in copy order, and each block's
+    multiplicity, the product of the factors' local ones."""
 
-    ``sites`` lists, in copy order, 2 for a pair and 1 for a lone copy.
-    ``chunks`` holds ``W`` as at most two tensor factors, each
-    ``(outer, basis, inner)`` with the identity on ``outer`` and ``inner``
-    dimensions around it (a factor without a pair is left out), and
-    ``index[s]`` is sector ``s``'s ``np.ix_`` in the basis they give.
-    """
-
-    pair: np.ndarray
-    sym: int
-    sites: tuple[int, ...]
-    chunks: tuple[tuple[int, np.ndarray, int], ...]
-    index: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @property
-    def mults(self) -> tuple[int, ...]:
-        """Every sector's multiplicity, 1."""
-        return (1,) * max(1, len(self.index))
-
-
-class SpinLayout(NamedTuple):
-    """The qubit spin blocks for one ``parts``: block ``s`` is
-    ``labels[s] = (t_1, ..., t_k)``, repeated ``mults[s]`` times."""
-
-    parts: tuple[int, ...]
-    labels: tuple[tuple[int, ...], ...]
+    factors: tuple[Factor, ...]
     mults: tuple[int, ...]
 
 
-# The layout of every operator without a part of two copies: one block,
+# The layout of every operator whose factors all have one block: one block,
 # ``W = I``.
-ONE = Layout(np.eye(0), 0, (), (), ())
+ONE = Layout((), (1,))
 
 
-def layout(d: int, parts: tuple[int, ...]) -> Layout | SpinLayout:
-    """The layout of a split row on copy ``parts`` (sizes of consecutive
-    runs of copies): spin blocks for qubits, copy-pair sectors otherwise."""
-    return spin_layout(parts) if d == 2 else pair_layout(d, parts)
+@functools.lru_cache(maxsize=None)
+def _spin(p: int) -> Factor:
+    """A qubit part of ``p`` copies: its spin blocks."""
+    ts = range(p // 2 + 1)
+    return Factor(
+        p,
+        tuple(p - 2 * t + 1 for t in ts),
+        tuple(spin_multiplicity(p, t) for t in ts),
+        lambda rho, dim_cap: [block for _, block in spin_blocks(rho, p, dim_cap)],
+        lambda: schur_basis(p),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _pair(d: int) -> Factor:
+    """A pair of copies of ``C^d``: its symmetric and antisymmetric
+    blocks."""
+    basis, sym = pair_basis(d)
+    basis.setflags(write=False)
+
+    def blocks(rho: DensityMatrix, dim_cap: int) -> list[np.ndarray]:
+        both = basis.T @ linalg.kron(rho.matrix, rho.matrix) @ basis
+        return [(h + h.conj().T) / 2.0 for h in (both[:sym, :sym], both[sym:, sym:])]
+
+    return Factor(2, (sym, d * d - sym), (1, 1), blocks, lambda: basis)
+
+
+@functools.lru_cache(maxsize=None)
+def _lone(d: int) -> Factor:
+    """A lone copy of ``C^d``: one block, the state itself."""
+    return Factor(1, (d,), (1,), lambda rho, dim_cap: [rho.matrix], lambda: np.eye(d))
+
+
+def _layout(factors: tuple[Factor, ...]) -> Layout:
+    """The layout of these factors; ``ONE`` when each has one block."""
+    mults = tuple(map(math.prod, itertools.product(*(f.mults for f in factors))))
+    return Layout(factors, mults) if len(mults) > 1 else ONE
+
+
+@functools.lru_cache(maxsize=None)
+def layout(d: int, parts: tuple[int, ...]) -> Layout:
+    """The layout of an operator on copy ``parts`` (sizes of consecutive
+    runs of copies): one qubit factor per part for ``d = 2``, copy pairs
+    and lone copies otherwise; built once per ``(d, parts)`` and shared."""
+    if d == 2:
+        return _layout(tuple(_spin(p) for p in parts))
+    return pair_layout(d, parts)
 
 
 @functools.lru_cache(maxsize=None)
 def pair_layout(d: int, parts: tuple[int, ...]) -> Layout:
-    """The copy-pair sectors for one-copy dimension ``d`` and copy
-    ``parts``, ``ONE`` when no part holds a pair; built once per
-    ``(d, parts)`` and shared, so its arrays are read-only."""
-    sites = tuple(s for m in parts for s in (2,) * (m // 2) + (1,) * (m % 2))
-    if 2 not in sites:
-        return ONE
-    pair, sym = pair_basis(d)
-    pair.setflags(write=False)
-    dims = [d ** s for s in sites]
-    # Two factors of about equal size: applying one costs D^2 times its size.
-    cut = min(
-        range(1, len(sites) + 1),
-        key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])),
-    )
-    chunks = []
-    for lo, hi in ((0, cut), (cut, len(sites))):
-        if 2 in sites[lo:hi]:
-            factors = [pair if s == 2 else np.eye(d) for s in sites[lo:hi]]
-            basis = functools.reduce(np.kron, factors)
-            basis.setflags(write=False)
-            chunks.append((math.prod(dims[:lo]), basis, math.prod(dims[hi:])))
-    halves = (np.arange(sym), np.arange(sym, d * d))
-    index = []
-    for labels in itertools.product((0, 1), repeat=sites.count(2)):
-        label = iter(labels)
-        flat = np.zeros(1, dtype=np.intp)
-        for s, size in zip(sites, dims):
-            local = halves[next(label)] if s == 2 else np.arange(size)
-            flat = (flat[:, None] * size + local[None, :]).reshape(-1)
-        rows, cols = np.ix_(flat, flat)
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        index.append((rows, cols))
-    return Layout(pair, sym, sites, tuple(chunks), tuple(index))
-
-
-@functools.lru_cache(maxsize=None)
-def spin_layout(parts: tuple[int, ...]) -> Layout | SpinLayout:
-    """The qubit spin blocks for copy ``parts``, ``ONE`` when no part holds
-    two copies; built once per ``parts`` and shared."""
-    if all(p < 2 for p in parts):
-        return ONE
-    labels = tuple(itertools.product(*(range(p // 2 + 1) for p in parts)))
-    mults = tuple(
-        math.prod(spin_multiplicity(p, t) for p, t in zip(parts, label))
-        for label in labels
-    )
-    return SpinLayout(parts, labels, mults)
+    """The copy-pair layout for one-copy dimension ``d`` and copy
+    ``parts``: the copies of each part paired in order, and the last copy of
+    an odd part alone; ``ONE`` when no part holds a pair."""
+    kinds = [kind for m in parts for kind in (_pair,) * (m // 2) + (_lone,) * (m % 2)]
+    return _layout(tuple(kind(d) for kind in kinds))
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,31 +210,6 @@ def schur_basis(p: int) -> np.ndarray:
     return basis
 
 
-def _spin_basis(lay: SpinLayout) -> tuple[tuple, list[list[tuple]]]:
-    """``W`` of a spin layout as tensor factors, as ``Layout.chunks``, and
-    for each block the ``np.ix_`` of each of its copies in the basis they
-    give (the Kronecker product of the parts' ``schur_basis`` columns)."""
-    dims = [2 ** p for p in lay.parts]
-    chunks = tuple(
-        (math.prod(dims[:i]), schur_basis(p), math.prod(dims[i + 1 :]))
-        for i, p in enumerate(lay.parts)
-        if p >= 2
-    )
-    copies = []
-    for label in lay.labels:
-        flat = np.zeros((1, 1), dtype=np.intp)
-        for p, t in zip(lay.parts, label):
-            size, m = p - 2 * t + 1, spin_multiplicity(p, t)
-            start = sum(
-                (p - 2 * u + 1) * spin_multiplicity(p, u) for u in range(t)
-            )
-            local = start + np.arange(size)[:, None] * m + np.arange(m)
-            flat = (flat[:, None, :, None] * 2 ** p + local[None, :, None, :])
-            flat = flat.reshape(flat.shape[0] * size, -1)
-        copies.append([np.ix_(c, c) for c in flat.T])
-    return chunks, copies
-
-
 class Blocks(NamedTuple):
     """An operator on a layout: the blocks of ``W^T X W`` and their
     multiplicities."""
@@ -267,59 +233,57 @@ def kron(x: Blocks, y: Blocks) -> Blocks:
     )
 
 
-def from_blocks(blocks: Sequence[np.ndarray], lay: Layout | SpinLayout) -> np.ndarray:
+def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
     """``W B W^T`` for ``B`` the direct sum of these blocks, each repeated
     its multiplicity; the one block itself with one block."""
     if lay is ONE:
         return blocks[0]
-    if isinstance(lay, SpinLayout):
-        chunks, copies = _spin_basis(lay)
-    else:
-        chunks, copies = lay.chunks, [[ix] for ix in lay.index]
-    dim = sum(len(ixs) * len(b) for ixs, b in zip(copies, blocks))
+    dims = [sum(map(math.prod, zip(f.sizes, f.mults))) for f in lay.factors]
+    dim = math.prod(dims)
     x = np.zeros((dim, dim), dtype=np.complex128)
-    for ixs, block in zip(copies, blocks):
-        for ix in ixs:
-            x[ix] = block
-    # One tensor factor of W and one side at a time.  Real and imaginary
-    # parts transform alike, so the factor acts on the real view: rows,
-    # then columns.
-    for outer, basis, inner in chunks:
-        size = len(basis)
-        for shape in ((outer, size, 2 * inner * dim), (dim * outer, size, 2 * inner)):
-            x = np.matmul(basis, x.view(np.float64).reshape(shape))
-            x = x.reshape(dim, 2 * dim).view(np.complex128)
+    labels = itertools.product(*(range(len(f.sizes)) for f in lay.factors))
+    for label, block in zip(labels, blocks, strict=True):
+        # The block's rows in the factors' local bases, one column per copy.
+        flat = np.zeros((1, 1), dtype=np.intp)
+        for f, local_dim, t in zip(lay.factors, dims, label):
+            size, m = f.sizes[t], f.mults[t]
+            start = sum(map(math.prod, zip(f.sizes[:t], f.mults[:t])))
+            local = start + np.arange(size)[:, None] * m + np.arange(m)
+            flat = flat[:, None, :, None] * local_dim + local[None, :, None, :]
+            flat = flat.reshape(flat.shape[0] * size, -1)
+        for copy in flat.T:
+            x[np.ix_(copy, copy)] = block
+    # One factor of W and one side at a time; a factor with one block has
+    # W = I.  Real and imaginary parts transform alike, so the factor acts
+    # on the real view: rows, then columns.
+    outer = 1
+    for f, size in zip(lay.factors, dims):
+        inner = dim // (outer * size)
+        if len(f.sizes) > 1:
+            basis = f.basis()
+            for shape in (outer, size, 2 * inner * dim), (dim * outer, size, 2 * inner):
+                x = np.matmul(basis, x.view(np.float64).reshape(shape))
+                x = x.reshape(dim, 2 * dim).view(np.complex128)
+        outer *= size
     return x
 
 
 def power_blocks(
-    rho: DensityMatrix, n: int, lay: Layout | SpinLayout, dim_cap: int
+    rho: DensityMatrix, n: int, lay: Layout, dim_cap: int
 ) -> list[np.ndarray]:
-    """The blocks of ``rho^(x)n``, without their multiplicities: a spin
-    block is the Kronecker product over the parts of their
-    ``states.spin_blocks``, and a copy-pair sector the one over the sites
-    of ``S(rho)`` or ``A(rho)``, the symmetric and antisymmetric blocks of
-    ``rho (x) rho``, or ``rho`` on a lone copy.  With one block,
-    ``[tensor_power(rho, n)]``.  The dimension cap applies to the ``d^n``
-    the blocks stand for."""
+    """The blocks of ``rho^(x)n``, without their multiplicities: the
+    Kronecker products of the factors' local blocks, each distinct factor's
+    built once.  With one block, ``[tensor_power(rho, n)]``.  The dimension
+    cap applies to the ``d^n`` the blocks stand for, and a layout whose
+    factors do not hold ``n`` copies raises ``DimensionMismatch``."""
     check_power(rho, n, dim_cap)
     if lay is ONE:
         return [tensor_power(rho, n, dim_cap).matrix]
-    if isinstance(lay, SpinLayout):
-        per_size = {
-            p: [block for _, block in spin_blocks(rho, p, dim_cap)]
-            for p in set(lay.parts)
-        }
-        blocks = per_size[lay.parts[0]]
-        for p in lay.parts[1:]:
-            blocks = [linalg.kron(b, f) for b in blocks for f in per_size[p]]
-        return blocks
-    both = lay.pair.T @ linalg.kron(rho.matrix, rho.matrix) @ lay.pair
-    s = lay.sym
-    halves = tuple((h + h.conj().T) / 2.0 for h in (both[:s, :s], both[s:, s:]))
-    # Sectors sharing their first sites share those factors' product.
-    blocks = [np.ones((1, 1), dtype=np.complex128)]
-    for site in lay.sites:
-        factors = halves if site == 2 else (rho.matrix,)
-        blocks = [linalg.kron(b, f) for b in blocks for f in factors]
+    copies = sum(f.copies for f in lay.factors)
+    if copies != n:
+        raise DimensionMismatch(f"the layout holds {copies} copies, not {n}")
+    local = {f: f.blocks(rho, dim_cap) for f in dict.fromkeys(lay.factors)}
+    blocks = local[lay.factors[0]]
+    for f in lay.factors[1:]:
+        blocks = [linalg.kron(b, c) for b in blocks for c in local[f]]
     return blocks

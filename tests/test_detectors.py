@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import weakref
@@ -303,20 +304,76 @@ class TestComposeOperatorKeyword:
         assert self.terms(trace) == pytest.approx(self.terms(ref), rel=1e-12)
 
 
-def explicit_w(d, parts):
-    """The copy-pair layout's ``W`` as a dense matrix: the tensor product of
-    the pair basis on each pair and the identity on each lone copy, its
-    columns grouped by sector; with the sector slices."""
-    layout = sectors.pair_layout(d, parts)
-    pair, _ = sectors.pair_basis(d)
-    factors = [pair if site == 2 else np.eye(d) for site in layout.sites]
-    full = factors[0]
-    for f in factors[1:]:
-        full = np.kron(full, f)
-    flats = [ix[0].reshape(-1) for ix in layout.index]
-    edges = np.cumsum([0] + [len(f) for f in flats])
-    slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    return full[:, np.concatenate(flats)], slices
+def explicit_pair(d):
+    """A pair of copies of ``C^d`` as a factor ``(W, sizes, mults)``, from
+    its definition: the symmetric ``e_i e_i`` and ``(e_i e_j + e_j e_i) /
+    sqrt 2`` (``i < j``), then the antisymmetric ``(e_i e_j - e_j e_i) /
+    sqrt 2``, each one block."""
+    e = np.eye(d)
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    root = math.sqrt(2)
+    sym = [np.kron(e[i], e[i]) for i in range(d)]
+    sym += [(np.kron(e[i], e[j]) + np.kron(e[j], e[i])) / root for i, j in upper]
+    anti = [(np.kron(e[i], e[j]) - np.kron(e[j], e[i])) / root for i, j in upper]
+    return np.stack(sym + anti, axis=1), [len(sym), len(anti)], [1, 1]
+
+
+def explicit_spin(p):
+    """A part of ``p`` qubits as a factor ``(W, sizes, mults)``:
+    ``explicit_schur``, whose block ``t`` has size ``p - 2t + 1`` and is
+    repeated ``C(p, t) - C(p, t - 1)`` times."""
+    ts = range(p // 2 + 1)
+    mults = [math.comb(p, t) - (math.comb(p, t - 1) if t else 0) for t in ts]
+    return explicit_schur(p), [p - 2 * t + 1 for t in ts], mults
+
+
+def explicit_factors(d, parts, kind):
+    """The tensor factors ``(W, sizes, mults)`` of a layout on ``parts``,
+    built apart from ``sectors``: for ``"spin"`` one qubit part each, for
+    ``"pair"`` the copy pairs of each part and a lone copy, ``W = I``, for
+    an odd one."""
+    if kind == "spin":
+        return [explicit_spin(p) for p in parts]
+    lone = (np.eye(d), [d], [1])
+    return [f for m in parts for f in [explicit_pair(d)] * (m // 2) + [lone] * (m % 2)]
+
+
+def explicit_w(factors):
+    """A layout's ``W`` as a dense matrix, the tensor product of its
+    factors' ``W``: block ``(t_1, ..., t_k)`` takes the columns of the
+    factors' local blocks ``t_i`` with their rows major and their copies
+    minor; with each block's ``(size, multiplicity)``."""
+    full = np.ones((1, 1))
+    for w, _, _ in factors:
+        full = np.kron(full, w)
+    dims = [len(w) for w, _, _ in factors]
+    order, shapes = [], []
+    for label in itertools.product(*(range(len(f[1])) for f in factors)):
+        local = [(f[1], f[2], t) for f, t in zip(factors, label)]
+        sizes = [f_sizes[t] for f_sizes, _, t in local]
+        mults = [f_mults[t] for _, f_mults, t in local]
+        starts = [
+            sum(size * m for size, m in zip(f_sizes[:t], f_mults[:t]))
+            for f_sizes, f_mults, t in local
+        ]
+        for a in itertools.product(*map(range, sizes)):
+            for c in itertools.product(*map(range, mults)):
+                column = 0
+                for dim, start, m, ai, ci in zip(dims, starts, mults, a, c):
+                    column = column * dim + start + ai * m + ci
+                order.append(column)
+        shapes.append((math.prod(sizes), math.prod(mults)))
+    return full[:, order], shapes
+
+
+def block_sum(blocks, shapes):
+    """``(+)_s B_s (x) I_{m_s}`` as a dense matrix."""
+    out = np.zeros((sum(n * m for n, m in shapes),) * 2, dtype=complex)
+    start = 0
+    for block, (n, m) in zip(blocks, shapes, strict=True):
+        out[start : start + n * m, start : start + n * m] = np.kron(block, np.eye(m))
+        start += n * m
+    return out
 
 
 def random_blocks(rng, d, n, layout):
@@ -327,9 +384,77 @@ def random_blocks(rng, d, n, layout):
     return [random_hermitian(rng, size) for size in sizes]
 
 
+# The checks every layout passes against its explicit W, for the layout
+# ``lay`` under test and the ``factors`` of ``explicit_factors``.
+
+
+def check_w_is_orthogonal(lay, factors, dim, tol):
+    w, shapes = explicit_w(factors)
+    assert w.shape == (dim, dim)
+    assert np.max(np.abs(w.T @ w - np.eye(len(w)))) <= tol
+    for factor in lay.factors:
+        basis = factor.basis()
+        assert np.max(np.abs(basis.T @ basis - np.eye(len(basis)))) <= tol
+    assert list(lay.mults) == [m for _, m in shapes]
+    assert sum(size * m for size, m in shapes) == len(w)
+
+
+def check_state_blocks(lay, factors, n, states, tol):
+    # W^T rho^(x)n W = (+) B_s (x) I_{m_s}, with B_s from power_blocks.
+    w, shapes = explicit_w(factors)
+    for rho in states:
+        rotated = w.T @ tensor_power(rho, n).matrix @ w
+        blocks = sectors.power_blocks(rho, n, lay, DEFAULT_DIM_CAP)
+        assert [len(b) for b in blocks] == [size for size, _ in shapes]
+        assert np.max(np.abs(rotated - block_sum(blocks, shapes))) <= tol
+
+
+def check_from_blocks(lay, factors, rng, tol):
+    # W ((+)_s B_s (x) I_{m_s}) W^T for random blocks B_s.
+    w, shapes = explicit_w(factors)
+    blocks = [random_hermitian(rng, size) for size, _ in shapes]
+    got = sectors.from_blocks(blocks, lay)
+    assert np.max(np.abs(got - w @ block_sum(blocks, shapes) @ w.T)) <= tol
+
+
+def check_kron(make, d, parts_x, parts_y, rng, tol):
+    # Blocks on the layouts under test (``make(parts)``) of two runs of
+    # parts, side by side: their kron is the dense product, and an n-copy
+    # state's blocks on both are the kron of each side's, with the products
+    # of the multiplicities.
+    lay_x, lay_y, lay = make(parts_x), make(parts_y), make(parts_x + parts_y)
+    n_x, n_y = sum(parts_x), sum(parts_y)
+    x = random_blocks(rng, d, n_x, lay_x)
+    y = random_blocks(rng, d, n_y, lay_y)
+    got = sectors.kron(
+        sectors.Blocks(x, lay_x.mults), sectors.Blocks(y, lay_y.mults)
+    )
+    assert got.mults == lay.mults
+    want = np.kron(sectors.from_blocks(x, lay_x), sectors.from_blocks(y, lay_y))
+    assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= tol
+    rho = random_density(d, d, 9900 + d)
+    sides = [
+        sectors.Blocks(sectors.power_blocks(rho, m, side, DEFAULT_DIM_CAP), side.mults)
+        for m, side in ((n_x, lay_x), (n_y, lay_y))
+    ]
+    product = sectors.kron(*sides)
+    assert product.mults == lay.mults
+    both = sectors.power_blocks(rho, n_x + n_y, lay, DEFAULT_DIM_CAP)
+    # Each entry is the same product of one-copy entries, which power_blocks
+    # folds from the first factor: bit for bit when the second side is one
+    # factor or one copy, else associated otherwise, within 4 ulps
+    # (measured: 2.0).
+    exact = n_y == 1 or len(lay_y.factors) == 1
+    for a, b in zip(both, product.blocks, strict=True):
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            assert np.all(np.abs(a - b) <= 4 * np.finfo(float).eps * np.abs(b))
+
+
 class TestSectors:
-    """The copy-pair sector layout against an explicit ``W``, for every
-    ``d``: qubit split rows run on spin blocks (``TestSpinLayout``), but the
+    """The copy-pair layout against an explicit ``W``, for every ``d``:
+    qubit split rows run on spin blocks (``TestSpinLayout``), but the
     copy-pair layout serves any ``d``."""
 
     LAYOUTS = [
@@ -338,9 +463,9 @@ class TestSectors:
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_w_is_orthogonal(self, d, parts):
-        w, slices = explicit_w(d, parts)
-        assert w.shape == (d ** sum(parts),) * 2
-        assert np.max(np.abs(w.T @ w - np.eye(len(w)))) <= 1e-15
+        lay = sectors.pair_layout(d, parts)
+        factors = explicit_factors(d, parts, "pair")
+        check_w_is_orthogonal(lay, factors, d ** sum(parts), 1e-15)
         # Each pair has d(d+1)/2 symmetric and d(d-1)/2 antisymmetric
         # vectors, first pair most significant; a lone copy keeps all d.
         halves = (d * (d + 1) // 2, d * (d - 1) // 2)
@@ -350,34 +475,25 @@ class TestSectors:
             math.prod(halves[b] for b in labels) * lone
             for labels in itertools.product((0, 1), repeat=pairs)
         ]
-        assert [sl.stop - sl.start for sl in slices] == sizes
+        rho = random_density(d, d, 1)
+        blocks = sectors.power_blocks(rho, sum(parts), lay, DEFAULT_DIM_CAP)
+        assert [len(b) for b in blocks] == sizes
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_one_copy_blocks_match_the_n_copy_state(self, d, parts):
         n = sum(parts)
-        w, slices = explicit_w(d, parts)
-        rho = random_density(d, d, 9100 + 10 * d + n)
-        rotated = w.T @ tensor_power(rho, n).matrix @ w
-        layout = sectors.pair_layout(d, parts)
-        blocks = sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)
-        off = rotated.copy()
-        for sl, block in zip(slices, blocks, strict=True):
-            assert np.max(np.abs(rotated[sl, sl] - block)) <= 1e-15
-            off[sl, sl] = 0.0
-        assert np.max(np.abs(off)) <= 1e-15
+        check_state_blocks(
+            sectors.pair_layout(d, parts),
+            explicit_factors(d, parts, "pair"),
+            n,
+            [random_density(d, d, 9100 + 10 * d + n)],
+            1e-15,
+        )
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_basis_changes_match_explicit_w(self, d, parts, np_rng):
-        # W B W^T for random blocks B, against the explicit W.
-        layout = sectors.pair_layout(d, parts)
-        w, slices = explicit_w(d, parts)
-        assert layout.mults == (1,) * len(slices)
-        blocks = [random_hermitian(np_rng, sl.stop - sl.start) for sl in slices]
-        direct = np.zeros((len(w), len(w)), dtype=complex)
-        for sl, block in zip(slices, blocks):
-            direct[sl, sl] = block
-        got = sectors.from_blocks(blocks, layout)
-        assert np.max(np.abs(got - w @ direct @ w.T)) <= 1e-13
+        lay = sectors.pair_layout(d, parts)
+        check_from_blocks(lay, explicit_factors(d, parts, "pair"), np_rng, 1e-13)
 
     def test_no_pair_is_one_sector(self):
         x = np.eye(8, dtype=complex)
@@ -389,19 +505,20 @@ class TestSectors:
 
     @pytest.mark.parametrize(
         "d,parts_x,parts_y",
-        [(2, (2,), (3,)), (2, (1, 2), (2, 1)), (3, (2,), (1,)), (2, (1,), (1,))],
+        [
+            (2, (2,), (3,)),
+            (2, (1, 2), (2, 1)),
+            (3, (2,), (1,)),
+            (2, (1,), (1,)),
+            # A lone copy, and one block, on either side.
+            (3, (1,), (2, 1)),
+            (4, (3,), (1,)),
+            (3, (1, 1), (3,)),
+        ],
     )
     def test_kron_matches_the_dense_product(self, d, parts_x, parts_y, np_rng):
-        lay_x, lay_y = sectors.pair_layout(d, parts_x), sectors.pair_layout(d, parts_y)
-        lay = sectors.pair_layout(d, parts_x + parts_y)
-        x = random_blocks(np_rng, d, sum(parts_x), lay_x)
-        y = random_blocks(np_rng, d, sum(parts_y), lay_y)
-        got = sectors.kron(
-            sectors.Blocks(x, lay_x.mults), sectors.Blocks(y, lay_y.mults)
-        )
-        assert got.mults == lay.mults
-        want = np.kron(sectors.from_blocks(x, lay_x), sectors.from_blocks(y, lay_y))
-        assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= 1e-13
+        make = functools.partial(sectors.pair_layout, d)
+        check_kron(make, d, parts_x, parts_y, np_rng, 1e-13)
 
     def test_layout_is_built_once(self):
         assert sectors.layout(2, (3, 3)) is sectors.layout(2, (3, 3))
@@ -466,45 +583,6 @@ def explicit_schur(p):
     return np.concatenate(columns, axis=1)
 
 
-def explicit_spin_w(parts):
-    """The spin layout's ``W`` as a dense matrix, from ``explicit_schur``:
-    block ``(t_1, ..., t_k)`` takes the columns of the parts' products with
-    the parts' Dicke indices major and their copies minor; with each
-    block's ``(size, multiplicity)``."""
-    full = np.ones((1, 1))
-    for p in parts:
-        full = np.kron(full, explicit_schur(p))
-    def m_t(p, t):
-        return math.comb(p, t) - (math.comb(p, t - 1) if t else 0)
-
-    order, shapes = [], []
-    for label in itertools.product(*(range(p // 2 + 1) for p in parts)):
-        sizes = [p - 2 * t + 1 for p, t in zip(parts, label)]
-        mults = [m_t(p, t) for p, t in zip(parts, label)]
-        starts = [
-            sum((p - 2 * u + 1) * m_t(p, u) for u in range(t))
-            for p, t in zip(parts, label)
-        ]
-        for a in itertools.product(*map(range, sizes)):
-            for c in itertools.product(*map(range, mults)):
-                column = 0
-                for p, start, m, ai, ci in zip(parts, starts, mults, a, c):
-                    column = column * 2**p + start + ai * m + ci
-                order.append(column)
-        shapes.append((math.prod(sizes), math.prod(mults)))
-    return full[:, order], shapes
-
-
-def block_sum(blocks, shapes):
-    """``(+)_s B_s (x) I_{m_s}`` as a dense matrix."""
-    out = np.zeros((sum(n * m for n, m in shapes),) * 2, dtype=complex)
-    start = 0
-    for block, (n, m) in zip(blocks, shapes, strict=True):
-        out[start : start + n * m, start : start + n * m] = np.kron(block, np.eye(m))
-        start += n * m
-    return out
-
-
 class TestSpinLayout:
     """The qubit spin layout against an explicit Schur ``W``.  Measured:
     ``W`` orthogonal to 1.4e-15, the state's blocks within 1.2e-16, the
@@ -514,61 +592,48 @@ class TestSpinLayout:
 
     @pytest.mark.parametrize("parts", PARTS)
     def test_w_is_orthogonal(self, parts):
-        n = sum(parts)
-        w, shapes = explicit_spin_w(parts)
-        assert w.shape == (2**n, 2**n)
-        assert np.max(np.abs(w.T @ w - np.eye(2**n))) <= 1e-13
-        for p in set(parts):
-            basis = sectors.schur_basis(p)
-            assert np.max(np.abs(basis.T @ basis - np.eye(2**p))) <= 1e-13
-        layout = sectors.layout(2, parts)
-        assert list(layout.mults) == [m for _, m in shapes]
-        assert sum(n * m for n, m in shapes) == 2**n
+        lay, factors = sectors.layout(2, parts), explicit_factors(2, parts, "spin")
+        check_w_is_orthogonal(lay, factors, 2 ** sum(parts), 1e-13)
 
     @pytest.mark.parametrize("parts", PARTS)
     def test_one_copy_blocks_match_the_n_copy_state(self, parts):
-        # W^T rho^(x)n W = (+) B_s (x) I_{m_s}, with B_s from power_blocks.
         n = sum(parts)
-        w, shapes = explicit_spin_w(parts)
-        layout = sectors.layout(2, parts)
-        for rank in (1, 2):
-            rho = random_density(2, rank, 9700 + 10 * n + rank)
-            rotated = w.T @ tensor_power(rho, n).matrix @ w
-            blocks = sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)
-            assert [len(b) for b in blocks] == [size for size, _ in shapes]
-            assert np.max(np.abs(rotated - block_sum(blocks, shapes))) <= 1e-14
+        check_state_blocks(
+            sectors.layout(2, parts),
+            explicit_factors(2, parts, "spin"),
+            n,
+            [random_density(2, rank, 9700 + 10 * n + rank) for rank in (1, 2)],
+            1e-14,
+        )
 
     @pytest.mark.parametrize("parts", PARTS)
     def test_basis_changes_match_explicit_w(self, parts, np_rng):
-        # W ((+)_s B_s (x) I_{m_s}) W^T for random blocks B_s, against the
-        # explicit W.
-        layout = sectors.layout(2, parts)
-        w, shapes = explicit_spin_w(parts)
-        assert list(layout.mults) == [m for _, m in shapes]
-        blocks = [random_hermitian(np_rng, size) for size, _ in shapes]
-        got = sectors.from_blocks(blocks, layout)
-        assert np.max(np.abs(got - w @ block_sum(blocks, shapes) @ w.T)) <= 1e-12
+        lay = sectors.layout(2, parts)
+        check_from_blocks(lay, explicit_factors(2, parts, "spin"), np_rng, 1e-12)
 
     @pytest.mark.parametrize(
         "parts_x,parts_y",
-        [((2,), (3,)), ((1, 2), (2, 1)), ((2, 3), (2, 3)), ((5,), (5,))],
+        [
+            ((2,), (3,)),
+            ((1, 2), (2, 1)),
+            ((2, 3), (2, 3)),
+            ((5,), (5,)),
+            # One block on either side.
+            ((1,), (3,)),
+            ((4,), (1, 1)),
+        ],
     )
     def test_kron_matches_the_dense_product(self, parts_x, parts_y, np_rng):
-        lay_x, lay_y = sectors.layout(2, parts_x), sectors.layout(2, parts_y)
-        lay = sectors.layout(2, parts_x + parts_y)
-        x = random_blocks(np_rng, 2, sum(parts_x), lay_x)
-        y = random_blocks(np_rng, 2, sum(parts_y), lay_y)
-        got = sectors.kron(
-            sectors.Blocks(x, lay_x.mults), sectors.Blocks(y, lay_y.mults)
-        )
-        assert got.mults == lay.mults
-        want = np.kron(sectors.from_blocks(x, lay_x), sectors.from_blocks(y, lay_y))
-        assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= 1e-12
+        make = functools.partial(sectors.layout, 2)
+        check_kron(make, 2, parts_x, parts_y, np_rng, 1e-12)
 
     def test_symmetric_layouts(self):
-        # The binary test and the PGM on n copies are built on one part.
+        # The binary test and the PGM on n copies are built on one part:
+        # one qubit factor, else copy pairs.
         assert sectors.layout(2, (1,)) is sectors.ONE is sectors.layout(3, (1,))
-        assert isinstance(sectors.layout(2, (4,)), sectors.SpinLayout)
+        assert [f.copies for f in sectors.layout(2, (4,)).factors] == [4]
+        assert sectors.layout(2, (4,)).mults == (1, 3, 2)
+        assert [f.copies for f in sectors.layout(3, (4,)).factors] == [2, 2]
         assert sectors.layout(3, (4,)) is sectors.pair_layout(3, (4,))
         assert sectors.layout(3, (2, 2)) is sectors.pair_layout(3, (2, 2))
         assert holevo_helstrom(*TestComposeWithBinary.pair(), 4).layout is (
@@ -904,7 +969,7 @@ def spin_blocks_of(x, parts):
     """An invariant qubit operator as its blocks on ``sectors.layout(2,
     parts)``, through the explicit ``W``: each block the mean of its copies
     in ``W^T X W``."""
-    w, shapes = explicit_spin_w(parts)
+    w, shapes = explicit_w(explicit_factors(2, parts, "spin"))
     rotated = w.T @ x @ w
     blocks, start = [], 0
     for size, m in shapes:
@@ -1200,6 +1265,20 @@ class TestMisses:
         total = sum(misses(states, det, 3))
         assert len(built) == 4 * len(det.layout.mults)
         assert 0.0 <= total <= 4.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_copy_count_must_match_the_layout(self, d):
+        # A detector on 4 copies holds its elements on the layout of 4
+        # copies; the misses of 5 or 6 copies on it are refused, not read
+        # off the 4-copy blocks.
+        a, b = random_density(d, d, 1), random_density(d, d, 2)
+        test = holevo_helstrom(a, b, 4)
+        four = tuple(misses((a, b), test, 4))
+        assert helstrom_misses(a, b, 4) == four
+        for n in (5, 6):
+            with pytest.raises(DimensionMismatch, match=f"holds 4 copies, not {n}$"):
+                list(misses((a, b), test, n))
+            assert sum(helstrom_misses(a, b, n)) < sum(four)
 
     def test_count_mismatch_raises(self):
         states = [random_density(2, 2, 180 + k) for k in range(3)]

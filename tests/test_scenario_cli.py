@@ -422,6 +422,60 @@ class TestRunCommand:
         assert cli.main(["chernoff", path]) == 1
 
 
+class TestFileErrors:
+    """A scenario that cannot be read is a parse error naming its path
+    (exit 2), and an ``--out`` that cannot be written a one-line error
+    (exit 1); neither ends in a traceback."""
+
+    @staticmethod
+    def scenario(tmp_path):
+        return write_doc(tmp_path / "s.json", two_state_doc())
+
+    @pytest.mark.parametrize("command", ["run", "chernoff"])
+    @pytest.mark.parametrize(
+        "name,reason", [("missing.json", "No such file"), ("dir", "Is a directory")]
+    )
+    def test_unreadable_scenario_is_a_parse_error(
+        self, command, name, reason, tmp_path, capsys
+    ):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / name
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read ({reason}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "{scenario}", "--n-max", "2"],
+            ["chernoff", "{scenario}"],
+            ["gen", "random", "--r", "2"],
+        ],
+    )
+    def test_unwritable_out_is_a_one_line_error(self, args, tmp_path, capsys):
+        scenario = self.scenario(tmp_path)
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(scenario=scenario) for a in args] + ["--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out} (No such file or directory)\n"
+        assert not out.parent.exists()
+
+    def test_missing_scenario_in_a_subprocess(self, tmp_path):
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-m", "qmultitest.cli", "run", str(tmp_path / "x.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stdout == ""
+
+
 class TestVerifyCommand:
     def test_zero_trials_vacuous_pass(self, capsys):
         assert cli.main(["verify", "--trials", "0"]) == 0
