@@ -8,7 +8,7 @@ sub-detectors plus that composition.  Every construction on ``n`` copies
 lives on a block layout of its copies (``sectors.layout``): the binary
 test and the PGM on one part of ``n``, a split on its sub-detectors' parts
 side by side, where each partial is the Kronecker product of their blocks.
-With one block the operators are dense.
+On a layout of one-copy factors there is one block, the dense operator.
 """
 
 from __future__ import annotations
@@ -46,23 +46,27 @@ class Detector:
     """POVM: positive elements, one per hypothesis, summing to identity.
 
     ``blocks[k]`` holds element ``k`` as its blocks on ``layout``
-    (``sectors``: qubit spin blocks or copy-pair sectors); with one block,
-    the default, that block is the dense matrix.  Blocks are stored as
-    read-only copies so detectors stay pure values.
+    (``sectors``: qubit spin blocks, copy-pair sectors, or one block, the
+    dense matrix, on one-copy factors).  Blocks are stored as read-only
+    copies so detectors stay pure values.
     """
 
-    dim: int
     blocks: tuple[tuple[np.ndarray, ...], ...]
-    layout: sectors.Layout = sectors.ONE
+    layout: sectors.Layout
 
     def __post_init__(self):
         frozen = tuple(tuple(_frozen(b) for b in e) for e in self.blocks)
         object.__setattr__(self, "blocks", frozen)
 
     @property
+    def dim(self) -> int:
+        """The dimension the elements act on, the layout's."""
+        return self.layout.dim
+
+    @property
     def elements(self) -> tuple[np.ndarray, ...]:
         """The dense elements, ``W B W^T`` (``sectors.from_blocks``), formed
-        on each access; with one block, the stored blocks themselves."""
+        on each access."""
         return tuple(sectors.from_blocks(b, self.layout) for b in self.blocks)
 
 
@@ -105,9 +109,6 @@ def check_detector(det: Detector) -> list[str]:
     problems: list[str] = []
     total = np.zeros((det.dim, det.dim), dtype=np.complex128)
     for k, element in enumerate(det.elements):
-        if element.shape != (det.dim, det.dim):
-            problems.append(f"element {k} has shape {element.shape}")
-            continue
         try:
             lowest = linalg.psd_violation(element, TOL_ELEMENT_PSD)
         except Exception as exc:  # non-Hermitian element
@@ -218,7 +219,7 @@ def holevo_helstrom(
     spectra = [(m, linalg.eigh(x)) for m, x in zip(layout.mults, differences)]
     del differences
     plus, minus = zip(*_helstrom_tests(spectra))
-    return Detector(rho1.dim ** n, (plus, minus), layout)
+    return Detector((plus, minus), layout)
 
 
 def pgm(
@@ -272,7 +273,7 @@ def pgm(
         tuple(_hermitize(c @ g @ c) for c, g in zip(corrections, gs)) for gs in raw
     )
     _check_povm(elements, layout.mults)
-    return Detector(states[0].dim ** n, elements, layout)
+    return Detector(elements, layout)
 
 
 def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
@@ -295,7 +296,7 @@ def misses(
     precision.  It is summed over the detector's blocks,
     ``sum_s m_s sum_{j != k} tr[P_s E_j,s]``, with ``P_s`` the blocks of the
     n-copy state (``sectors.power_blocks``) and ``m_s`` their
-    multiplicities; with one block that is the dense state.  Each state's
+    multiplicities; on one-copy factors that is the dense state.  Each state's
     blocks are built only for its own term, so at most one state's are
     alive at a time.  A state count that differs from the element count
     raises ``ValueError``.
@@ -346,17 +347,15 @@ def compose_with_binary(
 
     ``parts``, sizes of consecutive runs of copies adding up to ``n``,
     states that permuting copies inside a run leaves every partial
-    unchanged.  A partial comes as its blocks on ``sectors.layout`` (qubit
-    spin blocks, else copy-pair sectors; ``sectors.Blocks``), or as a
-    dense matrix when that layout has one block, ``sectors.ONE``; a dense
-    partial with parts that give several blocks raises
-    ``DimensionMismatch``.  Everything runs on the blocks: the Helstrom
-    test, ``Q``, ``Q^(1/2)``, the pair's elements, the trace terms and
-    every check, and the detector is returned as its blocks.  ``W`` is
-    orthogonal, so an operator's lowest eigenvalue is the lowest over its
-    blocks, and its trace and squared Frobenius norm are the sums over its
-    blocks weighted by their multiplicities.  Without parts there is one
-    block, the dense operators themselves.
+    unchanged; without them each run is one copy, which claims nothing.  A
+    partial comes as its blocks on ``sectors.layout(d, parts)``
+    (``sectors.Blocks``), or dense, the one block of one-copy parts; one
+    that does not fit raises ``DimensionMismatch``.  Everything runs on the
+    blocks: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's elements, the
+    trace terms and every check, and the detector is returned as its
+    blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
+    lowest over its blocks, and its trace and squared Frobenius norm are
+    the sums over its blocks weighted by their multiplicities.
     """
     partials = list(partials)
     if not partials:
@@ -364,14 +363,13 @@ def compose_with_binary(
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
     check_power(rho1, n, dim_cap)
-    parts = tuple(parts)
-    if parts and sum(parts) != n:
+    parts = tuple(parts) or (1,) * n
+    if sum(parts) != n:
         raise ValueError(f"parts {parts} do not add up to {n} copies")
     layout = sectors.layout(rho1.dim, parts)
     mults = layout.mults
-    dim = rho1.dim ** n
-    # The pair's blocks are kept for the trace terms; with one block they
-    # are the dense n-copy states.
+    # The pair's blocks are kept for the trace terms; on one-copy factors
+    # they are the dense n-copy states.
     powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
     tests = _helstrom_tests(
         [(m, linalg.eigh(a - b)) for m, a, b in zip(mults, *powers)]
@@ -381,16 +379,8 @@ def compose_with_binary(
     partial_blocks = []
     for k, p in enumerate(partials):
         if not isinstance(p, sectors.Blocks):
-            if layout is not sectors.ONE:
-                raise DimensionMismatch(
-                    f"partial {k} is dense, but the parts {parts} give "
-                    f"{len(mults)} blocks"
-                )
-            p = np.asarray(p, dtype=np.complex128)
-            if p.shape != (dim, dim):
-                raise DimensionMismatch(f"partial {k} has shape {p.shape}")
-            p = sectors.Blocks([p], mults)
-        elif [b.shape for b in p.blocks] != shapes or p.mults != mults:
+            p = sectors.Blocks([np.asarray(p, dtype=np.complex128)], (1,))
+        if [b.shape for b in p.blocks] != shapes or p.mults != mults:
             raise DimensionMismatch(f"partial {k} does not fit the sectors")
         lowest = _lowest(p.blocks, TOL_ELEMENT_PSD)
         if lowest is not None:
@@ -450,7 +440,7 @@ def compose_with_binary(
         raise PSDViolation(
             f"invalid POVM: elements sum to identity only within {defect:.3e}"
         )
-    detector = Detector(dim, elements, layout)
+    detector = Detector(elements, layout)
     del elements
     # The overlap trace is the pair's misses under the binary test,
     # ``tr[rho_1 E_-] + tr[rho_2 E_+]``.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,13 +57,25 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_finite(raw, where: str) -> None:
+    """Refuse anything in these nested lists but numbers in the float range."""
+    if isinstance(raw, list):
+        for value in raw:
+            _check_finite(value, where)
+    elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioParseError(f"{where}: {json.dumps(raw)} is not a number")
+    elif not abs(raw) <= sys.float_info.max:
+        raise ScenarioParseError(f"{where}: {json.dumps(raw)} is not a finite number")
+
+
 def _complex_entries(raw, where: str, expect_len: int | None = None) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"{where}: not numeric ({exc})") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ScenarioParseError(f"{where}: entries must be [re, im] pairs")
+    _check_finite(raw, where)
     out = arr[..., 0] + 1j * arr[..., 1]
     if expect_len is not None and out.shape[0] != expect_len:
         raise ScenarioParseError(
@@ -93,6 +106,7 @@ def _parse_state(
             raise ScenarioParseError(
                 f"{where}.probabilities: expected a list of length {dim}"
             )
+        _check_finite(probs, f"{where}.probabilities")
         return classical_state(probs)
     if kind == "random":
         rank = spec.get("rank", dim)
@@ -159,12 +173,14 @@ def scenario_from_dict(doc) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file; one that cannot be read is a
-    parse error naming the path."""
+    """Read and validate a scenario file; one that cannot be read, or is
+    not UTF-8, is a parse error naming the path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioParseError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 ({exc})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -33,8 +33,9 @@ theirs, and blocks are ordered lexicographically, first factor most
 significant.  So the ``W`` of two runs of parts side by side is the tensor
 product of theirs: block ``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of
 multiplicity ``m_s m_t`` (``kron``), and an operator built from the
-sub-detectors of a split never needs its ``D x D`` form.  When every factor
-has one block the layout is one block, ``ONE``, with ``W = I``.
+sub-detectors of a split never needs its ``D x D`` form.  A dense operator
+on ``n`` copies is the one block of ``n`` one-copy factors, ``layout(d, (1,)
+* n)``, with ``W = I``: the Kronecker product of the copies.
 
 Every detector is built on the layout of its own parts: the binary test and
 the PGM on ``n`` copies on ``layout(d, (n,))``, a split on its sub-detectors'
@@ -53,13 +54,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch
-from .states import (
-    DensityMatrix,
-    check_power,
-    spin_blocks,
-    spin_multiplicity,
-    tensor_power,
-)
+from .states import DensityMatrix, check_power, spin_blocks, spin_multiplicity
 
 
 def pair_basis(d: int) -> tuple[np.ndarray, int]:
@@ -81,13 +76,14 @@ def pair_basis(d: int) -> tuple[np.ndarray, int]:
 
 
 class Factor(NamedTuple):
-    """One tensor factor of a layout: ``copies`` consecutive copies, whose
-    local blocks have ``sizes`` and ``mults``.  ``blocks(rho, dim_cap)``
-    returns the local blocks of ``rho^(x)copies`` and ``basis()`` the local
-    ``W``, its columns grouped by block, then by the block's row, then by
-    copy."""
+    """One tensor factor of a layout: ``copies`` consecutive copies, of
+    local dimension ``dim``, whose local blocks have ``sizes`` and
+    ``mults``.  ``blocks(rho, dim_cap)`` returns the local blocks of
+    ``rho^(x)copies`` and ``basis()`` the local ``W``, its columns grouped
+    by block, then by the block's row, then by copy."""
 
     copies: int
+    dim: int
     sizes: tuple[int, ...]
     mults: tuple[int, ...]
     blocks: Callable[[DensityMatrix, int], Sequence[np.ndarray]]
@@ -95,16 +91,13 @@ class Factor(NamedTuple):
 
 
 class Layout(NamedTuple):
-    """A block layout: its tensor factors in copy order, and each block's
-    multiplicity, the product of the factors' local ones."""
+    """A block layout: its tensor factors in copy order, each block's
+    multiplicity, and the dimension of the operators on it; both are
+    products of the factors' local ones."""
 
     factors: tuple[Factor, ...]
     mults: tuple[int, ...]
-
-
-# The layout of every operator whose factors all have one block: one block,
-# ``W = I``.
-ONE = Layout((), (1,))
+    dim: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,6 +106,7 @@ def _spin(p: int) -> Factor:
     ts = range(p // 2 + 1)
     return Factor(
         p,
+        2 ** p,
         tuple(p - 2 * t + 1 for t in ts),
         tuple(spin_multiplicity(p, t) for t in ts),
         lambda rho, dim_cap: [block for _, block in spin_blocks(rho, p, dim_cap)],
@@ -131,19 +125,19 @@ def _pair(d: int) -> Factor:
         both = basis.T @ linalg.kron(rho.matrix, rho.matrix) @ basis
         return [(h + h.conj().T) / 2.0 for h in (both[:sym, :sym], both[sym:, sym:])]
 
-    return Factor(2, (sym, d * d - sym), (1, 1), blocks, lambda: basis)
+    return Factor(2, d * d, (sym, d * d - sym), (1, 1), blocks, lambda: basis)
 
 
 @functools.lru_cache(maxsize=None)
 def _lone(d: int) -> Factor:
     """A lone copy of ``C^d``: one block, the state itself."""
-    return Factor(1, (d,), (1,), lambda rho, dim_cap: [rho.matrix], lambda: np.eye(d))
+    return Factor(1, d, (d,), (1,), lambda rho, _: [rho.matrix], lambda: np.eye(d))
 
 
 def _layout(factors: tuple[Factor, ...]) -> Layout:
-    """The layout of these factors; ``ONE`` when each has one block."""
+    """The layout of these factors."""
     mults = tuple(map(math.prod, itertools.product(*(f.mults for f in factors))))
-    return Layout(factors, mults) if len(mults) > 1 else ONE
+    return Layout(factors, mults, math.prod(f.dim for f in factors))
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,7 +154,7 @@ def layout(d: int, parts: tuple[int, ...]) -> Layout:
 def pair_layout(d: int, parts: tuple[int, ...]) -> Layout:
     """The copy-pair layout for one-copy dimension ``d`` and copy
     ``parts``: the copies of each part paired in order, and the last copy of
-    an odd part alone; ``ONE`` when no part holds a pair."""
+    an odd part alone."""
     kinds = [kind for m in parts for kind in (_pair,) * (m // 2) + (_lone,) * (m % 2)]
     return _layout(tuple(kind(d) for kind in kinds))
 
@@ -235,21 +229,18 @@ def kron(x: Blocks, y: Blocks) -> Blocks:
 
 def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
     """``W B W^T`` for ``B`` the direct sum of these blocks, each repeated
-    its multiplicity; the one block itself with one block."""
-    if lay is ONE:
-        return blocks[0]
-    dims = [sum(map(math.prod, zip(f.sizes, f.mults))) for f in lay.factors]
-    dim = math.prod(dims)
+    its multiplicity."""
+    dim = lay.dim
     x = np.zeros((dim, dim), dtype=np.complex128)
     labels = itertools.product(*(range(len(f.sizes)) for f in lay.factors))
     for label, block in zip(labels, blocks, strict=True):
         # The block's rows in the factors' local bases, one column per copy.
         flat = np.zeros((1, 1), dtype=np.intp)
-        for f, local_dim, t in zip(lay.factors, dims, label):
+        for f, t in zip(lay.factors, label):
             size, m = f.sizes[t], f.mults[t]
             start = sum(map(math.prod, zip(f.sizes[:t], f.mults[:t])))
             local = start + np.arange(size)[:, None] * m + np.arange(m)
-            flat = flat[:, None, :, None] * local_dim + local[None, :, None, :]
+            flat = flat[:, None, :, None] * f.dim + local[None, :, None, :]
             flat = flat.reshape(flat.shape[0] * size, -1)
         for copy in flat.T:
             x[np.ix_(copy, copy)] = block
@@ -257,7 +248,8 @@ def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
     # W = I.  Real and imaginary parts transform alike, so the factor acts
     # on the real view: rows, then columns.
     outer = 1
-    for f, size in zip(lay.factors, dims):
+    for f in lay.factors:
+        size = f.dim
         inner = dim // (outer * size)
         if len(f.sizes) > 1:
             basis = f.basis()
@@ -273,12 +265,10 @@ def power_blocks(
 ) -> list[np.ndarray]:
     """The blocks of ``rho^(x)n``, without their multiplicities: the
     Kronecker products of the factors' local blocks, each distinct factor's
-    built once.  With one block, ``[tensor_power(rho, n)]``.  The dimension
-    cap applies to the ``d^n`` the blocks stand for, and a layout whose
-    factors do not hold ``n`` copies raises ``DimensionMismatch``."""
+    built once; on ``n`` one-copy factors, ``[tensor_power(rho, n)]``.  The
+    dimension cap applies to the ``d^n`` the blocks stand for, and a layout
+    whose factors do not hold ``n`` copies raises ``DimensionMismatch``."""
     check_power(rho, n, dim_cap)
-    if lay is ONE:
-        return [tensor_power(rho, n, dim_cap).matrix]
     copies = sum(f.copies for f in lay.factors)
     if copies != n:
         raise DimensionMismatch(f"the layout holds {copies} copies, not {n}")

@@ -170,7 +170,7 @@ def suite_self_test(seed: int) -> SuiteResult:
     states = [random_density(2, 2, seed + k) for k in range(3)]
     detector = pgm(states)
     first, *rest = detector.blocks
-    corrupted = Detector(detector.dim, ((first[0] * 1.1,), *rest))
+    corrupted = Detector(((first[0] * 1.1,), *rest), detector.layout)
     if not check_detector(corrupted):
         _note(result, 0, "corrupted detector passed the validity check")
     return result

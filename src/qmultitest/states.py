@@ -36,13 +36,15 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    Validation happens on construction; the stored array is read-only.
+    Validated on construction, non-finite entries first; read-only.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
+        if not np.isfinite(m).all():
+            raise HermiticityViolation("state has a non-finite entry")
         lowest = linalg.psd_violation(m)  # also checks Hermiticity
         if lowest is not None:
             raise PSDViolation(f"state has negative eigenvalue {lowest:.3e}")

@@ -56,21 +56,25 @@ def residual_oracle(partials, floor=False):
 
 
 def dense_detector(elements):
-    """A one-sector ``Detector`` holding these dense elements."""
-    from qmultitest import Detector
+    """A ``Detector`` holding these dense elements as the one block of one
+    copy of their space."""
+    from qmultitest import Detector, sectors
 
-    return Detector(len(elements[0]), tuple((e,) for e in elements))
+    layout = sectors.layout(len(elements[0]), (1,))
+    return Detector(tuple((e,) for e in elements), layout)
 
 
 def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
-    """``run_experiment`` with every ``sectors.layout`` one block: the dense
-    path, which builds every binary test, sub-detector and composition on
-    the dense operators and evaluates the misses on dense n-copy states."""
+    """``run_experiment`` with every ``sectors.layout`` made of one-copy
+    factors, one block: the dense path, which builds every binary test,
+    sub-detector and composition on the dense operators and evaluates the
+    misses on dense n-copy states."""
     from qmultitest import sectors
     from qmultitest.evaluation import run_experiment
 
+    layout = sectors.layout
     with monkeypatch.context() as patch:
-        patch.setattr(sectors, "layout", lambda d, parts: sectors.ONE)
+        patch.setattr(sectors, "layout", lambda d, parts: layout(d, (1,) * sum(parts)))
         return run_experiment(ensemble, ns, sub=sub, k_fit=k_fit)
 
 

@@ -14,6 +14,7 @@ from qmultitest import (
     Ensemble,
     build_split_detector,
     check_detector,
+    classical_state,
     compose_with_binary,
     density_from_matrix,
     holevo_helstrom,
@@ -208,16 +209,14 @@ class TestComposeWithBinary:
 
     @pytest.mark.parametrize("d,parts", [(2, (2,)), (3, (2,)), (3, (1, 2))])
     def test_refuses_a_dense_partial_on_several_blocks(self, d, parts):
-        # A dense partial is taken on the one-block layout only; with parts
-        # that hold a pair of copies it must come as its blocks.
+        # A dense partial is the one block of a layout of one-copy factors;
+        # with parts that hold a pair of copies it must come as its blocks.
         rho1, rho2 = random_density(d, d, 1), random_density(d, d, 2)
         n = sum(parts)
-        blocks = len(sectors.layout(d, parts).mults)
+        assert len(sectors.layout(d, parts).mults) > 1
         with pytest.raises(DimensionMismatch) as info:
             compose_with_binary([0.1 * np.eye(d ** n)], rho1, rho2, n, parts=parts)
-        assert str(info.value) == (
-            f"partial 0 is dense, but the parts {parts} give {blocks} blocks"
-        )
+        assert str(info.value) == "partial 0 does not fit the sectors"
 
     @staticmethod
     def gram_oracle(partials, rho1, rho2):
@@ -271,13 +270,13 @@ class TestComposeOperatorKeyword:
         states = [random_density(2, 2, 8100 + 10 * r + k) for k in range(r)]
         partials = random_feasible_partials(4, r - 2, 8200 + r)
         built = []
+        original = sectors.power_blocks
 
-        def counted(rho, n, dim_cap=DEFAULT_DIM_CAP):
+        def counted(rho, n, layout, dim_cap):
             built.append((id(rho), n))
-            return tensor_power(rho, n, dim_cap)
+            return original(rho, n, layout, dim_cap)
 
-        # The one-block Helstrom test builds the pair through sectors.
-        monkeypatch.setattr(sectors, "tensor_power", counted)
+        monkeypatch.setattr(sectors, "power_blocks", counted)
         det, trace = compose_with_binary(partials, states[0], states[1], 2)
         # The pair is built once, for the Helstrom test and the trace terms;
         # a tail state is never built.
@@ -496,12 +495,12 @@ class TestSectors:
         check_from_blocks(lay, explicit_factors(d, parts, "pair"), np_rng, 1e-13)
 
     def test_no_pair_is_one_sector(self):
-        x = np.eye(8, dtype=complex)
-        for parts in [(), (1, 1, 1)]:
-            layout = sectors.layout(2, parts)
-            assert layout is sectors.ONE is sectors.pair_layout(2, parts)
-            assert layout.mults == (1,)
-            assert sectors.from_blocks([x], layout) is x
+        # Three lone copies: one block, the dense operator, with W = I.
+        x = np.arange(64.0).reshape(8, 8) * (1.0 - 0.5j)
+        for layout in sectors.layout(2, (1, 1, 1)), sectors.pair_layout(2, (1, 1, 1)):
+            assert [f.copies for f in layout.factors] == [1, 1, 1]
+            assert layout.mults == (1,) and layout.dim == 8
+            assert sectors.from_blocks([x], layout).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize(
         "d,parts_x,parts_y",
@@ -630,7 +629,9 @@ class TestSpinLayout:
     def test_symmetric_layouts(self):
         # The binary test and the PGM on n copies are built on one part:
         # one qubit factor, else copy pairs.
-        assert sectors.layout(2, (1,)) is sectors.ONE is sectors.layout(3, (1,))
+        for d in (2, 3):
+            one = sectors.layout(d, (1,))
+            assert [f.copies for f in one.factors] == [1] and one.mults == (1,)
         assert [f.copies for f in sectors.layout(2, (4,)).factors] == [4]
         assert sectors.layout(2, (4,)).mults == (1, 3, 2)
         assert [f.copies for f in sectors.layout(3, (4,)).factors] == [2, 2]
@@ -641,6 +642,51 @@ class TestSpinLayout:
         )
         states = [random_density(3, 3, 9800 + k) for k in range(3)]
         assert pgm(states, 4).layout is sectors.layout(3, (4,))
+
+
+class TestOneCopyLayouts:
+    """A dense operator on ``n`` copies is the one block of the layout of
+    ``n`` one-copy factors, with ``W = I``: its state blocks are
+    ``tensor_power``'s bytes, and a composition without parts is the one on
+    parts ``(1,) * n``."""
+
+    @staticmethod
+    def states(d, seed):
+        return [
+            random_density(d, d, seed),
+            random_density(d, 1, seed + 1),
+            classical_state(np.arange(1.0, d + 1) / (d * (d + 1) / 2)),
+            pure_state(np.exp(1j * np.arange(d))),
+        ]
+
+    def test_one_qubit_is_its_own_block(self):
+        lay = sectors.layout(2, (1,))
+        assert lay.mults == (1,) and lay.dim == 2
+        states = [random_density(2, 1 + k % 2, 9900 + k) for k in range(2000)]
+        for rho in states + self.states(2, 9890):
+            (block,) = sectors.power_blocks(rho, 1, lay, DEFAULT_DIM_CAP)
+            assert block.tobytes() == rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_power_blocks_are_the_tensor_power(self, d, n):
+        lay = sectors.layout(d, (1,) * n)
+        assert [f.copies for f in lay.factors] == [1] * n
+        assert lay.mults == (1,) and lay.dim == d ** n
+        for rho in self.states(d, 9800 + 10 * d + n):
+            (block,) = sectors.power_blocks(rho, n, lay, DEFAULT_DIM_CAP)
+            assert block.tobytes() == tensor_power(rho, n).matrix.tobytes()
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
+    def test_composition_without_parts_is_on_one_copy_parts(self, d, n):
+        a, b = random_density(d, d, 9860 + n), random_density(d, d, 9870 + n)
+        partials = random_feasible_partials(d ** n, 2, 9880 + n)
+        det, trace = compose_with_binary(partials, a, b, n)
+        ref, ref_trace = compose_with_binary(partials, a, b, n, parts=(1,) * n)
+        assert det.layout is ref.layout is sectors.layout(d, (1,) * n)
+        got = [[x.tobytes() for x in e] for e in det.blocks]
+        assert got == [[x.tobytes() for x in e] for e in ref.blocks]
+        assert trace == ref_trace
 
 
 def seed_7_ensemble():
@@ -716,23 +762,22 @@ class TestSpinSplitRows:
         # A qubit r = 3 table never forms W, nor a dense state past the
         # row's largest block, and decomposes and checks nothing above that
         # block's size, (n1 + 1)(n2 + 1).
-        from qmultitest import states
         from qmultitest.evaluation import run_experiment
 
         ens = seed_7_ensemble()
-        original = states.tensor_power
+        original = sectors.power_blocks
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a Schur basis was built")
 
-        def one_copy(rho, n, dim_cap=DEFAULT_DIM_CAP):
+        def recorded(rho, n, layout, dim_cap):
             # The n = 2 row's parts (1, 1) hold no pair of copies: its one
             # block is the two-copy space.
-            if n > 2:
-                raise AssertionError("a dense n-copy state was built")
-            return original(rho, n, dim_cap)
+            blocks = original(rho, n, layout, dim_cap)
+            built.extend(len(b) for b in blocks)
+            return blocks
 
-        sizes = []
+        sizes, built = [], []
         for name in ("eigh", "eigvalsh", "cholesky"):
             real = getattr(np.linalg, name)
 
@@ -742,12 +787,13 @@ class TestSpinSplitRows:
 
             monkeypatch.setattr(np.linalg, name, counting)
         monkeypatch.setattr(sectors, "schur_basis", forbidden)
-        for module in (states, sectors):
-            monkeypatch.setattr(module, "tensor_power", one_copy)
+        monkeypatch.setattr(sectors, "power_blocks", recorded)
         for n in range(2, 11):
             sizes.clear()
+            built.clear()
             (row,) = run_experiment(ens, [n], sub=sub).rows
-            assert max(sizes) == (row.n1 + 1) * (row.n2 + 1)
+            largest = (row.n1 + 1) * (row.n2 + 1)
+            assert max(sizes) == largest and max(built) == largest
             assert row.lemma_holds and row.overall_holds
 
 
@@ -877,26 +923,25 @@ class TestSectorComposition:
         # The d >= 3 counterpart of TestSpinSplitRows'
         # test_table_builds_no_schur_basis_and_no_large_block: a qutrit
         # binary table and an r = 3 split table never assemble an element
-        # (from_blocks), build no dense state past two copies, and decompose
-        # and check nothing above the row's largest copy-pair sector:
-        # 6 = 3 * 4 / 2 per pair of copies and 3 per lone copy, on the parts
-        # (n,) of a binary row and (n1, n2) of a split row.
-        from qmultitest import states
+        # (from_blocks), and build, decompose and check nothing above the
+        # row's largest copy-pair sector: 6 = 3 * 4 / 2 per pair of copies
+        # and 3 per lone copy, on the parts (n,) of a binary row and
+        # (n1, n2) of a split row.
         from qmultitest.cli import _gen_condition_satisfying, _gen_random
         from qmultitest.evaluation import run_experiment
         from qmultitest.scenario import scenario_from_dict
 
-        original = states.tensor_power
+        original = sectors.power_blocks
 
-        def two_copies(rho, n, dim_cap=DEFAULT_DIM_CAP):
-            if n > 2:
-                raise AssertionError("a dense n-copy state was built")
-            return original(rho, n, dim_cap)
+        def recorded(rho, n, layout, dim_cap):
+            blocks = original(rho, n, layout, dim_cap)
+            built.extend(len(b) for b in blocks)
+            return blocks
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an element was assembled")
 
-        sizes = []
+        sizes, built = [], []
         for name in ("eigh", "eigvalsh", "cholesky"):
             real = getattr(np.linalg, name)
 
@@ -905,8 +950,7 @@ class TestSectorComposition:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        for module in (states, sectors):
-            monkeypatch.setattr(module, "tensor_power", two_copies)
+        monkeypatch.setattr(sectors, "power_blocks", recorded)
         monkeypatch.setattr(sectors, "from_blocks", forbidden)
 
         def largest(parts):
@@ -916,13 +960,15 @@ class TestSectorComposition:
         split = scenario_from_dict(_gen_condition_satisfying(3, 3, 7)[0]).ensemble
         for n in range(1, 6):
             sizes.clear()
+            built.clear()
             (row,) = run_experiment(binary, [n], sub=sub).rows
-            assert max(sizes) == largest((n,))
+            assert max(sizes) == max(built) == largest((n,))
             if n == 1:
                 continue
             sizes.clear()
+            built.clear()
             (row,) = run_experiment(split, [n], sub=sub).rows
-            assert max(sizes) == largest((row.n1, row.n2))
+            assert max(sizes) == max(built) == largest((row.n1, row.n2))
             assert row.lemma_holds and row.overall_holds
 
     @pytest.mark.parametrize("seed", [4, 7])
@@ -939,7 +985,8 @@ class TestSectorComposition:
         for n in range(2, 9):
             det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
             partials = list(det.elements[2:])
-            a, b = (tensor_power(s, n).matrix for s in ens.states[:2])
+            powers = [tensor_power(s, n) for s in ens.states]
+            a, b = (p.matrix for p in powers[:2])
             w, v = np.linalg.eigh(a - b)
             keep = (w > 1e-12 * np.max(np.abs(w))).astype(np.float64)
             tests = [(v * keep) @ v.conj().T, (v * (1.0 - keep)) @ v.conj().T]
@@ -947,7 +994,7 @@ class TestSectorComposition:
             for floor in (False, True):
                 _, sq = residual_oracle(partials, floor=floor)
                 ref = [sq @ e @ sq for e in tests] + partials
-                errors[floor] = sum(misses(ens.states, dense_detector(ref), n))
+                errors[floor] = sum(misses(powers, dense_detector(ref)))
                 if floor:
                     for got, want in zip(det.elements, ref):
                         assert np.max(np.abs(got - want)) <= 1e-12
@@ -1012,7 +1059,7 @@ class TestSectorChecks:
     @staticmethod
     def refusal(partials, parts):
         rho1, rho2 = random_density(2, 2, 9500), random_density(2, 2, 9501)
-        if sectors.layout(2, parts) is not sectors.ONE:
+        if len(sectors.layout(2, parts).mults) > 1:
             partials = [spin_blocks_of(p, parts) for p in partials]
         with pytest.raises(ValueError) as info:
             compose_with_binary(partials, rho1, rho2, sum(parts), parts=parts)
@@ -1270,7 +1317,8 @@ class TestMisses:
     def test_copy_count_must_match_the_layout(self, d):
         # A detector on 4 copies holds its elements on the layout of 4
         # copies; the misses of 5 or 6 copies on it are refused, not read
-        # off the 4-copy blocks.
+        # off the 4-copy blocks.  So are those of 2 copies on a one-copy
+        # detector, whose one block is the state itself.
         a, b = random_density(d, d, 1), random_density(d, d, 2)
         test = holevo_helstrom(a, b, 4)
         four = tuple(misses((a, b), test, 4))
@@ -1279,6 +1327,9 @@ class TestMisses:
             with pytest.raises(DimensionMismatch, match=f"holds 4 copies, not {n}$"):
                 list(misses((a, b), test, n))
             assert sum(helstrom_misses(a, b, n)) < sum(four)
+        for one in holevo_helstrom(a, b), pgm([a, b], 1):
+            with pytest.raises(DimensionMismatch, match="holds 1 copies, not 2$"):
+                list(misses([a, b], one, 2))
 
     def test_count_mismatch_raises(self):
         states = [random_density(2, 2, 180 + k) for k in range(3)]
@@ -1301,12 +1352,11 @@ class TestCopiesArgument:
 
     @staticmethod
     def same(a, b):
-        assert a.dim == b.dim
-        if a.layout is b.layout is sectors.ONE:
+        assert a.dim == b.dim and b.layout.mults == (1,)
+        if a.layout.mults == (1,):
             got, want = a.elements, b.elements
             assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
         else:
-            assert len(a.layout.mults) > 1 and b.layout is sectors.ONE
             for x, y in zip(a.elements, b.elements, strict=True):
                 assert np.max(np.abs(x - y)) <= 1e-12
 
@@ -1323,7 +1373,7 @@ class TestCopiesArgument:
         det = pgm(states, n)
         self.same(det, pgm(powers))
         got = np.array(list(misses(states, det, n)))
-        if det.layout is sectors.ONE:
+        if det.layout.mults == (1,):
             want = np.array(list(misses(powers, det)))
             assert got.tobytes() == want.tobytes()
         else:

@@ -184,11 +184,11 @@ class TestBinaryDecay:
         rho1, rho2 = random_density(2, 2, 91), random_density(2, 2, 92)
         rows = binary_chernoff_upper_check(rho1, rho2, 3)
         for row in rows:
-            det = holevo_helstrom(
-                tensor_power(rho1, row.n), tensor_power(rho2, row.n)
-            )
-            ens = Ensemble((rho1, rho2))
-            report = error_sum(ens, row.n, det)
+            # A test of the explicit n-copy states is one copy of their
+            # space: its errors are taken on those states, with n = 1.
+            powers = Ensemble(tuple(tensor_power(s, row.n) for s in (rho1, rho2)))
+            det = holevo_helstrom(*powers.states)
+            report = error_sum(powers, 1, det)
             assert row.err_sm == pytest.approx(report.err_sm, abs=1e-10)
 
     def test_rates_stay_above_exponent(self):
@@ -297,25 +297,21 @@ class TestRunExperiment:
         # built once, in error_sum, which also takes the tail's misses; the
         # pair's once more, for the composition's Helstrom test and trace
         # terms.
-        from qmultitest import sectors, states
+        from qmultitest import sectors
 
         ens = Ensemble(tuple(random_density(2, 2, 160 + k) for k in range(r)))
-        built, dense = [], []
-        original_blocks, original_power = sectors.power_blocks, states.tensor_power
+        built, sizes = [], []
+        original = sectors.power_blocks
 
         def counted(rho, n, layout, dim_cap):
             built.append((id(rho), n))
-            return original_blocks(rho, n, layout, dim_cap)
-
-        def power(rho, n, dim_cap=DEFAULT_DIM_CAP):
-            dense.append(n)
-            return original_power(rho, n, dim_cap)
+            blocks = original(rho, n, layout, dim_cap)
+            sizes.extend(len(b) for b in blocks)
+            return blocks
 
         monkeypatch.setattr(sectors, "power_blocks", counted)
-        for module in (states, sectors):
-            monkeypatch.setattr(module, "tensor_power", power)
         table = run_experiment(ens, [4], k_fit=2)
-        assert 4 not in dense
+        assert max(sizes) < 2 ** 4
         full = [built.count((id(s), 4)) for s in ens.states]
         assert full == [2, 2] + [1] * (r - 2)
         row = table.rows[0]
@@ -360,26 +356,29 @@ class TestRunExperiment:
                 assert row.report.err_sm <= row.binary_bound
 
     def test_qubit_binary_row_builds_no_dense_operator(self, monkeypatch):
-        # The qubit test is holevo_helstrom on spin blocks: no state on more
-        # than one copy and no Schur basis.  One copy is its own block.
-        from qmultitest import sectors, states
+        # The qubit test is holevo_helstrom on spin blocks: no state block
+        # past the largest spin block, n + 1, and no Schur basis.  One copy
+        # is its own block.
+        from qmultitest import sectors
 
-        original = states.tensor_power
+        original = sectors.power_blocks
+        built = []
 
-        def one_copy(rho, n, dim_cap=DEFAULT_DIM_CAP):
-            if n > 1:
-                raise AssertionError("a dense n-copy operator was built")
-            return original(rho, n, dim_cap)
+        def recorded(rho, n, layout, dim_cap):
+            blocks = original(rho, n, layout, dim_cap)
+            built.append((n, max(len(b) for b in blocks)))
+            return blocks
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a Schur basis was built")
 
-        for module in (states, sectors):
-            monkeypatch.setattr(module, "tensor_power", one_copy)
+        monkeypatch.setattr(sectors, "power_blocks", recorded)
         monkeypatch.setattr(sectors, "schur_basis", forbidden)
         ens = Ensemble((random_density(2, 2, 181), random_density(2, 2, 182)))
         table = run_experiment(ens, range(1, 7), k_fit=3)
         assert [row.n for row in table.rows] == list(range(1, 7))
+        assert {n for n, _ in built} == set(range(1, 7))
+        assert all(size == n + 1 for n, size in built)
 
     def test_qutrit_binary_table_is_the_dense_test(self, monkeypatch):
         # The qutrit test runs on copy-pair sectors; the reference is the

@@ -150,6 +150,36 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioParseError, match=fragment):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [None, "0.5", True, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field,spec",
+        [
+            (
+                "entries",
+                {"type": "matrix", "entries": [[[1, 0], [0, 0]], [[0, 0], ["X", 0]]]},
+            ),
+            ("amplitudes", {"type": "pure", "amplitudes": [[1, 0], ["X", 0]]}),
+            ("probabilities", {"type": "classical", "probabilities": ["X", 0.5]}),
+        ],
+    )
+    def test_non_finite_numbers_are_parse_errors(self, field, spec, value):
+        # json.loads reads NaN and Infinity; NumPy reads null as NaN and a
+        # numeric string as its number.  Each is refused, naming the field.
+        doc = two_state_doc()
+        text = json.dumps(value)
+        doc["states"][1] = json.loads(json.dumps(spec).replace('"X"', text))
+        with pytest.raises(ScenarioParseError) as info:
+            scenario_from_dict(doc)
+        kind = "finite number" if isinstance(value, float) else "number"
+        assert str(info.value) == f"states[1].{field}: {text} is not a {kind}"
+
+    def test_probability_past_the_float_range_is_a_parse_error(self):
+        doc = two_state_doc()
+        doc["states"][1] = {"type": "classical", "probabilities": [10**400, 0]}
+        with pytest.raises(ScenarioParseError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value).startswith("states[1].probabilities: 1000")
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -409,6 +439,17 @@ class TestRunCommand:
         bad.write_text("{", encoding="utf-8")
         assert cli.main(["chernoff", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "chernoff"])
+    def test_null_probability_is_a_parse_error(self, command, tmp_path, capsys):
+        # Read as NaN, it once passed every check of the state.
+        doc = two_state_doc()
+        doc["states"][0] = {"type": "classical", "probabilities": [None, 1.0]}
+        path = write_doc(tmp_path / "s.json", doc)
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            "error: states[0].probabilities: null is not a number\n"
+        )
+
     def test_invalid_state_is_validation_error(self, tmp_path):
         doc = {
             "version": 1,
@@ -444,6 +485,17 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: cannot read ({reason}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "chernoff"])
+    def test_scenario_that_is_not_utf8_is_a_parse_error(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(two_state_doc()).encode() + b" \xff")
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 (")
+        assert err.count("\n") == 1 and "byte 0xff" in err
 
     @pytest.mark.parametrize(
         "args",

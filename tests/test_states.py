@@ -71,6 +71,17 @@ class TestDensityFromMatrix:
         with pytest.raises(HermiticityViolation):
             density_from_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_non_finite_entries_are_refused(self, value, where):
+        # Every tolerance comparison is False on NaN, so the check is its own.
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = m[where[::-1]] = value
+        with pytest.raises(HermiticityViolation, match="non-finite entry"):
+            density_from_matrix(m)
+        with pytest.raises(HermiticityViolation, match="non-finite entry"):
+            density_from_matrix(np.diag([0.5, 0.5 + 1j * value]))
+
     def test_matrix_is_read_only(self):
         rho = density_from_matrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -98,6 +109,12 @@ class TestPureState:
         with pytest.raises(DegenerateInput):
             pure_state([0.0, 0.0])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("v", [[1.0, np.nan], [np.inf, 0.0], [1.0, 1j * np.nan]])
+    def test_non_finite_amplitude(self, v):
+        with pytest.raises(HermiticityViolation, match="non-finite entry"):
+            pure_state(v)
+
 
 class TestClassicalState:
     @pytest.mark.parametrize(
@@ -113,6 +130,11 @@ class TestClassicalState:
     def test_negative_entry(self):
         with pytest.raises(NormalizationViolation):
             classical_state([1.2, -0.2])
+
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan, 0.5]])
+    def test_non_finite_entry(self, p):
+        with pytest.raises(HermiticityViolation, match="non-finite entry"):
+            classical_state(p)
 
 
 class TestRandomDensity:
