@@ -185,19 +185,16 @@ def _minimize(curves: Sequence[_PairCurve]) -> list[ChernoffResult]:
     return results
 
 
-def chernoff_distance(
-    rho1: DensityMatrix, rho2: DensityMatrix, support=_support
-) -> ChernoffResult:
+def chernoff_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResult:
     """Minimize the overlap curve over [0, 1] and return the exponent.
 
     Golden-section search (the curve is convex) plus explicit endpoint
     evaluation, since with the support convention the infimum can sit at
     ``s = 0`` or ``s = 1`` for non-faithful states.  An overlap at or
-    below 1e-300 is reported as an infinite exponent.  ``support`` gives
-    a state's decomposition; a caller that keeps them passes its own.  The
-    search is ``_minimize`` on a batch of one.
+    below 1e-300 is reported as an infinite exponent.  The search is
+    ``_minimize`` on a batch of one.
     """
-    return _minimize([_PairCurve(rho1, rho2, support)])[0]
+    return _minimize([_PairCurve(rho1, rho2)])[0]
 
 
 def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, float]:

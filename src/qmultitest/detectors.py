@@ -313,19 +313,6 @@ def misses(
         yield miss
 
 
-def helstrom_misses(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    n: int,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> tuple[float, float]:
-    """The two misses of the optimal binary test on ``n`` copies
-    (``holevo_helstrom``, then ``misses``)."""
-    test = holevo_helstrom(rho1, rho2, n, dim_cap)
-    first, second = misses((rho1, rho2), test, n, dim_cap)
-    return first, second
-
-
 def compose_with_binary(
     partials: Sequence[np.ndarray | sectors.Blocks],
     rho1: DensityMatrix,
@@ -460,7 +447,6 @@ def can_split(n: int, w1: float) -> bool:
 
 def _sub_detector(
     states: Sequence[DensityMatrix],
-    positions: tuple[int, ...],
     copies: int,
     w1: float,
     strategy: SubStrategy,
@@ -474,13 +460,13 @@ def _sub_detector(
     The recursive strategy bottoms out in the binary test for two states
     and falls back to the square-root measurement once the copy budget can
     no longer be split; both are invariant under every permutation of the
-    copies, one part, and built on its layout.  ``positions``
-    are the states' positions in the table's ensemble: ``shared`` keeps
-    each result under ``(positions, copies)`` and hands it out again.
+    copies, one part, and built on its layout.  ``shared`` keeps each
+    result under the inputs it is built from, the states' matrices,
+    ``copies``, ``strategy`` and ``w1``, and hands it out again.
     """
     if strategy not in ("pgm", "recursive"):
         raise ValueError(f"unknown sub-detector strategy {strategy!r}")
-    key = (positions, copies)
+    key = (tuple(s.matrix.tobytes() for s in states), copies, strategy, w1)
     if key in shared:
         return shared[key]
     parts: tuple[int, ...] = (copies,)
@@ -489,7 +475,7 @@ def _sub_detector(
     elif strategy == "recursive" and can_split(copies, w1):
         ensemble = Ensemble(tuple(states))
         detector, _, split = build_split_detector(
-            ensemble, copies, w1, "recursive", dim_cap, shared, positions
+            ensemble, copies, w1, "recursive", dim_cap, shared
         )
         parts = split.parts
     else:
@@ -505,7 +491,6 @@ def build_split_detector(
     sub: SubStrategy = "pgm",
     dim_cap: int = DEFAULT_DIM_CAP,
     shared: dict | None = None,
-    positions: tuple[int, ...] | None = None,
 ) -> tuple[Detector, CompositionTrace, SplitReport]:
     """Multi-copy detector from a tensor split of the copy budget.
 
@@ -521,12 +506,12 @@ def build_split_detector(
     parts side by side, where the composition and the detector it returns
     stay.
 
-    ``shared`` maps the positions of a sub-detector's states and its copy
-    count to the sub-detector, its parts and its summed misses, for one
-    ensemble, ``w1``, ``sub`` and ``dim_cap``; what is built here is added.
-    The rows of a table pass one map.  ``positions`` are those of
-    ``ensemble.states``, ``0..r-1`` unless this is a nested recursive split.
-    Without ``shared`` the map serves this detector's nested splits only.
+    ``shared`` maps a sub-detector's inputs, the states' matrices, its
+    copy count, ``sub`` and ``w1``, to the sub-detector, its parts and its
+    summed misses; what is built here is added.  The rows of a table pass
+    one map.  ``dim_cap`` stays out of the key: it is checked at ``n``,
+    and every sub-detector uses fewer copies.  Without ``shared`` the map
+    serves this detector's nested splits only.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")
@@ -541,13 +526,12 @@ def build_split_detector(
         raise SplitTooSmall(f"weight {w1} leaves an empty part: n1={n1}, n2={n2}")
 
     shared = {} if shared is None else shared
-    positions = tuple(range(ensemble.r)) if positions is None else positions
     first, second, *tail = ensemble.states
     sub_1, parts_1, sub_error_1 = _sub_detector(
-        [first, *tail], (positions[0], *positions[2:]), n1, w1, sub, dim_cap, shared
+        [first, *tail], n1, w1, sub, dim_cap, shared
     )
     sub_2, parts_2, sub_error_2 = _sub_detector(
-        [second, *tail], positions[1:], n2, w1, sub, dim_cap, shared
+        [second, *tail], n2, w1, sub, dim_cap, shared
     )
 
     partials = [

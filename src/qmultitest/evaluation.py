@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .detectors import (
     SubStrategy,
     build_split_detector,
     compose_with_binary,
-    helstrom_misses,
+    holevo_helstrom,
     misses,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
@@ -135,7 +135,8 @@ def error_sum(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ErrorReport:
     """Exact per-state misses (``detectors.misses``, on the detector's
-    blocks) and their sum."""
+    blocks), each range-checked, and their sum: the score of every table
+    row, the binary test's and the split detector's alike."""
     if detector.dim != ensemble.dim ** n:
         raise DimensionMismatch(
             f"detector dim {detector.dim} != {ensemble.dim}^{n}"
@@ -144,24 +145,17 @@ def error_sum(
         raise DimensionMismatch(
             f"{len(detector.blocks)} elements for {ensemble.r} hypotheses"
         )
-    return _error_report(n, misses(ensemble.states, detector, n, dim_cap))
-
-
-def _error_report(n: int, per_state_misses: Iterable[float]) -> ErrorReport:
-    """Range-check each hypothesis's miss and total them."""
-    per_state = []
-    for miss in per_state_misses:
+    per_state = tuple(misses(ensemble.states, detector, n, dim_cap))
+    for miss in per_state:
         if not -1e-10 <= miss <= 1.0 + 1e-10:
             raise ArithmeticError(f"error probability {miss!r} out of range")
-        per_state.append(miss)
-    r = len(per_state)
     err_sm = float(sum(per_state))
     return ErrorReport(
         n=n,
-        per_state_error=tuple(per_state),
+        per_state_error=per_state,
         err_sm=err_sm,
-        err_avg=err_sm / r,
-        succ_sm=r - err_sm,
+        err_avg=err_sm / ensemble.r,
+        succ_sm=ensemble.r - err_sm,
     )
 
 
@@ -217,7 +211,8 @@ def binary_chernoff_upper_check(
     exponent = chernoff_distance(rho1, rho2).exponent
     rows = []
     for n in range(1, n_max + 1):
-        err = sum(helstrom_misses(rho1, rho2, n, dim_cap))
+        test = holevo_helstrom(rho1, rho2, n, dim_cap)
+        err = sum(misses((rho1, rho2), test, n, dim_cap))
         bound = math.exp(-n * exponent)
         rows.append(BinaryDecayRow(n, err, bound, err <= bound + DECAY_SLACK))
     return rows
@@ -277,6 +272,7 @@ def run_experiment(
 
     Two hypotheses get the optimal binary test; three or more get the
     split construction, with both inequality checks recorded per row.
+    Either way a row is scored by one ``error_sum`` call.
     The reference level is ``min(pair exponent, others_min / 6)`` for the
     ensemble's first pair, the decay rate the construction targets.
     """
@@ -311,16 +307,14 @@ def run_experiment(
     for n in ns:
         bound = math.exp(-n * pair_result.exponent)
         if ensemble.r == 2:
-            report = _error_report(
-                n, helstrom_misses(*ensemble.states, n, dim_cap)
-            )
-            n1 = n2 = None
-            lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
+            detector = holevo_helstrom(*ensemble.states, n, dim_cap)
         else:
             detector, trace, split = build_split_detector(
                 ensemble, n, w1, sub, dim_cap, shared
             )
-            report = error_sum(ensemble, n, detector, dim_cap)
+        report = error_sum(ensemble, n, detector, dim_cap)
+        n1 = n2 = lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
+        if ensemble.r >= 3:
             n1, n2 = split.n1, split.n2
             lemma_rhs = _lemma_rhs(trace, sum(report.per_state_error[2:]))
             lemma_holds = report.err_sm <= lemma_rhs + BOUND_SLACK

@@ -17,8 +17,8 @@ from .detectors import (
     Detector,
     check_detector,
     compose_with_binary,
-    helstrom_misses,
     holevo_helstrom,
+    misses,
     pgm,
 )
 from .evaluation import lemma_bound_check
@@ -94,7 +94,7 @@ def suite_wedge_identity(trials: int, seed: int) -> SuiteResult:
         base = seed + 1000 * t
         rho1 = random_density(d, d, base)
         rho2 = random_density(d, d, base + 1)
-        lhs = sum(helstrom_misses(rho1, rho2, 1))
+        lhs = sum(misses((rho1, rho2), holevo_helstrom(rho1, rho2)))
         rhs = 1.0 - linalg.trace_norm(rho1.matrix - rho2.matrix) / 2.0
         if abs(lhs - rhs) > 1e-10:
             _note(result, t, f"|{lhs!r} - {rhs!r}| > 1e-10")

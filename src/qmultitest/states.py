@@ -111,6 +111,8 @@ def density_from_matrix(m) -> DensityMatrix:
 def pure_state(v) -> DensityMatrix:
     """Rank-one projector onto a (nonzero) state vector."""
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise HermiticityViolation("state has a non-finite entry")
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq <= 0.0:
         raise DegenerateInput("state vector is zero")

@@ -17,6 +17,7 @@ from qmultitest import (
     classical_state,
     compose_with_binary,
     density_from_matrix,
+    error_sum,
     holevo_helstrom,
     pgm,
     pure_state,
@@ -25,7 +26,7 @@ from qmultitest import (
 )
 from qmultitest import linalg
 from qmultitest import sectors
-from qmultitest.detectors import _sub_detector, helstrom_misses, misses
+from qmultitest.detectors import _sub_detector, misses
 from qmultitest.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -50,6 +51,12 @@ def binary_sum_error(rho1, rho2, det):
         linalg.trace_product(rho1.matrix, det.elements[1])
         + linalg.trace_product(rho2.matrix, det.elements[0])
     )
+
+
+def helstrom_misses(rho1, rho2, n, dim_cap=DEFAULT_DIM_CAP):
+    """The two misses of the optimal binary test on ``n`` copies."""
+    test = holevo_helstrom(rho1, rho2, n, dim_cap)
+    return tuple(misses((rho1, rho2), test, n, dim_cap))
 
 
 def embed_qubit_in_qutrit(rho):
@@ -527,12 +534,9 @@ class TestSectors:
     )
     def test_sub_detector_parts(self, r, parts):
         states = [random_density(2, 2, 9200 + k) for k in range(r - 1)]
-        positions = tuple(range(r - 1))
-        _, got, _ = _sub_detector(
-            states, positions, 4, 0.5, "recursive", DEFAULT_DIM_CAP, {}
-        )
+        _, got, _ = _sub_detector(states, 4, 0.5, "recursive", DEFAULT_DIM_CAP, {})
         assert got == parts
-        _, got, _ = _sub_detector(states, positions, 4, 0.5, "pgm", DEFAULT_DIM_CAP, {})
+        _, got, _ = _sub_detector(states, 4, 0.5, "pgm", DEFAULT_DIM_CAP, {})
         assert got == (4,)
 
     @pytest.mark.parametrize(
@@ -1216,11 +1220,47 @@ class TestBuildSplitDetector:
                 build_split_detector(ens, 4, 0.5, sub, dim_cap=80)
 
 
+class TestSharedMap:
+    """One ``shared`` map passed to several split detectors hands each the
+    sub-detectors of its own states, copy counts, strategy and weight: the
+    last detector is exactly the one built with no map."""
+
+    @staticmethod
+    def check(builds):
+        shared: dict = {}
+        for ens, n, w1, sub in builds:
+            got = build_split_detector(ens, n, w1, sub, DEFAULT_DIM_CAP, shared)
+        alone = build_split_detector(ens, n, w1, sub)
+        assert got[2] == alone[2]
+        assert error_sum(ens, n, got[0]) == error_sum(ens, n, alone[0])
+
+    @staticmethod
+    def ensemble(r, base=300):
+        return Ensemble(tuple(random_density(2, 2, base + k) for k in range(r)))
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_another_ensemble(self, sub):
+        first, second = self.ensemble(3, 300), self.ensemble(3, 400)
+        self.check([(first, 6, 0.5, sub), (second, 6, 0.5, sub)])
+
+    def test_another_weight(self):
+        ens = self.ensemble(3)
+        self.check([(ens, 6, 0.5, "recursive"), (ens, 6, 0.3, "recursive")])
+        # Three states on two copies split in two at w1 = 0.5 and take the
+        # square-root measurement at w1 = 0.3.
+        ens = self.ensemble(4)
+        self.check([(ens, 4, 0.5, "recursive"), (ens, 7, 0.3, "recursive")])
+
+    def test_another_strategy(self):
+        ens = self.ensemble(3)
+        self.check([(ens, 6, 0.5, "pgm"), (ens, 6, 0.5, "recursive")])
+
+
 class TestRecursiveDetector:
     def test_two_states_is_binary_test(self):
         rho1, rho2 = random_density(2, 2, 71), random_density(2, 2, 72)
         rec, parts, _ = _sub_detector(
-            [rho1, rho2], (0, 1), 3, 0.5, "recursive", DEFAULT_DIM_CAP, {}
+            [rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP, {}
         )
         assert parts == (3,)
         direct = holevo_helstrom(tensor_power(rho1, 3), tensor_power(rho2, 3))

@@ -22,6 +22,7 @@ from qmultitest import (
     tensor_power,
 )
 from qmultitest import linalg
+from qmultitest.detectors import misses
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
@@ -282,7 +283,7 @@ class TestRunExperiment:
             raise AssertionError("a detector was built")
 
         monkeypatch.setattr(evaluation, "build_split_detector", no_detector)
-        monkeypatch.setattr(evaluation, "helstrom_misses", no_detector)
+        monkeypatch.setattr(evaluation, "holevo_helstrom", no_detector)
         monkeypatch.setattr(detectors, "holevo_helstrom", no_detector)
         for r in (2, 3):
             ens = Ensemble(tuple(random_density(2, 2, 150 + k) for k in range(r)))
@@ -331,6 +332,32 @@ class TestRunExperiment:
             assert table_row.n1 is None and table_row.lemma_holds is None
         assert table.condition is None
         assert table.reference_level == pytest.approx(table.pair_exponent)
+
+    @pytest.mark.parametrize("d,n_max", [(2, 11), (3, 6)])
+    def test_binary_rows_are_the_test_and_its_misses(self, d, n_max):
+        # The same test and the same misses in the same order: the same
+        # floats, bit for bit.
+        pair = (random_density(d, d, 201), random_density(d, d, 202))
+        table = run_experiment(Ensemble(pair), range(1, n_max + 1))
+        for row in table.rows:
+            test = holevo_helstrom(*pair, row.n)
+            assert row.report.per_state_error == tuple(misses(pair, test, row.n))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_one_error_sum_per_row(self, r, monkeypatch):
+        from qmultitest import evaluation
+
+        original = evaluation.error_sum
+        calls = []
+
+        def counted(ensemble, n, detector, dim_cap=DEFAULT_DIM_CAP):
+            calls.append(n)
+            return original(ensemble, n, detector, dim_cap)
+
+        monkeypatch.setattr(evaluation, "error_sum", counted)
+        ens = Ensemble(tuple(random_density(2, 2, 210 + k) for k in range(r)))
+        run_experiment(ens, range(2, 7))
+        assert calls == [2, 3, 4, 5, 6]
 
     def test_pure_pair_errors_stay_exact(self):
         # |<psi|phi>|^2 = F: the optimal summed error on n copies is

@@ -109,7 +109,6 @@ class TestPureState:
         with pytest.raises(DegenerateInput):
             pure_state([0.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("v", [[1.0, np.nan], [np.inf, 0.0], [1.0, 1j * np.nan]])
     def test_non_finite_amplitude(self, v):
         with pytest.raises(HermiticityViolation, match="non-finite entry"):
