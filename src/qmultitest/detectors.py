@@ -6,9 +6,10 @@ onto a family of partial detector elements, and the tensor-split
 construction that builds a full multi-copy detector out of two
 sub-detectors plus that composition.  Every construction on ``n`` copies
 lives on a block layout of its copies (``sectors.layout``): the binary
-test and the PGM on one part of ``n``, a split on its sub-detectors' parts
-side by side, where each partial is the Kronecker product of their blocks.
-On a layout of one-copy factors there is one block, the dense operator.
+test and the PGM on one part of ``n``, a split on its sub-detectors'
+layouts joined, where each partial is the Kronecker product of their
+blocks.  On a layout of one-copy factors there is one block, the dense
+operator.  ``misses`` reads the copies from the detector's layout.
 """
 
 from __future__ import annotations
@@ -88,18 +89,12 @@ class CompositionTrace:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Copy-budget split and the two sub-detectors' summed errors.
-
-    ``parts`` are the sizes of consecutive runs of copies, covering all
-    ``n``, such that permuting copies inside a run leaves the detector
-    unchanged: the two sub-detectors' parts, side by side.
-    """
+    """Copy-budget split and the two sub-detectors' summed errors."""
 
     n1: int
     n2: int
     sub_error_1: float
     sub_error_2: float
-    parts: tuple[int, ...]
 
 
 def check_detector(det: Detector) -> list[str]:
@@ -213,7 +208,7 @@ def holevo_helstrom(
     layout = sectors.layout(rho1.dim, (n,))
     # The n-copy states' blocks are gone before the decompositions start,
     # and their differences once they return.
-    powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
+    powers = [sectors.power_blocks(rho, layout, dim_cap) for rho in (rho1, rho2)]
     differences = [a - b for a, b in zip(*powers)]
     del powers
     spectra = [(m, linalg.eigh(x)) for m, x in zip(layout.mults, differences)]
@@ -244,7 +239,7 @@ def pgm(
     if any(s.dim != states[0].dim for s in states):
         raise DimensionMismatch("states live on different dimensions")
     layout = sectors.layout(states[0].dim, (n,))
-    powers = [sectors.power_blocks(s, n, layout, dim_cap) for s in states]
+    powers = [sectors.power_blocks(s, layout, dim_cap) for s in states]
     m = len(powers)
     spectra = [linalg.eigh(_hermitize(sum(p) / m)) for p in zip(*powers)]
     floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
@@ -286,10 +281,10 @@ def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
 def misses(
     states: Sequence[DensityMatrix],
     detector: Detector,
-    n: int = 1,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Iterator[float]:
-    """Each hypothesis's miss ``sum_{j != k} tr[rho_k^(x)n E_j]``, in order.
+    """Each hypothesis's miss ``sum_{j != k} tr[rho_k^(x)n E_j]``, in order,
+    for ``n`` the copies of the detector's layout.
 
     The miss is the state's weight on the other elements, not
     ``1 - tr[rho_k^(x)n E_k]``, so a tiny miss keeps its relative
@@ -304,7 +299,7 @@ def misses(
     per_block = list(zip(*detector.blocks))
     mults = detector.layout.mults
     for k, state in zip(range(len(detector.blocks)), states, strict=True):
-        powers = sectors.power_blocks(state, n, detector.layout, dim_cap)
+        powers = sectors.power_blocks(state, detector.layout, dim_cap)
         miss = sum(
             m * _miss(p, elements, k)
             for m, p, elements in zip(mults, powers, per_block)
@@ -319,7 +314,6 @@ def compose_with_binary(
     rho2: DensityMatrix,
     n: int = 1,
     dim_cap: int = DEFAULT_DIM_CAP,
-    parts: Sequence[int] = (),
 ) -> tuple[Detector, CompositionTrace]:
     """Complete partial elements on ``n`` copies to a full POVM with the
     optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``.
@@ -332,15 +326,13 @@ def compose_with_binary(
     spectrum, are zeros of ``Q``.  The trace records the pair's terms of
     the error bound.
 
-    ``parts``, sizes of consecutive runs of copies adding up to ``n``,
-    states that permuting copies inside a run leaves every partial
-    unchanged; without them each run is one copy, which claims nothing.  A
-    partial comes as its blocks on ``sectors.layout(d, parts)``
-    (``sectors.Blocks``), or dense, the one block of one-copy parts; one
-    that does not fit raises ``DimensionMismatch``.  Everything runs on the
-    blocks: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's elements, the
-    trace terms and every check, and the detector is returned as its
-    blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
+    A partial comes as its blocks on its layout (``sectors.Blocks``), or
+    dense, the one block of ``n`` one-copy factors.  The partials share one
+    layout, of ``n`` copies of ``C^d``, where the detector is built; a
+    partial that does not fit raises ``DimensionMismatch``.  Everything runs
+    on the blocks: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's
+    elements, the trace terms and every check, and the detector is returned
+    as its blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
     lowest over its blocks, and its trace and squared Frobenius norm are
     the sums over its blocks weighted by their multiplicities.
     """
@@ -350,14 +342,18 @@ def compose_with_binary(
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
     check_power(rho1, n, dim_cap)
-    parts = tuple(parts) or (1,) * n
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} do not add up to {n} copies")
-    layout = sectors.layout(rho1.dim, parts)
+    dense = sectors.layout(rho1.dim, (1,) * n)
+    partials = [
+        p if isinstance(p, sectors.Blocks)
+        else sectors.Blocks([np.asarray(p, dtype=np.complex128)], dense)
+        for p in partials
+    ]
+    layout = partials[0].layout
+    sectors.check_copies(layout, rho1.dim, n)
     mults = layout.mults
     # The pair's blocks are kept for the trace terms; on one-copy factors
     # they are the dense n-copy states.
-    powers = [sectors.power_blocks(rho, n, layout, dim_cap) for rho in (rho1, rho2)]
+    powers = [sectors.power_blocks(rho, layout, dim_cap) for rho in (rho1, rho2)]
     tests = _helstrom_tests(
         [(m, linalg.eigh(a - b)) for m, a, b in zip(mults, *powers)]
     )
@@ -365,9 +361,7 @@ def compose_with_binary(
     shapes = [a.shape for a in powers[0]]
     partial_blocks = []
     for k, p in enumerate(partials):
-        if not isinstance(p, sectors.Blocks):
-            p = sectors.Blocks([np.asarray(p, dtype=np.complex128)], (1,))
-        if [b.shape for b in p.blocks] != shapes or p.mults != mults:
+        if p.layout != layout or [b.shape for b in p.blocks] != shapes:
             raise DimensionMismatch(f"partial {k} does not fit the sectors")
         lowest = _lowest(p.blocks, TOL_ELEMENT_PSD)
         if lowest is not None:
@@ -439,10 +433,25 @@ def compose_with_binary(
     return detector, CompositionTrace(first + second, 2.0 * linalg.real_scalar(weight))
 
 
+def split_sizes(n: int, w1: float) -> tuple[int, int]:
+    """The copy counts ``n1 = floor(n * w1)`` and ``n2 = n - n1`` of a split
+    of ``n`` copies at weight ``w1``; ``SplitTooSmall`` when a part would be
+    empty."""
+    if n < 2:
+        raise SplitTooSmall(f"need n >= 2 copies to split, got {n}")
+    n1 = math.floor(n * w1)
+    if n1 < 1 or n1 >= n:
+        raise SplitTooSmall(f"weight {w1} leaves an empty part: n1={n1}, n2={n - n1}")
+    return n1, n - n1
+
+
 def can_split(n: int, w1: float) -> bool:
     """Whether ``n`` copies split into two nonempty parts at weight ``w1``."""
-    n1 = math.floor(n * w1)
-    return n >= 2 and n1 >= 1 and n - n1 >= 1
+    try:
+        split_sizes(n, w1)
+    except SplitTooSmall:
+        return False
+    return True
 
 
 def _sub_detector(
@@ -452,10 +461,9 @@ def _sub_detector(
     strategy: SubStrategy,
     dim_cap: int,
     shared: dict,
-) -> tuple[Detector, tuple[int, ...], float]:
+) -> tuple[Detector, float]:
     """Detector for ``{state^(x)copies}`` built per the chosen strategy,
-    with the parts (``SplitReport.parts``) it is invariant under and its
-    summed misses.
+    and its summed misses.
 
     The recursive strategy bottoms out in the binary test for two states
     and falls back to the square-root measurement once the copy budget can
@@ -469,18 +477,16 @@ def _sub_detector(
     key = (tuple(s.matrix.tobytes() for s in states), copies, strategy, w1)
     if key in shared:
         return shared[key]
-    parts: tuple[int, ...] = (copies,)
     if strategy == "recursive" and len(states) == 2:
         detector = holevo_helstrom(states[0], states[1], copies, dim_cap)
     elif strategy == "recursive" and can_split(copies, w1):
         ensemble = Ensemble(tuple(states))
-        detector, _, split = build_split_detector(
+        detector, _, _ = build_split_detector(
             ensemble, copies, w1, "recursive", dim_cap, shared
         )
-        parts = split.parts
     else:
         detector = pgm(states, copies, dim_cap)
-    shared[key] = detector, parts, sum(misses(states, detector, copies, dim_cap))
+    shared[key] = detector, sum(misses(states, detector, dim_cap))
     return shared[key]
 
 
@@ -502,46 +508,35 @@ def build_split_detector(
     on the first pair's full ``n``-copy states.  Each sub-detector is built
     on ``sectors.layout`` of its own parts (spin blocks for qubits,
     copy-pair sectors otherwise), so every partial is the Kronecker product
-    of the sub-elements' blocks (``sectors.kron``) on the layout of both
-    parts side by side, where the composition and the detector it returns
-    stay.
+    of the sub-elements' blocks (``sectors.kron``) on the two layouts
+    joined, where the composition and the detector it returns stay.
 
     ``shared`` maps a sub-detector's inputs, the states' matrices, its
-    copy count, ``sub`` and ``w1``, to the sub-detector, its parts and its
-    summed misses; what is built here is added.  The rows of a table pass
+    copy count, ``sub`` and ``w1``, to the sub-detector and its summed
+    misses; what is built here is added.  The rows of a table pass
     one map.  ``dim_cap`` stays out of the key: it is checked at ``n``,
     and every sub-detector uses fewer copies.  Without ``shared`` the map
     serves this detector's nested splits only.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")
-    if n < 2:
-        raise SplitTooSmall(f"need n >= 2 copies to split, got {n}")
     if not 0.0 < w1 < 1.0:
         raise ValueError(f"w1 must lie in (0, 1), got {w1}")
+    n1, n2 = split_sizes(n, w1)
     check_power(ensemble.states[0], n, dim_cap)
-    n1 = math.floor(n * w1)
-    n2 = n - n1
-    if n1 < 1 or n2 < 1:
-        raise SplitTooSmall(f"weight {w1} leaves an empty part: n1={n1}, n2={n2}")
 
     shared = {} if shared is None else shared
     first, second, *tail = ensemble.states
-    sub_1, parts_1, sub_error_1 = _sub_detector(
-        [first, *tail], n1, w1, sub, dim_cap, shared
-    )
-    sub_2, parts_2, sub_error_2 = _sub_detector(
-        [second, *tail], n2, w1, sub, dim_cap, shared
-    )
+    sub_1, sub_error_1 = _sub_detector([first, *tail], n1, w1, sub, dim_cap, shared)
+    sub_2, sub_error_2 = _sub_detector([second, *tail], n2, w1, sub, dim_cap, shared)
 
     partials = [
         sectors.kron(
-            sectors.Blocks(sub_1.blocks[1 + k], sub_1.layout.mults),
-            sectors.Blocks(sub_2.blocks[1 + k], sub_2.layout.mults),
+            sectors.Blocks(sub_1.blocks[1 + k], sub_1.layout),
+            sectors.Blocks(sub_2.blocks[1 + k], sub_2.layout),
         )
         for k in range(len(tail))
     ]
-    parts = parts_1 + parts_2
-    detector, trace = compose_with_binary(partials, first, second, n, dim_cap, parts)
-    return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2, parts)
+    detector, trace = compose_with_binary(partials, first, second, n, dim_cap)
+    return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 

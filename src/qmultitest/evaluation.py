@@ -34,8 +34,10 @@ from .detectors import (
     compose_with_binary,
     holevo_helstrom,
     misses,
+    split_sizes,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
+from .sectors import check_copies
 from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble
 
 BOUND_SLACK = 1e-9
@@ -137,15 +139,12 @@ def error_sum(
     """Exact per-state misses (``detectors.misses``, on the detector's
     blocks), each range-checked, and their sum: the score of every table
     row, the binary test's and the split detector's alike."""
-    if detector.dim != ensemble.dim ** n:
-        raise DimensionMismatch(
-            f"detector dim {detector.dim} != {ensemble.dim}^{n}"
-        )
+    check_copies(detector.layout, ensemble.dim, n)
     if len(detector.blocks) != ensemble.r:
         raise DimensionMismatch(
             f"{len(detector.blocks)} elements for {ensemble.r} hypotheses"
         )
-    per_state = tuple(misses(ensemble.states, detector, n, dim_cap))
+    per_state = tuple(misses(ensemble.states, detector, dim_cap))
     for miss in per_state:
         if not -1e-10 <= miss <= 1.0 + 1e-10:
             raise ArithmeticError(f"error probability {miss!r} out of range")
@@ -212,7 +211,7 @@ def binary_chernoff_upper_check(
     rows = []
     for n in range(1, n_max + 1):
         test = holevo_helstrom(rho1, rho2, n, dim_cap)
-        err = sum(misses((rho1, rho2), test, n, dim_cap))
+        err = sum(misses((rho1, rho2), test, dim_cap))
         bound = math.exp(-n * exponent)
         rows.append(BinaryDecayRow(n, err, bound, err <= bound + DECAY_SLACK))
     return rows
@@ -288,6 +287,9 @@ def run_experiment(
             raise DimensionCapExceeded(
                 f"n = {n} needs dim {ensemble.dim ** n} > cap {dim_cap}"
             )
+    if ensemble.r >= 3:
+        for n in ns:
+            split_sizes(n, w1)
     table = PairwiseTable(ensemble)
     distances = table.distances
     pair_result = distances[(0, 1)]

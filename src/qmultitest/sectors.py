@@ -27,20 +27,20 @@ demand.  There are three kinds:
 
 ``layout(d, parts)`` picks them: one qubit factor per part for ``d = 2``,
 and for ``d >= 3`` the copy pairs ``(o, o+1), (o+2, o+3), ...`` of each part
-with the last copy of an odd part alone (``pair_layout``).  A block is one
-local block of every factor: its size and multiplicity are the products of
-theirs, and blocks are ordered lexicographically, first factor most
-significant.  So the ``W`` of two runs of parts side by side is the tensor
-product of theirs: block ``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of
-multiplicity ``m_s m_t`` (``kron``), and an operator built from the
-sub-detectors of a split never needs its ``D x D`` form.  A dense operator
-on ``n`` copies is the one block of ``n`` one-copy factors, ``layout(d, (1,)
-* n)``, with ``W = I``: the Kronecker product of the copies.
+with the last copy of an odd part alone.  A block is one local block of
+every factor: its size and multiplicity are the products of theirs, and
+blocks are ordered lexicographically, first factor most significant.  So
+the ``W`` of two layouts side by side is the tensor product of theirs: block
+``(s, t)`` of ``X (x) Y`` is ``kron(X_s, Y_t)``, of multiplicity ``m_s m_t``,
+on the two layouts' factors joined (``kron``).  A dense operator on ``n``
+copies is the one block of ``n`` one-copy factors, ``layout(d, (1,) * n)``,
+with ``W = I``.
 
-Every detector is built on the layout of its own parts: the binary test and
-the PGM on ``n`` copies on ``layout(d, (n,))``, a split on its sub-detectors'
-parts side by side.  So no operator is ever moved onto a layout from its
-dense form.
+A layout is the one record of an operator's copies (``Layout.copies``), and
+an operator on it carries it (``Blocks``).  Every detector is built on the
+layout of its own parts: the binary test and the PGM on ``layout(d, (n,))``,
+a split on its sub-detectors' layouts joined, so no operator is ever moved
+onto a layout from its dense form.
 """
 
 from __future__ import annotations
@@ -92,12 +92,13 @@ class Factor(NamedTuple):
 
 class Layout(NamedTuple):
     """A block layout: its tensor factors in copy order, each block's
-    multiplicity, and the dimension of the operators on it; both are
-    products of the factors' local ones."""
+    multiplicity and the dimension of the operators on it, both products of
+    the factors' local ones, and the number of copies the factors hold."""
 
     factors: tuple[Factor, ...]
     mults: tuple[int, ...]
     dim: int
+    copies: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,29 +135,31 @@ def _lone(d: int) -> Factor:
     return Factor(1, d, (d,), (1,), lambda rho, _: [rho.matrix], lambda: np.eye(d))
 
 
+@functools.lru_cache(maxsize=None)
 def _layout(factors: tuple[Factor, ...]) -> Layout:
-    """The layout of these factors."""
+    """The layout of these factors, built once per tuple of them and shared."""
     mults = tuple(map(math.prod, itertools.product(*(f.mults for f in factors))))
-    return Layout(factors, mults, math.prod(f.dim for f in factors))
+    dim = math.prod(f.dim for f in factors)
+    return Layout(factors, mults, dim, sum(f.copies for f in factors))
 
 
 @functools.lru_cache(maxsize=None)
 def layout(d: int, parts: tuple[int, ...]) -> Layout:
     """The layout of an operator on copy ``parts`` (sizes of consecutive
-    runs of copies): one qubit factor per part for ``d = 2``, copy pairs
-    and lone copies otherwise; built once per ``(d, parts)`` and shared."""
+    runs of copies) of ``C^d``: one qubit factor per part for ``d = 2``, or
+    each part's copies paired in order, the last of an odd part alone."""
     if d == 2:
         return _layout(tuple(_spin(p) for p in parts))
-    return pair_layout(d, parts)
-
-
-@functools.lru_cache(maxsize=None)
-def pair_layout(d: int, parts: tuple[int, ...]) -> Layout:
-    """The copy-pair layout for one-copy dimension ``d`` and copy
-    ``parts``: the copies of each part paired in order, and the last copy of
-    an odd part alone."""
     kinds = [kind for m in parts for kind in (_pair,) * (m // 2) + (_lone,) * (m % 2)]
     return _layout(tuple(kind(d) for kind in kinds))
+
+
+def check_copies(lay: Layout, d: int, n: int) -> None:
+    """Refuse a layout that does not hold ``n`` copies of ``C^d``."""
+    if lay.copies != n or lay.dim != d ** n:
+        raise DimensionMismatch(
+            f"the layout holds {lay.copies} copies of dim {lay.dim}, not {d}^{n}"
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,11 +208,11 @@ def schur_basis(p: int) -> np.ndarray:
 
 
 class Blocks(NamedTuple):
-    """An operator on a layout: the blocks of ``W^T X W`` and their
-    multiplicities."""
+    """An operator on a layout: the blocks of ``W^T X W``, and the
+    layout."""
 
     blocks: Sequence[np.ndarray]
-    mults: tuple[int, ...]
+    layout: Layout
 
 
 def squared_norm(blocks: Sequence[np.ndarray], mults: Sequence[int]) -> float:
@@ -218,12 +221,12 @@ def squared_norm(blocks: Sequence[np.ndarray], mults: Sequence[int]) -> float:
 
 
 def kron(x: Blocks, y: Blocks) -> Blocks:
-    """``X (x) Y`` on the layout of ``X``'s parts followed by ``Y``'s:
-    ``W = W_X (x) W_Y``, so block ``(s, t)``, ``s`` the more significant,
-    holds ``kron(X_s, Y_t)`` with multiplicity ``m_s m_t``."""
+    """``X (x) Y`` on ``X``'s layout followed by ``Y``'s, their factors
+    joined: ``W = W_X (x) W_Y``, so block ``(s, t)``, ``s`` the more
+    significant, holds ``kron(X_s, Y_t)`` with multiplicity ``m_s m_t``."""
     return Blocks(
         [linalg.kron(a, b) for a in x.blocks for b in y.blocks],
-        tuple(a * b for a in x.mults for b in y.mults),
+        _layout(x.layout.factors + y.layout.factors),
     )
 
 
@@ -260,18 +263,13 @@ def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
     return x
 
 
-def power_blocks(
-    rho: DensityMatrix, n: int, lay: Layout, dim_cap: int
-) -> list[np.ndarray]:
-    """The blocks of ``rho^(x)n``, without their multiplicities: the
-    Kronecker products of the factors' local blocks, each distinct factor's
-    built once; on ``n`` one-copy factors, ``[tensor_power(rho, n)]``.  The
-    dimension cap applies to the ``d^n`` the blocks stand for, and a layout
-    whose factors do not hold ``n`` copies raises ``DimensionMismatch``."""
-    check_power(rho, n, dim_cap)
-    copies = sum(f.copies for f in lay.factors)
-    if copies != n:
-        raise DimensionMismatch(f"the layout holds {copies} copies, not {n}")
+def power_blocks(rho: DensityMatrix, lay: Layout, dim_cap: int) -> list[np.ndarray]:
+    """The blocks of ``rho^(x)n`` on a layout of ``n`` copies, without their
+    multiplicities: the Kronecker products of the factors' local blocks,
+    each distinct factor's built once; on ``n`` one-copy factors,
+    ``[tensor_power(rho, n)]``.  The dimension cap applies to the ``d^n``
+    the blocks stand for."""
+    check_power(rho, lay.copies, dim_cap)
     local = {f: f.blocks(rho, dim_cap) for f in dict.fromkeys(lay.factors)}
     blocks = local[lay.factors[0]]
     for f in lay.factors[1:]:

@@ -56,7 +56,7 @@ def binary_sum_error(rho1, rho2, det):
 def helstrom_misses(rho1, rho2, n, dim_cap=DEFAULT_DIM_CAP):
     """The two misses of the optimal binary test on ``n`` copies."""
     test = holevo_helstrom(rho1, rho2, n, dim_cap)
-    return tuple(misses((rho1, rho2), test, n, dim_cap))
+    return tuple(misses((rho1, rho2), test, dim_cap))
 
 
 def embed_qubit_in_qutrit(rho):
@@ -205,25 +205,51 @@ class TestComposeWithBinary:
             compose_with_binary([], *self.pair())
         with pytest.raises(DimensionMismatch):
             compose_with_binary([np.eye(3) * 0.1], *self.pair())
-        # Partials live on the n-copy space of the pair, and on its sectors.
+        # Partials live on the n-copy space of the pair.
         with pytest.raises(DimensionMismatch):
             compose_with_binary([np.eye(2) * 0.1], *self.pair(), 2)
-        paired = sectors.Blocks(
-            [0.1 * np.eye(3), 0.1 * np.eye(1)], sectors.layout(2, (2,)).mults
-        )
-        with pytest.raises(DimensionMismatch, match="does not fit the sectors"):
-            compose_with_binary([paired], *self.pair(), 2, parts=(1, 1))
+
+    @staticmethod
+    def scaled_identity(d, parts):
+        """``0.1 I`` as its blocks on ``sectors.layout(d, parts)``."""
+        lay = sectors.layout(d, parts)
+        rho = random_density(d, d, 1)
+        blocks = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+        return sectors.Blocks([0.1 * np.eye(len(b)) for b in blocks], lay)
 
     @pytest.mark.parametrize("d,parts", [(2, (2,)), (3, (2,)), (3, (1, 2))])
     def test_refuses_a_dense_partial_on_several_blocks(self, d, parts):
-        # A dense partial is the one block of a layout of one-copy factors;
-        # with parts that hold a pair of copies it must come as its blocks.
+        # A dense partial is the one block of a layout of one-copy factors,
+        # so next to a partial on the blocks of a pair of copies it is on
+        # another layout; so is a partial on other parts.
         rho1, rho2 = random_density(d, d, 1), random_density(d, d, 2)
         n = sum(parts)
-        assert len(sectors.layout(d, parts).mults) > 1
-        with pytest.raises(DimensionMismatch) as info:
-            compose_with_binary([0.1 * np.eye(d ** n)], rho1, rho2, n, parts=parts)
-        assert str(info.value) == "partial 0 does not fit the sectors"
+        blocks = self.scaled_identity(d, parts)
+        assert len(blocks.layout.mults) > 1
+        for other in 0.1 * np.eye(d ** n), self.scaled_identity(d, (1,) * n):
+            for partials in [blocks, other], [other, blocks]:
+                with pytest.raises(DimensionMismatch) as info:
+                    compose_with_binary(partials, rho1, rho2, n)
+                assert str(info.value) == "partial 1 does not fit the sectors"
+
+    @pytest.mark.parametrize("d,parts", [(2, (2,)), (2, (1, 2)), (3, (2, 1))])
+    def test_refuses_partials_on_other_copies(self, d, parts):
+        # The partials' layout must hold the pair's n copies of C^d: one
+        # copy more or fewer, or copies of another dimension, are refused
+        # before anything is built.
+        n = sum(parts)
+        partial = self.scaled_identity(d, parts)
+        for m in n - 1, n + 1:
+            rho1, rho2 = random_density(d, d, 1), random_density(d, d, 2)
+            with pytest.raises(DimensionMismatch) as info:
+                compose_with_binary([partial], rho1, rho2, m)
+            assert str(info.value) == (
+                f"the layout holds {n} copies of dim {d ** n}, not {d}^{m}"
+            )
+        e = d + 1
+        rho1, rho2 = random_density(e, e, 1), random_density(e, e, 2)
+        with pytest.raises(DimensionMismatch, match=rf"not {e}\^{n}$"):
+            compose_with_binary([partial], rho1, rho2, n)
 
     @staticmethod
     def gram_oracle(partials, rho1, rho2):
@@ -279,9 +305,9 @@ class TestComposeOperatorKeyword:
         built = []
         original = sectors.power_blocks
 
-        def counted(rho, n, layout, dim_cap):
-            built.append((id(rho), n))
-            return original(rho, n, layout, dim_cap)
+        def counted(rho, layout, dim_cap):
+            built.append((id(rho), layout.copies))
+            return original(rho, layout, dim_cap)
 
         monkeypatch.setattr(sectors, "power_blocks", counted)
         det, trace = compose_with_binary(partials, states[0], states[1], 2)
@@ -382,11 +408,11 @@ def block_sum(blocks, shapes):
     return out
 
 
-def random_blocks(rng, d, n, layout):
-    """Random Hermitian blocks on ``layout`` of ``n`` copies of ``C^d``, of
-    the sizes of an ``n``-copy state's."""
+def random_blocks(rng, d, layout):
+    """Random Hermitian blocks on ``layout`` of copies of ``C^d``, of the
+    sizes of a state's."""
     rho = random_density(d, d, 1)
-    sizes = [len(b) for b in sectors.power_blocks(rho, n, layout, DEFAULT_DIM_CAP)]
+    sizes = [len(b) for b in sectors.power_blocks(rho, layout, DEFAULT_DIM_CAP)]
     return [random_hermitian(rng, size) for size in sizes]
 
 
@@ -410,7 +436,7 @@ def check_state_blocks(lay, factors, n, states, tol):
     w, shapes = explicit_w(factors)
     for rho in states:
         rotated = w.T @ tensor_power(rho, n).matrix @ w
-        blocks = sectors.power_blocks(rho, n, lay, DEFAULT_DIM_CAP)
+        blocks = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
         assert [len(b) for b in blocks] == [size for size, _ in shapes]
         assert np.max(np.abs(rotated - block_sum(blocks, shapes))) <= tol
 
@@ -425,27 +451,25 @@ def check_from_blocks(lay, factors, rng, tol):
 
 def check_kron(make, d, parts_x, parts_y, rng, tol):
     # Blocks on the layouts under test (``make(parts)``) of two runs of
-    # parts, side by side: their kron is the dense product, and an n-copy
-    # state's blocks on both are the kron of each side's, with the products
-    # of the multiplicities.
+    # parts, side by side: their kron is the dense product, on the layout
+    # of both runs, and an n-copy state's blocks on it are the kron of each
+    # side's.
     lay_x, lay_y, lay = make(parts_x), make(parts_y), make(parts_x + parts_y)
-    n_x, n_y = sum(parts_x), sum(parts_y)
-    x = random_blocks(rng, d, n_x, lay_x)
-    y = random_blocks(rng, d, n_y, lay_y)
-    got = sectors.kron(
-        sectors.Blocks(x, lay_x.mults), sectors.Blocks(y, lay_y.mults)
-    )
-    assert got.mults == lay.mults
+    n_y = sum(parts_y)
+    x = random_blocks(rng, d, lay_x)
+    y = random_blocks(rng, d, lay_y)
+    got = sectors.kron(sectors.Blocks(x, lay_x), sectors.Blocks(y, lay_y))
+    assert got.layout is lay
     want = np.kron(sectors.from_blocks(x, lay_x), sectors.from_blocks(y, lay_y))
     assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= tol
     rho = random_density(d, d, 9900 + d)
     sides = [
-        sectors.Blocks(sectors.power_blocks(rho, m, side, DEFAULT_DIM_CAP), side.mults)
-        for m, side in ((n_x, lay_x), (n_y, lay_y))
+        sectors.Blocks(sectors.power_blocks(rho, side, DEFAULT_DIM_CAP), side)
+        for side in (lay_x, lay_y)
     ]
     product = sectors.kron(*sides)
-    assert product.mults == lay.mults
-    both = sectors.power_blocks(rho, n_x + n_y, lay, DEFAULT_DIM_CAP)
+    assert product.layout is lay
+    both = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
     # Each entry is the same product of one-copy entries, which power_blocks
     # folds from the first factor: bit for bit when the second side is one
     # factor or one copy, else associated otherwise, within 4 ulps
@@ -456,6 +480,14 @@ def check_kron(make, d, parts_x, parts_y, rng, tol):
             assert np.array_equal(a, b)
         else:
             assert np.all(np.abs(a - b) <= 4 * np.finfo(float).eps * np.abs(b))
+
+
+def pair_layout(d, parts):
+    """The copy-pair layout of ``parts`` for any ``d``, made of the factors
+    that ``sectors.layout`` takes for ``d >= 3``: the copies of each part
+    paired in order, and the last copy of an odd part alone."""
+    kinds = [(sectors._pair,) * (m // 2) + (sectors._lone,) * (m % 2) for m in parts]
+    return sectors._layout(tuple(kind(d) for run in kinds for kind in run))
 
 
 class TestSectors:
@@ -469,7 +501,7 @@ class TestSectors:
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_w_is_orthogonal(self, d, parts):
-        lay = sectors.pair_layout(d, parts)
+        lay = pair_layout(d, parts)
         factors = explicit_factors(d, parts, "pair")
         check_w_is_orthogonal(lay, factors, d ** sum(parts), 1e-15)
         # Each pair has d(d+1)/2 symmetric and d(d-1)/2 antisymmetric
@@ -482,14 +514,14 @@ class TestSectors:
             for labels in itertools.product((0, 1), repeat=pairs)
         ]
         rho = random_density(d, d, 1)
-        blocks = sectors.power_blocks(rho, sum(parts), lay, DEFAULT_DIM_CAP)
+        blocks = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
         assert [len(b) for b in blocks] == sizes
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_one_copy_blocks_match_the_n_copy_state(self, d, parts):
         n = sum(parts)
         check_state_blocks(
-            sectors.pair_layout(d, parts),
+            pair_layout(d, parts),
             explicit_factors(d, parts, "pair"),
             n,
             [random_density(d, d, 9100 + 10 * d + n)],
@@ -498,15 +530,15 @@ class TestSectors:
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
     def test_basis_changes_match_explicit_w(self, d, parts, np_rng):
-        lay = sectors.pair_layout(d, parts)
+        lay = pair_layout(d, parts)
         check_from_blocks(lay, explicit_factors(d, parts, "pair"), np_rng, 1e-13)
 
     def test_no_pair_is_one_sector(self):
         # Three lone copies: one block, the dense operator, with W = I.
         x = np.arange(64.0).reshape(8, 8) * (1.0 - 0.5j)
-        for layout in sectors.layout(2, (1, 1, 1)), sectors.pair_layout(2, (1, 1, 1)):
+        for layout in sectors.layout(2, (1, 1, 1)), pair_layout(2, (1, 1, 1)):
             assert [f.copies for f in layout.factors] == [1, 1, 1]
-            assert layout.mults == (1,) and layout.dim == 8
+            assert layout.mults == (1,) and (layout.dim, layout.copies) == (8, 3)
             assert sectors.from_blocks([x], layout).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize(
@@ -523,37 +555,65 @@ class TestSectors:
         ],
     )
     def test_kron_matches_the_dense_product(self, d, parts_x, parts_y, np_rng):
-        make = functools.partial(sectors.pair_layout, d)
+        make = functools.partial(pair_layout, d)
         check_kron(make, d, parts_x, parts_y, np_rng, 1e-13)
 
     def test_layout_is_built_once(self):
         assert sectors.layout(2, (3, 3)) is sectors.layout(2, (3, 3))
+        for d in (3, 4):
+            assert sectors.layout(d, (3, 2)) is pair_layout(d, (3, 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kron_layout_is_the_layout_of_both_runs(self, d):
+        # For every two runs of parts up to four copies each: the product's
+        # layout is the factors joined, which is the layout of the parts
+        # side by side, the same object.
+        def runs(m):
+            return [
+                tuple(b - a for a, b in zip((0, *cuts), (*cuts, m)))
+                for k in range(m)
+                for cuts in itertools.combinations(range(1, m), k)
+            ]
+
+        every = [p for m in range(1, 5) for p in runs(m)]
+        assert len(every) == 15
+        for parts_x, parts_y in itertools.product(every, repeat=2):
+            x = sectors.Blocks([], sectors.layout(d, parts_x))
+            y = sectors.Blocks([], sectors.layout(d, parts_y))
+            lay = sectors.kron(x, y).layout
+            assert lay is sectors.layout(d, parts_x + parts_y)
+            assert lay.copies == sum(parts_x + parts_y)
 
     @pytest.mark.parametrize(
         "r,parts", [(3, (4,)), (4, (2, 2)), (5, (1, 1, 1, 1))]
     )
     def test_sub_detector_parts(self, r, parts):
+        # A recursive sub-detector is on the layout of its nested parts;
+        # the PGM on one part.
         states = [random_density(2, 2, 9200 + k) for k in range(r - 1)]
-        _, got, _ = _sub_detector(states, 4, 0.5, "recursive", DEFAULT_DIM_CAP, {})
-        assert got == parts
-        _, got, _ = _sub_detector(states, 4, 0.5, "pgm", DEFAULT_DIM_CAP, {})
-        assert got == (4,)
+        got, _ = _sub_detector(states, 4, 0.5, "recursive", DEFAULT_DIM_CAP, {})
+        assert got.layout is sectors.layout(2, parts)
+        got, _ = _sub_detector(states, 4, 0.5, "pgm", DEFAULT_DIM_CAP, {})
+        assert got.layout is sectors.layout(2, (4,))
 
     @pytest.mark.parametrize(
-        "r,sub,parts",
+        "d,r,sub,parts",
         [
-            (3, "pgm", (3, 3)),
-            (4, "pgm", (3, 3)),
-            (5, "pgm", (3, 3)),
-            (3, "recursive", (3, 3)),
-            (4, "recursive", (1, 2, 1, 2)),
-            (5, "recursive", (1, 1, 1, 1, 1, 1)),
+            (2, 3, "pgm", (3, 3)),
+            (2, 4, "pgm", (3, 3)),
+            (2, 5, "pgm", (3, 3)),
+            (2, 3, "recursive", (3, 3)),
+            (2, 4, "recursive", (1, 2, 1, 2)),
+            (2, 5, "recursive", (1, 1, 1, 1, 1, 1)),
+            (3, 4, "recursive", (1, 2, 1, 2)),
         ],
     )
-    def test_split_parts(self, r, sub, parts):
-        ens = Ensemble(tuple(random_density(2, 2, 9300 + k) for k in range(r)))
-        _, _, split = build_split_detector(ens, 6, 0.5, sub)
-        assert split.parts == parts
+    def test_split_parts(self, d, r, sub, parts):
+        # The split detector is on its sub-detectors' layouts joined: for a
+        # nested recursive split, the layout of all its parts.
+        ens = Ensemble(tuple(random_density(d, d, 9300 + k) for k in range(r)))
+        det, _, _ = build_split_detector(ens, 6, 0.5, sub)
+        assert det.layout is sectors.layout(d, parts)
 
 
 def explicit_schur(p):
@@ -639,8 +699,7 @@ class TestSpinLayout:
         assert [f.copies for f in sectors.layout(2, (4,)).factors] == [4]
         assert sectors.layout(2, (4,)).mults == (1, 3, 2)
         assert [f.copies for f in sectors.layout(3, (4,)).factors] == [2, 2]
-        assert sectors.layout(3, (4,)) is sectors.pair_layout(3, (4,))
-        assert sectors.layout(3, (2, 2)) is sectors.pair_layout(3, (2, 2))
+        assert [f.copies for f in sectors.layout(3, (2, 2)).factors] == [2, 2]
         assert holevo_helstrom(*TestComposeWithBinary.pair(), 4).layout is (
             sectors.layout(2, (4,))
         )
@@ -651,8 +710,8 @@ class TestSpinLayout:
 class TestOneCopyLayouts:
     """A dense operator on ``n`` copies is the one block of the layout of
     ``n`` one-copy factors, with ``W = I``: its state blocks are
-    ``tensor_power``'s bytes, and a composition without parts is the one on
-    parts ``(1,) * n``."""
+    ``tensor_power``'s bytes, and a composition of dense partials is the one
+    of their blocks on that layout."""
 
     @staticmethod
     def states(d, seed):
@@ -668,7 +727,7 @@ class TestOneCopyLayouts:
         assert lay.mults == (1,) and lay.dim == 2
         states = [random_density(2, 1 + k % 2, 9900 + k) for k in range(2000)]
         for rho in states + self.states(2, 9890):
-            (block,) = sectors.power_blocks(rho, 1, lay, DEFAULT_DIM_CAP)
+            (block,) = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
             assert block.tobytes() == rho.matrix.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -678,16 +737,18 @@ class TestOneCopyLayouts:
         assert [f.copies for f in lay.factors] == [1] * n
         assert lay.mults == (1,) and lay.dim == d ** n
         for rho in self.states(d, 9800 + 10 * d + n):
-            (block,) = sectors.power_blocks(rho, n, lay, DEFAULT_DIM_CAP)
+            (block,) = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
             assert block.tobytes() == tensor_power(rho, n).matrix.tobytes()
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
-    def test_composition_without_parts_is_on_one_copy_parts(self, d, n):
+    def test_dense_partials_are_on_one_copy_factors(self, d, n):
         a, b = random_density(d, d, 9860 + n), random_density(d, d, 9870 + n)
         partials = random_feasible_partials(d ** n, 2, 9880 + n)
+        lay = sectors.layout(d, (1,) * n)
         det, trace = compose_with_binary(partials, a, b, n)
-        ref, ref_trace = compose_with_binary(partials, a, b, n, parts=(1,) * n)
-        assert det.layout is ref.layout is sectors.layout(d, (1,) * n)
+        blocks = [sectors.Blocks([p], lay) for p in partials]
+        ref, ref_trace = compose_with_binary(blocks, a, b, n)
+        assert det.layout is ref.layout is lay
         got = [[x.tobytes() for x in e] for e in det.blocks]
         assert got == [[x.tobytes() for x in e] for e in ref.blocks]
         assert trace == ref_trace
@@ -732,7 +793,8 @@ class TestSpinSplitRows:
         from qmultitest.evaluation import error_sum
 
         det, trace, split = build_split_detector(ens, n, 0.5, sub)
-        assert split.parts == (n // 2, n - n // 2)
+        assert (split.n1, split.n2) == (n // 2, n - n // 2)
+        assert det.layout is sectors.layout(2, (split.n1, split.n2))
         got = error_sum(ens, n, det).per_state_error
         ref_det, ref_trace, ref_errors = dense_split_row(ens, n, sub)
         if elements:
@@ -774,10 +836,10 @@ class TestSpinSplitRows:
         def forbidden(*args, **kwargs):
             raise AssertionError("a Schur basis was built")
 
-        def recorded(rho, n, layout, dim_cap):
+        def recorded(rho, layout, dim_cap):
             # The n = 2 row's parts (1, 1) hold no pair of copies: its one
             # block is the two-copy space.
-            blocks = original(rho, n, layout, dim_cap)
+            blocks = original(rho, layout, dim_cap)
             built.extend(len(b) for b in blocks)
             return blocks
 
@@ -916,7 +978,7 @@ class TestSectorComposition:
         n = 7
         test = holevo_helstrom(*ens.states, n)
         assert test.layout is sectors.layout(3, (n,))
-        got = list(misses(ens.states, test, n))
+        got = list(misses(ens.states, test))
         for miss, exact in zip(got, extended_misses(ens.states, test, n), strict=True):
             assert abs(miss - exact) <= 2e-12 * exact
 
@@ -937,8 +999,8 @@ class TestSectorComposition:
 
         original = sectors.power_blocks
 
-        def recorded(rho, n, layout, dim_cap):
-            blocks = original(rho, n, layout, dim_cap)
+        def recorded(rho, layout, dim_cap):
+            blocks = original(rho, layout, dim_cap)
             built.extend(len(b) for b in blocks)
             return blocks
 
@@ -1002,7 +1064,7 @@ class TestSectorComposition:
                 if floor:
                     for got, want in zip(det.elements, ref):
                         assert np.max(np.abs(got - want)) <= 1e-12
-            err = sum(misses(ens.states, det, n))
+            err = sum(misses(ens.states, det))
             assert err == pytest.approx(errors[True], rel=1e-12)
             assert abs(errors[True] - errors[False]) <= 2e-8 * errors[False]
 
@@ -1027,7 +1089,7 @@ def spin_blocks_of(x, parts):
         region = rotated[start : start + size * m, start : start + size * m]
         blocks.append(np.einsum("acbc->ab", region.reshape(size, m, size, m)) / m)
         start += size * m
-    return sectors.Blocks(blocks, sectors.layout(2, parts).mults)
+    return sectors.Blocks(blocks, sectors.layout(2, parts))
 
 
 def extended_misses(states, det, n):
@@ -1066,7 +1128,7 @@ class TestSectorChecks:
         if len(sectors.layout(2, parts).mults) > 1:
             partials = [spin_blocks_of(p, parts) for p in partials]
         with pytest.raises(ValueError) as info:
-            compose_with_binary(partials, rho1, rho2, sum(parts), parts=parts)
+            compose_with_binary(partials, rho1, rho2, sum(parts))
         return type(info.value), str(info.value)
 
     @pytest.mark.parametrize(
@@ -1123,12 +1185,12 @@ class TestSectorChecks:
             tests.append(helstrom(spectra))
             return tests[-1]
 
-        def checking(partials, rho1, rho2, n, dim_cap, parts):
+        def checking(partials, rho1, rho2, n, dim_cap):
             before = len(tests)
-            det, trace = compose(partials, rho1, rho2, n, dim_cap, parts)
+            det, trace = compose(partials, rho1, rho2, n, dim_cap)
             (blocks,) = tests[before:]
-            layout = sectors.layout(rho1.dim, parts)
-            assert det.layout is layout
+            layout = partials[0].layout
+            assert det.layout is layout and layout.copies == n
             # Each element and each binary element assembled as W B W^T.
             elements = [sectors.from_blocks(b, layout) for b in det.blocks]
             binary = [
@@ -1259,10 +1321,8 @@ class TestSharedMap:
 class TestRecursiveDetector:
     def test_two_states_is_binary_test(self):
         rho1, rho2 = random_density(2, 2, 71), random_density(2, 2, 72)
-        rec, parts, _ = _sub_detector(
-            [rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP, {}
-        )
-        assert parts == (3,)
+        rec, _ = _sub_detector([rho1, rho2], 3, 0.5, "recursive", DEFAULT_DIM_CAP, {})
+        assert rec.layout is sectors.layout(2, (3,))
         direct = holevo_helstrom(tensor_power(rho1, 3), tensor_power(rho2, 3))
         for a, b in zip(rec.elements, direct.elements):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -1312,7 +1372,7 @@ class TestMisses:
                 1.0 - np.trace(tensor_power(s, n).matrix @ e).real
                 for s, e in zip(states, det.elements)
             ]
-            got = list(misses(states, det, n))
+            got = list(misses(states, det))
             np.testing.assert_allclose(got, expected, atol=1e-14)
 
     @pytest.mark.parametrize("sub", [None, "pgm", "recursive"])
@@ -1329,7 +1389,7 @@ class TestMisses:
             1.0 - np.trace(tensor_power(s, n).matrix @ e).real
             for s, e in zip(ens.states, det.elements)
         ]
-        got = list(misses(ens.states, det, n))
+        got = list(misses(ens.states, det))
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_builds_one_state_at_a_time(self, monkeypatch):
@@ -1342,34 +1402,16 @@ class TestMisses:
         original = sectors.power_blocks
         built = []
 
-        def tracked(rho, n, layout, dim_cap):
+        def tracked(rho, layout, dim_cap):
             assert all(ref() is None for ref in built)
-            blocks = original(rho, n, layout, dim_cap)
+            blocks = original(rho, layout, dim_cap)
             built.extend(weakref.ref(b) for b in blocks)
             return blocks
 
         monkeypatch.setattr(sectors, "power_blocks", tracked)
-        total = sum(misses(states, det, 3))
+        total = sum(misses(states, det))
         assert len(built) == 4 * len(det.layout.mults)
         assert 0.0 <= total <= 4.0
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_copy_count_must_match_the_layout(self, d):
-        # A detector on 4 copies holds its elements on the layout of 4
-        # copies; the misses of 5 or 6 copies on it are refused, not read
-        # off the 4-copy blocks.  So are those of 2 copies on a one-copy
-        # detector, whose one block is the state itself.
-        a, b = random_density(d, d, 1), random_density(d, d, 2)
-        test = holevo_helstrom(a, b, 4)
-        four = tuple(misses((a, b), test, 4))
-        assert helstrom_misses(a, b, 4) == four
-        for n in (5, 6):
-            with pytest.raises(DimensionMismatch, match=f"holds 4 copies, not {n}$"):
-                list(misses((a, b), test, n))
-            assert sum(helstrom_misses(a, b, n)) < sum(four)
-        for one in holevo_helstrom(a, b), pgm([a, b], 1):
-            with pytest.raises(DimensionMismatch, match="holds 1 copies, not 2$"):
-                list(misses([a, b], one, 2))
 
     def test_count_mismatch_raises(self):
         states = [random_density(2, 2, 180 + k) for k in range(3)]
@@ -1412,7 +1454,7 @@ class TestCopiesArgument:
         powers = [tensor_power(s, n) for s in states]
         det = pgm(states, n)
         self.same(det, pgm(powers))
-        got = np.array(list(misses(states, det, n)))
+        got = np.array(list(misses(states, det)))
         if det.layout.mults == (1,):
             want = np.array(list(misses(powers, det)))
             assert got.tobytes() == want.tobytes()
@@ -1491,11 +1533,14 @@ class TestHelstromMisses:
             lambda rho1, rho2: holevo_helstrom(rho1, rho2),
             # The blocks of the swap, of sizes 3 and 1.
             lambda rho1, rho2: compose_with_binary(
-                [sectors.Blocks([0.1 * np.eye(3), 0.1 * np.eye(1)], (1, 1))],
+                [
+                    sectors.Blocks(
+                        [0.1 * np.eye(3), 0.1 * np.eye(1)], sectors.layout(2, (2,))
+                    )
+                ],
                 rho1,
                 rho2,
                 2,
-                parts=(2,),
             ),
         ],
         ids=["spin-blocks", "dense", "sectors"],
@@ -1535,7 +1580,7 @@ class TestHelstromMisses:
             lambda: holevo_helstrom(a, b, 4, dim_cap=80),
             lambda: helstrom_misses(a, b, 4, dim_cap=80),
             lambda: pgm([a, b], 4, dim_cap=80),
-            lambda: list(misses([a, b], det, 4, dim_cap=80)),
+            lambda: list(misses([a, b], det, dim_cap=80)),
         ):
             with pytest.raises(
                 DimensionCapExceeded, match=r"^dim 3\^4 = 81 exceeds cap 80$"
@@ -1590,8 +1635,8 @@ class TestPsdFastPath:
 
     def test_split_checks_skip_full_size_eigvalsh(self, kernel_sizes):
         ens = Ensemble(tuple(random_density(2, 2, 20 + k) for k in range(3)))
-        _, _, split = build_split_detector(ens, 6)
-        assert split.parts == (3, 3)
+        det, _, _ = build_split_detector(ens, 6)
+        assert det.layout is sectors.layout(2, (3, 3))
         # Nothing is decomposed or checked above the largest spin block,
         # (3 + 1)(3 + 1) = 16.
         assert max(size for sizes in kernel_sizes.values() for size in sizes) == 16

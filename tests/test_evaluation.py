@@ -69,6 +69,11 @@ class TestErrorSum:
         det = holevo_helstrom(ens.states[0], ens.states[1])
         with pytest.raises(DimensionMismatch):
             error_sum(ens, 2, det)
+        # One copy of C^4 has the dimension of two qubits, not their copies.
+        pair = [tensor_power(s, 2) for s in ens.states]
+        message = r"holds 1 copies of dim 4, not 2\^2$"
+        with pytest.raises(DimensionMismatch, match=message):
+            error_sum(ens, 2, holevo_helstrom(*pair))
 
     def test_out_of_range_miss_raises(self):
         # An unvalidated element 2 I gives the miss 1 - tr[2 rho] = -1.
@@ -304,9 +309,9 @@ class TestRunExperiment:
         built, sizes = [], []
         original = sectors.power_blocks
 
-        def counted(rho, n, layout, dim_cap):
-            built.append((id(rho), n))
-            blocks = original(rho, n, layout, dim_cap)
+        def counted(rho, layout, dim_cap):
+            built.append((id(rho), layout.copies))
+            blocks = original(rho, layout, dim_cap)
             sizes.extend(len(b) for b in blocks)
             return blocks
 
@@ -341,7 +346,7 @@ class TestRunExperiment:
         table = run_experiment(Ensemble(pair), range(1, n_max + 1))
         for row in table.rows:
             test = holevo_helstrom(*pair, row.n)
-            assert row.report.per_state_error == tuple(misses(pair, test, row.n))
+            assert row.report.per_state_error == tuple(misses(pair, test))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_one_error_sum_per_row(self, r, monkeypatch):
@@ -391,9 +396,9 @@ class TestRunExperiment:
         original = sectors.power_blocks
         built = []
 
-        def recorded(rho, n, layout, dim_cap):
-            blocks = original(rho, n, layout, dim_cap)
-            built.append((n, max(len(b) for b in blocks)))
+        def recorded(rho, layout, dim_cap):
+            blocks = original(rho, layout, dim_cap)
+            built.append((layout.copies, max(len(b) for b in blocks)))
             return blocks
 
         def forbidden(*args, **kwargs):

@@ -434,6 +434,31 @@ class TestRunCommand:
         assert chernoff_calls == []  # refused before any work
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n_min,message",
+        [
+            ("1", "need n >= 2 copies to split, got 1"),
+            ("2", "weight 0.3 leaves an empty part: n1=0, n2=2"),
+            ("3", "weight 0.3 leaves an empty part: n1=0, n2=3"),
+        ],
+    )
+    def test_empty_split_refused_before_any_work(
+        self, tmp_path, capsys, chernoff_calls, n_min, message
+    ):
+        # n1 = floor(n * w1) never decreases in n, so the rows that leave a
+        # part empty come first; every row is checked before the pairwise
+        # table is built.
+        path = str(tmp_path / "s.json")
+        gen = ["gen", "condition-satisfying", "--r", "5", "--seed", "7", "--out", path]
+        assert cli.main(gen) == 0
+        chernoff_calls.clear()
+        out = tmp_path / "t.json"
+        args = ["run", path, "--w1", "0.3", "--n-min", n_min, "--n-max", "6"]
+        assert cli.main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert chernoff_calls == []
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
