@@ -25,12 +25,10 @@ from .detectors import (
     pgm,
 )
 from .evaluation import (
-    BinaryDecayRow,
     ErrorReport,
     ExperimentTable,
     ExponentSeries,
     LemmaReport,
-    binary_chernoff_upper_check,
     error_sum,
     exponent_estimate,
     lemma_bound_check,
@@ -51,7 +49,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryDecayRow",
     "ChernoffResult",
     "CompositionTrace",
     "ConditionReport",
@@ -66,7 +63,6 @@ __all__ = [
     "PairwiseTable",
     "SplitReport",
     "attainability_condition",
-    "binary_chernoff_upper_check",
     "build_split_detector",
     "check_detector",
     "chernoff_curve",

@@ -119,12 +119,6 @@ def check_detector(det: Detector) -> list[str]:
     return problems
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    out = a + a.conj().T
-    out /= 2.0
-    return out
-
-
 def _lowest(blocks: Iterable[np.ndarray], tol: float) -> float | None:
     """``linalg.psd_violation`` of a block-diagonal operator from its
     blocks: the lowest eigenvalue over all of them when it is below
@@ -160,7 +154,7 @@ def _check_povm(
 
 def _gram(factor: np.ndarray) -> np.ndarray:
     """``B B^dag``, positive semidefinite to machine precision."""
-    return _hermitize(factor @ factor.conj().T)
+    return linalg.hermitize(factor @ factor.conj().T)
 
 
 def _helstrom_tests(
@@ -241,7 +235,7 @@ def pgm(
     layout = sectors.layout(states[0].dim, (n,))
     powers = [sectors.power_blocks(s, layout, dim_cap) for s in states]
     m = len(powers)
-    spectra = [linalg.eigh(_hermitize(sum(p) / m)) for p in zip(*powers)]
+    spectra = [linalg.eigh(linalg.hermitize(sum(p) / m)) for p in zip(*powers)]
     floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
     raw: list[list[np.ndarray]] = [[] for _ in powers]
     for (w, v), blocks in zip(spectra, zip(*powers)):
@@ -253,7 +247,7 @@ def pgm(
         # to machine precision even when S is badly conditioned.
         for k, p in enumerate(blocks):
             b = linalg.sqrt_psd(p) @ inv_sqrt
-            raw[k].append(_hermitize(b.conj().T @ b / m + kernel_proj / m))
+            raw[k].append(linalg.hermitize(b.conj().T @ b / m + kernel_proj / m))
     del powers, spectra
     # Rounding through S^(-1/2) can leave the sum off identity by more
     # than the POVM tolerance when S is nearly singular.  The sum is
@@ -262,10 +256,11 @@ def pgm(
     # restores the resolution of identity while preserving positivity.
     corrections = []
     for gs in zip(*raw):
-        tw, tv = np.linalg.eigh(_hermitize(sum(gs)))
+        tw, tv = np.linalg.eigh(linalg.hermitize(sum(gs)))
         corrections.append((tv * (1.0 / np.sqrt(tw))) @ tv.conj().T)
     elements = tuple(
-        tuple(_hermitize(c @ g @ c) for c, g in zip(corrections, gs)) for gs in raw
+        tuple(linalg.hermitize(c @ g @ c) for c, g in zip(corrections, gs))
+        for gs in raw
     )
     _check_povm(elements, layout.mults)
     return Detector(elements, layout)
@@ -367,7 +362,7 @@ def compose_with_binary(
         if lowest is not None:
             raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
         partial_blocks.append(p.blocks)
-    sum_blocks = [_hermitize(sum(blocks)) for blocks in zip(*partial_blocks)]
+    sum_blocks = [linalg.hermitize(sum(blocks)) for blocks in zip(*partial_blocks)]
     spectra = [linalg.eigh(block) for block in sum_blocks]
     top = float(max(w[-1] for w, _ in spectra))
     if top > 1.0 + TOL_ELEMENT_PSD:
@@ -381,8 +376,8 @@ def compose_with_binary(
     residual, sqrt_residual = [], []
     for (_, v), q in zip(spectra, residual_values):
         q[q <= floor] = 0.0
-        residual.append(_hermitize((v * q) @ v.conj().T))
-        sqrt_residual.append(_hermitize((v * np.sqrt(q)) @ v.conj().T))
+        residual.append(linalg.hermitize((v * q) @ v.conj().T))
+        sqrt_residual.append(linalg.hermitize((v * np.sqrt(q)) @ v.conj().T))
     del spectra, v
 
     pair_blocks = [
@@ -407,7 +402,7 @@ def compose_with_binary(
     defects = (
         (s, np.eye(len(root)) - root) for s, root in zip(sum_blocks, sqrt_residual)
     )
-    gap = _lowest((_hermitize(s - e @ e) for s, e in defects), 1e-9)
+    gap = _lowest((linalg.hermitize(s - e @ e) for s, e in defects), 1e-9)
     del sqrt_residual
     if gap is not None:
         raise ArithmeticError(

@@ -23,7 +23,6 @@ from .chernoff import (
     ChernoffResult,
     ConditionReport,
     PairwiseTable,
-    chernoff_distance,
 )
 from .detectors import (
     CompositionTrace,
@@ -41,7 +40,6 @@ from .sectors import check_copies
 from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble
 
 BOUND_SLACK = 1e-9
-DECAY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,14 +63,6 @@ class LemmaReport:
     term_wedge: float
     term_partials: float
     term_rest: float
-
-
-@dataclass(frozen=True)
-class BinaryDecayRow:
-    n: int
-    err_sm: float
-    bound: float
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -198,23 +188,6 @@ def lemma_bound_check(
         term_partials=trace.term_partials,
         term_rest=term_rest,
     )
-
-
-def binary_chernoff_upper_check(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    n_max: int,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> list[BinaryDecayRow]:
-    """Optimal binary errors for n = 1..n_max against ``exp(-n * exponent)``."""
-    exponent = chernoff_distance(rho1, rho2).exponent
-    rows = []
-    for n in range(1, n_max + 1):
-        test = holevo_helstrom(rho1, rho2, n, dim_cap)
-        err = sum(misses((rho1, rho2), test, dim_cap))
-        bound = math.exp(-n * exponent)
-        rows.append(BinaryDecayRow(n, err, bound, err <= bound + DECAY_SLACK))
-    return rows
 
 
 def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -2,8 +2,8 @@
 
 Everything downstream (states, detectors, exponent estimates) is built on
 the spectral calculus in this module: eigendecomposition, the zero floor
-that fixes supports, square roots of positive semidefinite matrices, and
-trace utilities.
+that fixes supports, square roots of positive semidefinite matrices, the
+Hermitian part ``hermitize``, and trace utilities.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -14,10 +14,13 @@ Conventions fixed here and relied on elsewhere:
   identity (``0**0 := 0``).
 * PSD threshold tests go through ``psd_violation``, which accepts with a
   shifted Cholesky factorization and rejects only on ``eigvalsh``.
+* Every check fails closed: a NaN or infinite entry is refused, never
+  accepted by a comparison that is False on it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +50,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
-    """Return ``a`` as a complex matrix, raising unless it is square and
-    self-adjoint within ``tol * (1 + max |entry|)``."""
+    """Return ``a`` as a complex matrix, raising unless it is square, finite
+    and self-adjoint within ``tol * (1 + max |entry|)``."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise HermiticityViolation(f"matrix is not square: shape {m.shape}")
@@ -60,11 +63,14 @@ def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
     for i in range(0, m.shape[0], step):
         rows = m[i : i + step]
         largest = np.maximum(largest, np.abs(rows).max())
+        # Refused before the defect, where inf - inf would warn.
+        if not math.isfinite(largest):
+            raise HermiticityViolation("matrix has a non-finite entry")
         defect = np.maximum(
             defect, np.abs(rows - m[:, i : i + step].conj().T).max()
         )
     scale = 1.0 + largest
-    if defect > tol * scale:
+    if not defect <= tol * scale:
         raise HermiticityViolation(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
         )
@@ -83,12 +89,6 @@ def eigh(h) -> HermitianEig:
     return HermitianEig(w, v)
 
 
-def eigvalsh(h) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    m = check_hermitian(h)
-    return np.linalg.eigvalsh(m)
-
-
 def eig_floor(values: np.ndarray) -> float:
     """Relative threshold below which eigenvalues count as zero."""
     if values.size == 0:
@@ -104,10 +104,11 @@ def psd_violation(a, tol: float = TOL_PSD) -> float | None:
     ``A + (tol/2) I``: it succeeds only when ``lambda_min(A) > -tol/2``
     up to the factorization's rounding, of order ``D * eps * max A_ii``,
     which is far below ``tol/2`` for POVM elements and states at the
-    dimension cap.  When the factorization breaks down (or meets a
-    non-finite entry), ``eigvalsh`` decides with the exact predicate
-    ``lambda_min < -tol``, so every rejection reports the eigenvalue a
-    full decomposition gives.  The input is left unmodified.
+    dimension cap.  When the factorization breaks down (or overflows),
+    ``eigvalsh`` decides with the exact predicate ``lambda_min < -tol``, so
+    every rejection reports the eigenvalue a full decomposition gives.  A
+    NaN or infinite entry raises ``HermiticityViolation``
+    (``check_hermitian``).  The input is left unmodified.
     """
     m = check_hermitian(a)
     if not m.size:
@@ -115,8 +116,8 @@ def psd_violation(a, tol: float = TOL_PSD) -> float | None:
     shifted = m.copy()
     shifted.reshape(-1)[:: m.shape[0] + 1] += tol / 2.0
     try:
-        # A non-finite entry can pass the factorization; it shows on the
-        # factor's diagonal.
+        # An overflow can pass the factorization; it shows on the factor's
+        # diagonal.
         certified = bool(np.isfinite(np.linalg.cholesky(shifted).diagonal()).all())
     except np.linalg.LinAlgError:
         certified = False
@@ -133,13 +134,14 @@ def sqrt_psd(a) -> np.ndarray:
     w, v = eigh(a)
     if w.size and float(w[0]) < -TOL_PSD:
         raise PSDViolation(f"matrix has negative eigenvalue {w[0]:.3e}")
-    out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return hermitize((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
-def trace_norm(a) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(eigvalsh(a))))
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """The Hermitian part ``(A + A^dag) / 2``, as a new array."""
+    out = a + a.conj().T
+    out /= 2.0
+    return out
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,9 +166,10 @@ def real_scalar(z, tol: float = 1e-9) -> float:
     """Discard an imaginary residue after asserting it is negligible.
 
     All physically meaningful traces in this package are real; a large
-    residue signals a kernel bug and raises rather than being silenced.
+    residue signals a kernel bug and raises rather than being silenced, as
+    does a NaN or infinite value.
     """
     z = complex(z)
-    if abs(z.imag) > tol:
-        raise ArithmeticError(f"imaginary residue {z.imag:.3e} exceeds {tol:.1e}")
+    if not (math.isfinite(z.real) and abs(z.imag) <= tol):
+        raise ArithmeticError(f"trace {z} is not real and finite within {tol:.1e}")
     return z.real

@@ -207,16 +207,3 @@ def write_text_atomic(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_scenario(path, dim: int, specs, labels=None) -> None:
-    doc = scenario_document(dim, specs, labels)
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def matrix_spec(state: DensityMatrix) -> dict:
-    """Explicit-matrix spec for a state (shortest round-trip decimals)."""
-    entries = [
-        [[value.real, value.imag] for value in row] for row in state.matrix
-    ]
-    return {"type": "matrix", "entries": entries}

@@ -124,7 +124,7 @@ def _pair(d: int) -> Factor:
 
     def blocks(rho: DensityMatrix, dim_cap: int) -> list[np.ndarray]:
         both = basis.T @ linalg.kron(rho.matrix, rho.matrix) @ basis
-        return [(h + h.conj().T) / 2.0 for h in (both[:sym, :sym], both[sym:, sym:])]
+        return [linalg.hermitize(h) for h in (both[:sym, :sym], both[sym:, sym:])]
 
     return Factor(2, d * d, (sym, d * d - sym), (1, 1), blocks, lambda: basis)
 

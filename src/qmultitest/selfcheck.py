@@ -87,7 +87,7 @@ def suite_povm_validity(trials: int, seed: int) -> SuiteResult:
 
 def suite_wedge_identity(trials: int, seed: int) -> SuiteResult:
     """The optimal binary test's summed error equals
-    ``1 - trace_norm(rho1 - rho2) / 2``."""
+    one minus half the trace norm of ``rho1 - rho2``."""
     result = SuiteResult("wedge-identity", trials, 0)
     for t in range(trials):
         d = 2 if t % 2 == 0 else 3
@@ -95,7 +95,8 @@ def suite_wedge_identity(trials: int, seed: int) -> SuiteResult:
         rho1 = random_density(d, d, base)
         rho2 = random_density(d, d, base + 1)
         lhs = sum(misses((rho1, rho2), holevo_helstrom(rho1, rho2)))
-        rhs = 1.0 - linalg.trace_norm(rho1.matrix - rho2.matrix) / 2.0
+        trace_norm = float(np.abs(np.linalg.eigvalsh(rho1.matrix - rho2.matrix)).sum())
+        rhs = 1.0 - trace_norm / 2.0
         if abs(lhs - rhs) > 1e-10:
             _note(result, t, f"|{lhs!r} - {rhs!r}| > 1e-10")
     return result

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -36,15 +35,14 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    Validated on construction, non-finite entries first; read-only.
+    Validated on construction, non-finite entries first
+    (``linalg.check_hermitian``); read-only.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
-        if not np.isfinite(m).all():
-            raise HermiticityViolation("state has a non-finite entry")
         lowest = linalg.psd_violation(m)  # also checks Hermiticity
         if lowest is not None:
             raise PSDViolation(f"state has negative eigenvalue {lowest:.3e}")
@@ -95,14 +93,6 @@ class Ensemble:
         return self.states[0].dim
 
 
-def _trusted_density(matrix: np.ndarray) -> DensityMatrix:
-    # Skips validation; caller must guarantee the matrix is a valid state
-    # (used for tensor powers, whose validity follows from the factors').
-    obj = object.__new__(DensityMatrix)
-    object.__setattr__(obj, "matrix", _frozen(matrix))
-    return obj
-
-
 def density_from_matrix(m) -> DensityMatrix:
     """Validate an explicit matrix as a quantum state."""
     return DensityMatrix(np.asarray(m, dtype=np.complex128))
@@ -136,8 +126,7 @@ def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
     g = SplitMix64(seed).gaussian_matrix(d, rank)
-    a = g @ g.conj().T
-    a = (a + a.conj().T) / 2.0
+    a = linalg.hermitize(g @ g.conj().T)
     return DensityMatrix(a / float(np.trace(a).real))
 
 
@@ -170,7 +159,10 @@ def tensor_power(
     out = rho.matrix
     for _ in range(n - 1):
         out = linalg.kron(out, rho.matrix)
-    return _trusted_density(out)
+    # Unvalidated: a power of a valid state is one.
+    power = object.__new__(DensityMatrix)
+    object.__setattr__(power, "matrix", _frozen(out))
+    return power
 
 
 def _binomial(a: complex, b: complex, e: int) -> np.ndarray:

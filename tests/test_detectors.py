@@ -1595,6 +1595,15 @@ class TestDetectorChecks:
         problems = check_detector(bad)
         assert problems and problems[-1].startswith("elements sum to identity")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_element_is_flagged(self, value):
+        m = np.diag([0.25, 0.75]).astype(np.complex128)
+        m[0, 0] = value
+        det = Detector(((m,), (np.eye(2) - m,)), sectors.layout(2, (1,)))
+        assert check_detector(det)[:2] == [
+            f"element {k}: matrix has a non-finite entry" for k in (0, 1)
+        ]
+
     def test_product_elements_factorize_traces(self):
         # tr[rho^(x)2 (A (x) B)] = tr[rho A] tr[rho B]
         rng = np.random.default_rng(31)

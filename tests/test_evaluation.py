@@ -7,7 +7,6 @@ import pytest
 from qmultitest import (
     DEFAULT_DIM_CAP,
     Ensemble,
-    binary_chernoff_upper_check,
     chernoff_distance,
     classical_state,
     density_from_matrix,
@@ -26,7 +25,13 @@ from qmultitest.detectors import misses
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import dense_detector, helstrom_error_oracle, table_without_parts
+from conftest import (
+    DECAY_SLACK,
+    binary_rows,
+    dense_detector,
+    helstrom_error_oracle,
+    table_without_parts,
+)
 
 
 def orthogonal_triple():
@@ -161,51 +166,39 @@ class TestOverallBound:
 
 
 class TestBinaryDecay:
-    def test_equal_states(self):
-        rho = random_density(2, 2, 71)
-        rows = binary_chernoff_upper_check(rho, rho, 3)
-        for row in rows:
-            assert row.err_sm == pytest.approx(1.0, abs=1e-10)
-            assert row.bound == pytest.approx(1.0)
-            assert row.holds
-
     def test_orthogonal_pures(self):
-        rows = binary_chernoff_upper_check(
-            pure_state([1.0, 0.0]), pure_state([0.0, 1.0]), 3
-        )
+        rows = binary_rows(pure_state([1.0, 0.0]), pure_state([0.0, 1.0]), 3)
         for row in rows:
-            assert row.err_sm == pytest.approx(0.0, abs=1e-12)
-            assert row.bound == 0.0
-            assert row.holds
+            assert row.report.err_sm == pytest.approx(0.0, abs=1e-12)
+            assert row.binary_bound == 0.0
 
     def test_seeded_pair_satisfies_bound(self):
         rho1, rho2 = random_density(2, 2, 81), random_density(2, 2, 82)
-        rows = binary_chernoff_upper_check(rho1, rho2, 8)
-        assert all(row.holds for row in rows)
+        rows = binary_rows(rho1, rho2, 8)
+        errs = [row.report.err_sm for row in rows]
+        assert all(
+            err <= row.binary_bound + DECAY_SLACK for err, row in zip(errs, rows)
+        )
         # decreasing errors: an extra copy never hurts the optimal test
-        errs = [row.err_sm for row in rows]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_error_matches_detector_route(self):
         rho1, rho2 = random_density(2, 2, 91), random_density(2, 2, 92)
-        rows = binary_chernoff_upper_check(rho1, rho2, 3)
-        for row in rows:
+        for row in binary_rows(rho1, rho2, 3):
             # A test of the explicit n-copy states is one copy of their
             # space: its errors are taken on those states, with n = 1.
             powers = Ensemble(tuple(tensor_power(s, row.n) for s in (rho1, rho2)))
             det = holevo_helstrom(*powers.states)
             report = error_sum(powers, 1, det)
-            assert row.err_sm == pytest.approx(report.err_sm, abs=1e-10)
+            assert row.report.err_sm == pytest.approx(report.err_sm, abs=1e-10)
 
     def test_rates_stay_above_exponent(self):
         # err <= exp(-n xi) forces -log(err)/n >= xi; finite-copy rates
         # approach the exponent from above as the prefactor decays
         rho1, rho2 = random_density(2, 2, 95), random_density(2, 2, 96)
         xi = chernoff_distance(rho1, rho2).exponent
-        rows = binary_chernoff_upper_check(rho1, rho2, 8)
-        for row in rows:
-            rate = -math.log(row.err_sm) / row.n
-            assert rate >= xi - 1e-9
+        for row in binary_rows(rho1, rho2, 8):
+            assert row.rate >= xi - 1e-9
 
 
 class TestExponentEstimate:
@@ -241,8 +234,8 @@ class TestExponentEstimate:
         rho1, rho2 = random_density(2, 2, 101), random_density(2, 2, 102)
         xi = chernoff_distance(rho1, rho2).exponent
         rows = [
-            (row.n, row.err_sm)
-            for row in binary_chernoff_upper_check(rho1, rho2, 9)
+            (row.n, row.report.err_sm)
+            for row in binary_rows(rho1, rho2, 9)
             if row.n >= 2
         ]
         series = exponent_estimate(rows, 5)
@@ -324,29 +317,22 @@ class TestRunExperiment:
         assert row.lemma_holds
         assert row.lemma_rhs >= sum(row.report.per_state_error[2:])
 
-    def test_binary_table_matches_decay_check(self):
-        rho1, rho2 = random_density(2, 2, 111), random_density(2, 2, 112)
-        ens = Ensemble((rho1, rho2))
-        table = run_experiment(ens, range(1, 7), k_fit=3)
-        rows = binary_chernoff_upper_check(rho1, rho2, 6)
-        for table_row, check_row in zip(table.rows, rows):
-            assert table_row.report.err_sm == pytest.approx(
-                check_row.err_sm, abs=1e-10
-            )
-            assert table_row.binary_bound == pytest.approx(check_row.bound)
-            assert table_row.n1 is None and table_row.lemma_holds is None
-        assert table.condition is None
-        assert table.reference_level == pytest.approx(table.pair_exponent)
-
-    @pytest.mark.parametrize("d,n_max", [(2, 11), (3, 6)])
+    @pytest.mark.parametrize("d,n_max", [(2, 11), (3, 8)])
     def test_binary_rows_are_the_test_and_its_misses(self, d, n_max):
-        # The same test and the same misses in the same order: the same
-        # floats, bit for bit.
+        # The same test, the same misses in the same order, and exp(-n xi)
+        # from the pair's own Chernoff search: the same floats, bit for bit.
         pair = (random_density(d, d, 201), random_density(d, d, 202))
-        table = run_experiment(Ensemble(pair), range(1, n_max + 1))
+        xi = chernoff_distance(*pair).exponent
+        cap = d ** n_max
+        table = run_experiment(Ensemble(pair), range(1, n_max + 1), dim_cap=cap)
         for row in table.rows:
-            test = holevo_helstrom(*pair, row.n)
-            assert row.report.per_state_error == tuple(misses(pair, test))
+            per_state = tuple(misses(pair, holevo_helstrom(*pair, row.n, cap), cap))
+            assert row.report.per_state_error == per_state
+            assert row.report.err_sm == sum(per_state)
+            assert row.binary_bound == math.exp(-row.n * xi)
+            assert row.n1 is None and row.lemma_holds is None
+        assert table.condition is None
+        assert table.reference_level == table.pair_exponent == xi
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_one_error_sum_per_row(self, r, monkeypatch):

@@ -104,25 +104,6 @@ class TestSqrtPsd:
             assert np.max(np.abs(b @ b - a)) <= 1e-9 * (1 + np.max(np.abs(a)))
 
 
-class TestTraceNorm:
-    def test_diagonal(self):
-        assert linalg.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
-
-    def test_zero(self):
-        assert linalg.trace_norm(np.zeros((3, 3))) == 0.0
-
-    def test_matches_eigenvalue_sum(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            h = random_hermitian(rng, 6)
-            expected = float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-            assert linalg.trace_norm(h) == pytest.approx(expected, abs=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityViolation):
-            linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestCheckHermitian:
     """The row-blocked check against the whole-matrix formula."""
 
@@ -147,15 +128,18 @@ class TestCheckHermitian:
             else:
                 assert linalg.check_hermitian(m, tol) is m
 
-    def test_nan_in_one_block_passes_as_before(self, np_rng):
-        # The whole-matrix form compares against a NaN scale and accepts;
-        # a defect in another block must not change that.
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_in_one_block_is_refused(self, np_rng, value):
+        # A comparison against a NaN or infinite scale is False, so the
+        # whole-matrix form accepts; the check refuses, whatever the other
+        # blocks hold.
         m = random_hermitian(np_rng, 1024)
-        m[0, 5] = np.nan
+        m[0, 5] = value
         m[1000, 3] += 1.0
         defect, scale = self.whole_matrix(m)
         assert not defect > linalg.TOL_HERM * scale
-        assert linalg.check_hermitian(m) is m
+        with pytest.raises(HermiticityViolation, match="non-finite entry"):
+            linalg.check_hermitian(m)
 
     def test_peak_stays_well_below_one_matrix(self, np_rng):
         d = 1024
@@ -169,10 +153,20 @@ class TestCheckHermitian:
         assert peak <= 0.25 * 16 * d * d
 
 
+@pytest.mark.parametrize("d", [1, 3, 64])
+def test_hermitize_is_the_halved_sum_bit_for_bit(np_rng, d):
+    a = np_rng.normal(size=(d, d)) + 1j * np_rng.normal(size=(d, d))
+    before = a.copy()
+    got = linalg.hermitize(a)
+    assert got.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+    np.testing.assert_array_equal(a, before)
+
+
 def test_real_scalar_guards_residue():
     assert linalg.real_scalar(1.0 + 1e-12j) == 1.0
-    with pytest.raises(ArithmeticError):
-        linalg.real_scalar(1.0 + 1e-6j)
+    for z in (1.0 + 1e-6j, complex(np.nan, 0.0), complex(0.0, np.nan), np.inf):
+        with pytest.raises(ArithmeticError):
+            linalg.real_scalar(z)
 
 
 def test_trace_product_matches_full_product(np_rng):
@@ -255,16 +249,16 @@ class TestPsdViolation:
             linalg.psd_violation(m)
         np.testing.assert_array_equal(m, before)
 
-    def test_non_finite_entries_are_decided_by_eigvalsh(self, monkeypatch):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_are_refused_before_any_decomposition(
+        self, monkeypatch, value
+    ):
         calls = []
-        real = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            calls.append(a)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(a))
         m = np.eye(4, dtype=np.complex128)
-        m[2, 1] = m[1, 2] = np.nan
-        assert linalg.psd_violation(m) is None  # eigvalsh's own verdict
-        assert len(calls) == 1
+        m[2, 1] = m[1, 2] = value
+        for check in (linalg.psd_violation, linalg.eigh):
+            with pytest.raises(HermiticityViolation, match="non-finite entry"):
+                check(m)
+        assert calls == []

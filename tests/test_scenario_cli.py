@@ -6,12 +6,7 @@ import pytest
 
 from qmultitest import cli, random_density
 from qmultitest.errors import ScenarioParseError
-from qmultitest.scenario import (
-    load_scenario,
-    matrix_spec,
-    scenario_from_dict,
-    write_scenario,
-)
+from qmultitest.scenario import load_scenario, scenario_document, scenario_from_dict
 
 
 def write_doc(path, doc):
@@ -110,12 +105,6 @@ class TestScenarioParsing:
         for x, y in zip(a.states, b.states):
             assert x.matrix.tobytes() == y.matrix.tobytes()
 
-    def test_matrix_spec_round_trip(self):
-        rho = random_density(3, 2, 9)
-        doc = {"version": 1, "dim": 3, "states": [matrix_spec(rho), {"type": "random", "rank": 3, "seed": 1}]}
-        rebuilt = scenario_from_dict(doc).ensemble.states[0]
-        assert rebuilt.matrix.tobytes() == rho.matrix.tobytes()
-
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
@@ -187,10 +176,7 @@ class TestScenarioParsing:
             load_scenario(path)
 
     def test_write_and_reload(self, tmp_path):
-        path = tmp_path / "out.json"
-        doc = two_state_doc()
-        write_scenario(path, doc["dim"], doc["states"])
-        scenario = load_scenario(path)
+        scenario = load_scenario(write_doc(tmp_path / "out.json", two_state_doc()))
         assert scenario.dim == 2 and scenario.ensemble.r == 2
 
 
@@ -256,7 +242,8 @@ class TestChernoffCommand:
         assert cli.main(["chernoff", src, "--out", str(first_out)]) == 0
         scenario = load_scenario(src)
         copy = tmp_path / "copy.json"
-        write_scenario(copy, scenario.dim, scenario.specs, scenario.labels)
+        doc = scenario_document(scenario.dim, scenario.specs, scenario.labels)
+        write_doc(copy, doc)
         second_out = tmp_path / "r2.json"
         assert cli.main(["chernoff", str(copy), "--out", str(second_out)]) == 0
         assert first_out.read_bytes() == second_out.read_bytes()
@@ -272,17 +259,18 @@ class TestRunCommand:
             "reference_level,overall_rhs,lemma_holds,overall_holds"
         )
         assert len(lines) == 5
-        from qmultitest import binary_chernoff_upper_check
-        from qmultitest.scenario import load_scenario as _load
+        from qmultitest import chernoff_distance, holevo_helstrom
+        from qmultitest.detectors import misses
 
-        ens = _load(path).ensemble
-        rows = binary_chernoff_upper_check(ens.states[0], ens.states[1], 4)
-        for line, row in zip(lines[1:], rows):
+        pair = load_scenario(path).ensemble.states
+        xi = chernoff_distance(*pair).exponent
+        for n, line in enumerate(lines[1:], start=1):
             cells = line.split(",")
-            assert int(cells[0]) == row.n
+            err = sum(misses(pair, holevo_helstrom(*pair, n)))
+            assert int(cells[0]) == n
             assert cells[1] == "" and cells[2] == ""
-            assert float(cells[3]) == pytest.approx(row.err_sm, abs=1e-12)
-            assert float(cells[6]) == pytest.approx(row.bound, abs=1e-12)
+            assert float(cells[3]) == pytest.approx(err, abs=1e-12)
+            assert float(cells[6]) == pytest.approx(math.exp(-n * xi), abs=1e-12)
             assert cells[8] == "" and cells[9] == "" and cells[10] == ""
 
     def test_orthogonal_triple_all_zero(self, tmp_path, capsys):
