@@ -100,18 +100,23 @@ class SplitReport:
 def check_detector(det: Detector) -> list[str]:
     """Return the list of POVM-validity violations (empty when valid), found
     on the dense elements: each element's lowest eigenvalue, and the largest
-    entry of ``sum_k E_k - I`` by absolute value."""
+    entry of ``sum_k E_k - I`` by absolute value.  The sum is not checked
+    when an element is refused (non-Hermitian or non-finite)."""
     problems: list[str] = []
+    refused = False
     total = np.zeros((det.dim, det.dim), dtype=np.complex128)
     for k, element in enumerate(det.elements):
         try:
             lowest = linalg.psd_violation(element, TOL_ELEMENT_PSD)
         except Exception as exc:  # non-Hermitian element
             problems.append(f"element {k}: {exc}")
+            refused = True
             continue
         if lowest is not None:
             problems.append(f"element {k} has negative eigenvalue {lowest:.3e}")
         total += element
+    if refused:
+        return problems
     total.reshape(-1)[:: det.dim + 1] -= 1.0  # total - I, in place
     defect = float(np.max(np.abs(total)))
     if defect > TOL_SUM_IDENTITY:
@@ -130,7 +135,9 @@ def _lowest(blocks: Iterable[np.ndarray], tol: float) -> float | None:
 def _frobenius(blocks: Iterable[np.ndarray], mults: Sequence[int]) -> float:
     """The Frobenius norm of a block-diagonal operator from its blocks and
     their multiplicities."""
-    return math.sqrt(sectors.squared_norm(blocks, mults))
+    return math.sqrt(
+        sum(m * np.vdot(b, b).real for m, b in zip(mults, blocks, strict=True))
+    )
 
 
 def _check_povm(

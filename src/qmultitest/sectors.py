@@ -17,9 +17,9 @@ order, each with its own local decomposition (``Factor``): local blocks of
 demand.  There are three kinds:
 
 * *a qubit part* of ``p`` copies: by Schur–Weyl duality, blocks
-  ``t = 0..p//2`` of size ``p - 2t + 1``, each repeated
-  ``m_t = C(p, t) - C(p, t - 1)`` times (``states.spin_blocks``), with
-  ``W = schur_basis(p)``;
+  ``det(rho)^t Sym^(p-2t)(rho)`` for ``t = 0..p//2``, of size
+  ``p - 2t + 1``, each repeated ``m_t = C(p, t) - C(p, t - 1)`` times
+  (``_spin_blocks``), with ``W = schur_basis(p)``;
 * *a copy pair* of ``C^d``: its symmetric and antisymmetric subspaces,
   blocks ``S(rho)`` and ``A(rho)`` of ``rho (x) rho``, with
   ``W = pair_basis(d)``;
@@ -36,8 +36,10 @@ on the two layouts' factors joined (``kron``).  A dense operator on ``n``
 copies is the one block of ``n`` one-copy factors, ``layout(d, (1,) * n)``,
 with ``W = I``.
 
-A layout is the one record of an operator's copies (``Layout.copies``), and
-an operator on it carries it (``Blocks``).  Every detector is built on the
+Only ``layout`` branches on ``d``.  Each factor's local blocks are computed
+here, and ``power_blocks`` checks every state against its layout.  A layout
+is the one record of an operator's copies (``Layout.copies``), and an
+operator on it carries it (``Blocks``).  Every detector is built on the
 layout of its own parts: the binary test and the PGM on ``layout(d, (n,))``,
 a split on its sub-detectors' layouts joined, so no operator is ever moved
 onto a layout from its dense form.
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch
-from .states import DensityMatrix, check_power, spin_blocks, spin_multiplicity
+from .states import DensityMatrix, check_power
 
 
 def pair_basis(d: int) -> tuple[np.ndarray, int]:
@@ -78,7 +80,7 @@ def pair_basis(d: int) -> tuple[np.ndarray, int]:
 class Factor(NamedTuple):
     """One tensor factor of a layout: ``copies`` consecutive copies, of
     local dimension ``dim``, whose local blocks have ``sizes`` and
-    ``mults``.  ``blocks(rho, dim_cap)`` returns the local blocks of
+    ``mults``.  ``blocks(rho)`` returns the local blocks of
     ``rho^(x)copies`` and ``basis()`` the local ``W``, its columns grouped
     by block, then by the block's row, then by copy."""
 
@@ -86,7 +88,7 @@ class Factor(NamedTuple):
     dim: int
     sizes: tuple[int, ...]
     mults: tuple[int, ...]
-    blocks: Callable[[DensityMatrix, int], Sequence[np.ndarray]]
+    blocks: Callable[[DensityMatrix], Sequence[np.ndarray]]
     basis: Callable[[], np.ndarray]
 
 
@@ -109,10 +111,69 @@ def _spin(p: int) -> Factor:
         p,
         2 ** p,
         tuple(p - 2 * t + 1 for t in ts),
-        tuple(spin_multiplicity(p, t) for t in ts),
-        lambda rho, dim_cap: [block for _, block in spin_blocks(rho, p, dim_cap)],
+        tuple(math.comb(p, t) - (math.comb(p, t - 1) if t else 0) for t in ts),
+        lambda rho: _spin_blocks(rho.matrix.tobytes(), p),
         lambda: schur_basis(p),
     )
+
+
+def _binomial(a: complex, b: complex, e: int) -> np.ndarray:
+    """Coefficients of ``(a + b z)^e`` in ascending powers of ``z``."""
+    return np.array(
+        [math.comb(e, p) * a ** (e - p) * b ** p for p in range(e + 1)],
+        dtype=np.complex128,
+    )
+
+
+def _binomials(a: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The coefficients of ``(a00 + a10 z)^e`` and ``(a01 + a11 z)^e`` for
+    ``e = 0..k``: the factors ``_sym_power`` convolves, for powers to ``k``."""
+    return (
+        [_binomial(a[0, 0], a[1, 0], e) for e in range(k + 1)],
+        [_binomial(a[0, 1], a[1, 1], e) for e in range(k + 1)],
+    )
+
+
+def _sym_power(
+    a: np.ndarray,
+    k: int,
+    binomials: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+) -> np.ndarray:
+    """``A^(x)k`` restricted to the symmetric subspace, in the orthonormal
+    Dicke basis (``j`` = number of second basis vectors).
+
+    In the monomial basis ``x^(k-j) y^j`` column ``j`` holds the
+    coefficients of ``(a00 x + a10 y)^(k-j) (a01 x + a11 y)^j``; the Dicke
+    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.  ``binomials``,
+    ``_binomials(a, k')`` for some ``k' >= k``, lets several powers share
+    their factors.
+    """
+    left, right = _binomials(a, k) if binomials is None else binomials
+    out = np.empty((k + 1, k + 1), dtype=np.complex128)
+    for j in range(k + 1):
+        out[:, j] = np.convolve(left[k - j], right[j])
+    # Python floats: past k = 66 the binomials overflow int64.
+    norms = np.array([math.sqrt(float(math.comb(k, j))) for j in range(k + 1)])
+    return out * (norms[None, :] / norms[:, None])
+
+
+# A binary test and its misses, or a split row's composition and errors,
+# ask for the same states' blocks in turn.  Eight entries hold all of one
+# table row's only for r <= 4: an r = 5 split row at n = 7 has 10 keys and
+# computes them 15 times.  A row on other copy counts evicts them.
+@functools.lru_cache(maxsize=8)
+def _spin_blocks(matrix: bytes, p: int) -> tuple[np.ndarray, ...]:
+    """The local blocks of ``rho^(x)p`` for the qubit state with these
+    matrix bytes, read-only: ``det(rho)^t Sym^(p-2t)(rho)`` for
+    ``t = 0..p//2`` (Harrow, quant-ph/0512255)."""
+    a = np.frombuffer(matrix, dtype=np.complex128).reshape(2, 2)
+    det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
+    binomials = _binomials(a, p)
+    ts = range(p // 2 + 1)
+    out = tuple(det ** t * _sym_power(a, p - 2 * t, binomials) for t in ts)
+    for block in out:
+        block.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,7 +183,7 @@ def _pair(d: int) -> Factor:
     basis, sym = pair_basis(d)
     basis.setflags(write=False)
 
-    def blocks(rho: DensityMatrix, dim_cap: int) -> list[np.ndarray]:
+    def blocks(rho: DensityMatrix) -> list[np.ndarray]:
         both = basis.T @ linalg.kron(rho.matrix, rho.matrix) @ basis
         return [linalg.hermitize(h) for h in (both[:sym, :sym], both[sym:, sym:])]
 
@@ -132,7 +193,7 @@ def _pair(d: int) -> Factor:
 @functools.lru_cache(maxsize=None)
 def _lone(d: int) -> Factor:
     """A lone copy of ``C^d``: one block, the state itself."""
-    return Factor(1, d, (d,), (1,), lambda rho, _: [rho.matrix], lambda: np.eye(d))
+    return Factor(1, d, (d,), (1,), lambda rho: [rho.matrix], lambda: np.eye(d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,10 +225,11 @@ def check_copies(lay: Layout, d: int, n: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def schur_basis(p: int) -> np.ndarray:
-    """Real orthogonal ``W`` for ``p`` qubits: ``W^T rho^(x)p W`` is the
-    direct sum over ``t`` of ``spin_blocks(rho, p)[t]`` block (x) ``I_{m_t}``,
-    its columns grouped by ``t``, then by Dicke index ``a`` (the block's
-    row), then by copy.
+    """Real orthogonal ``W`` of the qubit factor ``_spin(p)``:
+    ``W^T rho^(x)p W`` is the direct sum over ``t`` of its local block
+    ``det(rho)^t Sym^(p-2t)(rho)`` (x) ``I_{m_t}`` (``_spin_blocks``), its
+    columns grouped by ``t``, then by Dicke index ``a`` (the block's row),
+    then by copy.
 
     Qubits are coupled one at a time with the spin-1/2 Clebsch–Gordan
     coefficients (Condon–Shortley phases), so every copy of spin ``J``
@@ -215,11 +277,6 @@ class Blocks(NamedTuple):
     layout: Layout
 
 
-def squared_norm(blocks: Sequence[np.ndarray], mults: Sequence[int]) -> float:
-    """The squared Frobenius norm of the operator with these blocks."""
-    return sum(m * np.vdot(b, b).real for m, b in zip(mults, blocks, strict=True))
-
-
 def kron(x: Blocks, y: Blocks) -> Blocks:
     """``X (x) Y`` on ``X``'s layout followed by ``Y``'s, their factors
     joined: ``W = W_X (x) W_Y``, so block ``(s, t)``, ``s`` the more
@@ -263,14 +320,16 @@ def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
     return x
 
 
-def power_blocks(rho: DensityMatrix, lay: Layout, dim_cap: int) -> list[np.ndarray]:
+def power_blocks(rho: DensityMatrix, lay: Layout, dim_cap: int) -> Sequence[np.ndarray]:
     """The blocks of ``rho^(x)n`` on a layout of ``n`` copies, without their
     multiplicities: the Kronecker products of the factors' local blocks,
     each distinct factor's built once; on ``n`` one-copy factors,
-    ``[tensor_power(rho, n)]``.  The dimension cap applies to the ``d^n``
-    the blocks stand for."""
+    ``[tensor_power(rho, n)]``.  A state that does not fit the layout's
+    copies is refused, and the dimension cap applies to the ``d^n`` the
+    blocks stand for."""
+    check_copies(lay, rho.dim, lay.copies)
     check_power(rho, lay.copies, dim_cap)
-    local = {f: f.blocks(rho, dim_cap) for f in dict.fromkeys(lay.factors)}
+    local = {f: f.blocks(rho) for f in dict.fromkeys(lay.factors)}
     blocks = local[lay.factors[0]]
     for f in lay.factors[1:]:
         blocks = [linalg.kron(b, c) for b in blocks for c in local[f]]

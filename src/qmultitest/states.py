@@ -1,9 +1,7 @@
-"""Density matrices, ensembles, and seeded scenario generators."""
+"""Density matrices, ensembles, seeded state generators and tensor powers."""
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,86 +161,3 @@ def tensor_power(
     power = object.__new__(DensityMatrix)
     object.__setattr__(power, "matrix", _frozen(out))
     return power
-
-
-def _binomial(a: complex, b: complex, e: int) -> np.ndarray:
-    """Coefficients of ``(a + b z)^e`` in ascending powers of ``z``."""
-    return np.array(
-        [math.comb(e, p) * a ** (e - p) * b ** p for p in range(e + 1)],
-        dtype=np.complex128,
-    )
-
-
-def _binomials(a: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The coefficients of ``(a00 + a10 z)^e`` and of ``(a01 + a11 z)^e``
-    for ``e = 0..k``: every factor ``_sym_power`` convolves, for every
-    power up to ``k``."""
-    return (
-        [_binomial(a[0, 0], a[1, 0], e) for e in range(k + 1)],
-        [_binomial(a[0, 1], a[1, 1], e) for e in range(k + 1)],
-    )
-
-
-def _sym_power(
-    a: np.ndarray,
-    k: int,
-    binomials: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-) -> np.ndarray:
-    """``A^(x)k`` restricted to the symmetric subspace, in the orthonormal
-    Dicke basis (``j`` = number of second basis vectors).
-
-    In the monomial basis ``x^(k-j) y^j`` column ``j`` holds the
-    coefficients of ``(a00 x + a10 y)^(k-j) (a01 x + a11 y)^j``; the Dicke
-    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.  ``binomials``,
-    ``_binomials(a, k')`` for some ``k' >= k``, lets several powers share
-    their factors.
-    """
-    left, right = _binomials(a, k) if binomials is None else binomials
-    out = np.empty((k + 1, k + 1), dtype=np.complex128)
-    for j in range(k + 1):
-        out[:, j] = np.convolve(left[k - j], right[j])
-    # Python floats: past k = 66 the binomials overflow int64.
-    norms = np.array([math.sqrt(float(math.comb(k, j))) for j in range(k + 1)])
-    return out * (norms[None, :] / norms[:, None])
-
-
-def spin_blocks(
-    rho: DensityMatrix, n: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> tuple[tuple[int, np.ndarray], ...]:
-    """Schur–Weyl blocks of a qubit state's n-fold tensor power.
-
-    ``rho^(x)n`` is unitarily equivalent to the direct sum over
-    ``t = 0..floor(n/2)`` of ``m_t`` copies of
-    ``det(rho)^t Sym^(n-2t)(rho)``, with ``m_t = C(n, t) - C(n, t-1)``
-    (Harrow, quant-ph/0512255).  Returns the pairs ``(m_t, block)``, the
-    blocks read-only; the change of basis is the same for every state, so
-    two states' blocks can be compared block by block.  The dimension cap
-    applies to the dense ``2^n`` it stands for.
-    """
-    if rho.dim != 2:
-        raise DimensionMismatch(f"spin blocks need a qubit state, got dim {rho.dim}")
-    check_power(rho, n, dim_cap)
-    return _spin_blocks(rho.matrix.tobytes(), n)
-
-
-# A binary test and its misses, or a split row's composition and errors,
-# ask for the same states' blocks in turn; eight entries hold those of one
-# table row, and a row on other copy counts evicts them.
-@functools.lru_cache(maxsize=8)
-def _spin_blocks(matrix: bytes, n: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """``spin_blocks`` of the qubit state with these matrix bytes."""
-    a = np.frombuffer(matrix, dtype=np.complex128).reshape(2, 2)
-    det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
-    binomials = _binomials(a, n)
-    out = []
-    for t in range(n // 2 + 1):
-        block = det ** t * _sym_power(a, n - 2 * t, binomials)
-        block.setflags(write=False)
-        out.append((spin_multiplicity(n, t), block))
-    return tuple(out)
-
-
-def spin_multiplicity(n: int, t: int) -> int:
-    """``m_t = C(n, t) - C(n, t - 1)``, the number of copies of block ``t``
-    in ``n`` qubits (``spin_blocks``)."""
-    return math.comb(n, t) - (math.comb(n, t - 1) if t else 0)

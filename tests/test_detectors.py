@@ -1395,7 +1395,7 @@ class TestMisses:
     def test_builds_one_state_at_a_time(self, monkeypatch):
         # Every state's blocks built so far are gone when the next state's
         # are built.  (Qubit states enter as spin blocks of size at most
-        # n + 1, which states.spin_blocks keeps for the rest of the row.)
+        # n + 1, which sectors._spin_blocks caches for the rest of the row.)
         states = [random_density(3, 3, 170 + k) for k in range(4)]
         det = pgm(states, 3)
         assert det.layout is sectors.layout(3, (3,))
@@ -1412,6 +1412,18 @@ class TestMisses:
         total = sum(misses(states, det))
         assert len(built) == 4 * len(det.layout.mults)
         assert 0.0 <= total <= 4.0
+
+    @pytest.mark.parametrize(
+        "d, n, other",
+        [(2, 3, 3), (3, 3, 2), (3, 1, 2)],
+        ids=["spin", "copy-pair", "lone-copy"],
+    )
+    def test_other_dimension_raises(self, d, n, other):
+        # Every layout refuses the states before any block is multiplied.
+        det = pgm([random_density(d, d, 185), random_density(d, d, 186)], n)
+        states = [random_density(other, other, 187 + k) for k in range(2)]
+        with pytest.raises(DimensionMismatch):
+            list(misses(states, det))
 
     def test_count_mismatch_raises(self):
         states = [random_density(2, 2, 180 + k) for k in range(3)]
@@ -1600,8 +1612,18 @@ class TestDetectorChecks:
         m = np.diag([0.25, 0.75]).astype(np.complex128)
         m[0, 0] = value
         det = Detector(((m,), (np.eye(2) - m,)), sectors.layout(2, (1,)))
-        assert check_detector(det)[:2] == [
+        # A refused element leaves the sum unchecked: no defect is reported.
+        assert check_detector(det) == [
             f"element {k}: matrix has a non-finite entry" for k in (0, 1)
+        ]
+
+    def test_non_hermitian_element_is_flagged_alone(self):
+        # The elements sum to I exactly; only their Hermiticity fails.
+        m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=np.complex128)
+        det = Detector(((m,), (np.eye(2) - m,)), sectors.layout(2, (1,)))
+        assert check_detector(det) == [
+            f"element {k}: matrix is not Hermitian: max |A - A^dag| = 2.000e-01"
+            for k in (0, 1)
         ]
 
     def test_product_elements_factorize_traces(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmultitest import (
+    DEFAULT_DIM_CAP,
     DensityMatrix,
     Ensemble,
     classical_state,
@@ -21,7 +22,7 @@ from qmultitest.errors import (
     TraceViolation,
 )
 from qmultitest.rng import SplitMix64
-from qmultitest.states import _sym_power, spin_blocks
+from qmultitest.sectors import _sym_power, layout, power_blocks
 
 # Reference outputs for SplitMix64 with seed 1234567, as published with the
 # xoshiro generator family's test material.
@@ -214,6 +215,13 @@ class TestTensorPower:
     def test_output_validates(self):
         rho = tensor_power(random_density(2, 2, 6), 3)
         density_from_matrix(rho.matrix)
+
+
+def spin_blocks(rho, n, dim_cap=DEFAULT_DIM_CAP):
+    """The ``(m_t, block)`` pairs of ``rho^(x)n`` on the qubit factor of
+    ``n`` copies."""
+    lay = layout(2, (n,))
+    return list(zip(lay.mults, power_blocks(rho, lay, dim_cap)))
 
 
 class TestSpinBlocks:
