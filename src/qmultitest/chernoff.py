@@ -113,7 +113,7 @@ def chernoff_curve(rho1: DensityMatrix, rho2: DensityMatrix, s: float) -> float:
     return _PairCurve(rho1, rho2).value(s)
 
 
-def _golden_search(tol: float = GOLDEN_TOL):
+def _golden_search():
     """Golden-section minimum of a unimodal function on [0, 1], then the
     two endpoints, as a generator: it yields each point to evaluate, is
     sent the function's value there, and returns the result.
@@ -128,7 +128,7 @@ def _golden_search(tol: float = GOLDEN_TOL):
     fc = yield c
     fd = yield d
     best_s, best_f = (c, fc) if fc <= fd else (d, fd)
-    while (b - a) > tol:
+    while (b - a) > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
@@ -197,15 +197,6 @@ def chernoff_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResul
     return _minimize([_PairCurve(rho1, rho2)])[0]
 
 
-def condition_margin(pair_distance: float, others_min: float) -> tuple[bool, float]:
-    """Non-strict test ``pair_distance <= others_min / 6`` with its margin."""
-    threshold = others_min / CONDITION_DIVISOR
-    holds = pair_distance <= threshold
-    if math.isinf(pair_distance) and math.isinf(threshold):
-        return True, math.nan
-    return holds, threshold - pair_distance
-
-
 class PairwiseTable:
     """Every pairwise Chernoff result of an ensemble, computed once.
 
@@ -260,20 +251,22 @@ class PairwiseTable:
         The condition holds when the closest pair of the ensemble is at
         most one sixth as far apart (in Chernoff distance) as every other
         pair; under it the minimum pairwise exponent is achievable by an
-        explicit detector sequence.
+        explicit detector sequence.  The margin is ``others_min / 6`` minus
+        the closest pair's exponent, NaN when both are infinite.
         """
         if self.r < 3:
             raise UndefinedQuantity("condition needs r >= 3")
         overall_min = self.distances[self.least].exponent
         others_min = self.others_min(self.least)
-        holds, margin = condition_margin(overall_min, others_min)
+        threshold = others_min / CONDITION_DIVISOR
+        both_infinite = math.isinf(overall_min) and math.isinf(threshold)
         return ConditionReport(
             pair=self.least,
             pair_distance=overall_min,
             others_min=others_min,
             overall_min=overall_min,
-            holds=holds,
-            margin=margin,
+            holds=overall_min <= threshold,
+            margin=math.nan if both_infinite else threshold - overall_min,
         )
 
 

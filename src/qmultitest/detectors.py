@@ -314,11 +314,12 @@ def compose_with_binary(
     partials: Sequence[np.ndarray | sectors.Blocks],
     rho1: DensityMatrix,
     rho2: DensityMatrix,
-    n: int = 1,
+    *,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> tuple[Detector, CompositionTrace]:
     """Complete partial elements on ``n`` copies to a full POVM with the
-    optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``.
+    optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``,
+    for ``n`` the copies of the partials' layout.
 
     The partial elements must sum below the identity; the leftover
     weight ``Q = I - sum`` is handed to the Helstrom projections ``E_+``
@@ -329,12 +330,12 @@ def compose_with_binary(
     the error bound.
 
     A partial comes as its blocks on its layout (``sectors.Blocks``), or
-    dense, the one block of ``n`` one-copy factors.  The partials share one
-    layout, of ``n`` copies of ``C^d``, where the detector is built; a
-    partial that does not fit raises ``DimensionMismatch``.  Everything runs
-    on the blocks: the Helstrom test, ``Q``, ``Q^(1/2)``, the pair's
-    elements, the trace terms and every check, and the detector is returned
-    as its blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
+    dense, of size ``d^n``: the one block of ``n`` one-copy factors.  The
+    partials share one layout, of ``n`` copies of ``C^d``, where the
+    detector is built; a partial that does not fit raises
+    ``DimensionMismatch``.  Everything runs on the blocks: the Helstrom
+    test, ``Q``, ``Q^(1/2)``, the pair's elements, the trace terms and
+    every check, and the detector is returned as its blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
     lowest over its blocks, and its trace and squared Frobenius norm are
     the sums over its blocks weighted by their multiplicities.
     """
@@ -343,15 +344,15 @@ def compose_with_binary(
         raise ValueError("need at least one partial element")
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    check_power(rho1, n, dim_cap)
-    dense = sectors.layout(rho1.dim, (1,) * n)
-    partials = [
-        p if isinstance(p, sectors.Blocks)
-        else sectors.Blocks([np.asarray(p, dtype=np.complex128)], dense)
-        for p in partials
-    ]
+    d = rho1.dim
+    for k, p in enumerate(partials):
+        if not isinstance(p, sectors.Blocks):
+            p = np.asarray(p, dtype=np.complex128)
+            n = max(round(math.log(max(len(p), 1), d)), 1)
+            if d ** n != len(p):
+                raise DimensionMismatch(f"partial {k} does not fit the sectors")
+            partials[k] = sectors.Blocks([p], sectors.layout(d, (1,) * n))
     layout = partials[0].layout
-    sectors.check_copies(layout, rho1.dim, n)
     mults = layout.mults
     # The pair's blocks are kept for the trace terms; on one-copy factors
     # they are the dense n-copy states.
@@ -539,6 +540,6 @@ def build_split_detector(
         )
         for k in range(len(tail))
     ]
-    detector, trace = compose_with_binary(partials, first, second, n, dim_cap)
+    detector, trace = compose_with_binary(partials, first, second, dim_cap=dim_cap)
     return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 

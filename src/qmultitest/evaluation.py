@@ -36,7 +36,6 @@ from .detectors import (
     split_sizes,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
-from .sectors import check_copies
 from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble
 
 BOUND_SLACK = 1e-9
@@ -122,14 +121,13 @@ class ExperimentTable:
 
 def error_sum(
     ensemble: Ensemble,
-    n: int,
     detector: Detector,
+    *,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ErrorReport:
     """Exact per-state misses (``detectors.misses``, on the detector's
-    blocks), each range-checked, and their sum: the score of every table
-    row, the binary test's and the split detector's alike."""
-    check_copies(detector.layout, ensemble.dim, n)
+    blocks and its copies), each range-checked, and their sum: the score of
+    every table row, the binary test's and the split detector's alike."""
     if len(detector.blocks) != ensemble.r:
         raise DimensionMismatch(
             f"{len(detector.blocks)} elements for {ensemble.r} hypotheses"
@@ -140,7 +138,7 @@ def error_sum(
             raise ArithmeticError(f"error probability {miss!r} out of range")
     err_sm = float(sum(per_state))
     return ErrorReport(
-        n=n,
+        n=detector.layout.copies,
         per_state_error=per_state,
         err_sm=err_sm,
         err_avg=err_sm / ensemble.r,
@@ -219,17 +217,26 @@ def exponent_estimate(
     ns = [int(n) for n, _ in rows]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("rows must be ordered by strictly ascending n")
-    out_rows = tuple(_rate_row(n, err) for n, err in rows)
-    positive = [row for row in out_rows if row.rate is not None]
-    if not positive:
-        return ExponentSeries(out_rows, None, k_fit, True)
-    if len(positive) < 2:
+    out_rows = [_rate_row(n, err) for n, err in rows]
+    if sum(row.rate is not None for row in out_rows) == 1:
         raise ValueError("need at least 2 rows with positive error to fit")
+    return _series(out_rows, k_fit)
+
+
+def _series(rows: Sequence[ExponentRow], k_fit: int) -> ExponentSeries:
+    """The series of these rate rows, with the least-squares slope of
+    ``-log(err_sm)`` against ``n`` over the last ``k_fit`` rows with
+    positive error.  There is no slope when fewer than two rows have
+    positive error or there are fewer than ``k_fit`` rows; a series of
+    exact zeros is marked ``exact_discrimination``."""
+    positive = [row for row in rows if row.rate is not None]
+    if len(positive) < 2 or k_fit > len(rows):
+        return ExponentSeries(tuple(rows), None, k_fit, not positive)
     window = positive[-k_fit:]
     slope = _ls_slope(
         [row.n for row in window], [-math.log(row.err_sm) for row in window]
     )
-    return ExponentSeries(out_rows, slope, k_fit, False)
+    return ExponentSeries(tuple(rows), slope, k_fit, False)
 
 
 def run_experiment(
@@ -287,7 +294,8 @@ def run_experiment(
             detector, trace, split = build_split_detector(
                 ensemble, n, w1, sub, dim_cap, shared
             )
-        report = error_sum(ensemble, n, detector, dim_cap)
+        # By name: perfbench/trace.py reads the detector as args[2] or by name.
+        report = error_sum(ensemble, detector=detector, dim_cap=dim_cap)
         n1 = n2 = lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
         if ensemble.r >= 3:
             n1, n2 = split.n1, split.n2
@@ -312,16 +320,6 @@ def run_experiment(
             )
         )
 
-    # Too few positive rows, or too few rows, leave the slope undefined
-    # instead of failing the table.
-    positive = sum(1 for row in rate_rows if row.rate is not None)
-    if positive >= 2 and k_fit <= len(rate_rows):
-        series = exponent_estimate(
-            [(row.n, row.err_sm) for row in rate_rows], k_fit
-        )
-    else:
-        series = ExponentSeries(tuple(rate_rows), None, k_fit, positive == 0)
-
     return ExperimentTable(
         dim=ensemble.dim,
         r=ensemble.r,
@@ -338,5 +336,7 @@ def run_experiment(
             (i, j, distances[(i, j)]) for (i, j) in sorted(distances)
         ),
         rows=tuple(rows),
-        series=series,
+        # Too few positive rows, or too few rows, leave the slope undefined
+        # instead of failing the table.
+        series=_series(rate_rows, k_fit),
     )

@@ -162,7 +162,7 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(b, a))
 
 
-def real_scalar(z, tol: float = 1e-9) -> float:
+def real_scalar(z) -> float:
     """Discard an imaginary residue after asserting it is negligible.
 
     All physically meaningful traces in this package are real; a large
@@ -170,6 +170,6 @@ def real_scalar(z, tol: float = 1e-9) -> float:
     does a NaN or infinite value.
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and abs(z.imag) <= tol):
-        raise ArithmeticError(f"trace {z} is not real and finite within {tol:.1e}")
+    if not (math.isfinite(z.real) and abs(z.imag) <= 1e-9):
+        raise ArithmeticError(f"trace {z} is not real and finite within 1.0e-09")
     return z.real

@@ -135,20 +135,18 @@ def _binomials(a: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray
 
 
 def _sym_power(
-    a: np.ndarray,
-    k: int,
-    binomials: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    a: np.ndarray, k: int, binomials: tuple[list[np.ndarray], list[np.ndarray]]
 ) -> np.ndarray:
     """``A^(x)k`` restricted to the symmetric subspace, in the orthonormal
     Dicke basis (``j`` = number of second basis vectors).
 
     In the monomial basis ``x^(k-j) y^j`` column ``j`` holds the
     coefficients of ``(a00 x + a10 y)^(k-j) (a01 x + a11 y)^j``; the Dicke
-    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.  ``binomials``,
-    ``_binomials(a, k')`` for some ``k' >= k``, lets several powers share
+    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.  ``binomials``
+    is ``_binomials(a, k')`` for some ``k' >= k``, so several powers share
     their factors.
     """
-    left, right = _binomials(a, k) if binomials is None else binomials
+    left, right = binomials
     out = np.empty((k + 1, k + 1), dtype=np.complex128)
     for j in range(k + 1):
         out[:, j] = np.convolve(left[k - j], right[j])
@@ -213,14 +211,6 @@ def layout(d: int, parts: tuple[int, ...]) -> Layout:
         return _layout(tuple(_spin(p) for p in parts))
     kinds = [kind for m in parts for kind in (_pair,) * (m // 2) + (_lone,) * (m % 2)]
     return _layout(tuple(kind(d) for kind in kinds))
-
-
-def check_copies(lay: Layout, d: int, n: int) -> None:
-    """Refuse a layout that does not hold ``n`` copies of ``C^d``."""
-    if lay.copies != n or lay.dim != d ** n:
-        raise DimensionMismatch(
-            f"the layout holds {lay.copies} copies of dim {lay.dim}, not {d}^{n}"
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,8 +317,12 @@ def power_blocks(rho: DensityMatrix, lay: Layout, dim_cap: int) -> Sequence[np.n
     ``[tensor_power(rho, n)]``.  A state that does not fit the layout's
     copies is refused, and the dimension cap applies to the ``d^n`` the
     blocks stand for."""
-    check_copies(lay, rho.dim, lay.copies)
-    check_power(rho, lay.copies, dim_cap)
+    d, n = rho.dim, lay.copies
+    if lay.dim != d ** n:
+        raise DimensionMismatch(
+            f"the layout holds {n} copies of dim {lay.dim}, not {d}^{n}"
+        )
+    check_power(rho, n, dim_cap)
     local = {f: f.blocks(rho) for f in dict.fromkeys(lay.factors)}
     blocks = local[lay.factors[0]]
     for f in lay.factors[1:]:

@@ -135,7 +135,7 @@ def test_criterion_3_binary_optimality_identity():
         rho1 = random_density(d, d, 9200 + k)
         rho2 = random_density(d, d, 9300 + k)
         det = holevo_helstrom(rho1, rho2)
-        err = error_sum(Ensemble((rho1, rho2)), 1, det).err_sm
+        err = error_sum(Ensemble((rho1, rho2)), det).err_sm
         via_norm = 1.0 - 0.5 * float(
             np.sum(np.abs(np.linalg.eigvalsh(rho1.matrix - rho2.matrix)))
         )

@@ -17,7 +17,6 @@ from qmultitest import (
     PairwiseTable,
 )
 from qmultitest import chernoff, linalg
-from qmultitest.chernoff import condition_margin
 from qmultitest.errors import DimensionMismatch, UndefinedQuantity
 
 from conftest import matrix_power
@@ -373,11 +372,27 @@ class TestEnsembleQuantities:
 
 
 class TestAttainabilityCondition:
+    @staticmethod
+    def condition(closest, others):
+        """The condition of a table whose pairs have these exponents: the
+        closest pair ``(0, 1)``, the others both at ``others``."""
+        ens = Ensemble(tuple(random_density(2, 2, 40 + k) for k in range(3)))
+        exponents = {(0, 1): closest, (0, 2): others, (1, 2): others}
+        known = {
+            pair: ChernoffResult(x, 0.5, math.exp(-x)) for pair, x in exponents.items()
+        }
+        return PairwiseTable(ens, known).condition()
+
     def test_boundary_is_non_strict(self):
-        holds, margin = condition_margin(0.02, 0.12)
-        assert holds and margin == pytest.approx(0.0, abs=1e-15)
-        holds, _ = condition_margin(0.02 + 1e-9, 0.12)
-        assert not holds
+        report = self.condition(0.02, 0.12)
+        assert report.holds and report.margin == pytest.approx(0.0, abs=1e-15)
+        assert not self.condition(0.02 + 1e-9, 0.12).holds
+
+    def test_infinite_exponents_hold_with_nan_margin(self):
+        report = self.condition(math.inf, math.inf)
+        assert report.holds and math.isnan(report.margin)
+        report = self.condition(1.0, math.inf)
+        assert report.holds and math.isinf(report.margin)
 
     def test_equidistant_triple_fails(self):
         ens = Ensemble(

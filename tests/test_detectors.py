@@ -205,9 +205,23 @@ class TestComposeWithBinary:
             compose_with_binary([], *self.pair())
         with pytest.raises(DimensionMismatch):
             compose_with_binary([np.eye(3) * 0.1], *self.pair())
-        # Partials live on the n-copy space of the pair.
-        with pytest.raises(DimensionMismatch):
-            compose_with_binary([np.eye(2) * 0.1], *self.pair(), 2)
+
+    @pytest.mark.parametrize("size", [3, 6, 12])
+    def test_refuses_a_dense_partial_of_no_power_size(self, size):
+        # A dense partial on n copies of a qubit has size 2^n.
+        with pytest.raises(DimensionMismatch) as info:
+            compose_with_binary([np.zeros((4, 4)), np.eye(size) * 0.1], *self.pair())
+        assert str(info.value) == "partial 1 does not fit the sectors"
+
+    def test_dense_partials_set_the_copies(self):
+        rho1, rho2 = self.pair()
+        det, _ = compose_with_binary([np.eye(8) * 0.1], rho1, rho2)
+        assert det.layout is sectors.layout(2, (1, 1, 1))
+
+    def test_copies_are_not_a_parameter(self):
+        # The copies come from the partials' layout; the cap is keyword-only.
+        with pytest.raises(TypeError):
+            compose_with_binary([np.eye(2) * 0.1], *self.pair(), 1)
 
     @staticmethod
     def scaled_identity(d, parts):
@@ -229,27 +243,22 @@ class TestComposeWithBinary:
         for other in 0.1 * np.eye(d ** n), self.scaled_identity(d, (1,) * n):
             for partials in [blocks, other], [other, blocks]:
                 with pytest.raises(DimensionMismatch) as info:
-                    compose_with_binary(partials, rho1, rho2, n)
+                    compose_with_binary(partials, rho1, rho2)
                 assert str(info.value) == "partial 1 does not fit the sectors"
 
     @pytest.mark.parametrize("d,parts", [(2, (2,)), (2, (1, 2)), (3, (2, 1))])
     def test_refuses_partials_on_other_copies(self, d, parts):
-        # The partials' layout must hold the pair's n copies of C^d: one
-        # copy more or fewer, or copies of another dimension, are refused
-        # before anything is built.
+        # The partials' layout must hold n copies of the pair's C^d: copies
+        # of another dimension are refused before anything is built.
         n = sum(parts)
         partial = self.scaled_identity(d, parts)
-        for m in n - 1, n + 1:
-            rho1, rho2 = random_density(d, d, 1), random_density(d, d, 2)
-            with pytest.raises(DimensionMismatch) as info:
-                compose_with_binary([partial], rho1, rho2, m)
-            assert str(info.value) == (
-                f"the layout holds {n} copies of dim {d ** n}, not {d}^{m}"
-            )
         e = d + 1
         rho1, rho2 = random_density(e, e, 1), random_density(e, e, 2)
-        with pytest.raises(DimensionMismatch, match=rf"not {e}\^{n}$"):
-            compose_with_binary([partial], rho1, rho2, n)
+        with pytest.raises(DimensionMismatch) as info:
+            compose_with_binary([partial], rho1, rho2)
+        assert str(info.value) == (
+            f"the layout holds {n} copies of dim {d ** n}, not {e}^{n}"
+        )
 
     @staticmethod
     def gram_oracle(partials, rho1, rho2):
@@ -310,7 +319,7 @@ class TestComposeOperatorKeyword:
             return original(rho, layout, dim_cap)
 
         monkeypatch.setattr(sectors, "power_blocks", counted)
-        det, trace = compose_with_binary(partials, states[0], states[1], 2)
+        det, trace = compose_with_binary(partials, states[0], states[1])
         # The pair is built once, for the Helstrom test and the trace terms;
         # a tail state is never built.
         assert built == [(id(states[0]), 2), (id(states[1]), 2)]
@@ -745,9 +754,9 @@ class TestOneCopyLayouts:
         a, b = random_density(d, d, 9860 + n), random_density(d, d, 9870 + n)
         partials = random_feasible_partials(d ** n, 2, 9880 + n)
         lay = sectors.layout(d, (1,) * n)
-        det, trace = compose_with_binary(partials, a, b, n)
+        det, trace = compose_with_binary(partials, a, b)
         blocks = [sectors.Blocks([p], lay) for p in partials]
-        ref, ref_trace = compose_with_binary(blocks, a, b, n)
+        ref, ref_trace = compose_with_binary(blocks, a, b)
         assert det.layout is ref.layout is lay
         got = [[x.tobytes() for x in e] for e in det.blocks]
         assert got == [[x.tobytes() for x in e] for e in ref.blocks]
@@ -795,7 +804,7 @@ class TestSpinSplitRows:
         det, trace, split = build_split_detector(ens, n, 0.5, sub)
         assert (split.n1, split.n2) == (n // 2, n - n // 2)
         assert det.layout is sectors.layout(2, (split.n1, split.n2))
-        got = error_sum(ens, n, det).per_state_error
+        got = error_sum(ens, det).per_state_error
         ref_det, ref_trace, ref_errors = dense_split_row(ens, n, sub)
         if elements:
             for a, b in zip(det.elements, ref_det.elements, strict=True):
@@ -966,7 +975,7 @@ class TestSectorComposition:
         ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 8)[0]).ensemble
         n = 10
         det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
-        got = error_sum(ens, n, det).per_state_error
+        got = error_sum(ens, det).per_state_error
         for miss, exact in zip(got, extended_misses(ens.states, det, n), strict=True):
             assert abs(miss - exact) <= 1e-11 * exact
         # The qutrit binary row that moves most against the dense test
@@ -1128,7 +1137,7 @@ class TestSectorChecks:
         if len(sectors.layout(2, parts).mults) > 1:
             partials = [spin_blocks_of(p, parts) for p in partials]
         with pytest.raises(ValueError) as info:
-            compose_with_binary(partials, rho1, rho2, sum(parts))
+            compose_with_binary(partials, rho1, rho2)
         return type(info.value), str(info.value)
 
     @pytest.mark.parametrize(
@@ -1185,12 +1194,13 @@ class TestSectorChecks:
             tests.append(helstrom(spectra))
             return tests[-1]
 
-        def checking(partials, rho1, rho2, n, dim_cap):
+        def checking(partials, rho1, rho2, *, dim_cap):
             before = len(tests)
-            det, trace = compose(partials, rho1, rho2, n, dim_cap)
+            det, trace = compose(partials, rho1, rho2, dim_cap=dim_cap)
             (blocks,) = tests[before:]
             layout = partials[0].layout
-            assert det.layout is layout and layout.copies == n
+            assert det.layout is layout
+            n = layout.copies
             # Each element and each binary element assembled as W B W^T.
             elements = [sectors.from_blocks(b, layout) for b in det.blocks]
             binary = [
@@ -1294,7 +1304,7 @@ class TestSharedMap:
             got = build_split_detector(ens, n, w1, sub, DEFAULT_DIM_CAP, shared)
         alone = build_split_detector(ens, n, w1, sub)
         assert got[2] == alone[2]
-        assert error_sum(ens, n, got[0]) == error_sum(ens, n, alone[0])
+        assert error_sum(ens, got[0]) == error_sum(ens, alone[0])
 
     @staticmethod
     def ensemble(r, base=300):
@@ -1478,7 +1488,7 @@ class TestCopiesArgument:
     def test_compose_with_binary(self, d, n):
         a, b = random_density(d, d, 8820 + n), random_density(d, d, 8920 + n)
         partials = random_feasible_partials(d ** n, 2, 8830 + n)
-        det, trace = compose_with_binary(partials, a, b, n)
+        det, trace = compose_with_binary(partials, a, b)
         ref_det, ref = compose_with_binary(
             partials, tensor_power(a, n), tensor_power(b, n)
         )
@@ -1552,7 +1562,6 @@ class TestHelstromMisses:
                 ],
                 rho1,
                 rho2,
-                2,
             ),
         ],
         ids=["spin-blocks", "dense", "sectors"],

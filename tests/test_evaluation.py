@@ -42,14 +42,14 @@ class TestErrorSum:
     def test_perfect_pvm_on_orthogonal_states(self):
         ens = orthogonal_triple()
         det = dense_detector([s.matrix.copy() for s in ens.states])
-        report = error_sum(ens, 1, det)
+        report = error_sum(ens, det)
         assert report.err_sm == pytest.approx(0.0, abs=1e-12)
         assert report.succ_sm == pytest.approx(3.0, abs=1e-12)
 
     def test_uninformative_detector(self):
         ens = Ensemble(tuple(random_density(2, 2, k) for k in range(3)))
         det = dense_detector([np.eye(2) / 3 for _ in range(3)])
-        report = error_sum(ens, 1, det)
+        report = error_sum(ens, det)
         np.testing.assert_allclose(report.per_state_error, [2 / 3] * 3)
         assert report.err_sm == pytest.approx(2.0)
         assert report.err_avg == pytest.approx(2.0 / 3.0)
@@ -58,7 +58,7 @@ class TestErrorSum:
         rho1, rho2 = random_density(2, 2, 5), random_density(2, 2, 6)
         ens = Ensemble((rho1, rho2))
         det = holevo_helstrom(rho1, rho2)
-        report = error_sum(ens, 1, det)
+        report = error_sum(ens, det)
         assert report.err_sm == pytest.approx(
             helstrom_error_oracle(rho1.matrix, rho2.matrix), abs=1e-10
         )
@@ -66,19 +66,33 @@ class TestErrorSum:
     def test_sum_plus_success_is_r(self):
         ens = Ensemble(tuple(random_density(2, 2, 10 + k) for k in range(3)))
         det = dense_detector([np.eye(2) / 3 for _ in range(3)])
-        report = error_sum(ens, 1, det)
+        report = error_sum(ens, det)
         assert report.err_sm + report.succ_sm == pytest.approx(3.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
-        det = holevo_helstrom(ens.states[0], ens.states[1])
-        with pytest.raises(DimensionMismatch):
-            error_sum(ens, 2, det)
         # One copy of C^4 has the dimension of two qubits, not their copies.
+        ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
         pair = [tensor_power(s, 2) for s in ens.states]
-        message = r"holds 1 copies of dim 4, not 2\^2$"
+        message = r"holds 1 copies of dim 4, not 2\^1$"
         with pytest.raises(DimensionMismatch, match=message):
-            error_sum(ens, 2, holevo_helstrom(*pair))
+            error_sum(ens, holevo_helstrom(*pair))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_copies_come_from_the_layout(self, n):
+        ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
+        det = holevo_helstrom(*ens.states, n)
+        report = error_sum(ens, det)
+        assert report.n == det.layout.copies == n
+        assert report.per_state_error == tuple(misses(ens.states, det))
+
+    def test_copies_are_not_a_parameter(self):
+        # The cap is keyword-only, so an old positional n is refused.
+        ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
+        det = holevo_helstrom(*ens.states)
+        with pytest.raises(TypeError):
+            error_sum(ens, 1, det)
+        with pytest.raises(TypeError):
+            error_sum(ens, det, 4096)
 
     def test_out_of_range_miss_raises(self):
         # An unvalidated element 2 I gives the miss 1 - tr[2 rho] = -1.
@@ -86,7 +100,7 @@ class TestErrorSum:
         det = dense_detector([2.0 * np.eye(2), -np.eye(2)])
         message = r"error probability -1\.0 out of range"
         with pytest.raises(ArithmeticError, match=message):
-            error_sum(ens, 1, det)
+            error_sum(ens, det)
 
 
 class TestLemmaBound:
@@ -189,7 +203,7 @@ class TestBinaryDecay:
             # space: its errors are taken on those states, with n = 1.
             powers = Ensemble(tuple(tensor_power(s, row.n) for s in (rho1, rho2)))
             det = holevo_helstrom(*powers.states)
-            report = error_sum(powers, 1, det)
+            report = error_sum(powers, det)
             assert row.report.err_sm == pytest.approx(report.err_sm, abs=1e-10)
 
     def test_rates_stay_above_exponent(self):
@@ -341,9 +355,9 @@ class TestRunExperiment:
         original = evaluation.error_sum
         calls = []
 
-        def counted(ensemble, n, detector, dim_cap=DEFAULT_DIM_CAP):
-            calls.append(n)
-            return original(ensemble, n, detector, dim_cap)
+        def counted(ensemble, detector, *, dim_cap=DEFAULT_DIM_CAP):
+            calls.append(detector.layout.copies)
+            return original(ensemble, detector, dim_cap=dim_cap)
 
         monkeypatch.setattr(evaluation, "error_sum", counted)
         ens = Ensemble(tuple(random_density(2, 2, 210 + k) for k in range(r)))

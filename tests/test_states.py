@@ -22,7 +22,7 @@ from qmultitest.errors import (
     TraceViolation,
 )
 from qmultitest.rng import SplitMix64
-from qmultitest.sectors import _sym_power, layout, power_blocks
+from qmultitest.sectors import _binomials, _sym_power, layout, power_blocks
 
 # Reference outputs for SplitMix64 with seed 1234567, as published with the
 # xoshiro generator family's test material.
@@ -289,7 +289,8 @@ class TestSymPower:
 
     def test_diagonal_state(self):
         p, q = 0.7, 0.3
-        got = _sym_power(np.diag([p, q]).astype(complex), self.K)
+        a = np.diag([p, q]).astype(complex)
+        got = _sym_power(a, self.K, _binomials(a, self.K))
         want = np.array([p ** (self.K - j) * q ** j for j in range(self.K + 1)])
         np.testing.assert_allclose(np.diag(got), want, rtol=1e-12, atol=0.0)
         assert np.array_equal(got, np.diag(np.diag(got)))
@@ -300,7 +301,8 @@ class TestSymPower:
         rho = random_density(2, 2, 500 + seed)
         low, high = np.linalg.eigvalsh(rho.matrix)
         want = sum(high ** (self.K - j) * low ** j for j in range(self.K + 1))
-        got = np.trace(_sym_power(rho.matrix, self.K))
+        a = rho.matrix
+        got = np.trace(_sym_power(a, self.K, _binomials(a, self.K)))
         assert got.real == pytest.approx(want, rel=1e-12)
         assert abs(got.imag) <= 1e-12 * want
 
