@@ -252,21 +252,21 @@ class PairwiseTable:
         most one sixth as far apart (in Chernoff distance) as every other
         pair; under it the minimum pairwise exponent is achievable by an
         explicit detector sequence.  The margin is ``others_min / 6`` minus
-        the closest pair's exponent, NaN when both are infinite.
+        the closest pair's exponent: NaN (``inf - inf``) when both are
+        infinite.
         """
         if self.r < 3:
             raise UndefinedQuantity("condition needs r >= 3")
         overall_min = self.distances[self.least].exponent
         others_min = self.others_min(self.least)
         threshold = others_min / CONDITION_DIVISOR
-        both_infinite = math.isinf(overall_min) and math.isinf(threshold)
         return ConditionReport(
             pair=self.least,
             pair_distance=overall_min,
             others_min=others_min,
             overall_min=overall_min,
             holds=overall_min <= threshold,
-            margin=math.nan if both_infinite else threshold - overall_min,
+            margin=threshold - overall_min,
         )
 
 

@@ -335,23 +335,23 @@ def compose_with_binary(
     detector is built; a partial that does not fit raises
     ``DimensionMismatch``.  Everything runs on the blocks: the Helstrom
     test, ``Q``, ``Q^(1/2)``, the pair's elements, the trace terms and
-    every check, and the detector is returned as its blocks.  ``W`` is orthogonal, so an operator's lowest eigenvalue is the
-    lowest over its blocks, and its trace and squared Frobenius norm are
-    the sums over its blocks weighted by their multiplicities.
+    every check, and the detector is returned as its blocks.  ``W`` is
+    orthogonal, so an operator's lowest eigenvalue is the lowest over its
+    blocks, and its trace and squared Frobenius norm are the sums over its
+    blocks weighted by their multiplicities.
     """
     partials = list(partials)
     if not partials:
         raise ValueError("need at least one partial element")
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
-    d = rho1.dim
     for k, p in enumerate(partials):
         if not isinstance(p, sectors.Blocks):
             p = np.asarray(p, dtype=np.complex128)
-            n = max(round(math.log(max(len(p), 1), d)), 1)
-            if d ** n != len(p):
+            n = max(round(math.log(max(len(p), 1), rho1.dim)), 1)
+            if rho1.dim ** n != len(p):
                 raise DimensionMismatch(f"partial {k} does not fit the sectors")
-            partials[k] = sectors.Blocks([p], sectors.layout(d, (1,) * n))
+            partials[k] = sectors.Blocks([p], sectors.layout(rho1.dim, (1,) * n))
     layout = partials[0].layout
     mults = layout.mults
     # The pair's blocks are kept for the trace terms; on one-copy factors
@@ -508,11 +508,12 @@ def build_split_detector(
     on ``n1`` copies, the other the second state against the tail on
     ``n2`` copies; each tail hypothesis gets the tensor product of its two
     sub-elements, and the leftover weight goes to the optimal binary test
-    on the first pair's full ``n``-copy states.  Each sub-detector is built
-    on ``sectors.layout`` of its own parts (spin blocks for qubits,
-    copy-pair sectors otherwise), so every partial is the Kronecker product
-    of the sub-elements' blocks (``sectors.kron``) on the two layouts
-    joined, where the composition and the detector it returns stay.
+    on the full ``n``-copy states of states 0 and 1, the pair it is built
+    on (``run_experiment`` puts the closest pair there).  Each sub-detector
+    is built on ``sectors.layout`` of its own parts (spin blocks for
+    qubits, copy-pair sectors otherwise), so every partial is the Kronecker
+    product of the sub-elements' blocks (``sectors.kron``) on the two
+    layouts joined, where the composition and the detector it returns stay.
 
     ``shared`` maps a sub-detector's inputs, the states' matrices, its
     copy count, ``sub`` and ``w1``, to the sub-detector and its summed

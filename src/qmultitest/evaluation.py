@@ -13,7 +13,7 @@ term plus the sub-detectors' errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -224,11 +224,10 @@ def exponent_estimate(
 
 
 def _series(rows: Sequence[ExponentRow], k_fit: int) -> ExponentSeries:
-    """The series of these rate rows, with the least-squares slope of
-    ``-log(err_sm)`` against ``n`` over the last ``k_fit`` rows with
-    positive error.  There is no slope when fewer than two rows have
-    positive error or there are fewer than ``k_fit`` rows; a series of
-    exact zeros is marked ``exact_discrimination``."""
+    """These rate rows with the least-squares slope of ``-log(err_sm)``
+    against ``n`` over the last ``k_fit`` with positive error: none with
+    fewer than two of those or ``k_fit`` rows, and a series of exact zeros
+    is marked ``exact_discrimination``."""
     positive = [row for row in rows if row.rate is not None]
     if len(positive) < 2 or k_fit > len(rows):
         return ExponentSeries(tuple(rows), None, k_fit, not positive)
@@ -251,9 +250,11 @@ def run_experiment(
 
     Two hypotheses get the optimal binary test; three or more get the
     split construction, with both inequality checks recorded per row.
-    Either way a row is scored by one ``error_sum`` call.
-    The reference level is ``min(pair exponent, others_min / 6)`` for the
-    ensemble's first pair, the decay rate the construction targets.
+    Either way a row is scored by one ``error_sum`` call.  The split
+    composes on the closest pair (``PairwiseTable.least``), put first, and
+    ``per_state_error`` stays in scenario order.  The reference level is
+    ``min(pair exponent, others_min / 6)`` for the closest pair, the decay
+    rate the construction targets.
     """
     ns = [int(n) for n in n_values]
     if not ns or ns != sorted(ns) or len(set(ns)) != len(ns):
@@ -272,9 +273,11 @@ def run_experiment(
             split_sizes(n, w1)
     table = PairwiseTable(ensemble)
     distances = table.distances
-    pair_result = distances[(0, 1)]
+    pair_result = distances[table.least]
+    order = [*table.least, *(k for k in range(ensemble.r) if k not in table.least)]
+    composed = Ensemble(tuple(ensemble.states[k] for k in order))
     if ensemble.r >= 3:
-        others_min = table.others_min((0, 1))
+        others_min = table.others_min(table.least)
         reference = min(pair_result.exponent, others_min / CONDITION_DIVISOR)
         condition = table.condition()
     else:
@@ -289,13 +292,13 @@ def run_experiment(
     for n in ns:
         bound = math.exp(-n * pair_result.exponent)
         if ensemble.r == 2:
-            detector = holevo_helstrom(*ensemble.states, n, dim_cap)
+            detector = holevo_helstrom(*composed.states, n, dim_cap)
         else:
             detector, trace, split = build_split_detector(
-                ensemble, n, w1, sub, dim_cap, shared
+                composed, n, w1, sub, dim_cap, shared
             )
         # By name: perfbench/trace.py reads the detector as args[2] or by name.
-        report = error_sum(ensemble, detector=detector, dim_cap=dim_cap)
+        report = error_sum(composed, detector=detector, dim_cap=dim_cap)
         n1 = n2 = lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
         if ensemble.r >= 3:
             n1, n2 = split.n1, split.n2
@@ -303,6 +306,9 @@ def run_experiment(
             lemma_holds = report.err_sm <= lemma_rhs + BOUND_SLACK
             overall_rhs = _overall_rhs(trace, split)
             overall_holds = report.err_sm <= overall_rhs + BOUND_SLACK
+        # Back to scenario order; err_sm stays summed in composition order.
+        per_state = [report.per_state_error[order.index(k)] for k in range(ensemble.r)]
+        report = replace(report, per_state_error=tuple(per_state))
         rate_row = _rate_row(n, report.err_sm)
         rate_rows.append(rate_row)
         rows.append(

@@ -156,10 +156,11 @@ def _sym_power(
 
 
 # A binary test and its misses, or a split row's composition and errors,
-# ask for the same states' blocks in turn.  Eight entries hold all of one
-# table row's only for r <= 4: an r = 5 split row at n = 7 has 10 keys and
-# computes them 15 times.  A row on other copy counts evicts them.
-@functools.lru_cache(maxsize=8)
+# ask for the same states' blocks in turn.  A split row has r states times
+# its distinct parts as keys (10 for r = 5 at n = 7, 16 for r = 8), and
+# sixteen entries hold them all for r <= 8, so each is computed once per
+# row.  A row on other copy counts evicts them.
+@functools.lru_cache(maxsize=16)
 def _spin_blocks(matrix: bytes, p: int) -> tuple[np.ndarray, ...]:
     """The local blocks of ``rho^(x)p`` for the qubit state with these
     matrix bytes, read-only: ``det(rho)^t Sym^(p-2t)(rho)`` for

@@ -273,6 +273,45 @@ class TestExponentEstimate:
             exponent_estimate(rows, 2)
 
 
+class TestClosestPair:
+    """A split row composes on the closest pair, whatever its place in the
+    scenario (``gen random --r 3 --d 2 --seed 1``: the pair ``(0, 2)``)."""
+
+    @staticmethod
+    def states(order):
+        return Ensemble(tuple(random_density(2, 2, 1 + k) for k in order))
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_reordering_moves_only_the_per_state_errors(self, sub):
+        table = run_experiment(self.states([0, 1, 2]), range(2, 7), sub=sub)
+        first = run_experiment(self.states([0, 2, 1]), range(2, 7), sub=sub)
+        assert table.least_favorable[1] == (0, 2)
+        assert first.least_favorable[1] == (0, 1)
+        # The pair's Chernoff search runs on the same states in both.
+        assert (table.pair_exponent, table.pair_s_opt) == (
+            first.pair_exponent,
+            first.pair_s_opt,
+        )
+        assert table.reference_level == pytest.approx(first.reference_level, rel=1e-12)
+        assert table.series == first.series
+        for row, ref in zip(table.rows, first.rows, strict=True):
+            errors = ref.report.per_state_error
+            assert row.report.per_state_error == (errors[0], errors[2], errors[1])
+            assert row.report.err_sm == ref.report.err_sm
+            assert (row.lemma_rhs, row.overall_rhs) == (ref.lemma_rhs, ref.overall_rhs)
+            assert row.lemma_holds and row.overall_holds
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 2, 0], [2, 0, 1, 3]])
+    def test_pair_fields_are_the_closest_pair(self, order):
+        ens = Ensemble(tuple(random_density(2, 2, 1 + k) for k in order))
+        table = run_experiment(ens, [2, 3])
+        exponent, pair = table.least_favorable
+        assert table.pair_exponent == exponent == table.condition.pair_distance
+        assert table.condition.pair == pair
+        assert table.others_min == table.condition.others_min
+        assert table.rows[0].binary_bound == math.exp(-2 * exponent)
+
+
 class TestRunExperiment:
     def test_copy_count_past_the_cap_raises_cap_error(self):
         ens = Ensemble((random_density(2, 2, 111), random_density(2, 2, 112)))
@@ -303,13 +342,25 @@ class TestRunExperiment:
                 run_experiment(ens, range(2, 5), k_fit=k_fit)
         assert chernoff_calls == []
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_split_row_computes_each_spin_block_once(self, n):
+        # Five qubit states on parts n // 2 and n - n // 2 are ten keys of
+        # sectors._spin_blocks; the cache keeps them all through the row.
+        from qmultitest import sectors
+
+        ens = Ensemble(tuple(random_density(2, 2, 170 + k) for k in range(5)))
+        sectors._spin_blocks.cache_clear()
+        run_experiment(ens, [n], k_fit=2)
+        info = sectors._spin_blocks.cache_info()
+        assert info.misses == info.currsize == 10
+
     @pytest.mark.parametrize("r", [3, 4])
     def test_split_row_builds_each_tail_state_once(self, r, monkeypatch):
         # A split row builds no dense n-copy state: every state enters as
         # its sector blocks, made from one copy.  Each tail state's are
         # built once, in error_sum, which also takes the tail's misses; the
-        # pair's once more, for the composition's Helstrom test and trace
-        # terms.
+        # closest pair's once more, for the composition's Helstrom test and
+        # trace terms.
         from qmultitest import sectors
 
         ens = Ensemble(tuple(random_density(2, 2, 160 + k) for k in range(r)))
@@ -325,11 +376,13 @@ class TestRunExperiment:
         monkeypatch.setattr(sectors, "power_blocks", counted)
         table = run_experiment(ens, [4], k_fit=2)
         assert max(sizes) < 2 ** 4
+        pair = table.least_favorable[1]
         full = [built.count((id(s), 4)) for s in ens.states]
-        assert full == [2, 2] + [1] * (r - 2)
+        assert full == [2 if k in pair else 1 for k in range(r)]
         row = table.rows[0]
+        tail = [e for k, e in enumerate(row.report.per_state_error) if k not in pair]
         assert row.lemma_holds
-        assert row.lemma_rhs >= sum(row.report.per_state_error[2:])
+        assert row.lemma_rhs >= sum(tail)
 
     @pytest.mark.parametrize("d,n_max", [(2, 11), (3, 8)])
     def test_binary_rows_are_the_test_and_its_misses(self, d, n_max):
