@@ -299,9 +299,9 @@ class TestComposeWithBinary:
 
 
 class TestComposeOperatorKeyword:
-    """The pair argument: one-copy states with a copy count, as the split
-    passes them, and explicit n-copy states give the same elements and
-    bound terms."""
+    """The pair argument: one-copy states, with the copies read from the
+    partials' layout as the split passes them, and explicit n-copy states
+    give the same elements and bound terms."""
 
     @staticmethod
     def terms(trace):
