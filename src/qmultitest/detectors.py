@@ -206,10 +206,11 @@ def holevo_helstrom(
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} and {rho2.dim} differ")
+    check_power(rho1, n, dim_cap)
     layout = sectors.layout(rho1.dim, (n,))
     # The n-copy states' blocks are gone before the decompositions start,
     # and their differences once they return.
-    powers = [sectors.power_blocks(rho, layout, dim_cap) for rho in (rho1, rho2)]
+    powers = [sectors.power_blocks(rho, layout) for rho in (rho1, rho2)]
     differences = [a - b for a, b in zip(*powers)]
     del powers
     spectra = [(m, linalg.eigh(x)) for m, x in zip(layout.mults, differences)]
@@ -239,8 +240,9 @@ def pgm(
         raise ValueError(f"need at least 2 states, got {len(states)}")
     if any(s.dim != states[0].dim for s in states):
         raise DimensionMismatch("states live on different dimensions")
+    check_power(states[0], n, dim_cap)
     layout = sectors.layout(states[0].dim, (n,))
-    powers = [sectors.power_blocks(s, layout, dim_cap) for s in states]
+    powers = [sectors.power_blocks(s, layout) for s in states]
     m = len(powers)
     spectra = [linalg.eigh(linalg.hermitize(sum(p) / m)) for p in zip(*powers)]
     floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
@@ -280,11 +282,7 @@ def _miss(matrix: np.ndarray, elements: Sequence[np.ndarray], k: int) -> float:
     )
 
 
-def misses(
-    states: Sequence[DensityMatrix],
-    detector: Detector,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> Iterator[float]:
+def misses(states: Sequence[DensityMatrix], detector: Detector) -> Iterator[float]:
     """Each hypothesis's miss ``sum_{j != k} tr[rho_k^(x)n E_j]``, in order,
     for ``n`` the copies of the detector's layout.
 
@@ -301,7 +299,7 @@ def misses(
     per_block = list(zip(*detector.blocks))
     mults = detector.layout.mults
     for k, state in zip(range(len(detector.blocks)), states, strict=True):
-        powers = sectors.power_blocks(state, detector.layout, dim_cap)
+        powers = sectors.power_blocks(state, detector.layout)
         miss = sum(
             m * _miss(p, elements, k)
             for m, p, elements in zip(mults, powers, per_block)
@@ -314,8 +312,6 @@ def compose_with_binary(
     partials: Sequence[np.ndarray | sectors.Blocks],
     rho1: DensityMatrix,
     rho2: DensityMatrix,
-    *,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> tuple[Detector, CompositionTrace]:
     """Complete partial elements on ``n`` copies to a full POVM with the
     optimal binary test of the closest pair ``rho1^(x)n``, ``rho2^(x)n``,
@@ -356,7 +352,7 @@ def compose_with_binary(
     mults = layout.mults
     # The pair's blocks are kept for the trace terms; on one-copy factors
     # they are the dense n-copy states.
-    powers = [sectors.power_blocks(rho, layout, dim_cap) for rho in (rho1, rho2)]
+    powers = [sectors.power_blocks(rho, layout) for rho in (rho1, rho2)]
     tests = _helstrom_tests(
         [(m, linalg.eigh(a - b)) for m, a, b in zip(mults, *powers)]
     )
@@ -489,7 +485,7 @@ def _sub_detector(
         )
     else:
         detector = pgm(states, copies, dim_cap)
-    shared[key] = detector, sum(misses(states, detector, dim_cap))
+    shared[key] = detector, sum(misses(states, detector))
     return shared[key]
 
 
@@ -517,10 +513,10 @@ def build_split_detector(
 
     ``shared`` maps a sub-detector's inputs, the states' matrices, its
     copy count, ``sub`` and ``w1``, to the sub-detector and its summed
-    misses; what is built here is added.  The rows of a table pass
-    one map.  ``dim_cap`` stays out of the key: it is checked at ``n``,
-    and every sub-detector uses fewer copies.  Without ``shared`` the map
-    serves this detector's nested splits only.
+    misses; what is built here is added.  The rows of a table pass one
+    map.  ``dim_cap`` stays out of the key: it is checked here at ``n``,
+    before anything is built, and every sub-detector has fewer copies.
+    Without ``shared`` the map serves this detector's nested splits only.
     """
     if ensemble.r < 3:
         raise ValueError(f"split construction needs r >= 3, got {ensemble.r}")
@@ -541,6 +537,6 @@ def build_split_detector(
         )
         for k in range(len(tail))
     ]
-    detector, trace = compose_with_binary(partials, first, second, dim_cap=dim_cap)
+    detector, trace = compose_with_binary(partials, first, second)
     return detector, trace, SplitReport(n1, n2, sub_error_1, sub_error_2)
 

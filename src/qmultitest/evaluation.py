@@ -36,7 +36,7 @@ from .detectors import (
     split_sizes,
 )
 from .errors import DimensionCapExceeded, DimensionMismatch
-from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble
+from .states import DEFAULT_DIM_CAP, DensityMatrix, Ensemble, within_cap
 
 BOUND_SLACK = 1e-9
 
@@ -119,12 +119,7 @@ class ExperimentTable:
     series: ExponentSeries
 
 
-def error_sum(
-    ensemble: Ensemble,
-    detector: Detector,
-    *,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> ErrorReport:
+def error_sum(ensemble: Ensemble, detector: Detector) -> ErrorReport:
     """Exact per-state misses (``detectors.misses``, on the detector's
     blocks and its copies), each range-checked, and their sum: the score of
     every table row, the binary test's and the split detector's alike."""
@@ -132,7 +127,7 @@ def error_sum(
         raise DimensionMismatch(
             f"{len(detector.blocks)} elements for {ensemble.r} hypotheses"
         )
-    per_state = tuple(misses(ensemble.states, detector, dim_cap))
+    per_state = tuple(misses(ensemble.states, detector))
     for miss in per_state:
         if not -1e-10 <= miss <= 1.0 + 1e-10:
             raise ArithmeticError(f"error probability {miss!r} out of range")
@@ -256,18 +251,19 @@ def run_experiment(
     ``min(pair exponent, others_min / 6)`` for the closest pair, the decay
     rate the construction targets.
     """
-    ns = [int(n) for n in n_values]
-    if not ns or ns != sorted(ns) or len(set(ns)) != len(ns):
-        raise ValueError("n_values must be strictly ascending and nonempty")
     if k_fit < 2:
         raise ValueError(f"k_fit must be at least 2, got {k_fit}")
     if not 0.0 < w1 < 1.0:
         raise ValueError(f"w1 must lie in (0, 1), got {w1}")
-    for n in ns:
-        if ensemble.dim ** n > dim_cap:
-            raise DimensionCapExceeded(
-                f"n = {n} needs dim {ensemble.dim ** n} > cap {dim_cap}"
-            )
+    # Walked once, uncopied: a long range stops at its first count past the cap.
+    d, ns = ensemble.dim, []
+    for n in map(int, n_values):
+        if not within_cap(d, n, dim_cap):
+            dim = d ** n if within_cap(d, n - 1, dim_cap) else f"{d}^{n}"
+            raise DimensionCapExceeded(f"n = {n} needs dim {dim} > cap {dim_cap}")
+        ns.append(n)
+    if not ns or ns != sorted(ns) or len(set(ns)) != len(ns):
+        raise ValueError("n_values must be strictly ascending and nonempty")
     if ensemble.r >= 3:
         for n in ns:
             split_sizes(n, w1)
@@ -298,7 +294,7 @@ def run_experiment(
                 composed, n, w1, sub, dim_cap, shared
             )
         # By name: perfbench/trace.py reads the detector as args[2] or by name.
-        report = error_sum(composed, detector=detector, dim_cap=dim_cap)
+        report = error_sum(composed, detector=detector)
         n1 = n2 = lemma_rhs = lemma_holds = overall_rhs = overall_holds = None
         if ensemble.r >= 3:
             n1, n2 = split.n1, split.n2

@@ -37,7 +37,8 @@ copies is the one block of ``n`` one-copy factors, ``layout(d, (1,) * n)``,
 with ``W = I``.
 
 Only ``layout`` branches on ``d``.  Each factor's local blocks are computed
-here, and ``power_blocks`` checks every state against its layout.  A layout
+here, and ``power_blocks`` checks every state against its layout; the
+builders check the dimension cap before they ask for a layout.  A layout
 is the one record of an operator's copies (``Layout.copies``), and an
 operator on it carries it (``Blocks``).  Every detector is built on the
 layout of its own parts: the binary test and the PGM on ``layout(d, (n,))``,
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch
-from .states import DensityMatrix, check_power
+from .states import DensityMatrix
 
 
 def pair_basis(d: int) -> tuple[np.ndarray, int]:
@@ -311,19 +312,17 @@ def from_blocks(blocks: Sequence[np.ndarray], lay: Layout) -> np.ndarray:
     return x
 
 
-def power_blocks(rho: DensityMatrix, lay: Layout, dim_cap: int) -> Sequence[np.ndarray]:
+def power_blocks(rho: DensityMatrix, lay: Layout) -> Sequence[np.ndarray]:
     """The blocks of ``rho^(x)n`` on a layout of ``n`` copies, without their
     multiplicities: the Kronecker products of the factors' local blocks,
     each distinct factor's built once; on ``n`` one-copy factors,
     ``[tensor_power(rho, n)]``.  A state that does not fit the layout's
-    copies is refused, and the dimension cap applies to the ``d^n`` the
-    blocks stand for."""
+    copies is refused; the blocks have the shapes of any operator on it."""
     d, n = rho.dim, lay.copies
     if lay.dim != d ** n:
         raise DimensionMismatch(
             f"the layout holds {n} copies of dim {lay.dim}, not {d}^{n}"
         )
-    check_power(rho, n, dim_cap)
     local = {f: f.blocks(rho) for f in dict.fromkeys(lay.factors)}
     blocks = local[lay.factors[0]]
     for f in lay.factors[1:]:

@@ -137,14 +137,23 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, epsilon: float) -> DensityMatr
     return DensityMatrix((1.0 - epsilon) * rho.matrix + epsilon * sigma.matrix)
 
 
+def within_cap(d: int, n: int, dim_cap: int) -> bool:
+    """Whether ``d^n <= dim_cap``, forming no power past ``d * dim_cap``."""
+    dim = 1
+    for _ in range(n):
+        if (dim := dim * d) > dim_cap:
+            return False
+    return True
+
+
 def check_power(rho: DensityMatrix, n: int, dim_cap: int) -> None:
-    """Refuse a copy count below one or an ``n``-copy dimension past the cap."""
+    """Refuse a copy count below one or past the cap; the message gives
+    ``d^n``'s value only one copy past it (``within_cap``)."""
     if n < 1:
         raise ValueError(f"copy count must be positive, got {n}")
-    if rho.dim ** n > dim_cap:
-        raise DimensionCapExceeded(
-            f"dim {rho.dim}^{n} = {rho.dim ** n} exceeds cap {dim_cap}"
-        )
+    if not within_cap(rho.dim, n, dim_cap):
+        value = f" = {rho.dim ** n}" if within_cap(rho.dim, n - 1, dim_cap) else ""
+        raise DimensionCapExceeded(f"dim {rho.dim}^{n}{value} exceeds cap {dim_cap}")
 
 
 def tensor_power(

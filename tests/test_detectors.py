@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from qmultitest import (
     DEFAULT_DIM_CAP,
     Detector,
     Ensemble,
+    PairwiseTable,
     build_split_detector,
     check_detector,
     classical_state,
@@ -56,7 +58,7 @@ def binary_sum_error(rho1, rho2, det):
 def helstrom_misses(rho1, rho2, n, dim_cap=DEFAULT_DIM_CAP):
     """The two misses of the optimal binary test on ``n`` copies."""
     test = holevo_helstrom(rho1, rho2, n, dim_cap)
-    return tuple(misses((rho1, rho2), test, dim_cap))
+    return tuple(misses((rho1, rho2), test))
 
 
 def embed_qubit_in_qutrit(rho):
@@ -228,7 +230,7 @@ class TestComposeWithBinary:
         """``0.1 I`` as its blocks on ``sectors.layout(d, parts)``."""
         lay = sectors.layout(d, parts)
         rho = random_density(d, d, 1)
-        blocks = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+        blocks = sectors.power_blocks(rho, lay)
         return sectors.Blocks([0.1 * np.eye(len(b)) for b in blocks], lay)
 
     @pytest.mark.parametrize("d,parts", [(2, (2,)), (3, (2,)), (3, (1, 2))])
@@ -314,9 +316,9 @@ class TestComposeOperatorKeyword:
         built = []
         original = sectors.power_blocks
 
-        def counted(rho, layout, dim_cap):
+        def counted(rho, layout):
             built.append((id(rho), layout.copies))
-            return original(rho, layout, dim_cap)
+            return original(rho, layout)
 
         monkeypatch.setattr(sectors, "power_blocks", counted)
         det, trace = compose_with_binary(partials, states[0], states[1])
@@ -421,7 +423,7 @@ def random_blocks(rng, d, layout):
     """Random Hermitian blocks on ``layout`` of copies of ``C^d``, of the
     sizes of a state's."""
     rho = random_density(d, d, 1)
-    sizes = [len(b) for b in sectors.power_blocks(rho, layout, DEFAULT_DIM_CAP)]
+    sizes = [len(b) for b in sectors.power_blocks(rho, layout)]
     return [random_hermitian(rng, size) for size in sizes]
 
 
@@ -445,7 +447,7 @@ def check_state_blocks(lay, factors, n, states, tol):
     w, shapes = explicit_w(factors)
     for rho in states:
         rotated = w.T @ tensor_power(rho, n).matrix @ w
-        blocks = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+        blocks = sectors.power_blocks(rho, lay)
         assert [len(b) for b in blocks] == [size for size, _ in shapes]
         assert np.max(np.abs(rotated - block_sum(blocks, shapes))) <= tol
 
@@ -473,12 +475,12 @@ def check_kron(make, d, parts_x, parts_y, rng, tol):
     assert np.max(np.abs(sectors.from_blocks(got.blocks, lay) - want)) <= tol
     rho = random_density(d, d, 9900 + d)
     sides = [
-        sectors.Blocks(sectors.power_blocks(rho, side, DEFAULT_DIM_CAP), side)
+        sectors.Blocks(sectors.power_blocks(rho, side), side)
         for side in (lay_x, lay_y)
     ]
     product = sectors.kron(*sides)
     assert product.layout is lay
-    both = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+    both = sectors.power_blocks(rho, lay)
     # Each entry is the same product of one-copy entries, which power_blocks
     # folds from the first factor: bit for bit when the second side is one
     # factor or one copy, else associated otherwise, within 4 ulps
@@ -523,7 +525,7 @@ class TestSectors:
             for labels in itertools.product((0, 1), repeat=pairs)
         ]
         rho = random_density(d, d, 1)
-        blocks = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+        blocks = sectors.power_blocks(rho, lay)
         assert [len(b) for b in blocks] == sizes
 
     @pytest.mark.parametrize("d,parts", LAYOUTS)
@@ -736,7 +738,7 @@ class TestOneCopyLayouts:
         assert lay.mults == (1,) and lay.dim == 2
         states = [random_density(2, 1 + k % 2, 9900 + k) for k in range(2000)]
         for rho in states + self.states(2, 9890):
-            (block,) = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+            (block,) = sectors.power_blocks(rho, lay)
             assert block.tobytes() == rho.matrix.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -746,7 +748,7 @@ class TestOneCopyLayouts:
         assert [f.copies for f in lay.factors] == [1] * n
         assert lay.mults == (1,) and lay.dim == d ** n
         for rho in self.states(d, 9800 + 10 * d + n):
-            (block,) = sectors.power_blocks(rho, lay, DEFAULT_DIM_CAP)
+            (block,) = sectors.power_blocks(rho, lay)
             assert block.tobytes() == tensor_power(rho, n).matrix.tobytes()
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
@@ -845,10 +847,10 @@ class TestSpinSplitRows:
         def forbidden(*args, **kwargs):
             raise AssertionError("a Schur basis was built")
 
-        def recorded(rho, layout, dim_cap):
+        def recorded(rho, layout):
             # The n = 2 row's parts (1, 1) hold no pair of copies: its one
             # block is the two-copy space.
-            blocks = original(rho, layout, dim_cap)
+            blocks = original(rho, layout)
             built.extend(len(b) for b in blocks)
             return blocks
 
@@ -1008,8 +1010,8 @@ class TestSectorComposition:
 
         original = sectors.power_blocks
 
-        def recorded(rho, layout, dim_cap):
-            blocks = original(rho, layout, dim_cap)
+        def recorded(rho, layout):
+            blocks = original(rho, layout)
             built.extend(len(b) for b in blocks)
             return blocks
 
@@ -1194,9 +1196,9 @@ class TestSectorChecks:
             tests.append(helstrom(spectra))
             return tests[-1]
 
-        def checking(partials, rho1, rho2, *, dim_cap):
+        def checking(partials, rho1, rho2):
             before = len(tests)
-            det, trace = compose(partials, rho1, rho2, dim_cap=dim_cap)
+            det, trace = compose(partials, rho1, rho2)
             (blocks,) = tests[before:]
             layout = partials[0].layout
             assert det.layout is layout
@@ -1412,9 +1414,9 @@ class TestMisses:
         original = sectors.power_blocks
         built = []
 
-        def tracked(rho, layout, dim_cap):
+        def tracked(rho, layout):
             assert all(ref() is None for ref in built)
-            blocks = original(rho, layout, dim_cap)
+            blocks = original(rho, layout)
             built.extend(weakref.ref(b) for b in blocks)
             return blocks
 
@@ -1596,17 +1598,82 @@ class TestHelstromMisses:
             helstrom_misses(rho1, rho2, 5, dim_cap=16)
         # Qutrits on copy-pair sectors: 3^4 = 81 is one past the cap.
         a, b = random_density(3, 3, 744), random_density(3, 3, 745)
-        det = pgm([a, b], 4)
         for build in (
             lambda: holevo_helstrom(a, b, 4, dim_cap=80),
             lambda: helstrom_misses(a, b, 4, dim_cap=80),
             lambda: pgm([a, b], 4, dim_cap=80),
-            lambda: list(misses([a, b], det, dim_cap=80)),
         ):
             with pytest.raises(
                 DimensionCapExceeded, match=r"^dim 3\^4 = 81 exceeds cap 80$"
             ):
                 build()
+
+
+class TestCapAtEntry:
+    """Only a builder checks the dimension cap, at entry, before its
+    layout; scoring and composition take the shapes they are given."""
+
+    def test_builders_refuse_before_the_layout(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a layout was asked for")
+
+        a, b = random_density(2, 2, 750), random_density(2, 2, 751)
+        monkeypatch.setattr(sectors, "layout", forbidden)
+        for build in (
+            lambda: holevo_helstrom(a, b, 13),
+            lambda: pgm([a, b], 13),
+            lambda: holevo_helstrom(a, b, 15000),
+        ):
+            with pytest.raises(DimensionCapExceeded):
+                build()
+
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_builders_refuse_a_copy_count_below_one(self, n):
+        # The qutrit layout of -1 or -3 copies is one lone copy, on which
+        # a one-copy detector used to be built.
+        a, b = random_density(3, 3, 757), random_density(3, 3, 758)
+        message = f"^copy count must be positive, got {n}$"
+        for build in (lambda: holevo_helstrom(a, b, n), lambda: pgm([a, b], n)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_refusal_at_the_default_cap_is_immediate(self):
+        a, b = random_density(2, 2, 752), random_density(2, 2, 753)
+        before = sectors.layout.cache_info()
+        start = time.perf_counter()
+        for build in (lambda: holevo_helstrom(a, b, 10000), lambda: pgm([a, b], 10000)):
+            with pytest.raises(
+                DimensionCapExceeded, match=r"^dim 2\^10000 exceeds cap 4096$"
+            ):
+                build()
+        assert time.perf_counter() - start < 0.1
+        assert sectors.layout.cache_info() == before
+
+    def test_scoring_past_the_default_cap_needs_no_cap(self):
+        # A binary detector and a split row's partials, both past the
+        # default cap, are scored and composed as built.
+        from qmultitest.evaluation import run_experiment
+
+        a, b = random_density(2, 2, 754), random_density(2, 2, 755)
+        binary = holevo_helstrom(a, b, 13, dim_cap=2**13)
+        (row,) = run_experiment(Ensemble((a, b)), [13], dim_cap=2**14).rows
+        assert tuple(misses([a, b], binary)) == row.report.per_state_error
+        assert error_sum(Ensemble((a, b)), binary) == row.report
+
+        ens = Ensemble(tuple(random_density(2, 2, 756 + k) for k in range(3)))
+        least = PairwiseTable(ens).least
+        order = [*least, *(k for k in range(3) if k not in least)]
+        first, second, tail = (ens.states[k] for k in order)
+        subs = [pgm([rho, tail], 7, dim_cap=2**14) for rho in (first, second)]
+        partial = sectors.kron(
+            *(sectors.Blocks(sub.blocks[1], sub.layout) for sub in subs)
+        )
+        split, _ = compose_with_binary([partial], first, second)
+        report = error_sum(Ensemble((first, second, tail)), split)
+        (row,) = run_experiment(ens, [14], dim_cap=2**14).rows
+        assert report.err_sm == row.report.err_sm
+        per_state = [report.per_state_error[order.index(k)] for k in range(3)]
+        assert tuple(per_state) == row.report.per_state_error
 
 
 class TestDetectorChecks:

@@ -318,6 +318,34 @@ class TestRunExperiment:
         with pytest.raises(DimensionCapExceeded, match="n = 13 needs dim 8192"):
             run_experiment(ens, [13])
 
+    def test_cap_refuses_before_copying_the_copy_counts(self):
+        # The walk stops at n = 13; a copied, sorted and hashed range of a
+        # million counts would take tens of megabytes.
+        ens = Ensemble((random_density(2, 2, 113), random_density(2, 2, 114)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DimensionCapExceeded, match="^n = 13 needs dim 8192 > cap 4096$"
+            ):
+                run_experiment(ens, range(2, 10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("d, n", [(2, 14285), (3, 10**8)])
+    def test_cap_far_past_it_names_the_power(self, d, n):
+        # d^n is not formed past one copy beyond the cap.
+        ens = Ensemble(tuple(random_density(d, d, 115 + k) for k in range(2)))
+        message = rf"^n = {n} needs dim {d}\^{n} > cap 4096$"
+        with pytest.raises(DimensionCapExceeded, match=message):
+            run_experiment(ens, [n])
+
+    def test_copy_counts_may_be_an_iterator(self):
+        ens = Ensemble((random_density(2, 2, 117), random_density(2, 2, 118)))
+        table = run_experiment(ens, iter([2, 3]), k_fit=2)
+        assert table == run_experiment(ens, [2, 3], k_fit=2)
+
     def test_each_pair_computed_once(self, chernoff_calls):
         ens = Ensemble(tuple(random_density(2, 2, 140 + k) for k in range(4)))
         table = run_experiment(ens, [2], k_fit=2)
@@ -367,9 +395,9 @@ class TestRunExperiment:
         built, sizes = [], []
         original = sectors.power_blocks
 
-        def counted(rho, layout, dim_cap):
+        def counted(rho, layout):
             built.append((id(rho), layout.copies))
-            blocks = original(rho, layout, dim_cap)
+            blocks = original(rho, layout)
             sizes.extend(len(b) for b in blocks)
             return blocks
 
@@ -393,7 +421,7 @@ class TestRunExperiment:
         cap = d ** n_max
         table = run_experiment(Ensemble(pair), range(1, n_max + 1), dim_cap=cap)
         for row in table.rows:
-            per_state = tuple(misses(pair, holevo_helstrom(*pair, row.n, cap), cap))
+            per_state = tuple(misses(pair, holevo_helstrom(*pair, row.n, cap)))
             assert row.report.per_state_error == per_state
             assert row.report.err_sm == sum(per_state)
             assert row.binary_bound == math.exp(-row.n * xi)
@@ -408,9 +436,9 @@ class TestRunExperiment:
         original = evaluation.error_sum
         calls = []
 
-        def counted(ensemble, detector, *, dim_cap=DEFAULT_DIM_CAP):
+        def counted(ensemble, detector):
             calls.append(detector.layout.copies)
-            return original(ensemble, detector, dim_cap=dim_cap)
+            return original(ensemble, detector)
 
         monkeypatch.setattr(evaluation, "error_sum", counted)
         ens = Ensemble(tuple(random_density(2, 2, 210 + k) for k in range(r)))
@@ -449,8 +477,8 @@ class TestRunExperiment:
         original = sectors.power_blocks
         built = []
 
-        def recorded(rho, layout, dim_cap):
-            blocks = original(rho, layout, dim_cap)
+        def recorded(rho, layout):
+            blocks = original(rho, layout)
             built.append((layout.copies, max(len(b) for b in blocks)))
             return blocks
 

@@ -393,6 +393,23 @@ class TestRunCommand:
         assert err == "error: n = 13 needs dim 8192 > cap 4096\n"
         assert chernoff_calls == []  # refused before any work
 
+    @pytest.mark.parametrize("d, n", [(2, 14285), (3, 100000000)])
+    def test_cap_far_past_it_is_a_cap_refusal(
+        self, tmp_path, capsys, chernoff_calls, d, n
+    ):
+        # 2^14285 has more digits than an int converts to a string, and
+        # 3^100000000 takes minutes to compute: neither is formed.
+        doc = {
+            "version": 1,
+            "dim": d,
+            "states": [{"type": "random", "rank": d, "seed": 5 + k} for k in range(2)],
+        }
+        path = write_doc(tmp_path / "s.json", doc)
+        assert cli.main(["run", path, "--n-min", str(n), "--n-max", str(n)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: n = {n} needs dim {d}^{n} > cap 4096\n"
+        assert chernoff_calls == []
+
     @pytest.mark.parametrize("k_fit", ["0", "1"])
     def test_short_fit_window_exit_code(self, tmp_path, capsys, k_fit):
         path = write_doc(tmp_path / "s.json", two_state_doc())

@@ -7,6 +7,7 @@ from qmultitest import (
     Ensemble,
     classical_state,
     density_from_matrix,
+    holevo_helstrom,
     mix,
     pure_state,
     random_density,
@@ -22,6 +23,7 @@ from qmultitest.errors import (
     TraceViolation,
 )
 from qmultitest.rng import SplitMix64
+from qmultitest.states import check_power, within_cap
 from qmultitest.sectors import _binomials, _sym_power, layout, power_blocks
 
 # Reference outputs for SplitMix64 with seed 1234567, as published with the
@@ -212,16 +214,34 @@ class TestTensorPower:
         with pytest.raises(DimensionCapExceeded):
             tensor_power(random_density(2, 2, 5), 3, dim_cap=4)
 
+    def test_within_cap_multiplies_only_up_to_the_cap(self):
+        assert within_cap(2, 12, 4096) and not within_cap(2, 13, 4096)
+        assert within_cap(3, 7, 2187) and not within_cap(3, 7, 2186)
+        assert within_cap(1, 1000, 1)
+        # 3^(10^8) alone takes minutes to compute.
+        assert not within_cap(3, 10**8, DEFAULT_DIM_CAP)
+
+    @pytest.mark.parametrize("d, n", [(2, 15000), (3, 10**8)])
+    def test_cap_far_past_it(self, d, n):
+        # d^n is never formed: 2^15000 has more digits than an int converts
+        # to a string, so the message names d^n without its value.
+        rho = random_density(d, d, 5)
+        message = rf"^dim {d}\^{n} exceeds cap 4096$"
+        with pytest.raises(DimensionCapExceeded, match=message):
+            check_power(rho, n, DEFAULT_DIM_CAP)
+        with pytest.raises(DimensionCapExceeded, match=message):
+            tensor_power(rho, n)
+
     def test_output_validates(self):
         rho = tensor_power(random_density(2, 2, 6), 3)
         density_from_matrix(rho.matrix)
 
 
-def spin_blocks(rho, n, dim_cap=DEFAULT_DIM_CAP):
+def spin_blocks(rho, n):
     """The ``(m_t, block)`` pairs of ``rho^(x)n`` on the qubit factor of
     ``n`` copies."""
     lay = layout(2, (n,))
-    return list(zip(lay.mults, power_blocks(rho, lay, dim_cap)))
+    return list(zip(lay.mults, power_blocks(rho, lay)))
 
 
 class TestSpinBlocks:
@@ -271,14 +291,19 @@ class TestSpinBlocks:
             spin_blocks(random_density(3, 3, 8), 2)
 
     def test_cap_message_matches_tensor_power(self):
-        rho = random_density(2, 2, 9)
+        # The builder on spin blocks refuses as the dense power does.
+        rho, sigma = random_density(2, 2, 9), random_density(2, 2, 10)
         with pytest.raises(DimensionCapExceeded) as dense:
             tensor_power(rho, 5, dim_cap=16)
         with pytest.raises(DimensionCapExceeded) as blocks:
-            spin_blocks(rho, 5, dim_cap=16)
+            holevo_helstrom(rho, sigma, 5, dim_cap=16)
         assert str(blocks.value) == str(dense.value)
-        with pytest.raises(ValueError, match="copy count must be positive"):
-            spin_blocks(rho, 0)
+        with pytest.raises(ValueError) as dense:
+            tensor_power(rho, 0)
+        with pytest.raises(ValueError) as blocks:
+            holevo_helstrom(rho, sigma, 0)
+        assert str(blocks.value) == str(dense.value)
+        assert str(dense.value) == "copy count must be positive, got 0"
 
 
 class TestSymPower:
