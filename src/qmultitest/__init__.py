@@ -1,6 +1,6 @@
 """Multiple quantum hypothesis testing at desk scale.
 
-Dense numerical constructions for discriminating r quantum states from n
+Block-layout constructions for discriminating r quantum states from n
 copies: the optimal binary test, the square-root measurement, the
 tensor-split multi-copy detector, pairwise Chernoff exponents with the
 attainability condition, and exact error/bound evaluation.
@@ -39,7 +39,6 @@ from .states import (
     DensityMatrix,
     Ensemble,
     classical_state,
-    density_from_matrix,
     mix,
     pure_state,
     random_density,
@@ -69,7 +68,6 @@ __all__ = [
     "chernoff_distance",
     "classical_state",
     "compose_with_binary",
-    "density_from_matrix",
     "error_sum",
     "exponent_estimate",
     "holevo_helstrom",

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .evaluation import ExperimentTable, run_experiment
 from .scenario import (
-    Scenario,
     load_scenario,
     scenario_document,
     scenario_from_dict,
@@ -94,8 +93,7 @@ def _emit(text: str, out_path) -> None:
         raise OSError(f"cannot write {out_path} ({exc.strerror})") from None
 
 
-def _chernoff_report(scenario: Scenario) -> dict:
-    ensemble = scenario.ensemble
+def _chernoff_report(ensemble: Ensemble) -> dict:
     table = PairwiseTable(ensemble)
     pairs = [
         {
@@ -110,7 +108,7 @@ def _chernoff_report(scenario: Scenario) -> dict:
     report = {
         "dim": ensemble.dim,
         "r": ensemble.r,
-        "labels": list(scenario.labels) if scenario.labels else None,
+        "labels": list(ensemble.labels) if ensemble.labels else None,
         "pairs": pairs,
         "least_favorable": {
             "pair": list(table.least),
@@ -132,8 +130,8 @@ def _chernoff_report(scenario: Scenario) -> dict:
 
 
 def cmd_chernoff(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _emit(_report_json(_chernoff_report(scenario)), args.out)
+    ensemble = load_scenario(args.scenario)
+    _emit(_report_json(_chernoff_report(ensemble)), args.out)
     return 0
 
 
@@ -209,13 +207,13 @@ def table_to_json(table: ExperimentTable) -> str:
 
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+    ensemble = load_scenario(args.scenario)
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError(
             f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}"
         )
     table = run_experiment(
-        scenario.ensemble,
+        ensemble,
         range(args.n_min, args.n_max + 1),
         w1=args.w1,
         sub=args.sub,
@@ -295,8 +293,6 @@ def _gen_equidistant_classical(r: int, d: int) -> dict:
     coincide (all three equal is impossible for ordered diagonal states)."""
     if r != 3:
         raise ValueError(f"equidistant-classical supports r = 3 only, got {r}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
     pad = [0.0] * (d - 2)
     specs = [
         {"type": "classical", "probabilities": [EQUIDISTANT_P, 1 - EQUIDISTANT_P] + pad},
@@ -314,13 +310,15 @@ def _gen_random(r: int, d: int, seed: int) -> dict:
 def cmd_gen(args) -> int:
     if args.r < 2:
         raise ValueError(f"need r >= 2, got {args.r}")
+    if args.d < 2:
+        raise ValueError(f"need d >= 2, got {args.d}")
     if args.kind == "condition-satisfying":
         if args.r < 3:
             raise ValueError("condition-satisfying needs r >= 3")
         doc, calibrated = _gen_condition_satisfying(args.r, args.d, args.seed)
         # The file must rebuild the calibrated states bit for bit; then the
         # condition that held for them holds for it.
-        rebuilt = scenario_from_dict(doc).ensemble.states
+        rebuilt = scenario_from_dict(doc).states
         if any(
             a.matrix.tobytes() != b.matrix.tobytes()
             for a, b in zip(rebuilt, calibrated.states, strict=True)
@@ -328,7 +326,7 @@ def cmd_gen(args) -> int:
             raise CalibrationFailed("generated scenario does not rebuild its states")
     elif args.kind == "equidistant-classical":
         doc = _gen_equidistant_classical(args.r, args.d)
-        ensemble = scenario_from_dict(doc).ensemble
+        ensemble = scenario_from_dict(doc)
         first = chernoff_distance(ensemble.states[0], ensemble.states[1]).exponent
         second = chernoff_distance(ensemble.states[1], ensemble.states[2]).exponent
         if abs(first - second) > 1e-9:

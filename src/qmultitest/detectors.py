@@ -165,7 +165,7 @@ def _gram(factor: np.ndarray) -> np.ndarray:
 
 
 def _helstrom_tests(
-    spectra: list[tuple[int, linalg.HermitianEig]],
+    spectra: list[tuple[int, tuple[np.ndarray, np.ndarray]]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One optimal binary test ``(E_+, E_-)`` per block, from the
     multiplicities and eigendecompositions of the blocks of a difference;

@@ -21,7 +21,6 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +33,6 @@ EIG_FLOOR_REL = 1e-12
 _CHECK_BLOCK = 1 << 16
 
 
-class HermitianEig(NamedTuple):
-    """Spectral decomposition: ascending eigenvalues, orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-d complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
@@ -49,9 +41,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     """Return ``a`` as a complex matrix, raising unless it is square, finite
-    and self-adjoint within ``tol * (1 + max |entry|)``."""
+    and self-adjoint within ``TOL_HERM * (1 + max |entry|)``."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise HermiticityViolation(f"matrix is not square: shape {m.shape}")
@@ -70,23 +62,21 @@ def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
             defect, np.abs(rows - m[:, i : i + step].conj().T).max()
         )
     scale = 1.0 + largest
-    if not defect <= tol * scale:
+    if not defect <= TOL_HERM * scale:
         raise HermiticityViolation(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
         )
     return m
 
 
-def eigh(h) -> HermitianEig:
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and matching orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V^dag`` reconstructs the
     input.
     """
-    m = check_hermitian(h)
-    w, v = np.linalg.eigh(m)
-    return HermitianEig(w, v)
+    return np.linalg.eigh(check_hermitian(h))
 
 
 def eig_floor(values: np.ndarray) -> float:

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,23 +32,12 @@ from .states import (
     DensityMatrix,
     Ensemble,
     classical_state,
-    density_from_matrix,
     mix,
     pure_state,
     random_density,
 )
 
 SCENARIO_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Parsed scenario: the ensemble plus the raw specs for round-trips."""
-
-    dim: int
-    specs: tuple[dict, ...]
-    ensemble: Ensemble
-    labels: tuple[str, ...] | None
 
 
 def _is_integer(value) -> bool:
@@ -96,7 +84,7 @@ def _parse_state(
             raise ScenarioParseError(
                 f"{where}.entries: expected {dim}x{dim}, got {entries.shape}"
             )
-        return density_from_matrix(entries)
+        return DensityMatrix(entries)
     if kind == "pure":
         vec = _complex_entries(spec.get("amplitudes"), f"{where}.amplitudes", dim)
         return pure_state(vec)
@@ -142,8 +130,9 @@ def _parse_state(
     raise ScenarioParseError(f"{where}: unknown state type {kind!r}")
 
 
-def scenario_from_dict(doc) -> Scenario:
-    """Build a scenario from a parsed JSON document."""
+def scenario_from_dict(doc) -> Ensemble:
+    """Build a scenario's ensemble, with its labels, from a parsed JSON
+    document."""
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level must be a JSON object")
     version = doc.get("version")
@@ -168,11 +157,10 @@ def scenario_from_dict(doc) -> Scenario:
     parsed: list[DensityMatrix] = []
     for k, spec in enumerate(specs):
         parsed.append(_parse_state(spec, dim, parsed, f"states[{k}]"))
-    ensemble = Ensemble(tuple(parsed), tuple(labels) if labels else None)
-    return Scenario(dim, tuple(specs), ensemble, tuple(labels) if labels else None)
+    return Ensemble(tuple(parsed), tuple(labels) if labels else None)
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path) -> Ensemble:
     """Read and validate a scenario file; one that cannot be read, or is
     not UTF-8, is a parse error naming the path."""
     try:
@@ -188,11 +176,8 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def scenario_document(dim: int, specs, labels=None) -> dict:
-    doc = {"version": SCENARIO_VERSION, "dim": dim, "states": list(specs)}
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return doc
+def scenario_document(dim: int, specs) -> dict:
+    return {"version": SCENARIO_VERSION, "dim": dim, "states": list(specs)}
 
 
 def write_text_atomic(path, text: str) -> None:

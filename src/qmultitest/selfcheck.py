@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .chernoff import _PairCurve, chernoff_distance
+from .chernoff import _PairCurve, _overlaps, chernoff_distance
 from .detectors import (
     Detector,
     check_detector,
@@ -152,13 +152,14 @@ def suite_chernoff_grid(trials: int, seed: int) -> SuiteResult:
     """Golden-section minimum matches a brute-force grid minimum."""
     result = SuiteResult("chernoff-grid", trials, 0)
     steps = int(round(1.0 / GRID_STEP))
+    points = [k / steps for k in range(steps + 1)]
     for t in range(trials):
         base = seed + 1000 * t
         rho1 = random_density(2, 2, base)
         rho2 = random_density(2, 2, base + 1)
         golden = chernoff_distance(rho1, rho2).exponent
         curve = _PairCurve(rho1, rho2)
-        f_grid = min(curve.value(k / steps) for k in range(steps + 1))
+        f_grid = min(_overlaps(curve.weights, curve.log_a, curve.log_b, points))
         grid = -np.log(f_grid)
         if abs(golden - grid) > 1e-6:
             _note(result, t, f"golden {golden!r} vs grid {grid!r}")

@@ -53,10 +53,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def distance_from(self, other: "DensityMatrix") -> float:
-        """Frobenius distance between the two matrices."""
-        return float(np.linalg.norm(self.matrix - other.matrix))
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -74,7 +70,8 @@ class Ensemble:
             raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                if states[i].distance_from(states[j]) <= DISTINCTNESS_TOL:
+                gap = np.linalg.norm(states[i].matrix - states[j].matrix)
+                if gap <= DISTINCTNESS_TOL:
                     raise ValueError(
                         f"states {i} and {j} are numerically identical"
                     )
@@ -89,11 +86,6 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.states[0].dim
-
-
-def density_from_matrix(m) -> DensityMatrix:
-    """Validate an explicit matrix as a quantum state."""
-    return DensityMatrix(np.asarray(m, dtype=np.complex128))
 
 
 def pure_state(v) -> DensityMatrix:

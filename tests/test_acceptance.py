@@ -320,7 +320,7 @@ def test_criterion_8_povm_validity_everywhere(condition_scenario):
             det, _, _ = build_split_detector(ens, n, 0.5, sub)
             must_be_valid(det)
     _, scenario_path, _ = condition_scenario
-    condition_ens = load_scenario(scenario_path).ensemble
+    condition_ens = load_scenario(scenario_path)
     for n in (2, 4, 6, 8):
         det, _, _ = build_split_detector(condition_ens, n, 0.5, "pgm")
         must_be_valid(det)

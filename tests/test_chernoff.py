@@ -8,15 +8,15 @@ from qmultitest import (
     chernoff_curve,
     chernoff_distance,
     classical_state,
-    density_from_matrix,
     mix,
     pure_state,
     random_density,
     ChernoffResult,
+    DensityMatrix,
     Ensemble,
     PairwiseTable,
 )
-from qmultitest import chernoff, linalg
+from qmultitest import chernoff, linalg, selfcheck
 from qmultitest.errors import DimensionMismatch, UndefinedQuantity
 
 from conftest import matrix_power
@@ -92,6 +92,19 @@ class TestChernoffCurve:
                 via_powers, abs=1e-12
             )
 
+    @pytest.mark.parametrize("d, seed", [(2, 9500), (2, 9510), (3, 9520)])
+    def test_one_call_over_the_grid_equals_each_point(self, d, seed):
+        # verify's chernoff-grid suite evaluates its whole grid in one call;
+        # a single-row curve broadcasts over the points.
+        curve = chernoff._PairCurve(
+            random_density(d, d, seed), random_density(d, d, seed + 1)
+        )
+        steps = int(round(1.0 / selfcheck.GRID_STEP))
+        points = [k / steps for k in range(steps + 1)]
+        at_once = chernoff._overlaps(curve.weights, curve.log_a, curve.log_b, points)
+        one_by_one = [curve.value(s) for s in points]
+        assert np.array(at_once).tobytes() == np.array(one_by_one).tobytes()
+
     def test_rejects_out_of_range_s(self):
         rho = random_density(2, 2, 1)
         with pytest.raises(ValueError):
@@ -146,7 +159,7 @@ class TestChernoffDistance:
     def test_endpoint_minimum_is_found(self):
         # supp(rho) strictly inside supp(sigma): f is monotone, min at s=1
         rho = pure_state([1.0, 0.0])
-        sigma = density_from_matrix(np.diag([0.2, 0.8]))
+        sigma = DensityMatrix(np.diag([0.2, 0.8]))
         result = chernoff_distance(rho, sigma)
         f0 = chernoff_curve(rho, sigma, 0.0)
         f1 = chernoff_curve(rho, sigma, 1.0)

@@ -11,6 +11,7 @@ import pytest
 
 from qmultitest import (
     DEFAULT_DIM_CAP,
+    DensityMatrix,
     Detector,
     Ensemble,
     PairwiseTable,
@@ -18,7 +19,6 @@ from qmultitest import (
     check_detector,
     classical_state,
     compose_with_binary,
-    density_from_matrix,
     error_sum,
     holevo_helstrom,
     pgm,
@@ -64,14 +64,14 @@ def helstrom_misses(rho1, rho2, n, dim_cap=DEFAULT_DIM_CAP):
 def embed_qubit_in_qutrit(rho):
     out = np.zeros((3, 3), dtype=complex)
     out[:2, :2] = rho.matrix
-    return density_from_matrix(out)
+    return DensityMatrix(out)
 
 
 class TestHolevoHelstrom:
     def test_orthogonal_diagonal(self):
         det = holevo_helstrom(
-            density_from_matrix(np.diag([1.0, 0.0])),
-            density_from_matrix(np.diag([0.0, 1.0])),
+            DensityMatrix(np.diag([1.0, 0.0])),
+            DensityMatrix(np.diag([0.0, 1.0])),
         )
         np.testing.assert_allclose(det.elements[0], np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(det.elements[1], np.diag([0.0, 1.0]), atol=1e-12)
@@ -769,7 +769,7 @@ def seed_7_ensemble():
     from qmultitest.cli import _gen_condition_satisfying
     from qmultitest.scenario import scenario_from_dict
 
-    return scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0]).ensemble
+    return scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0])
 
 
 def dense_split_row(ens, n, sub):
@@ -917,7 +917,7 @@ class TestSectorComposition:
         from qmultitest.evaluation import run_experiment
         from qmultitest.scenario import scenario_from_dict
 
-        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0]).ensemble
+        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 7)[0])
         got = run_experiment(ens, [10], k_fit=2).rows
         self.same_rows(got, table_without_parts(ens, [10], "pgm", monkeypatch).rows)
 
@@ -934,7 +934,7 @@ class TestSectorComposition:
         from qmultitest.scenario import scenario_from_dict
 
         if d == 2:
-            ens = scenario_from_dict(_gen_condition_satisfying(r, d, 7)[0]).ensemble
+            ens = scenario_from_dict(_gen_condition_satisfying(r, d, 7)[0])
         else:
             ens = Ensemble(tuple(random_density(d, d, 9600 + k) for k in range(r)))
         ns = range(2, n_max + 1)
@@ -974,7 +974,7 @@ class TestSectorComposition:
         from qmultitest.evaluation import error_sum
         from qmultitest.scenario import scenario_from_dict
 
-        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 8)[0]).ensemble
+        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, 8)[0])
         n = 10
         det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
         got = error_sum(ens, det).per_state_error
@@ -985,7 +985,7 @@ class TestSectorComposition:
         # copy-pair sector traces agree to 5.2e-13 and 8.1e-14 with one
         # BLAS thread (1.5e-14 and 7.1e-14 with two), the dense test's
         # traces only to 5.1e-12 and 2.1e-11 (2.5e-11 and 2.3e-12).
-        ens = scenario_from_dict(_gen_random(2, 3, 7001)).ensemble
+        ens = scenario_from_dict(_gen_random(2, 3, 7001))
         n = 7
         test = holevo_helstrom(*ens.states, n)
         assert test.layout is sectors.layout(3, (n,))
@@ -1033,8 +1033,8 @@ class TestSectorComposition:
         def largest(parts):
             return math.prod(6 ** (p // 2) * 3 ** (p % 2) for p in parts)
 
-        binary = scenario_from_dict(_gen_random(2, 3, 4)).ensemble
-        split = scenario_from_dict(_gen_condition_satisfying(3, 3, 7)[0]).ensemble
+        binary = scenario_from_dict(_gen_random(2, 3, 4))
+        split = scenario_from_dict(_gen_condition_satisfying(3, 3, 7)[0])
         for n in range(1, 6):
             sizes.clear()
             built.clear()
@@ -1058,7 +1058,7 @@ class TestSectorComposition:
         from qmultitest.cli import _gen_condition_satisfying
         from qmultitest.scenario import scenario_from_dict
 
-        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, seed)[0]).ensemble
+        ens = scenario_from_dict(_gen_condition_satisfying(3, 2, seed)[0])
         for n in range(2, 9):
             det, _, _ = build_split_detector(ens, n, 0.5, "recursive")
             partials = list(det.elements[2:])
@@ -1186,7 +1186,7 @@ class TestSectorChecks:
         from qmultitest.scenario import scenario_from_dict
 
         if seed is not None:
-            ens = scenario_from_dict(_gen_condition_satisfying(r, d, seed)[0]).ensemble
+            ens = scenario_from_dict(_gen_condition_satisfying(r, d, seed)[0])
         else:
             ens = Ensemble(tuple(random_density(d, d, 9600 + k) for k in range(r)))
         tests, checked = [], []
@@ -1523,10 +1523,10 @@ def qubit_pairs():
         (pure_state([1.0, 0.0]), pure_state([0.0, 1.0])),
         (rho, rho),
         (
-            density_from_matrix(np.diag([0.9, 0.1])),
-            density_from_matrix(np.diag([0.2, 0.8])),
+            DensityMatrix(np.diag([0.9, 0.1])),
+            DensityMatrix(np.diag([0.2, 0.8])),
         ),
-        (rho, density_from_matrix(0.999 * rho.matrix + 0.001 * np.eye(2) / 2)),
+        (rho, DensityMatrix(0.999 * rho.matrix + 0.001 * np.eye(2) / 2)),
     ]
     return pairs
 

@@ -6,10 +6,10 @@ import pytest
 
 from qmultitest import (
     DEFAULT_DIM_CAP,
+    DensityMatrix,
     Ensemble,
     chernoff_distance,
     classical_state,
-    density_from_matrix,
     error_sum,
     exponent_estimate,
     holevo_helstrom,
@@ -164,10 +164,10 @@ class TestOverallBound:
 
     def test_orthogonal_tail_reduces_to_binary(self):
         base1, base2 = random_density(2, 2, 61), random_density(2, 2, 62)
-        rho1 = density_from_matrix(
+        rho1 = DensityMatrix(
             np.block([[base1.matrix, np.zeros((2, 1))], [np.zeros((1, 3))]])
         )
-        rho2 = density_from_matrix(
+        rho2 = DensityMatrix(
             np.block([[base2.matrix, np.zeros((2, 1))], [np.zeros((1, 3))]])
         )
         rho3 = pure_state([0.0, 0.0, 1.0])
@@ -559,7 +559,7 @@ class TestSharedSubDetectors:
         from qmultitest.cli import _gen_condition_satisfying
         from qmultitest.scenario import scenario_from_dict
 
-        return scenario_from_dict(_gen_condition_satisfying(r, 2, 7)[0]).ensemble
+        return scenario_from_dict(_gen_condition_satisfying(r, 2, 7)[0])
 
     @staticmethod
     def table(ens, ns, sub, monkeypatch, shared):

@@ -112,21 +112,23 @@ class TestCheckHermitian:
         return np.max(np.abs(m - m.conj().T)), 1.0 + np.max(np.abs(m))
 
     @pytest.mark.parametrize("d", [3, 300, 1024])
-    def test_planted_defect_decided_at_the_exact_edge(self, np_rng, d):
+    def test_planted_defect_decided_at_the_exact_edge(self, np_rng, monkeypatch, d):
         # 300 and 1024 span several row blocks; the defect sits in the last.
         m = random_hermitian(np_rng, d)
         m[d - 1, 1] += 3e-9
         defect, scale = self.whole_matrix(m)
         edge = defect / scale
         for tol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            # The tolerance is read at call time.
+            monkeypatch.setattr(linalg, "TOL_HERM", tol)
             if defect > tol * scale:
                 with pytest.raises(HermiticityViolation) as info:
-                    linalg.check_hermitian(m, tol)
+                    linalg.check_hermitian(m)
                 assert str(info.value) == (
                     f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
                 )
             else:
-                assert linalg.check_hermitian(m, tol) is m
+                assert linalg.check_hermitian(m) is m
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_in_one_block_is_refused(self, np_rng, value):

@@ -67,15 +67,11 @@ class TestScenarioParsing:
                 {"type": "mix", "base": 0, "other": 1, "epsilon": 0.25},
             ],
         }
-        scenario = load_scenario(write_doc(tmp_path / "s.json", doc))
-        assert scenario.ensemble.r == 5
-        np.testing.assert_allclose(
-            scenario.ensemble.states[0].matrix, np.eye(2) / 2
-        )
+        ensemble = load_scenario(write_doc(tmp_path / "s.json", doc))
+        assert ensemble.r == 5
+        np.testing.assert_allclose(ensemble.states[0].matrix, np.eye(2) / 2)
         expected_mix = 0.75 * np.eye(2) / 2 + 0.25 * np.diag([1.0, 0.0])
-        np.testing.assert_allclose(
-            scenario.ensemble.states[4].matrix, expected_mix
-        )
+        np.testing.assert_allclose(ensemble.states[4].matrix, expected_mix)
 
     def test_inline_mix_spec(self):
         doc = {
@@ -91,17 +87,17 @@ class TestScenarioParsing:
                 },
             ],
         }
-        scenario = scenario_from_dict(doc)
+        ensemble = scenario_from_dict(doc)
         rho = random_density(2, 2, 1)
         sigma = random_density(2, 2, 2)
         np.testing.assert_allclose(
-            scenario.ensemble.states[1].matrix,
+            ensemble.states[1].matrix,
             0.5 * rho.matrix + 0.5 * sigma.matrix,
         )
 
     def test_random_specs_reproduce_bit_exactly(self):
-        a = scenario_from_dict(two_state_doc()).ensemble
-        b = scenario_from_dict(two_state_doc()).ensemble
+        a = scenario_from_dict(two_state_doc())
+        b = scenario_from_dict(two_state_doc())
         for x, y in zip(a.states, b.states):
             assert x.matrix.tobytes() == y.matrix.tobytes()
 
@@ -176,8 +172,8 @@ class TestScenarioParsing:
             load_scenario(path)
 
     def test_write_and_reload(self, tmp_path):
-        scenario = load_scenario(write_doc(tmp_path / "out.json", two_state_doc()))
-        assert scenario.dim == 2 and scenario.ensemble.r == 2
+        ensemble = load_scenario(write_doc(tmp_path / "out.json", two_state_doc()))
+        assert ensemble.dim == 2 and ensemble.r == 2
 
 
 class TestChernoffCommand:
@@ -240,13 +236,25 @@ class TestChernoffCommand:
         src = write_doc(tmp_path / "s.json", two_state_doc())
         first_out = tmp_path / "r1.json"
         assert cli.main(["chernoff", src, "--out", str(first_out)]) == 0
-        scenario = load_scenario(src)
+        doc = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
         copy = tmp_path / "copy.json"
-        doc = scenario_document(scenario.dim, scenario.specs, scenario.labels)
-        write_doc(copy, doc)
+        write_doc(copy, scenario_document(doc["dim"], doc["states"]))
         second_out = tmp_path / "r2.json"
         assert cli.main(["chernoff", str(copy), "--out", str(second_out)]) == 0
         assert first_out.read_bytes() == second_out.read_bytes()
+
+
+@pytest.mark.parametrize("labels", [["rho", "sigma"], None])
+def test_labels_reach_both_reports(tmp_path, capsys, labels):
+    # An unlabeled scenario writes null.
+    doc = two_state_doc()
+    if labels is not None:
+        doc["labels"] = labels
+    path = write_doc(tmp_path / "s.json", doc)
+    assert cli.main(["chernoff", path]) == 0
+    assert strict_json(capsys.readouterr().out)["labels"] == labels
+    assert cli.main(["run", path, "--n-max", "3", "--format", "json"]) == 0
+    assert strict_json(capsys.readouterr().out)["labels"] == labels
 
 
 class TestRunCommand:
@@ -262,7 +270,7 @@ class TestRunCommand:
         from qmultitest import chernoff_distance, holevo_helstrom
         from qmultitest.detectors import misses
 
-        pair = load_scenario(path).ensemble.states
+        pair = load_scenario(path).states
         xi = chernoff_distance(*pair).exponent
         for n, line in enumerate(lines[1:], start=1):
             cells = line.split(",")
@@ -586,8 +594,7 @@ class TestGenCommand:
         assert cli.main(
             ["gen", "random", "--r", "4", "--d", "2", "--seed", "3", "--out", str(out)]
         ) == 0
-        scenario = load_scenario(out)
-        assert scenario.ensemble.r == 4
+        assert load_scenario(out).r == 4
 
     def test_condition_scenario_round_trip(self, tmp_path):
         out = tmp_path / "c.json"
@@ -599,7 +606,7 @@ class TestGenCommand:
         assert 0.0 < doc["states"][1]["epsilon"] < 1.0
         from qmultitest import attainability_condition
 
-        assert attainability_condition(load_scenario(out).ensemble).holds
+        assert attainability_condition(load_scenario(out)).holds
 
     def test_calibration_computes_fixed_pairs_once(self, tmp_path, chernoff_calls):
         out = tmp_path / "c.json"
@@ -629,6 +636,17 @@ class TestGenCommand:
 
     def test_equidistant_requires_three(self):
         assert cli.main(["gen", "equidistant-classical", "--r", "4"]) == 1
+
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "kind", ["condition-satisfying", "equidistant-classical", "random"]
+    )
+    def test_dimension_below_two_is_refused(self, tmp_path, capsys, kind, d):
+        out = tmp_path / "g.json"
+        assert cli.main(["gen", kind, "--d", str(d), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: need d >= 2, got {d}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_generated_files_reparse(self, tmp_path, capsys):
         for kind in ("random", "equidistant-classical", "condition-satisfying"):

@@ -6,7 +6,6 @@ from qmultitest import (
     DensityMatrix,
     Ensemble,
     classical_state,
-    density_from_matrix,
     holevo_helstrom,
     mix,
     pure_state,
@@ -58,21 +57,21 @@ class TestSplitMix64:
 
 class TestDensityFromMatrix:
     def test_maximally_mixed(self):
-        rho = density_from_matrix(np.eye(2) / 2)
+        rho = DensityMatrix(np.eye(2) / 2)
         assert rho.dim == 2
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2)
 
     def test_trace_violation(self):
         with pytest.raises(TraceViolation):
-            density_from_matrix(np.diag([0.5, 0.6]))
+            DensityMatrix(np.diag([0.5, 0.6]))
 
     def test_psd_violation(self):
         with pytest.raises(PSDViolation):
-            density_from_matrix(np.diag([1.2, -0.2]))
+            DensityMatrix(np.diag([1.2, -0.2]))
 
     def test_hermiticity_violation(self):
         with pytest.raises(HermiticityViolation):
-            density_from_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
@@ -81,12 +80,12 @@ class TestDensityFromMatrix:
         m = np.eye(2, dtype=complex) / 2
         m[where] = m[where[::-1]] = value
         with pytest.raises(HermiticityViolation, match="non-finite entry"):
-            density_from_matrix(m)
+            DensityMatrix(m)
         with pytest.raises(HermiticityViolation, match="non-finite entry"):
-            density_from_matrix(np.diag([0.5, 0.5 + 1j * value]))
+            DensityMatrix(np.diag([0.5, 0.5 + 1j * value]))
 
     def test_matrix_is_read_only(self):
-        rho = density_from_matrix(np.eye(2) / 2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.3
 
@@ -168,7 +167,7 @@ class TestRandomDensity:
     def test_outputs_validate(self):
         for seed in range(5):
             rho = random_density(3, 3, seed)
-            density_from_matrix(rho.matrix)
+            DensityMatrix(rho.matrix)
 
 
 class TestMix:
@@ -179,8 +178,8 @@ class TestMix:
         np.testing.assert_allclose(mix(rho, sigma, 1.0).matrix, sigma.matrix)
 
     def test_half_mix_of_orthogonal(self):
-        rho = density_from_matrix(np.diag([1.0, 0.0]))
-        sigma = density_from_matrix(np.diag([0.0, 1.0]))
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        sigma = DensityMatrix(np.diag([0.0, 1.0]))
         np.testing.assert_allclose(mix(rho, sigma, 0.5).matrix, np.eye(2) / 2)
 
     def test_dimension_mismatch(self):
@@ -194,7 +193,7 @@ class TestTensorPower:
         assert tensor_power(rho, 1) is rho
 
     def test_mixed_qubit_cubed(self):
-        rho = density_from_matrix(np.eye(2) / 2)
+        rho = DensityMatrix(np.eye(2) / 2)
         np.testing.assert_allclose(tensor_power(rho, 3).matrix, np.eye(8) / 8)
 
     def test_spectrum_is_pairwise_products(self):
@@ -234,7 +233,7 @@ class TestTensorPower:
 
     def test_output_validates(self):
         rho = tensor_power(random_density(2, 2, 6), 3)
-        density_from_matrix(rho.matrix)
+        DensityMatrix(rho.matrix)
 
 
 def spin_blocks(rho, n):
