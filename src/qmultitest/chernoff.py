@@ -52,7 +52,6 @@ class ConditionReport:
     pair: tuple[int, int]
     pair_distance: float
     others_min: float
-    overall_min: float
     holds: bool
     margin: float
 
@@ -232,6 +231,10 @@ class PairwiseTable:
         }
         self.least = min(sorted(distances), key=lambda p: distances[p].exponent)
 
+    def __eq__(self, other) -> bool:
+        """Tables compare by value: by their pairwise results."""
+        return isinstance(other, PairwiseTable) and self.distances == other.distances
+
     def others_min(self, pair: tuple[int, int]) -> float:
         """Minimum pairwise exponent over all pairs other than ``pair``."""
         if self.r < 3:
@@ -257,16 +260,15 @@ class PairwiseTable:
         """
         if self.r < 3:
             raise UndefinedQuantity("condition needs r >= 3")
-        overall_min = self.distances[self.least].exponent
+        distance = self.distances[self.least].exponent
         others_min = self.others_min(self.least)
         threshold = others_min / CONDITION_DIVISOR
         return ConditionReport(
             pair=self.least,
-            pair_distance=overall_min,
+            pair_distance=distance,
             others_min=others_min,
-            overall_min=overall_min,
-            holds=overall_min <= threshold,
-            margin=threshold - overall_min,
+            holds=distance <= threshold,
+            margin=threshold - distance,
         )
 
 

@@ -29,7 +29,7 @@ from .errors import (
     DimensionCapExceeded,
     ScenarioParseError,
 )
-from .evaluation import ExperimentTable, run_experiment
+from .evaluation import ExperimentRow, ExperimentTable, run_experiment
 from .scenario import (
     load_scenario,
     scenario_document,
@@ -118,14 +118,7 @@ def _chernoff_report(ensemble: Ensemble) -> dict:
     }
     if ensemble.r >= 3:
         cond = table.condition()
-        report["condition"] = {
-            "pair": list(cond.pair),
-            "pair_distance": cond.pair_distance,
-            "others_min": cond.others_min,
-            "threshold": cond.threshold,
-            "margin": cond.margin,
-            "holds": cond.holds,
-        }
+        report["condition"] = {**asdict(cond), "threshold": cond.threshold}
     return report
 
 
@@ -135,64 +128,60 @@ def cmd_chernoff(args) -> int:
     return 0
 
 
+def _row_document(row: ExperimentRow, r: int) -> dict:
+    """A table row as both formats write it: the JSON row, and the CSV
+    columns by name.  The mean error and the summed success are derived
+    from the summed error over ``r`` hypotheses."""
+    report = row.report
+    return {
+        "n": row.n,
+        "n1": row.n1,
+        "n2": row.n2,
+        "per_state_error": list(report.per_state_error),
+        "err_sm": report.err_sm,
+        "err_avg": report.err_sm / r,
+        "succ_sm": r - report.err_sm,
+        "rate": row.rate,
+        "binary_bound": row.binary_bound,
+        "lemma_rhs": row.lemma_rhs,
+        "lemma_holds": row.lemma_holds,
+        "overall_rhs": row.overall_rhs,
+        "overall_holds": row.overall_holds,
+    }
+
+
 def table_to_csv(table: ExperimentTable) -> str:
     lines = [CSV_HEADER]
     for row in table.rows:
-        cells = [
-            row.n,
-            row.n1,
-            row.n2,
-            row.report.err_sm,
-            row.report.err_avg,
-            row.rate,
-            row.binary_bound,
-            table.reference_level,
-            row.overall_rhs,
-            row.lemma_holds,
-            row.overall_holds,
-        ]
-        lines.append(",".join(_csv_cell(c) for c in cells))
+        doc = _row_document(row, table.r)
+        doc["reference_level"] = table.reference_level
+        lines.append(",".join(_csv_cell(doc[name]) for name in CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: ExperimentTable) -> str:
+    pairs = table.pairs
+    least = pairs.distances[pairs.least]
+    cond = pairs.condition() if table.r >= 3 else None
     doc = {
         "dim": table.dim,
         "r": table.r,
         "labels": list(table.labels) if table.labels else None,
         "w1": table.w1,
         "sub": table.sub,
-        "pair_exponent": table.pair_exponent,
-        "pair_s_opt": table.pair_s_opt,
-        "others_min": table.others_min,
+        "pair_exponent": least.exponent,
+        "pair_s_opt": least.s_opt,
+        "others_min": cond.others_min if cond else None,
         "reference_level": table.reference_level,
-        "least_favorable": {
-            "exponent": table.least_favorable[0],
-            "pair": list(table.least_favorable[1]),
-        },
-        "condition": asdict(table.condition) if table.condition else None,
+        "least_favorable": {"exponent": least.exponent, "pair": list(pairs.least)},
+        "condition": (
+            {**asdict(cond), "overall_min": cond.pair_distance} if cond else None
+        ),
         "pairwise": [
             {"i": i, "j": j, "exponent": res.exponent, "s_opt": res.s_opt}
-            for i, j, res in table.pairwise
+            for (i, j), res in sorted(pairs.distances.items())
         ],
-        "rows": [
-            {
-                "n": row.n,
-                "n1": row.n1,
-                "n2": row.n2,
-                "per_state_error": list(row.report.per_state_error),
-                "err_sm": row.report.err_sm,
-                "err_avg": row.report.err_avg,
-                "succ_sm": row.report.succ_sm,
-                "rate": row.rate,
-                "binary_bound": row.binary_bound,
-                "lemma_rhs": row.lemma_rhs,
-                "lemma_holds": row.lemma_holds,
-                "overall_rhs": row.overall_rhs,
-                "overall_holds": row.overall_holds,
-            }
-            for row in table.rows
-        ],
+        "rows": [_row_document(row, table.r) for row in table.rows],
         "fitted_slope": table.series.fitted_slope,
         "k_fit": table.series.k_fit,
         "exact_discrimination": table.series.exact_discrimination,
@@ -200,7 +189,7 @@ def table_to_json(table: ExperimentTable) -> str:
         # so finite-copy slopes may legitimately sit above it
         "slope_exceeds_bottleneck": (
             table.series.fitted_slope is not None
-            and table.series.fitted_slope > table.least_favorable[0] + 1e-6
+            and table.series.fitted_slope > least.exponent + 1e-6
         ),
     }
     return _report_json(doc)
@@ -338,8 +327,7 @@ def cmd_gen(args) -> int:
         scenario_from_dict(doc)
     else:
         raise ValueError(f"unknown scenario kind {args.kind!r}")
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    _emit(text + "\n", args.out)
+    _emit(_report_json(doc), args.out)
     return 0
 
 

@@ -181,10 +181,19 @@ def scenario_document(dim: int, specs) -> dict:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.  The
+    file gets the mode a plain ``open(path, "w")`` gives it: the replaced
+    file's permission bits, or ``0o666`` less the umask for a new file."""
     target = Path(path)
+    try:
+        mode = os.stat(target).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=target.parent or ".", suffix=".tmp")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, target)

@@ -138,8 +138,12 @@ class TestChernoffDistance:
             rho = random_density(2, 2, 100 + seed)
             sigma = random_density(2, 2, 200 + seed)
             golden = chernoff_distance(rho, sigma).exponent
+            # One curve over the whole grid: bit for bit the per-point
+            # chernoff_curve values (test_one_call_over_the_grid_equals_each_point).
+            curve = chernoff._PairCurve(rho, sigma)
+            points = [k / 10000 for k in range(10001)]
             f_grid = min(
-                chernoff_curve(rho, sigma, k / 10000) for k in range(10001)
+                chernoff._overlaps(curve.weights, curve.log_a, curve.log_b, points)
             )
             assert abs(golden - (-math.log(f_grid))) <= 1e-6
 
@@ -429,8 +433,7 @@ class TestAttainabilityCondition:
             if report.holds:
                 assert report.pair == (0, 1)
                 assert report.margin > 0
-                assert report.overall_min == report.pair_distance
-                assert report.overall_min <= report.others_min
+                assert report.pair_distance <= report.others_min
                 break
         else:
             pytest.fail("no mixing weight satisfied the condition")

@@ -948,8 +948,6 @@ class TestSectorComposition:
             )
             for x, y in (
                 (a.report.err_sm, b.report.err_sm),
-                (a.report.err_avg, b.report.err_avg),
-                (a.report.succ_sm, b.report.succ_sm),
                 (a.lemma_rhs, b.lemma_rhs),
                 (a.overall_rhs, b.overall_rhs),
                 (a.rate, b.rate),

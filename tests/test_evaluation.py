@@ -20,8 +20,9 @@ from qmultitest import (
     run_experiment,
     tensor_power,
 )
-from qmultitest import linalg
+from qmultitest import cli, linalg
 from qmultitest.detectors import misses
+from qmultitest.evaluation import ExperimentRow
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
@@ -38,13 +39,19 @@ def orthogonal_triple():
     return Ensemble(tuple(pure_state(v) for v in np.eye(3)))
 
 
+def written_row(report, r):
+    """The row that a table writes for this report on ``r`` hypotheses."""
+    row = ExperimentRow(1, None, None, report, None, 1.0, None, None, None, None)
+    return cli._row_document(row, r)
+
+
 class TestErrorSum:
     def test_perfect_pvm_on_orthogonal_states(self):
         ens = orthogonal_triple()
         det = dense_detector([s.matrix.copy() for s in ens.states])
         report = error_sum(ens, det)
         assert report.err_sm == pytest.approx(0.0, abs=1e-12)
-        assert report.succ_sm == pytest.approx(3.0, abs=1e-12)
+        assert written_row(report, 3)["succ_sm"] == pytest.approx(3.0, abs=1e-12)
 
     def test_uninformative_detector(self):
         ens = Ensemble(tuple(random_density(2, 2, k) for k in range(3)))
@@ -52,7 +59,7 @@ class TestErrorSum:
         report = error_sum(ens, det)
         np.testing.assert_allclose(report.per_state_error, [2 / 3] * 3)
         assert report.err_sm == pytest.approx(2.0)
-        assert report.err_avg == pytest.approx(2.0 / 3.0)
+        assert written_row(report, 3)["err_avg"] == pytest.approx(2.0 / 3.0)
 
     def test_binary_matches_wedge_trace(self):
         rho1, rho2 = random_density(2, 2, 5), random_density(2, 2, 6)
@@ -66,8 +73,8 @@ class TestErrorSum:
     def test_sum_plus_success_is_r(self):
         ens = Ensemble(tuple(random_density(2, 2, 10 + k) for k in range(3)))
         det = dense_detector([np.eye(2) / 3 for _ in range(3)])
-        report = error_sum(ens, det)
-        assert report.err_sm + report.succ_sm == pytest.approx(3.0, abs=1e-9)
+        row = written_row(error_sum(ens, det), 3)
+        assert row["err_sm"] + row["succ_sm"] == pytest.approx(3.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
         # One copy of C^4 has the dimension of two qubits, not their copies.
@@ -82,7 +89,7 @@ class TestErrorSum:
         ens = Ensemble((random_density(2, 2, 1), random_density(2, 2, 2)))
         det = holevo_helstrom(*ens.states, n)
         report = error_sum(ens, det)
-        assert report.n == det.layout.copies == n
+        assert det.layout.copies == n
         assert report.per_state_error == tuple(misses(ens.states, det))
 
     def test_copies_are_not_a_parameter(self):
@@ -285,13 +292,10 @@ class TestClosestPair:
     def test_reordering_moves_only_the_per_state_errors(self, sub):
         table = run_experiment(self.states([0, 1, 2]), range(2, 7), sub=sub)
         first = run_experiment(self.states([0, 2, 1]), range(2, 7), sub=sub)
-        assert table.least_favorable[1] == (0, 2)
-        assert first.least_favorable[1] == (0, 1)
+        assert table.pairs.least == (0, 2)
+        assert first.pairs.least == (0, 1)
         # The pair's Chernoff search runs on the same states in both.
-        assert (table.pair_exponent, table.pair_s_opt) == (
-            first.pair_exponent,
-            first.pair_s_opt,
-        )
+        assert table.pairs.distances[(0, 2)] == first.pairs.distances[(0, 1)]
         assert table.reference_level == pytest.approx(first.reference_level, rel=1e-12)
         assert table.series == first.series
         for row, ref in zip(table.rows, first.rows, strict=True):
@@ -305,10 +309,11 @@ class TestClosestPair:
     def test_pair_fields_are_the_closest_pair(self, order):
         ens = Ensemble(tuple(random_density(2, 2, 1 + k) for k in order))
         table = run_experiment(ens, [2, 3])
-        exponent, pair = table.least_favorable
-        assert table.pair_exponent == exponent == table.condition.pair_distance
-        assert table.condition.pair == pair
-        assert table.others_min == table.condition.others_min
+        pair = table.pairs.least
+        exponent = table.pairs.distances[pair].exponent
+        assert exponent == min(r.exponent for r in table.pairs.distances.values())
+        condition = table.pairs.condition()
+        assert (condition.pair, condition.pair_distance) == (pair, exponent)
         assert table.rows[0].binary_bound == math.exp(-2 * exponent)
 
 
@@ -350,7 +355,7 @@ class TestRunExperiment:
         ens = Ensemble(tuple(random_density(2, 2, 140 + k) for k in range(4)))
         table = run_experiment(ens, [2], k_fit=2)
         assert len(chernoff_calls) == 6
-        assert table.condition is not None
+        assert len(table.pairs.distances) == 6
 
     @pytest.mark.parametrize("k_fit", [0, 1])
     def test_short_fit_window_refused_before_any_work(
@@ -404,7 +409,7 @@ class TestRunExperiment:
         monkeypatch.setattr(sectors, "power_blocks", counted)
         table = run_experiment(ens, [4], k_fit=2)
         assert max(sizes) < 2 ** 4
-        pair = table.least_favorable[1]
+        pair = table.pairs.least
         full = [built.count((id(s), 4)) for s in ens.states]
         assert full == [2 if k in pair else 1 for k in range(r)]
         row = table.rows[0]
@@ -426,8 +431,8 @@ class TestRunExperiment:
             assert row.report.err_sm == sum(per_state)
             assert row.binary_bound == math.exp(-row.n * xi)
             assert row.n1 is None and row.lemma_holds is None
-        assert table.condition is None
-        assert table.reference_level == table.pair_exponent == xi
+        assert table.pairs.least == (0, 1)
+        assert table.reference_level == table.pairs.distances[(0, 1)].exponent == xi
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_one_error_sum_per_row(self, r, monkeypatch):
@@ -509,9 +514,10 @@ class TestRunExperiment:
             assert row.report.per_state_error == pytest.approx(
                 ref.report.per_state_error, rel=1e-10, abs=0.0
             )
+            written, dense_row = cli._row_document(row, 2), cli._row_document(ref, 2)
             for column in ("err_sm", "err_avg", "succ_sm"):
-                assert getattr(row.report, column) == pytest.approx(
-                    getattr(ref.report, column), rel=1e-10, abs=0.0
+                assert written[column] == pytest.approx(
+                    dense_row[column], rel=1e-10, abs=0.0
                 )
             assert row.rate == pytest.approx(ref.rate, rel=1e-10, abs=0.0)
             assert row.report.err_sm <= row.binary_bound
@@ -538,14 +544,17 @@ class TestRunExperiment:
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert all(row.lemma_holds for row in table.rows)
         assert all(row.overall_holds for row in table.rows)
-        assert table.condition is not None
-        assert table.reference_level <= table.pair_exponent + 1e-12
+        assert table.pairs.least == (0, 1)
+        exponent = table.pairs.distances[(0, 1)].exponent
+        assert table.reference_level <= exponent + 1e-12
 
     def test_reference_level_uses_first_pair(self):
         ens = Ensemble(tuple(random_density(2, 2, 130 + k) for k in range(3)))
         table = run_experiment(ens, [2, 3], k_fit=2)
+        least = table.pairs.least
+        others_min = table.pairs.others_min(least)
         assert table.reference_level == pytest.approx(
-            min(table.pair_exponent, table.others_min / 6.0)
+            min(table.pairs.distances[least].exponent, others_min / 6.0)
         )
 
 

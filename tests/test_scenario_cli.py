@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -564,6 +566,127 @@ class TestFileErrors:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stdout == ""
+
+
+class TestOutFileMode:
+    """An ``--out`` file gets the mode a plain ``open(path, "w")`` gives it,
+    and the bytes the command prints without ``--out``."""
+
+    COMMANDS = [
+        ["run", "{scenario}", "--n-max", "3"],
+        ["run", "{scenario}", "--n-max", "3", "--format", "json"],
+        ["gen", "random", "--r", "2"],
+        ["chernoff", "{scenario}"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        previous = os.umask(0o022)
+        yield
+        os.umask(previous)
+
+    @staticmethod
+    def written(args, out, tmp_path, capsys):
+        """Run once to stdout and once to ``out``; return the printed text."""
+        scenario = write_doc(tmp_path / "s.json", two_state_doc())
+        argv = [a.format(scenario=scenario) for a in args]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+        return printed
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_new_file_follows_the_umask(self, args, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        self.written(args, out, tmp_path, capsys)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_replaced_file_keeps_its_mode(self, args, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(0o640)
+        self.written(args, out, tmp_path, capsys)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+class TestReportsAgree:
+    """Each CSV cell is the JSON table's value for its column, and the
+    ``chernoff`` report and the JSON table give the same pairs and
+    condition: a qubit split table, a binary table from one copy, and the
+    orthogonal triple, whose infinite exponents are ``null``."""
+
+    CASES = {
+        "split": ("2", "6"),
+        "binary": ("1", "5"),
+        "orthogonal": ("2", "3"),
+    }
+
+    @staticmethod
+    def scenario(case, tmp_path):
+        if case == "binary":
+            return write_doc(tmp_path / "s.json", two_state_doc())
+        if case == "orthogonal":
+            return write_doc(tmp_path / "s.json", orthogonal_triple_doc())
+        path = str(tmp_path / "s.json")
+        argv = ["gen", "condition-satisfying", "--r", "3", "--d", "2", "--seed", "7"]
+        assert cli.main(argv + ["--out", path]) == 0
+        return path
+
+    @staticmethod
+    def output(argv, capsys):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def table_argv(self, case, sub, tmp_path):
+        n_min, n_max = self.CASES[case]
+        path = self.scenario(case, tmp_path)
+        return path, ["run", path, "--n-min", n_min, "--n-max", n_max, "--sub", sub]
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_csv_cells_are_the_json_values(self, case, sub, tmp_path, capsys):
+        _, argv = self.table_argv(case, sub, tmp_path)
+        lines = self.output(argv + ["--format", "csv"], capsys).splitlines()
+        table = strict_json(self.output(argv + ["--format", "json"], capsys))
+        names = lines[0].split(",")
+        assert "reference_level" in names
+        for line, row in zip(lines[1:], table["rows"], strict=True):
+            row = {**row, "reference_level": table["reference_level"]}
+            for name, cell in zip(names, line.split(","), strict=True):
+                value = row[name]
+                if cell in ("", "inf"):
+                    assert value is None, (name, cell)
+                elif cell in ("true", "false"):
+                    assert value is (cell == "true"), (name, cell)
+                else:
+                    assert not isinstance(value, bool)
+                    assert float(cell) == value, (name, cell)
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_chernoff_and_run_reports_agree(self, case, sub, tmp_path, capsys):
+        path, argv = self.table_argv(case, sub, tmp_path)
+        report = strict_json(self.output(["chernoff", path], capsys))
+        table = strict_json(self.output(argv + ["--format", "json"], capsys))
+        assert table["least_favorable"] == report["least_favorable"]
+
+        def searches(pairs):
+            return [(p["i"], p["j"], p["exponent"], p["s_opt"]) for p in pairs]
+
+        assert searches(table["pairwise"]) == searches(report["pairs"])
+        if case == "binary":
+            assert table["condition"] is report["condition"] is None
+        else:
+            condition = table["condition"]
+            for key in ("pair", "pair_distance", "others_min", "margin", "holds"):
+                assert condition[key] == report["condition"][key], key
+            assert condition["overall_min"] == condition["pair_distance"]
+        r = table["r"]
+        for row in table["rows"]:
+            assert row["err_avg"] == row["err_sm"] / r
+            assert row["succ_sm"] == r - row["err_sm"]
 
 
 class TestVerifyCommand:
