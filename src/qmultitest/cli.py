@@ -93,9 +93,25 @@ def _emit(text: str, out_path) -> None:
         raise OSError(f"cannot write {out_path} ({exc.strerror})") from None
 
 
+def _pairwise_section(dim: int, labels, pairs: PairwiseTable) -> tuple:
+    """What both JSON reports write of a table's pairs: the closest pair and,
+    from three states on, the condition at it, which is also returned."""
+    cond = pairs.condition() if pairs.r >= 3 else None
+    least = pairs.distances[pairs.least].exponent
+    section = {
+        "dim": dim,
+        "r": pairs.r,
+        "labels": list(labels) if labels else None,
+        "least_favorable": {"pair": list(pairs.least), "exponent": least},
+        "condition": asdict(cond) if cond else None,
+    }
+    return section, cond
+
+
 def _chernoff_report(ensemble: Ensemble) -> dict:
     table = PairwiseTable(ensemble)
-    pairs = [
+    report, cond = _pairwise_section(ensemble.dim, ensemble.labels, table)
+    report["pairs"] = [
         {
             "i": i,
             "j": j,
@@ -105,20 +121,8 @@ def _chernoff_report(ensemble: Ensemble) -> dict:
         }
         for (i, j), result in sorted(table.distances.items())
     ]
-    report = {
-        "dim": ensemble.dim,
-        "r": ensemble.r,
-        "labels": list(ensemble.labels) if ensemble.labels else None,
-        "pairs": pairs,
-        "least_favorable": {
-            "pair": list(table.least),
-            "exponent": table.distances[table.least].exponent,
-        },
-        "condition": None,
-    }
-    if ensemble.r >= 3:
-        cond = table.condition()
-        report["condition"] = {**asdict(cond), "threshold": cond.threshold}
+    if cond:
+        report["condition"]["threshold"] = cond.threshold
     return report
 
 
@@ -162,36 +166,31 @@ def table_to_csv(table: ExperimentTable) -> str:
 def table_to_json(table: ExperimentTable) -> str:
     pairs = table.pairs
     least = pairs.distances[pairs.least]
-    cond = pairs.condition() if table.r >= 3 else None
-    doc = {
-        "dim": table.dim,
-        "r": table.r,
-        "labels": list(table.labels) if table.labels else None,
-        "w1": table.w1,
-        "sub": table.sub,
-        "pair_exponent": least.exponent,
-        "pair_s_opt": least.s_opt,
-        "others_min": cond.others_min if cond else None,
-        "reference_level": table.reference_level,
-        "least_favorable": {"exponent": least.exponent, "pair": list(pairs.least)},
-        "condition": (
-            {**asdict(cond), "overall_min": cond.pair_distance} if cond else None
-        ),
-        "pairwise": [
+    doc, cond = _pairwise_section(table.dim, table.labels, pairs)
+    if cond:
+        doc["condition"]["overall_min"] = cond.pair_distance
+    doc.update(
+        w1=table.w1,
+        sub=table.sub,
+        pair_exponent=least.exponent,
+        pair_s_opt=least.s_opt,
+        others_min=cond.others_min if cond else None,
+        reference_level=table.reference_level,
+        pairwise=[
             {"i": i, "j": j, "exponent": res.exponent, "s_opt": res.s_opt}
             for (i, j), res in sorted(pairs.distances.items())
         ],
-        "rows": [_row_document(row, table.r) for row in table.rows],
-        "fitted_slope": table.series.fitted_slope,
-        "k_fit": table.series.k_fit,
-        "exact_discrimination": table.series.exact_discrimination,
+        rows=[_row_document(row, table.r) for row in table.rows],
+        fitted_slope=table.series.fitted_slope,
+        k_fit=table.series.k_fit,
+        exact_discrimination=table.series.exact_discrimination,
         # diagnostic only: the pairwise bottleneck constrains the limsup,
         # so finite-copy slopes may legitimately sit above it
-        "slope_exceeds_bottleneck": (
+        slope_exceeds_bottleneck=(
             table.series.fitted_slope is not None
             and table.series.fitted_slope > least.exponent + 1e-6
         ),
-    }
+    )
     return _report_json(doc)
 
 

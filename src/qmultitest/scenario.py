@@ -5,16 +5,17 @@ the Hilbert-space ``dim``, a ``states`` list, and optional ``labels``.
 Complex numbers are written as ``[re, im]`` pairs so files stay
 unambiguous across languages.  State specs, discriminated by ``type``:
 
-* ``{"type": "matrix", "entries": [[[re, im], ...], ...]}``
-* ``{"type": "pure", "amplitudes": [[re, im], ...]}``
-* ``{"type": "classical", "probabilities": [p, ...]}``
+* ``{"type": "matrix", "entries": [[[re, im], ...], ...]}`` (``dim x dim x 2``)
+* ``{"type": "pure", "amplitudes": [[re, im], ...]}`` (``dim x 2``)
+* ``{"type": "classical", "probabilities": [p, ...]}`` (length ``dim``)
 * ``{"type": "random", "rank": k, "seed": s}`` (documented SplitMix64 stream)
 * ``{"type": "mix", "base": i, "other": j-or-spec, "epsilon": e}`` where
   ``base`` (and an integer ``other``) are 0-based indices of EARLIER
   entries in the list; ``other`` may instead be an inline spec object.
 
-Random specs regenerate bit-exactly from their seeds, so a written
-scenario reloads to the same ensemble byte for byte.
+``rank`` lies in ``1..dim``, and any other shape or value is a parse error
+naming the field.  Random specs regenerate bit-exactly from their seeds, so
+a written scenario reloads to the same ensemble byte for byte.
 """
 
 from __future__ import annotations
@@ -40,36 +41,37 @@ from .states import (
 SCENARIO_VERSION = 1
 
 
-def _is_integer(value) -> bool:
-    """A JSON integer; ``true`` and ``false`` are Python ints but not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _numbers(raw, where: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read nested lists of exactly ``shape`` whose leaves are JSON numbers
+    (not booleans) within the float range, as a float array."""
+    want = "a list of shape " + "x".join(map(str, shape)) if shape else "a number"
+
+    def check(value, dims) -> None:
+        if isinstance(value, list) != bool(dims) or (dims and len(value) != dims[0]):
+            raise ScenarioParseError(f"{where}: expected {want}")
+        if dims:
+            for item in value:
+                check(item, dims[1:])
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioParseError(f"{where}: {json.dumps(value)} is not a number")
+        elif not abs(value) <= sys.float_info.max:
+            raise ScenarioParseError(
+                f"{where}: {json.dumps(value)} is not a finite number"
+            )
+
+    check(raw, shape)
+    return np.asarray(raw, dtype=np.float64)
 
 
-def _check_finite(raw, where: str) -> None:
-    """Refuse anything in these nested lists but numbers in the float range."""
-    if isinstance(raw, list):
-        for value in raw:
-            _check_finite(value, where)
-    elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ScenarioParseError(f"{where}: {json.dumps(raw)} is not a number")
-    elif not abs(raw) <= sys.float_info.max:
-        raise ScenarioParseError(f"{where}: {json.dumps(raw)} is not a finite number")
-
-
-def _complex_entries(raw, where: str, expect_len: int | None = None) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioParseError(f"{where}: not numeric ({exc})") from None
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ScenarioParseError(f"{where}: entries must be [re, im] pairs")
-    _check_finite(raw, where)
-    out = arr[..., 0] + 1j * arr[..., 1]
-    if expect_len is not None and out.shape[0] != expect_len:
-        raise ScenarioParseError(
-            f"{where}: expected length {expect_len}, got {out.shape[0]}"
-        )
-    return out
+def _integer(value, where: str, low: int | None = None, high: int | None = None):
+    """Read a JSON integer (not a boolean) in ``low..high``; ``None`` leaves
+    that side open."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or low <= value) and (high is None or value <= high):
+            return value
+    bounds = f" in {low}..{high}" if high is not None else f" >= {low}"
+    bounds = "" if low is None else bounds
+    raise ScenarioParseError(f"{where}: expected an integer{bounds}, got {value!r}")
 
 
 def _parse_state(
@@ -79,54 +81,31 @@ def _parse_state(
         raise ScenarioParseError(f"{where}: state spec must be an object")
     kind = spec.get("type")
     if kind == "matrix":
-        entries = _complex_entries(spec.get("entries"), f"{where}.entries")
-        if entries.shape != (dim, dim):
-            raise ScenarioParseError(
-                f"{where}.entries: expected {dim}x{dim}, got {entries.shape}"
-            )
-        return DensityMatrix(entries)
+        pairs = _numbers(spec.get("entries"), f"{where}.entries", (dim, dim, 2))
+        return DensityMatrix(pairs[..., 0] + 1j * pairs[..., 1])
     if kind == "pure":
-        vec = _complex_entries(spec.get("amplitudes"), f"{where}.amplitudes", dim)
-        return pure_state(vec)
+        pairs = _numbers(spec.get("amplitudes"), f"{where}.amplitudes", (dim, 2))
+        return pure_state(pairs[..., 0] + 1j * pairs[..., 1])
     if kind == "classical":
-        probs = spec.get("probabilities")
-        if not isinstance(probs, list) or len(probs) != dim:
-            raise ScenarioParseError(
-                f"{where}.probabilities: expected a list of length {dim}"
-            )
-        _check_finite(probs, f"{where}.probabilities")
+        probs = _numbers(spec.get("probabilities"), f"{where}.probabilities", (dim,))
         return classical_state(probs)
     if kind == "random":
-        rank = spec.get("rank", dim)
-        seed = spec.get("seed")
-        for name, value in (("rank", rank), ("seed", seed)):
-            if not _is_integer(value):
-                raise ScenarioParseError(
-                    f"{where}.{name}: must be an integer, got {value!r}"
-                )
-        return random_density(dim, rank, seed)
+        rank = _integer(spec.get("rank", dim), f"{where}.rank", 1, dim)
+        return random_density(dim, rank, _integer(spec.get("seed"), f"{where}.seed"))
     if kind == "mix":
-        base = spec.get("base")
-        if not _is_integer(base) or not 0 <= base < len(parsed):
-            raise ScenarioParseError(
-                f"{where}.base: must index an earlier state, got {base!r}"
-            )
-        other_spec = spec.get("other")
-        if isinstance(other_spec, int):
-            if not _is_integer(other_spec) or not 0 <= other_spec < len(parsed):
-                raise ScenarioParseError(
-                    f"{where}.other: must index an earlier state, got {other_spec}"
-                )
-            other = parsed[other_spec]
+        last = len(parsed) - 1
+        base = parsed[_integer(spec.get("base"), f"{where}.base", 0, last)]
+        other = spec.get("other")
+        if isinstance(other, int):
+            other = parsed[_integer(other, f"{where}.other", 0, last)]
         else:
-            other = _parse_state(other_spec, dim, parsed, f"{where}.other")
+            other = _parse_state(other, dim, parsed, f"{where}.other")
         epsilon = spec.get("epsilon")
-        number = _is_integer(epsilon) or isinstance(epsilon, float)
-        if not number or not 0.0 <= epsilon <= 1.0:
+        if not 0.0 <= _numbers(epsilon, f"{where}.epsilon", ()) <= 1.0:
             raise ScenarioParseError(
                 f"{where}.epsilon: must be a number in [0, 1], got {epsilon!r}"
             )
-        return mix(parsed[base], other, float(epsilon))
+        return mix(base, other, float(epsilon))
     raise ScenarioParseError(f"{where}: unknown state type {kind!r}")
 
 
@@ -135,25 +114,18 @@ def scenario_from_dict(doc) -> Ensemble:
     document."""
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level must be a JSON object")
-    version = doc.get("version")
-    if not _is_integer(version) or version != SCENARIO_VERSION:
-        raise ScenarioParseError(
-            f"version: expected {SCENARIO_VERSION}, got {version!r}"
-        )
-    dim = doc.get("dim")
-    if not _is_integer(dim) or dim < 1:
-        raise ScenarioParseError(f"dim: expected a positive integer, got {dim!r}")
+    _integer(doc.get("version"), "version", SCENARIO_VERSION, SCENARIO_VERSION)
+    dim = _integer(doc.get("dim"), "dim", 1)
     specs = doc.get("states")
     if not isinstance(specs, list) or len(specs) < 2:
         raise ScenarioParseError("states: expected a list of at least 2 specs")
     labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(
-            isinstance(x, str) for x in labels
-        ):
-            raise ScenarioParseError("labels: expected a list of strings")
-        if len(labels) != len(specs):
-            raise ScenarioParseError("labels: count does not match states")
+    if labels is not None and (
+        not isinstance(labels, list)
+        or len(labels) != len(specs)
+        or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ScenarioParseError(f"labels: expected a list of {len(specs)} strings")
     parsed: list[DensityMatrix] = []
     for k, spec in enumerate(specs):
         parsed.append(_parse_state(spec, dim, parsed, f"states[{k}]"))
@@ -171,7 +143,7 @@ def load_scenario(path) -> Ensemble:
         raise ScenarioParseError(f"{path}: not UTF-8 ({exc})") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioParseError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(doc)
 

@@ -21,9 +21,11 @@ from qmultitest import (
     compose_with_binary,
     error_sum,
     holevo_helstrom,
+    mix,
     pgm,
     pure_state,
     random_density,
+    run_experiment,
     tensor_power,
 )
 from qmultitest import linalg
@@ -32,6 +34,7 @@ from qmultitest.detectors import _sub_detector, misses
 from qmultitest.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
+    HermiticityViolation,
     PartialsEqualIdentity,
     PartialsExceedIdentity,
     PSDViolation,
@@ -1766,3 +1769,93 @@ class TestPsdFastPath:
         first = (first + first.conj().T) / 2.0
         det = dense_detector([first, np.eye(d) - first])
         assert check_detector(det) == ["element 0 has negative eigenvalue -3.000e-07"]
+
+
+def qutrit():
+    return random_density(3, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda a, b, c: pgm([a]),
+            ValueError,
+            "need at least 2 states, got 1",
+            id="pgm-one-state",
+        ),
+        pytest.param(
+            lambda a, b, c: pgm([a, qutrit()]),
+            DimensionMismatch,
+            "states live on different dimensions",
+            id="pgm-mixed-dimensions",
+        ),
+        pytest.param(
+            lambda a, b, c: compose_with_binary([np.eye(2) / 2], a, qutrit()),
+            DimensionMismatch,
+            "dims 2 and 3 differ",
+            id="compose-mixed-dimensions",
+        ),
+        pytest.param(
+            lambda a, b, c: build_split_detector(Ensemble((a, b)), 4),
+            ValueError,
+            "split construction needs r >= 3, got 2",
+            id="split-two-states",
+        ),
+        pytest.param(
+            lambda a, b, c: build_split_detector(Ensemble((a, b, c)), 4, w1=1.0),
+            ValueError,
+            "w1 must lie in (0, 1), got 1.0",
+            id="split-weight-one",
+        ),
+        pytest.param(
+            lambda a, b, c: build_split_detector(Ensemble((a, b, c)), 4, sub="bogus"),
+            ValueError,
+            "unknown sub-detector strategy 'bogus'",
+            id="split-unknown-sub",
+        ),
+        pytest.param(
+            lambda a, b, c: error_sum(Ensemble((a, b, c)), holevo_helstrom(a, b)),
+            DimensionMismatch,
+            "2 elements for 3 hypotheses",
+            id="error-sum-too-few-elements",
+        ),
+        pytest.param(
+            lambda a, b, c: run_experiment(Ensemble((a, b)), [3, 2]),
+            ValueError,
+            "n_values must be strictly ascending and nonempty",
+            id="run-descending",
+        ),
+        pytest.param(
+            lambda a, b, c: run_experiment(Ensemble((a, b)), []),
+            ValueError,
+            "n_values must be strictly ascending and nonempty",
+            id="run-empty",
+        ),
+        pytest.param(
+            lambda a, b, c: mix(a, b, 1.5),
+            ValueError,
+            "epsilon must lie in [0, 1], got 1.5",
+            id="mix-weight-past-one",
+        ),
+        pytest.param(
+            lambda a, b, c: linalg.sqrt_psd(np.diag([1.0, -1.0])),
+            PSDViolation,
+            "matrix has negative eigenvalue -1.000e+00",
+            id="sqrt-of-negative",
+        ),
+        pytest.param(
+            lambda a, b, c: linalg.as_matrix(np.ones(3)),
+            HermiticityViolation,
+            "expected a 2-d matrix, got ndim=1",
+            id="matrix-from-vector",
+        ),
+    ],
+)
+def test_public_refusals(call, error, message):
+    """Each refusal of the public API raises its own type with its message."""
+    a, b, c = (random_density(2, 2, seed) for seed in (1, 2, 3))
+    with pytest.raises(error) as info:
+        call(a, b, c)
+    assert type(info.value) is error
+    assert str(info.value) == message

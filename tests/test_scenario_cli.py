@@ -43,6 +43,11 @@ def append_mix(**fields):
     return lambda doc: doc["states"].append(spec)
 
 
+def second_spec(spec):
+    """A mutation that replaces the second state's spec with ``spec``."""
+    return lambda doc: doc["states"].__setitem__(1, spec)
+
+
 def orthogonal_triple_doc():
     return {
         "version": 1,
@@ -129,11 +134,82 @@ class TestScenarioParsing:
                 ),
                 r"states\[2\]\.epsilon",
             ),
+            # Each field is read at its exact shape, never reshaped.
+            pytest.param(
+                second_spec({"type": "pure", "amplitudes": [1, 0]}),
+                r"^states\[1\]\.amplitudes: expected a list of shape 2x2$",
+                id="flat-amplitudes",
+            ),
+            pytest.param(
+                second_spec({"type": "classical", "probabilities": [[0.5], [0.5]]}),
+                r"^states\[1\]\.probabilities: expected a list of shape 2$",
+                id="nested-probabilities",
+            ),
+            pytest.param(
+                second_spec({"type": "pure", "amplitudes": [[[1, 0]], [[0, 0]]]}),
+                r"^states\[1\]\.amplitudes: expected a list of shape 2x2$",
+                id="over-nested-amplitudes",
+            ),
+            pytest.param(
+                second_spec(
+                    {"type": "matrix", "entries": [[[1, 0], [0, 0]], [[0, 0]]]}
+                ),
+                r"^states\[1\]\.entries: expected a list of shape 2x2x2$",
+                id="ragged-entries",
+            ),
+            pytest.param(
+                second_spec({"type": "matrix", "entries": [[[1, 0]] * 3] * 3}),
+                r"^states\[1\]\.entries: expected a list of shape 2x2x2$",
+                id="entries-of-another-shape",
+            ),
+            pytest.param(
+                second_spec(
+                    {"type": "pure", "amplitudes": [[1, 0], [0, 0], [0, 0]]}
+                ),
+                r"^states\[1\]\.amplitudes: expected a list of shape 2x2$",
+                id="amplitudes-too-long",
+            ),
+            pytest.param(
+                second_spec({"type": "classical", "probabilities": [0.5, 0.5, 0]}),
+                r"^states\[1\]\.probabilities: expected a list of shape 2$",
+                id="probabilities-too-long",
+            ),
+            pytest.param(
+                second_spec([1, 2]),
+                r"^states\[1\]: state spec must be an object$",
+                id="spec-not-an-object",
+            ),
+            pytest.param(
+                lambda d: [d],
+                "^top level must be a JSON object$",
+                id="top-level-not-an-object",
+            ),
+            pytest.param(
+                lambda d: d.update(labels=[1, 2]),
+                "^labels: expected a list of 2 strings$",
+                id="labels-not-strings",
+            ),
+            pytest.param(
+                lambda d: d.update(labels=["a"]),
+                "^labels: expected a list of 2 strings$",
+                id="label-count",
+            ),
+            pytest.param(
+                lambda d: d["states"][0].update(rank=0),
+                r"^states\[0\]\.rank: expected an integer in 1\.\.2, got 0$",
+                id="rank-zero",
+            ),
+            pytest.param(
+                lambda d: d["states"][0].update(rank=3),
+                r"^states\[0\]\.rank: expected an integer in 1\.\.2, got 3$",
+                id="rank-past-dim",
+            ),
         ],
     )
     def test_parse_errors_carry_context(self, mutate, fragment):
+        # A mutation edits the document in place, or returns another one.
         doc = two_state_doc()
-        mutate(doc)
+        doc = mutate(doc) or doc
         with pytest.raises(ScenarioParseError, match=fragment):
             scenario_from_dict(doc)
 
@@ -171,6 +247,12 @@ class TestScenarioParsing:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioParseError):
+            load_scenario(path)
+
+    def test_nesting_past_the_decoder_depth_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(ScenarioParseError, match=r"invalid JSON \(maximum"):
             load_scenario(path)
 
     def test_write_and_reload(self, tmp_path):
