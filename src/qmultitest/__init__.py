@@ -30,7 +30,6 @@ from .evaluation import (
     ExponentSeries,
     LemmaReport,
     error_sum,
-    exponent_estimate,
     lemma_bound_check,
     run_experiment,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "classical_state",
     "compose_with_binary",
     "error_sum",
-    "exponent_estimate",
     "holevo_helstrom",
     "lemma_bound_check",
     "mix",

@@ -1,4 +1,4 @@
-"""Exact error probabilities, inequality checks, and exponent estimation.
+"""Exact error probabilities, inequality checks, and a table's decay slope.
 
 All error probabilities are exact traces against the ``n``-copy states (no
 sampling), taken block by block on the detector's layout: qubit spin
@@ -57,21 +57,13 @@ class LemmaReport:
 
 
 @dataclass(frozen=True)
-class ExponentRow:
-    n: int
-    err_sm: float
-    rate: float | None
-
-
-@dataclass(frozen=True)
 class ExponentSeries:
-    """Per-copy rates and a least-squares slope over the last rows.
+    """A table's least-squares decay slope over its last rows.
 
     Rows with zero error are excluded from the fit; a series of exact
     zeros carries the ``exact_discrimination`` marker instead of a slope.
     """
 
-    rows: tuple[ExponentRow, ...]
     fitted_slope: float | None
     k_fit: int
     exact_discrimination: bool
@@ -173,47 +165,17 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.sum(xc * (ya - ya.mean())) / np.sum(xc * xc))
 
 
-def _rate_row(n: int, err: float) -> ExponentRow:
-    """An ``(n, err_sm)`` row with its per-copy rate ``-log(err_sm) / n``;
-    an exactly-zero row has none."""
-    return ExponentRow(n, float(err), -math.log(err) / n if err > 0.0 else None)
-
-
-def exponent_estimate(
-    rows: Sequence[tuple[int, float]], k_fit: int
-) -> ExponentSeries:
-    """Rates and a fitted decay slope from an (n, err_sm) series.
-
-    The slope is the least-squares fit of ``-log(err_sm)`` against ``n``
-    over the last ``k_fit`` rows with positive error; a slope needs at
-    least two of them.
-    """
-    if len(rows) < 2:
-        raise ValueError(f"a fit needs at least 2 rows, got {len(rows)}")
-    if k_fit < 2 or k_fit > len(rows):
-        raise ValueError(f"k_fit must lie in [2, {len(rows)}], got {k_fit}")
-    ns = [int(n) for n, _ in rows]
-    if ns != sorted(ns) or len(set(ns)) != len(ns):
-        raise ValueError("rows must be ordered by strictly ascending n")
-    out_rows = [_rate_row(n, err) for n, err in rows]
-    if sum(row.rate is not None for row in out_rows) == 1:
-        raise ValueError("need at least 2 rows with positive error to fit")
-    return _series(out_rows, k_fit)
-
-
-def _series(rows: Sequence[ExponentRow], k_fit: int) -> ExponentSeries:
-    """These rate rows with the least-squares slope of ``-log(err_sm)``
-    against ``n`` over the last ``k_fit`` with positive error: none with
-    fewer than two of those or ``k_fit`` rows, and a series of exact zeros
-    is marked ``exact_discrimination``."""
-    positive = [row for row in rows if row.rate is not None]
-    if len(positive) < 2 or k_fit > len(rows):
-        return ExponentSeries(tuple(rows), None, k_fit, not positive)
+def _series(points: Sequence[tuple[int, float]], k_fit: int) -> ExponentSeries:
+    """The least-squares slope of ``-log(err_sm)`` against ``n`` over the
+    last ``k_fit`` ``(n, err_sm)`` points with positive error: none with
+    fewer than two of those or ``k_fit`` points, and a series of exact
+    zeros is marked ``exact_discrimination``."""
+    positive = [(n, err) for n, err in points if err > 0.0]
+    if len(positive) < 2 or k_fit > len(points):
+        return ExponentSeries(None, k_fit, not positive)
     window = positive[-k_fit:]
-    slope = _ls_slope(
-        [row.n for row in window], [-math.log(row.err_sm) for row in window]
-    )
-    return ExponentSeries(tuple(rows), slope, k_fit, False)
+    slope = _ls_slope([n for n, _ in window], [-math.log(err) for _, err in window])
+    return ExponentSeries(slope, k_fit, False)
 
 
 def run_experiment(
@@ -259,7 +221,6 @@ def run_experiment(
         reference = min(exponent, table.condition().threshold)
 
     rows = []
-    rate_rows = []
     # The sub-detectors of all rows, each built once (build_split_detector).
     shared: dict = {}
     for n in ns:
@@ -284,15 +245,13 @@ def run_experiment(
         # Back to scenario order; err_sm stays summed in composition order.
         per_state = [report.per_state_error[order.index(k)] for k in range(ensemble.r)]
         report = ErrorReport(tuple(per_state), report.err_sm)
-        rate_row = _rate_row(n, report.err_sm)
-        rate_rows.append(rate_row)
         rows.append(
             ExperimentRow(
                 n=n,
                 n1=n1,
                 n2=n2,
                 report=report,
-                rate=rate_row.rate,
+                rate=-math.log(report.err_sm) / n if report.err_sm > 0.0 else None,
                 binary_bound=bound,
                 lemma_rhs=lemma_rhs,
                 lemma_holds=lemma_holds,
@@ -312,5 +271,5 @@ def run_experiment(
         rows=tuple(rows),
         # Too few positive rows, or too few rows, leave the slope undefined
         # instead of failing the table.
-        series=_series(rate_rows, k_fit),
+        series=_series([(row.n, row.report.err_sm) for row in rows], k_fit),
     )

@@ -83,13 +83,14 @@ def table_without_parts(ensemble, ns, sub, monkeypatch, k_fit=2):
 DECAY_SLACK = 1e-12
 
 
-def binary_rows(rho1, rho2, n_max, dim_cap=DEFAULT_DIM_CAP):
-    """The rows of the pair's binary table for ``n = 1..n_max``: each holds
-    the optimal test's summed error and ``exp(-n xi)``."""
+def binary_table(rho1, rho2, n_max, dim_cap=DEFAULT_DIM_CAP):
+    """The pair's binary table for ``n = 1..n_max``, at the default
+    ``k_fit = 4``: each row holds the optimal test's summed error and
+    ``exp(-n xi)``, and ``series`` the slope fitted over the last four."""
     from qmultitest import Ensemble, run_experiment
 
     ensemble = Ensemble((rho1, rho2))
-    return run_experiment(ensemble, range(1, n_max + 1), dim_cap=dim_cap).rows
+    return run_experiment(ensemble, range(1, n_max + 1), dim_cap=dim_cap)
 
 
 def helstrom_error_oracle(a, b):

@@ -19,7 +19,6 @@ from qmultitest import (
     classical_state,
     cli,
     error_sum,
-    exponent_estimate,
     holevo_helstrom,
     lemma_bound_check,
     random_density,
@@ -31,7 +30,7 @@ from qmultitest.detectors import compose_with_binary
 from qmultitest.scenario import load_scenario
 from qmultitest.selfcheck import random_feasible_partials
 
-from conftest import DECAY_SLACK, binary_rows, residual_oracle
+from conftest import DECAY_SLACK, binary_table, residual_oracle
 
 
 def report(num, name, ok, detail=""):
@@ -167,7 +166,8 @@ def test_criterion_4_binary_exponential_decay():
         oracle_dev = max(
             oracle_dev, abs(classical_grid_exponent_oracle(p, q, 1e-4) - xi)
         )
-        rows = binary_rows(rho1, rho2, 10, dim_cap=1024)
+        table = binary_table(rho1, rho2, 10, dim_cap=1024)
+        rows = table.rows
         errs = {r.n: r.report.err_sm for r in rows}
         bound_ok = bound_ok and all(
             errs[r.n] <= r.binary_bound + DECAY_SLACK for r in rows
@@ -178,8 +178,8 @@ def test_criterion_4_binary_exponential_decay():
             if not lower[r.n] <= errs[r.n]:
                 converse_violations.append((k, r.n))
         if xi >= 0.05:
-            series = exponent_estimate(list(errs.items()), 4)
-            slope = series.fitted_slope
+            # The slope the tool reports: the default k_fit = 4 fits n = 7..10.
+            slope = table.series.fitted_slope
             edge = max_slope_edge([r.n for r in rows[-4:]], lower, xi)
             lower_gap = min(lower_gap, slope - 0.6 * xi)
             upper_gap = min(upper_gap, edge - slope)

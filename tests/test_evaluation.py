@@ -11,7 +11,6 @@ from qmultitest import (
     chernoff_distance,
     classical_state,
     error_sum,
-    exponent_estimate,
     holevo_helstrom,
     lemma_bound_check,
     mix,
@@ -22,13 +21,13 @@ from qmultitest import (
 )
 from qmultitest import cli, linalg
 from qmultitest.detectors import misses
-from qmultitest.evaluation import ExperimentRow
+from qmultitest.evaluation import ExperimentRow, _ls_slope, _series
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
 from conftest import (
     DECAY_SLACK,
-    binary_rows,
+    binary_table,
     dense_detector,
     helstrom_error_oracle,
     table_without_parts,
@@ -188,14 +187,14 @@ class TestOverallBound:
 
 class TestBinaryDecay:
     def test_orthogonal_pures(self):
-        rows = binary_rows(pure_state([1.0, 0.0]), pure_state([0.0, 1.0]), 3)
+        rows = binary_table(pure_state([1.0, 0.0]), pure_state([0.0, 1.0]), 3).rows
         for row in rows:
             assert row.report.err_sm == pytest.approx(0.0, abs=1e-12)
             assert row.binary_bound == 0.0
 
     def test_seeded_pair_satisfies_bound(self):
         rho1, rho2 = random_density(2, 2, 81), random_density(2, 2, 82)
-        rows = binary_rows(rho1, rho2, 8)
+        rows = binary_table(rho1, rho2, 8).rows
         errs = [row.report.err_sm for row in rows]
         assert all(
             err <= row.binary_bound + DECAY_SLACK for err, row in zip(errs, rows)
@@ -205,7 +204,7 @@ class TestBinaryDecay:
 
     def test_error_matches_detector_route(self):
         rho1, rho2 = random_density(2, 2, 91), random_density(2, 2, 92)
-        for row in binary_rows(rho1, rho2, 3):
+        for row in binary_table(rho1, rho2, 3).rows:
             # A test of the explicit n-copy states is one copy of their
             # space: its errors are taken on those states, with n = 1.
             powers = Ensemble(tuple(tensor_power(s, row.n) for s in (rho1, rho2)))
@@ -218,66 +217,60 @@ class TestBinaryDecay:
         # approach the exponent from above as the prefactor decays
         rho1, rho2 = random_density(2, 2, 95), random_density(2, 2, 96)
         xi = chernoff_distance(rho1, rho2).exponent
-        for row in binary_rows(rho1, rho2, 8):
+        for row in binary_table(rho1, rho2, 8).rows:
             assert row.rate >= xi - 1e-9
 
 
-class TestExponentEstimate:
+class TestSeries:
+    """The table's slope rule, ``evaluation._series``, on ``(n, err_sm)``
+    points."""
+
     def test_exact_exponential(self):
-        rows = [(n, math.exp(-0.3 * n)) for n in range(1, 7)]
-        series = exponent_estimate(rows, 4)
+        series = _series([(n, math.exp(-0.3 * n)) for n in range(1, 7)], 4)
         assert series.fitted_slope == pytest.approx(0.3, abs=1e-12)
         assert not series.exact_discrimination
-        for row in series.rows:
-            assert row.rate == pytest.approx(0.3, abs=1e-12)
 
     def test_constant_series(self):
-        rows = [(n, 0.5) for n in range(1, 6)]
-        series = exponent_estimate(rows, 4)
+        series = _series([(n, 0.5) for n in range(1, 6)], 4)
         assert series.fitted_slope == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_rows_are_flagged(self):
-        rows = [(1, 0.5), (2, 0.25), (3, 0.0), (4, 0.0625)]
-        series = exponent_estimate(rows, 4)
-        assert series.rows[2].rate is None
-        assert series.fitted_slope is not None
+    def test_zero_row_is_left_out_of_the_fit(self):
+        series = _series([(1, 0.5), (2, 0.25), (3, 0.0), (4, 0.0625)], 4)
+        # ln 2 per copy over n = 1, 2, 4: the zero at n = 3 is skipped.
+        assert series.fitted_slope == pytest.approx(math.log(2.0), abs=1e-12)
+        assert not series.exact_discrimination
 
     def test_all_zero_series(self):
-        series = exponent_estimate([(1, 0.0), (2, 0.0)], 2)
+        series = _series([(1, 0.0), (2, 0.0)], 2)
         assert series.exact_discrimination
         assert series.fitted_slope is None
 
-    def test_needs_two_positive_rows(self):
-        with pytest.raises(ValueError):
-            exponent_estimate([(1, 0.5), (2, 0.0)], 2)
+    def test_one_positive_row_gives_no_slope(self):
+        series = _series([(1, 0.5), (2, 0.0)], 2)
+        assert series.fitted_slope is None
+        assert not series.exact_discrimination
+
+    def test_k_fit_above_the_row_count_gives_no_slope(self):
+        series = _series([(n, math.exp(-0.3 * n)) for n in range(1, 4)], 4)
+        assert series.fitted_slope is None
+        assert not series.exact_discrimination
 
     def test_binary_series_slope_against_exponent(self):
         rho1, rho2 = random_density(2, 2, 101), random_density(2, 2, 102)
         xi = chernoff_distance(rho1, rho2).exponent
-        rows = [
-            (row.n, row.report.err_sm)
-            for row in binary_rows(rho1, rho2, 9)
-            if row.n >= 2
-        ]
-        series = exponent_estimate(rows, 5)
+        series = run_experiment(Ensemble((rho1, rho2)), range(2, 10), k_fit=5).series
         assert series.fitted_slope > 0.0
         assert series.fitted_slope >= xi - 1e-9
 
-    def test_unordered_rows_rejected(self):
-        with pytest.raises(ValueError):
-            exponent_estimate([(2, 0.5), (1, 0.7)], 2)
-
-    @pytest.mark.parametrize("k_fit", [0, 1])
-    def test_slope_needs_two_fit_rows(self, k_fit):
-        rows = [(n, math.exp(-0.3 * n)) for n in range(1, 5)]
-        with pytest.raises(ValueError, match=r"k_fit must lie in \[2, 4\]"):
-            exponent_estimate(rows, k_fit)
-
-    @pytest.mark.parametrize("rows", [[], [(2, 0.5)]])
-    def test_fit_needs_two_rows(self, rows):
-        message = f"a fit needs at least 2 rows, got {len(rows)}"
-        with pytest.raises(ValueError, match=message):
-            exponent_estimate(rows, 2)
+    def test_split_table_slope_is_its_rows_fit(self):
+        ens = Ensemble(tuple(random_density(2, 2, 1 + k) for k in range(3)))
+        table = run_experiment(ens, range(2, 9))
+        window = [row for row in table.rows if row.report.err_sm > 0.0][-4:]
+        want = _ls_slope(
+            [row.n for row in window], [-math.log(row.report.err_sm) for row in window]
+        )
+        assert table.series.k_fit == 4
+        assert table.series.fitted_slope == want
 
 
 class TestClosestPair:

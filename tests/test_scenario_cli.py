@@ -771,6 +771,46 @@ class TestReportsAgree:
             assert row["succ_sm"] == r - row["err_sm"]
 
 
+    RUN_KEYS = set(
+        "condition dim exact_discrimination fitted_slope k_fit labels "
+        "least_favorable others_min pair_exponent pair_s_opt pairwise r "
+        "reference_level rows slope_exceeds_bottleneck sub w1".split()
+    )
+    ROW_KEYS = set(
+        "binary_bound err_avg err_sm lemma_holds lemma_rhs n n1 n2 overall_holds "
+        "overall_rhs per_state_error rate succ_sm".split()
+    )
+    CHERNOFF_KEYS = {"condition", "dim", "labels", "least_favorable", "pairs", "r"}
+
+    @pytest.mark.parametrize("case", ["binary", "split"])
+    def test_report_keys(self, case, tmp_path, capsys):
+        # The keys that scripts and the benchmark harness read.
+        path, argv = self.table_argv(case, "pgm", tmp_path)
+        table = strict_json(self.output(argv + ["--format", "json"], capsys))
+        report = strict_json(self.output(["chernoff", path], capsys))
+        assert set(table) == self.RUN_KEYS
+        assert set(report) == self.CHERNOFF_KEYS
+        for row in table["rows"]:
+            assert set(row) == self.ROW_KEYS
+        for pair in table["pairwise"]:
+            assert set(pair) == {"exponent", "i", "j", "s_opt"}
+        for pair in report["pairs"]:
+            assert set(pair) == {"exponent", "f_min", "i", "j", "s_opt"}
+        for least in (table["least_favorable"], report["least_favorable"]):
+            assert set(least) == {"exponent", "pair"}
+        if case == "binary":
+            assert table["condition"] is report["condition"] is None
+        else:
+            assert set(table["condition"]) == {
+                "holds", "margin", "others_min", "overall_min", "pair",
+                "pair_distance",
+            }
+            assert set(report["condition"]) == {
+                "holds", "margin", "others_min", "pair", "pair_distance",
+                "threshold",
+            }
+
+
 class TestVerifyCommand:
     def test_zero_trials_vacuous_pass(self, capsys):
         assert cli.main(["verify", "--trials", "0"]) == 0
