@@ -220,6 +220,19 @@ class TestBinaryDecay:
         for row in binary_table(rho1, rho2, 8).rows:
             assert row.rate >= xi - 1e-9
 
+    def test_exact_exponential_rates(self):
+        # With p = (1, 0) and q = (a, 1 - a), only the all-zero string is
+        # ambiguous: the optimal test misses q there, so err_sm = a^n and
+        # every row's rate -log(err_sm) / n is -log(a).
+        a = math.exp(-0.3)
+        p, q = classical_state([1.0, 0.0]), classical_state([a, 1 - a])
+        table = binary_table(p, q, 6)
+        for row in table.rows:
+            assert row.report.err_sm == pytest.approx(a**row.n, rel=1e-12)
+            assert row.rate == pytest.approx(0.3, abs=1e-12)
+        assert table.series.fitted_slope == pytest.approx(0.3, abs=1e-12)
+        assert not table.series.exact_discrimination
+
 
 class TestSeries:
     """The table's slope rule, ``evaluation._series``, on ``(n, err_sm)``
@@ -271,6 +284,8 @@ class TestSeries:
         )
         assert table.series.k_fit == 4
         assert table.series.fitted_slope == want
+        for row in table.rows:
+            assert row.rate == -math.log(row.report.err_sm) / row.n
 
 
 class TestClosestPair:
