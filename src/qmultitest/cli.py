@@ -200,6 +200,8 @@ def cmd_run(args) -> int:
         raise ValueError(
             f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}"
         )
+    if args.dim_cap < 1:
+        raise ValueError(f"need dim-cap >= 1, got {args.dim_cap}")
     table = run_experiment(
         ensemble,
         range(args.n_min, args.n_max + 1),

@@ -19,7 +19,10 @@ demand.  There are three kinds:
 * *a qubit part* of ``p`` copies: by Schur–Weyl duality, blocks
   ``det(rho)^t Sym^(p-2t)(rho)`` for ``t = 0..p//2``, of size
   ``p - 2t + 1``, each repeated ``m_t = C(p, t) - C(p, t - 1)`` times
-  (``_spin_blocks``), with ``W = schur_basis(p)``;
+  (``_spin_blocks``, the last 16 pairs of state and ``p`` cached), with
+  ``W = schur_basis(p)``; every ``p`` shares the state's ``Sym^k(rho)``
+  (``_sym_power``, the last 64 cached) and their binomial columns
+  (``_binomial``, the last 128), each built once and read-only;
 * *a copy pair* of ``C^d``: its symmetric and antisymmetric subspaces,
   blocks ``S(rho)`` and ``A(rho)`` of ``rho (x) rho``, with
   ``W = pair_basis(d)``;
@@ -118,49 +121,14 @@ def _spin(p: int) -> Factor:
     )
 
 
-def _binomial(a: complex, b: complex, e: int) -> np.ndarray:
-    """Coefficients of ``(a + b z)^e`` in ascending powers of ``z``."""
-    return np.array(
-        [math.comb(e, p) * a ** (e - p) * b ** p for p in range(e + 1)],
-        dtype=np.complex128,
-    )
-
-
-def _binomials(a: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The coefficients of ``(a00 + a10 z)^e`` and ``(a01 + a11 z)^e`` for
-    ``e = 0..k``: the factors ``_sym_power`` convolves, for powers to ``k``."""
-    return (
-        [_binomial(a[0, 0], a[1, 0], e) for e in range(k + 1)],
-        [_binomial(a[0, 1], a[1, 1], e) for e in range(k + 1)],
-    )
-
-
-def _sym_power(
-    a: np.ndarray, k: int, binomials: tuple[list[np.ndarray], list[np.ndarray]]
-) -> np.ndarray:
-    """``A^(x)k`` restricted to the symmetric subspace, in the orthonormal
-    Dicke basis (``j`` = number of second basis vectors).
-
-    In the monomial basis ``x^(k-j) y^j`` column ``j`` holds the
-    coefficients of ``(a00 x + a10 y)^(k-j) (a01 x + a11 y)^j``; the Dicke
-    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.  ``binomials``
-    is ``_binomials(a, k')`` for some ``k' >= k``, so several powers share
-    their factors.
-    """
-    left, right = binomials
-    out = np.empty((k + 1, k + 1), dtype=np.complex128)
-    for j in range(k + 1):
-        out[:, j] = np.convolve(left[k - j], right[j])
-    # Python floats: past k = 66 the binomials overflow int64.
-    norms = np.array([math.sqrt(float(math.comb(k, j))) for j in range(k + 1)])
-    return out * (norms[None, :] / norms[:, None])
-
-
 # A binary test and its misses, or a split row's composition and errors,
-# ask for the same states' blocks in turn.  A split row has r states times
-# its distinct parts as keys (10 for r = 5 at n = 7, 16 for r = 8), and
-# sixteen entries hold them all for r <= 8, so each is computed once per
-# row.  A row on other copy counts evicts them.
+# ask for the same states' blocks in turn: a split row has r states times
+# its distinct parts as keys (10 for r = 5 at n = 7, 16 for r = 8), and 16
+# entries hold them all for r <= 8.  Every row asks again for each state's
+# Sym^k, k <= n, and each Sym^k for its binomial columns, exponents 0..k.
+# Inside the default cap (k <= 12), 64 powers and 128 columns hold those
+# of a binary table (2 states x 13 and 52) and of an r = 8 split table with
+# parts of at most 6 copies (8 x 7 and 112): each is computed once a table.
 @functools.lru_cache(maxsize=16)
 def _spin_blocks(matrix: bytes, p: int) -> tuple[np.ndarray, ...]:
     """The local blocks of ``rho^(x)p`` for the qubit state with these
@@ -168,11 +136,40 @@ def _spin_blocks(matrix: bytes, p: int) -> tuple[np.ndarray, ...]:
     ``t = 0..p//2`` (Harrow, quant-ph/0512255)."""
     a = np.frombuffer(matrix, dtype=np.complex128).reshape(2, 2)
     det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
-    binomials = _binomials(a, p)
-    ts = range(p // 2 + 1)
-    out = tuple(det ** t * _sym_power(a, p - 2 * t, binomials) for t in ts)
+    out = tuple(det ** t * _sym_power(matrix, p - 2 * t) for t in range(p // 2 + 1))
     for block in out:
         block.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _sym_power(matrix: bytes, k: int) -> np.ndarray:
+    """``A^(x)k`` restricted to the symmetric subspace, for the qubit state
+    ``A`` with these matrix bytes, in the orthonormal Dicke basis (``j`` =
+    number of second basis vectors), read-only.
+
+    In the monomial basis ``x^(k-j) y^j`` column ``j`` holds the
+    coefficients of ``(a00 x + a10 y)^(k-j) (a01 x + a11 y)^j``; the Dicke
+    vector ``j`` is ``sqrt(C(k, j))`` times that monomial.
+    """
+    out = np.empty((k + 1, k + 1), dtype=np.complex128)
+    for j in range(k + 1):
+        out[:, j] = np.convolve(_binomial(matrix, 0, k - j), _binomial(matrix, 1, j))
+    # Python floats: past k = 66 the binomials overflow int64.
+    norms = np.array([math.sqrt(float(math.comb(k, j))) for j in range(k + 1)])
+    out = out * (norms[None, :] / norms[:, None])
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _binomial(matrix: bytes, c: int, e: int) -> np.ndarray:
+    """Coefficients of ``(a_0c + a_1c z)^e`` in ascending powers of ``z``,
+    for column ``c`` of the qubit state with these matrix bytes, read-only."""
+    a0, a1 = np.frombuffer(matrix, dtype=np.complex128)[c::2]
+    terms = [math.comb(e, q) * a0 ** (e - q) * a1 ** q for q in range(e + 1)]
+    out = np.array(terms, dtype=np.complex128)
+    out.setflags(write=False)
     return out
 
 

@@ -93,6 +93,16 @@ def binary_table(rho1, rho2, n_max, dim_cap=DEFAULT_DIM_CAP):
     return run_experiment(ensemble, range(1, n_max + 1), dim_cap=dim_cap)
 
 
+def clear_sectors_caches():
+    """Empty every cache in ``sectors``: layouts, spin blocks, their powers
+    and columns."""
+    from qmultitest import sectors
+
+    for value in vars(sectors).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 def helstrom_error_oracle(a, b):
     """``1 - ||A - B||_1 / 2``, the optimal binary test's summed error on
     the states ``A`` and ``B``, from a raw spectrum."""

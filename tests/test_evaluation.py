@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ from qmultitest.selfcheck import random_feasible_partials
 from conftest import (
     DECAY_SLACK,
     binary_table,
+    clear_sectors_caches,
     dense_detector,
     helstrom_error_oracle,
     table_without_parts,
@@ -634,6 +637,42 @@ class TestSharedSubDetectors:
         calls.clear()
         self.table(ens, range(2, 11), "pgm", monkeypatch, shared=False)
         assert len(calls) == 18
+
+
+def row_bits(row):
+    """A row's fields by name, every float as its IEEE-754 bytes."""
+
+    def bits(value):
+        if dataclasses.is_dataclass(value):
+            value = dataclasses.astuple(value)
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        return struct.pack("<d", value) if isinstance(value, float) else value
+
+    return {f.name: bits(getattr(row, f.name)) for f in dataclasses.fields(row)}
+
+
+class TestRowIndependence:
+    """The ``sectors`` caches are shared by a table's rows, so a row must
+    not depend on the rows before it: each row of a qubit table is, field
+    by field and bit for bit, the row built alone from empty caches."""
+
+    def check(self, ens, ns, **kwargs):
+        clear_sectors_caches()
+        table = run_experiment(ens, ns, **kwargs)
+        assert [row.n for row in table.rows] == list(ns)
+        for row in table.rows:
+            clear_sectors_caches()
+            (alone,) = run_experiment(ens, [row.n], **kwargs).rows
+            assert row_bits(row) == row_bits(alone), row.n
+
+    def test_binary_table(self):
+        ens = Ensemble((random_density(2, 2, 61), random_density(2, 2, 62)))
+        self.check(ens, range(2, 12))
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_split_table(self, sub):
+        self.check(TestSharedSubDetectors.ensemble(3), range(2, 11), sub=sub)
 
 
 def peak_operators_per_row(ensemble, n):

@@ -472,6 +472,16 @@ class TestRunCommand:
         path = write_doc(tmp_path / "s.json", doc)
         assert cli.main(["run", path, "--n-min", "1", "--n-max", "3"]) == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_cap_is_validation_error(
+        self, tmp_path, capsys, chernoff_calls, cap
+    ):
+        # An input error, not a resource refusal: exit 1 before any work.
+        path = write_doc(tmp_path / "s.json", two_state_doc())
+        assert cli.main(["run", path, "--dim-cap", cap]) == 1
+        assert capsys.readouterr().err == f"error: need dim-cap >= 1, got {cap}\n"
+        assert chernoff_calls == []
+
     def test_cap_exit_code(self, tmp_path):
         path = write_doc(tmp_path / "s.json", two_state_doc())
         assert cli.main(["run", path, "--n-max", "13"]) == 3

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qmultitest import (
     mix,
     pure_state,
     random_density,
+    run_experiment,
     tensor_power,
 )
 from qmultitest.errors import (
@@ -23,7 +26,10 @@ from qmultitest.errors import (
 )
 from qmultitest.rng import SplitMix64
 from qmultitest.states import check_power, within_cap
-from qmultitest.sectors import _binomials, _sym_power, layout, power_blocks
+from qmultitest import sectors
+from qmultitest.sectors import _sym_power, layout, power_blocks
+
+from conftest import clear_sectors_caches
 
 # Reference outputs for SplitMix64 with seed 1234567, as published with the
 # xoshiro generator family's test material.
@@ -314,7 +320,7 @@ class TestSymPower:
     def test_diagonal_state(self):
         p, q = 0.7, 0.3
         a = np.diag([p, q]).astype(complex)
-        got = _sym_power(a, self.K, _binomials(a, self.K))
+        got = _sym_power(a.tobytes(), self.K)
         want = np.array([p ** (self.K - j) * q ** j for j in range(self.K + 1)])
         np.testing.assert_allclose(np.diag(got), want, rtol=1e-12, atol=0.0)
         assert np.array_equal(got, np.diag(np.diag(got)))
@@ -326,9 +332,88 @@ class TestSymPower:
         low, high = np.linalg.eigvalsh(rho.matrix)
         want = sum(high ** (self.K - j) * low ** j for j in range(self.K + 1))
         a = rho.matrix
-        got = np.trace(_sym_power(a, self.K, _binomials(a, self.K)))
+        got = np.trace(_sym_power(a.tobytes(), self.K))
         assert got.real == pytest.approx(want, rel=1e-12)
         assert abs(got.imag) <= 1e-12 * want
+
+
+def reference_spin_blocks(rho, p):
+    """``det(rho)^t Sym^(p-2t)(rho)`` for ``t = 0..p//2``, built for this
+    ``p`` alone: its own binomial columns of exponents ``0..p`` and its own
+    powers, with the operations the shared caches perform."""
+    a = rho.matrix
+    det = float((a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real)
+
+    def binomial(x, y, e):
+        terms = [math.comb(e, q) * x ** (e - q) * y ** q for q in range(e + 1)]
+        return np.array(terms, dtype=np.complex128)
+
+    left = [binomial(a[0, 0], a[1, 0], e) for e in range(p + 1)]
+    right = [binomial(a[0, 1], a[1, 1], e) for e in range(p + 1)]
+    blocks = []
+    for t in range(p // 2 + 1):
+        k = p - 2 * t
+        sym = np.empty((k + 1, k + 1), dtype=np.complex128)
+        for j in range(k + 1):
+            sym[:, j] = np.convolve(left[k - j], right[j])
+        norms = np.array([math.sqrt(float(math.comb(k, j))) for j in range(k + 1)])
+        blocks.append(det ** t * (sym * (norms[None, :] / norms[:, None])))
+    return blocks
+
+
+class TestSharedPowers:
+    """Every copy count's spin blocks share the state's ``Sym^k`` and their
+    binomial columns, cached once per state and ``k`` or exponent."""
+
+    STATES = (
+        random_density(2, 2, 31),
+        pure_state([1.0, 1.0j]),
+        classical_state([0.7, 0.3]),
+    )
+    PS = range(1, 13)
+
+    @staticmethod
+    def _bytes(blocks):
+        return [(b.shape, b.tobytes()) for b in blocks]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_blocks_match_each_copy_count_built_alone(self, order):
+        # Whatever the caches hold from earlier copy counts or states, each
+        # block is the same bytes as one built for its copy count alone.
+        if order == "interleaved":
+            calls = [(rho, p) for p in self.PS for rho in self.STATES]
+        else:
+            ps = self.PS if order == "ascending" else self.PS[::-1]
+            calls = [(rho, p) for rho in self.STATES for p in ps]
+        assert np.linalg.det(self.STATES[1].matrix) == 0.0  # det^t = 0 for t > 0
+        clear_sectors_caches()
+        for rho, p in calls:
+            got = sectors._spin_blocks(rho.matrix.tobytes(), p)
+            assert self._bytes(got) == self._bytes(reference_spin_blocks(rho, p))
+
+    def test_cached_arrays_are_read_only(self):
+        clear_sectors_caches()
+        for rho in self.STATES:
+            m = rho.matrix.tobytes()
+            for _ in range(2):  # computed, then from the cache
+                arrays = [b for p in self.PS for b in sectors._spin_blocks(m, p)]
+                arrays += [sectors._sym_power(m, k) for k in range(13)]
+                arrays += [
+                    sectors._binomial(m, c, e) for c in (0, 1) for e in range(13)
+                ]
+                for x in arrays:
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        x[(0,) * x.ndim] = 0.0
+
+    def test_binary_table_computes_each_power_once(self):
+        # Sym^k for k = 0..11 of each state, and their columns of exponents
+        # 0..11, are each computed once over the rows n = 2..11.
+        ens = Ensemble((random_density(2, 2, 41), random_density(2, 2, 42)))
+        clear_sectors_caches()
+        run_experiment(ens, range(2, 12))
+        assert sectors._sym_power.cache_info().misses == 24
+        assert sectors._binomial.cache_info().misses == 2 * 2 * 12
 
 
 class TestEnsemble:
