@@ -27,7 +27,6 @@ from .detectors import (
 from .evaluation import (
     ErrorReport,
     ExperimentTable,
-    ExponentSeries,
     LemmaReport,
     error_sum,
     lemma_bound_check,
@@ -56,7 +55,6 @@ __all__ = [
     "Ensemble",
     "ErrorReport",
     "ExperimentTable",
-    "ExponentSeries",
     "LemmaReport",
     "PairwiseTable",
     "SplitReport",

@@ -157,7 +157,7 @@ def _row_document(row: ExperimentRow, r: int) -> dict:
 def table_to_csv(table: ExperimentTable) -> str:
     lines = [CSV_HEADER]
     for row in table.rows:
-        doc = _row_document(row, table.r)
+        doc = _row_document(row, table.pairs.r)
         doc["reference_level"] = table.reference_level
         lines.append(",".join(_csv_cell(doc[name]) for name in CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
@@ -180,15 +180,15 @@ def table_to_json(table: ExperimentTable) -> str:
             {"i": i, "j": j, "exponent": res.exponent, "s_opt": res.s_opt}
             for (i, j), res in sorted(pairs.distances.items())
         ],
-        rows=[_row_document(row, table.r) for row in table.rows],
-        fitted_slope=table.series.fitted_slope,
-        k_fit=table.series.k_fit,
-        exact_discrimination=table.series.exact_discrimination,
+        rows=[_row_document(row, table.pairs.r) for row in table.rows],
+        fitted_slope=table.fitted_slope,
+        k_fit=table.k_fit,
+        exact_discrimination=not any(row.report.err_sm > 0.0 for row in table.rows),
         # diagnostic only: the pairwise bottleneck constrains the limsup,
         # so finite-copy slopes may legitimately sit above it
         slope_exceeds_bottleneck=(
-            table.series.fitted_slope is not None
-            and table.series.fitted_slope > least.exponent + 1e-6
+            table.fitted_slope is not None
+            and table.fitted_slope > least.exponent + 1e-6
         ),
     )
     return _report_json(doc)

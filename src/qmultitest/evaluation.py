@@ -13,6 +13,7 @@ term plus the sub-detectors' errors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,19 +58,6 @@ class LemmaReport:
 
 
 @dataclass(frozen=True)
-class ExponentSeries:
-    """A table's least-squares decay slope over its last rows.
-
-    Rows with zero error are excluded from the fit; a series of exact
-    zeros carries the ``exact_discrimination`` marker instead of a slope.
-    """
-
-    fitted_slope: float | None
-    k_fit: int
-    exact_discrimination: bool
-
-
-@dataclass(frozen=True)
 class ExperimentRow:
     n: int
     n1: int | None
@@ -88,17 +76,19 @@ class ExperimentTable:
     """Deterministic experiment record for one ensemble and copy range.
 
     ``pairs`` is the pairwise table the rows were built on: the closest
-    pair, its exponent and the condition are read from it, not copied."""
+    pair, its exponent and the condition are read from it, not copied.
+    ``fitted_slope`` is the decay slope of the last ``k_fit`` rows with
+    positive error (``_fitted_slope``)."""
 
     dim: int
-    r: int
     labels: tuple[str, ...] | None
     w1: float
     sub: str
     pairs: PairwiseTable
     reference_level: float
     rows: tuple[ExperimentRow, ...]
-    series: ExponentSeries
+    k_fit: int
+    fitted_slope: float | None
 
 
 def error_sum(ensemble: Ensemble, detector: Detector) -> ErrorReport:
@@ -165,17 +155,14 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.sum(xc * (ya - ya.mean())) / np.sum(xc * xc))
 
 
-def _series(points: Sequence[tuple[int, float]], k_fit: int) -> ExponentSeries:
+def _fitted_slope(points: Sequence[tuple[int, float]], k_fit: int) -> float | None:
     """The least-squares slope of ``-log(err_sm)`` against ``n`` over the
     last ``k_fit`` ``(n, err_sm)`` points with positive error: none with
-    fewer than two of those or ``k_fit`` points, and a series of exact
-    zeros is marked ``exact_discrimination``."""
-    positive = [(n, err) for n, err in points if err > 0.0]
-    if len(positive) < 2 or k_fit > len(points):
-        return ExponentSeries(None, k_fit, not positive)
-    window = positive[-k_fit:]
-    slope = _ls_slope([n for n, _ in window], [-math.log(err) for _, err in window])
-    return ExponentSeries(slope, k_fit, False)
+    fewer than two of those or ``k_fit`` points."""
+    window = [(n, -math.log(err)) for n, err in points if err > 0.0][-k_fit:]
+    if len(window) < 2 or k_fit > len(points):
+        return None
+    return _ls_slope(*zip(*window))
 
 
 def run_experiment(
@@ -196,13 +183,14 @@ def run_experiment(
     ``min(pair exponent, others_min / 6)`` for the closest pair, the decay
     rate the construction targets.
     """
+    k_fit = operator.index(k_fit)
     if k_fit < 2:
         raise ValueError(f"k_fit must be at least 2, got {k_fit}")
     if not 0.0 < w1 < 1.0:
         raise ValueError(f"w1 must lie in (0, 1), got {w1}")
     # Walked once, uncopied: a long range stops at its first count past the cap.
     d, ns = ensemble.dim, []
-    for n in map(int, n_values):
+    for n in map(operator.index, n_values):
         if not within_cap(d, n, dim_cap):
             dim = d ** n if within_cap(d, n - 1, dim_cap) else f"{d}^{n}"
             raise DimensionCapExceeded(f"n = {n} needs dim {dim} > cap {dim_cap}")
@@ -262,14 +250,14 @@ def run_experiment(
 
     return ExperimentTable(
         dim=ensemble.dim,
-        r=ensemble.r,
         labels=ensemble.labels,
         w1=w1,
         sub=sub,
         pairs=table,
         reference_level=reference,
         rows=tuple(rows),
+        k_fit=k_fit,
         # Too few positive rows, or too few rows, leave the slope undefined
         # instead of failing the table.
-        series=_series([(row.n, row.report.err_sm) for row in rows], k_fit),
+        fitted_slope=_fitted_slope([(row.n, row.report.err_sm) for row in rows], k_fit),
     )

@@ -86,7 +86,8 @@ DECAY_SLACK = 1e-12
 def binary_table(rho1, rho2, n_max, dim_cap=DEFAULT_DIM_CAP):
     """The pair's binary table for ``n = 1..n_max``, at the default
     ``k_fit = 4``: each row holds the optimal test's summed error and
-    ``exp(-n xi)``, and ``series`` the slope fitted over the last four."""
+    ``exp(-n xi)``, and the table's ``fitted_slope`` is fitted over the last
+    four."""
     from qmultitest import Ensemble, run_experiment
 
     ensemble = Ensemble((rho1, rho2))

@@ -179,7 +179,7 @@ def test_criterion_4_binary_exponential_decay():
                 converse_violations.append((k, r.n))
         if xi >= 0.05:
             # The slope the tool reports: the default k_fit = 4 fits n = 7..10.
-            slope = table.series.fitted_slope
+            slope = table.fitted_slope
             edge = max_slope_edge([r.n for r in rows[-4:]], lower, xi)
             lower_gap = min(lower_gap, slope - 0.6 * xi)
             upper_gap = min(upper_gap, edge - slope)

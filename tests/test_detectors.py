@@ -957,9 +957,7 @@ class TestSectorComposition:
             ):
                 assert x == pytest.approx(y, rel=1e-12, abs=0.0)
             assert (a.lemma_holds, a.overall_holds) == (b.lemma_holds, b.overall_holds)
-        assert got.series.fitted_slope == pytest.approx(
-            want.series.fitted_slope, rel=1e-12, abs=0.0
-        )
+        assert got.fitted_slope == pytest.approx(want.fitted_slope, rel=1e-12, abs=0.0)
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,

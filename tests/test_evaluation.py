@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import struct
 import tracemalloc
@@ -23,7 +24,7 @@ from qmultitest import (
 )
 from qmultitest import cli, linalg
 from qmultitest.detectors import misses
-from qmultitest.evaluation import ExperimentRow, _ls_slope, _series
+from qmultitest.evaluation import ExperimentRow, _fitted_slope, _ls_slope
 from qmultitest.errors import DimensionCapExceeded, DimensionMismatch
 from qmultitest.selfcheck import random_feasible_partials
 
@@ -45,6 +46,11 @@ def written_row(report, r):
     """The row that a table writes for this report on ``r`` hypotheses."""
     row = ExperimentRow(1, None, None, report, None, 1.0, None, None, None, None)
     return cli._row_document(row, r)
+
+
+def written_table(table):
+    """The JSON document that ``run --format json`` writes for ``table``."""
+    return json.loads(cli.table_to_json(table))
 
 
 class TestErrorSum:
@@ -233,50 +239,44 @@ class TestBinaryDecay:
         for row in table.rows:
             assert row.report.err_sm == pytest.approx(a**row.n, rel=1e-12)
             assert row.rate == pytest.approx(0.3, abs=1e-12)
-        assert table.series.fitted_slope == pytest.approx(0.3, abs=1e-12)
-        assert not table.series.exact_discrimination
+        assert table.fitted_slope == pytest.approx(0.3, abs=1e-12)
+        assert written_table(table)["exact_discrimination"] is False
 
 
 class TestSeries:
-    """The table's slope rule, ``evaluation._series``, on ``(n, err_sm)``
-    points."""
+    """The table's slope rule, ``evaluation._fitted_slope``, on
+    ``(n, err_sm)`` points."""
 
     def test_exact_exponential(self):
-        series = _series([(n, math.exp(-0.3 * n)) for n in range(1, 7)], 4)
-        assert series.fitted_slope == pytest.approx(0.3, abs=1e-12)
-        assert not series.exact_discrimination
+        slope = _fitted_slope([(n, math.exp(-0.3 * n)) for n in range(1, 7)], 4)
+        assert slope == pytest.approx(0.3, abs=1e-12)
 
     def test_constant_series(self):
-        series = _series([(n, 0.5) for n in range(1, 6)], 4)
-        assert series.fitted_slope == pytest.approx(0.0, abs=1e-12)
+        slope = _fitted_slope([(n, 0.5) for n in range(1, 6)], 4)
+        assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_row_is_left_out_of_the_fit(self):
-        series = _series([(1, 0.5), (2, 0.25), (3, 0.0), (4, 0.0625)], 4)
+        slope = _fitted_slope([(1, 0.5), (2, 0.25), (3, 0.0), (4, 0.0625)], 4)
         # ln 2 per copy over n = 1, 2, 4: the zero at n = 3 is skipped.
-        assert series.fitted_slope == pytest.approx(math.log(2.0), abs=1e-12)
-        assert not series.exact_discrimination
+        assert slope == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_all_zero_series(self):
-        series = _series([(1, 0.0), (2, 0.0)], 2)
-        assert series.exact_discrimination
-        assert series.fitted_slope is None
+        assert _fitted_slope([(1, 0.0), (2, 0.0)], 2) is None
 
     def test_one_positive_row_gives_no_slope(self):
-        series = _series([(1, 0.5), (2, 0.0)], 2)
-        assert series.fitted_slope is None
-        assert not series.exact_discrimination
+        assert _fitted_slope([(1, 0.5), (2, 0.0)], 2) is None
 
     def test_k_fit_above_the_row_count_gives_no_slope(self):
-        series = _series([(n, math.exp(-0.3 * n)) for n in range(1, 4)], 4)
-        assert series.fitted_slope is None
-        assert not series.exact_discrimination
+        points = [(n, math.exp(-0.3 * n)) for n in range(1, 4)]
+        assert _fitted_slope(points, 4) is None
 
     def test_binary_series_slope_against_exponent(self):
         rho1, rho2 = random_density(2, 2, 101), random_density(2, 2, 102)
         xi = chernoff_distance(rho1, rho2).exponent
-        series = run_experiment(Ensemble((rho1, rho2)), range(2, 10), k_fit=5).series
-        assert series.fitted_slope > 0.0
-        assert series.fitted_slope >= xi - 1e-9
+        table = run_experiment(Ensemble((rho1, rho2)), range(2, 10), k_fit=5)
+        slope = table.fitted_slope
+        assert slope > 0.0
+        assert slope >= xi - 1e-9
 
     def test_split_table_slope_is_its_rows_fit(self):
         ens = Ensemble(tuple(random_density(2, 2, 1 + k) for k in range(3)))
@@ -285,10 +285,51 @@ class TestSeries:
         want = _ls_slope(
             [row.n for row in window], [-math.log(row.report.err_sm) for row in window]
         )
-        assert table.series.k_fit == 4
-        assert table.series.fitted_slope == want
+        assert table.k_fit == 4
+        assert table.fitted_slope == want
         for row in table.rows:
             assert row.rate == -math.log(row.report.err_sm) / row.n
+
+
+class TestExactDiscrimination:
+    """The written ``exact_discrimination`` marker: true exactly when no row
+    has ``err_sm > 0``.  A real binary table's rows are given the points'
+    ``err_sm`` and the slope fitted to them."""
+
+    @staticmethod
+    def written(errors, k_fit):
+        pair = (random_density(2, 2, 103), random_density(2, 2, 104))
+        table = run_experiment(Ensemble(pair), range(1, len(errors) + 1), k_fit=k_fit)
+        rows = tuple(
+            dataclasses.replace(row, report=dataclasses.replace(row.report, err_sm=err))
+            for row, err in zip(table.rows, errors, strict=True)
+        )
+        points = [(row.n, row.report.err_sm) for row in rows]
+        return written_table(
+            dataclasses.replace(
+                table, rows=rows, fitted_slope=_fitted_slope(points, k_fit)
+            )
+        )
+
+    def test_all_zero_rows_are_exact(self):
+        doc = self.written([0.0, 0.0], 2)
+        assert doc["exact_discrimination"] is True
+        assert doc["fitted_slope"] is None
+
+    def test_one_positive_row(self):
+        doc = self.written([0.5, 0.0], 2)
+        assert doc["exact_discrimination"] is False
+        assert doc["fitted_slope"] is None
+
+    def test_zero_row_among_positive_ones(self):
+        doc = self.written([0.5, 0.25, 0.0, 0.0625], 4)
+        assert doc["exact_discrimination"] is False
+        assert doc["fitted_slope"] == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_k_fit_above_the_row_count(self):
+        doc = self.written([math.exp(-0.3 * n) for n in range(1, 4)], 4)
+        assert doc["exact_discrimination"] is False
+        assert doc["fitted_slope"] is None
 
 
 class TestClosestPair:
@@ -308,7 +349,7 @@ class TestClosestPair:
         # The pair's Chernoff search runs on the same states in both.
         assert table.pairs.distances[(0, 2)] == first.pairs.distances[(0, 1)]
         assert table.reference_level == pytest.approx(first.reference_level, rel=1e-12)
-        assert table.series == first.series
+        assert (table.k_fit, table.fitted_slope) == (first.k_fit, first.fitted_slope)
         for row, ref in zip(table.rows, first.rows, strict=True):
             errors = ref.report.per_state_error
             assert row.report.per_state_error == (errors[0], errors[2], errors[1])
@@ -385,6 +426,28 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="k_fit must be at least 2"):
                 run_experiment(ens, range(2, 5), k_fit=k_fit)
         assert chernoff_calls == []
+
+    @pytest.mark.parametrize("n_values", [[2.7, 3.2], [2, 3.0], ["4"]])
+    def test_copy_count_that_is_not_an_integer_is_refused(
+        self, n_values, chernoff_calls
+    ):
+        # Not rounded down to a copy count: refused before any work.
+        ens = Ensemble((random_density(2, 2, 155), random_density(2, 2, 156)))
+        with pytest.raises(TypeError):
+            run_experiment(ens, n_values)
+        assert chernoff_calls == []
+
+    def test_fit_window_that_is_not_an_integer_is_refused(self, chernoff_calls):
+        ens = Ensemble((random_density(2, 2, 157), random_density(2, 2, 158)))
+        with pytest.raises(TypeError):
+            run_experiment(ens, range(2, 6), k_fit=2.5)
+        assert chernoff_calls == []
+
+    def test_numpy_integer_copy_counts_run(self):
+        ens = Ensemble((random_density(2, 2, 157), random_density(2, 2, 158)))
+        table = run_experiment(ens, np.arange(2, 5), k_fit=np.int64(2))
+        assert table == run_experiment(ens, [2, 3, 4], k_fit=2)
+        assert [type(row.n) for row in table.rows] == [int] * 3
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_split_row_computes_each_spin_block_once(self, n):
@@ -532,15 +595,15 @@ class TestRunExperiment:
                 )
             assert row.rate == pytest.approx(ref.rate, rel=1e-10, abs=0.0)
             assert row.report.err_sm <= row.binary_bound
-        assert table.series.fitted_slope == pytest.approx(
-            dense.series.fitted_slope, rel=1e-10, abs=0.0
+        assert table.fitted_slope == pytest.approx(
+            dense.fitted_slope, rel=1e-10, abs=0.0
         )
-        assert not table.series.exact_discrimination
-        assert not dense.series.exact_discrimination
+        assert written_table(table)["exact_discrimination"] is False
+        assert written_table(dense)["exact_discrimination"] is False
 
     def test_orthogonal_ensemble_is_exact(self):
         table = run_experiment(orthogonal_triple(), [2, 3], k_fit=2)
-        assert table.series.exact_discrimination
+        assert written_table(table)["exact_discrimination"] is True
         for row in table.rows:
             assert row.report.err_sm == pytest.approx(0.0, abs=1e-9)
             assert row.rate is None
