@@ -246,7 +246,7 @@ def pgm(
     m = len(powers)
     spectra = [linalg.eigh(linalg.hermitize(sum(p) / m)) for p in zip(*powers)]
     floor = linalg.eig_floor(np.concatenate([w for w, _ in spectra]))
-    raw: list[list[np.ndarray]] = [[] for _ in powers]
+    elements: list[list[np.ndarray]] = [[] for _ in powers]
     for (w, v), blocks in zip(spectra, zip(*powers)):
         keep = w > floor
         v_keep = v[:, keep]
@@ -254,23 +254,20 @@ def pgm(
         kernel_proj = np.eye(len(w)) - v_keep @ v_keep.conj().T
         # Gram form (rho^(1/2) S^(-1/2))^dag (...) keeps elements positive
         # to machine precision even when S is badly conditioned.
-        for k, p in enumerate(blocks):
+        raw = []
+        for p in blocks:
             b = linalg.sqrt_psd(p) @ inv_sqrt
-            raw[k].append(linalg.hermitize(b.conj().T @ b / m + kernel_proj / m))
+            raw.append(linalg.hermitize(b.conj().T @ b / m + kernel_proj / m))
+        # Rounding through S^(-1/2) can leave the sum off identity by more
+        # than the POVM tolerance when S is nearly singular.  The sum is
+        # I + delta with tiny Hermitian delta, so conjugating every element
+        # by sum^(-1/2) (identity in exact arithmetic, well conditioned here)
+        # restores the resolution of identity while preserving positivity.
+        tw, tv = np.linalg.eigh(linalg.hermitize(sum(raw)))
+        c = (tv * (1.0 / np.sqrt(tw))) @ tv.conj().T
+        for element, g in zip(elements, raw):
+            element.append(linalg.hermitize(c @ g @ c))
     del powers, spectra
-    # Rounding through S^(-1/2) can leave the sum off identity by more
-    # than the POVM tolerance when S is nearly singular.  The sum is
-    # I + delta with tiny Hermitian delta, so conjugating every element
-    # by sum^(-1/2) (identity in exact arithmetic, well conditioned here)
-    # restores the resolution of identity while preserving positivity.
-    corrections = []
-    for gs in zip(*raw):
-        tw, tv = np.linalg.eigh(linalg.hermitize(sum(gs)))
-        corrections.append((tv * (1.0 / np.sqrt(tw))) @ tv.conj().T)
-    elements = tuple(
-        tuple(linalg.hermitize(c @ g @ c) for c, g in zip(corrections, gs))
-        for gs in raw
-    )
     _check_povm(elements, layout.mults)
     return Detector(elements, layout)
 
@@ -322,8 +319,9 @@ def compose_with_binary(
     and ``E_-`` of the pair as the Gram forms ``(Q^(1/2) E)(Q^(1/2) E)^dag
     = Q^(1/2) E Q^(1/2)``, which stay positive to machine precision.
     Residual eigenvalues at or below the zero floor, taken over the whole
-    spectrum, are zeros of ``Q``.  The trace records the pair's terms of
-    the error bound.
+    spectrum, are zeros of ``Q``.  The detector is checked as one POVM
+    (``_check_povm``), a negative partial ``k`` as its element ``k + 2``.
+    The trace records the pair's terms of the error bound.
 
     A partial comes as its blocks on its layout (``sectors.Blocks``), or
     dense, of size ``d^n``: the one block of ``n`` one-copy factors.  The
@@ -362,9 +360,6 @@ def compose_with_binary(
     for k, p in enumerate(partials):
         if p.layout != layout or [b.shape for b in p.blocks] != shapes:
             raise DimensionMismatch(f"partial {k} does not fit the sectors")
-        lowest = _lowest(p.blocks, TOL_ELEMENT_PSD)
-        if lowest is not None:
-            raise PSDViolation(f"partial {k} has eigenvalue {lowest:.3e}")
         partial_blocks.append(p.blocks)
     sum_blocks = [linalg.hermitize(sum(blocks)) for blocks in zip(*partial_blocks)]
     spectra = [linalg.eigh(block) for block in sum_blocks]
@@ -388,12 +383,8 @@ def compose_with_binary(
         [_gram(root @ t[i]) for root, t in zip(sqrt_residual, tests)]
         for i in (0, 1)
     ]
-    for i, blocks in enumerate(pair_blocks):
-        lowest = _lowest(blocks, TOL_ELEMENT_PSD)
-        if lowest is not None:
-            raise PSDViolation(
-                f"invalid POVM: element {i} has negative eigenvalue {lowest:.3e}"
-            )
+    elements = (*pair_blocks, *partial_blocks)
+    _check_povm(elements, mults)
     pair_sum_defect = _frobenius(
         (plus + minus - q for plus, minus, q in zip(*pair_blocks, residual)), mults
     )
@@ -413,13 +404,7 @@ def compose_with_binary(
             f"squared defect exceeds the partial sum by {-gap:.3e}"
         )
 
-    elements = (*pair_blocks, *partial_blocks)
     del pair_blocks, partial_blocks
-    defect = _frobenius((sum(e) - np.eye(len(e[0])) for e in zip(*elements)), mults)
-    if defect > TOL_SUM_IDENTITY:
-        raise PSDViolation(
-            f"invalid POVM: elements sum to identity only within {defect:.3e}"
-        )
     detector = Detector(elements, layout)
     del elements
     # The overlap trace is the pair's misses under the binary test,

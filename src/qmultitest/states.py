@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,9 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, epsilon: float) -> DensityMatr
 
 
 def within_cap(d: int, n: int, dim_cap: int) -> bool:
-    """Whether ``d^n <= dim_cap``, forming no power past ``d * dim_cap``."""
-    dim = 1
+    """Whether ``d^n <= dim_cap``, forming no power past ``d * dim_cap``;
+    a cap that is not an integer raises ``TypeError``."""
+    dim, dim_cap = 1, operator.index(dim_cap)
     for _ in range(n):
         if (dim := dim * d) > dim_cap:
             return False

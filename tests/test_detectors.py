@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import time
 import weakref
 
@@ -202,8 +203,42 @@ class TestComposeWithBinary:
             compose_with_binary([np.eye(2)], *self.pair())
 
     def test_rejects_negative_partials(self):
-        with pytest.raises(PSDViolation):
+        # The partials are checked with the pair's elements, as elements
+        # 2, 3, ... of the composed detector.
+        with pytest.raises(PSDViolation) as info:
             compose_with_binary([np.diag([0.5, -0.1])], *self.pair())
+        assert str(info.value) == (
+            "invalid POVM: element 2 has negative eigenvalue -1.000e-01"
+        )
+
+    @pytest.mark.parametrize("parts", [(1,), (2,)])
+    def test_a_corrupted_pair_element_is_refused(self, parts, monkeypatch):
+        # The binary test forms two Gram forms per block; the next one is
+        # the composed E_+ on the first block, shifted here by -1e-3 I.
+        from qmultitest import detectors
+
+        partial = self.scaled_identity(2, parts)
+        blocks = len(partial.layout.mults)
+        original = detectors._gram
+        calls = []
+
+        def corrupt_first_pair_element(factor):
+            out = original(factor)
+            if len(calls) == 2 * blocks:
+                out -= 1e-3 * np.eye(len(out))
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(detectors, "_gram", corrupt_first_pair_element)
+        with pytest.raises(PSDViolation, match="^invalid POVM: ") as info:
+            compose_with_binary([partial], *self.pair())
+        # Both of its faults, in one refusal.
+        assert re.match(
+            r"invalid POVM: element 0 has negative eigenvalue -1\.000e-03; "
+            r"elements sum to identity only within 1\.\d{3}e-03$",
+            str(info.value),
+        )
+        assert len(calls) == 4 * blocks
 
     def test_rejects_empty_partials_and_bad_shapes(self):
         with pytest.raises(ValueError, match="at least one partial"):
@@ -1636,6 +1671,16 @@ class TestCapAtEntry:
             with pytest.raises(ValueError, match=message):
                 build()
 
+    def test_builders_refuse_a_cap_that_is_not_an_integer(self):
+        a, b = random_density(2, 2, 750), random_density(2, 2, 751)
+        for build in (
+            lambda: holevo_helstrom(a, b, 2, 8.5),
+            lambda: holevo_helstrom(a, b, 3, 8.5),
+            lambda: pgm([a, b], 2, 8.5),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
     def test_refusal_at_the_default_cap_is_immediate(self):
         a, b = random_density(2, 2, 752), random_density(2, 2, 753)
         before = sectors.layout.cache_info()
@@ -1673,6 +1718,40 @@ class TestCapAtEntry:
         assert report.err_sm == row.report.err_sm
         per_state = [report.per_state_error[order.index(k)] for k in range(3)]
         assert tuple(per_state) == row.report.per_state_error
+
+
+class TestOneCheckPerPovm:
+    """Every POVM is checked once, where it is built, by ``_check_povm``:
+    the binary test, the PGM and the composed detector, whose partials are
+    checked there with the pair's elements."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        from qmultitest import detectors
+
+        counts = []
+        original = detectors._check_povm
+
+        def counting(elements, mults):
+            counts.append(len(elements))
+            return original(elements, mults)
+
+        monkeypatch.setattr(detectors, "_check_povm", counting)
+        return counts
+
+    @pytest.mark.parametrize("sub", ["pgm", "recursive"])
+    def test_split_detector(self, sub, checked):
+        # The two sub-detectors, the binary test and the composed detector.
+        ens = Ensemble(tuple(random_density(2, 2, 30 + k) for k in range(3)))
+        build_split_detector(ens, 4, 0.5, sub)
+        assert checked == [2, 2, 2, 3]
+
+    def test_binary_test_and_pgm(self, checked):
+        a, b, c = (random_density(2, 2, 760 + k) for k in range(3))
+        holevo_helstrom(a, b, 3)
+        assert checked == [2]
+        pgm([a, b, c], 3)
+        assert checked == [2, 3]
 
 
 class TestDetectorChecks:

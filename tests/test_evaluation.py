@@ -449,6 +449,20 @@ class TestRunExperiment:
         assert table == run_experiment(ens, [2, 3, 4], k_fit=2)
         assert [type(row.n) for row in table.rows] == [int] * 3
 
+    @pytest.mark.parametrize("n_values", [[2, 3], [2, 3, 4]])
+    def test_cap_that_is_not_an_integer_is_refused(self, n_values, chernoff_calls):
+        # Neither compared as a float with the rows inside it nor reported
+        # as a cap on the first row past it: refused before any work.
+        ens = Ensemble((random_density(2, 2, 159), random_density(2, 2, 160)))
+        with pytest.raises(TypeError):
+            run_experiment(ens, n_values, k_fit=2, dim_cap=8.5)
+        assert chernoff_calls == []
+
+    def test_numpy_integer_cap_runs(self):
+        ens = Ensemble((random_density(2, 2, 159), random_density(2, 2, 160)))
+        table = run_experiment(ens, [2, 3], k_fit=2, dim_cap=np.int64(4096))
+        assert table == run_experiment(ens, [2, 3], k_fit=2)
+
     @pytest.mark.parametrize("n", [5, 7])
     def test_split_row_computes_each_spin_block_once(self, n):
         # Five qubit states on parts n // 2 and n - n // 2 are ten keys of

@@ -226,6 +226,14 @@ class TestTensorPower:
         # 3^(10^8) alone takes minutes to compute.
         assert not within_cap(3, 10**8, DEFAULT_DIM_CAP)
 
+    def test_within_cap_reads_the_cap_as_an_integer(self):
+        # Refused whether or not the power would be formed at all.
+        for n in (0, 3, 4):
+            with pytest.raises(TypeError):
+                within_cap(2, n, 8.5)
+        assert within_cap(2, 12, np.int64(4096))
+        assert not within_cap(2, 13, np.int64(4096))
+
     @pytest.mark.parametrize("d, n", [(2, 15000), (3, 10**8)])
     def test_cap_far_past_it(self, d, n):
         # d^n is never formed: 2^15000 has more digits than an int converts
